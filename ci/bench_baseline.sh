@@ -14,10 +14,11 @@
 # (e.g. `--scale 1` for the full suite) are forwarded to fig4_pipeline.
 #
 # Worker counts: every bin that builds a default ValidationEngine honors
-# the LLVM_MD_WORKERS env var (see driver::default_workers), so a
-# multi-core re-baseline run — e.g. after the 1-core BENCH_scaling.json
-# caveat in README.md — is `LLVM_MD_WORKERS=8 ci/bench_baseline.sh`, no
-# code edits needed.
+# the LLVM_MD_WORKERS env var (see driver::default_workers), so a re-baseline
+# at another worker count is `LLVM_MD_WORKERS=8 ci/bench_baseline.sh`, no
+# code edits needed. The committed BENCH_scaling.json was recorded on a
+# 2-core machine: 1.65x at 2 workers and 1.66x at 4 (flat past the core
+# count); see README.md.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

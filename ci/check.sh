@@ -105,12 +105,14 @@ print(f"chain smoke OK: rate {data['chain_rate']:.3f} vs e2e {data['end_to_end_r
       f"{data['injected_blamed_correctly']}/{data['injected_bugs']} bugs blamed correctly")
 EOF
 
-  echo "==> tier-2 SAT smoke (>=1 surviving alarm proved equivalent, 0 soundness inversions)"
+  echo "==> tier-2 SAT smoke (>=1 surviving alarm proved equivalent, 0 soundness inversions, proofs under 1000 conflicts)"
   # table4_sat already asserts the two gate invariants internally (and exits
   # nonzero on failure); the artifact check re-verifies them and pins the
   # expected shape. Runs at the artifact's own default scale 4: the
-  # provable surviving alarm is not in the 1/16 suite, and the headline
-  # UNSAT proof costs tens of thousands of conflicts — release only.
+  # provable surviving alarm is not in the 1/16 suite. With the encoder's
+  # structural hashing the headline UNSAT proof needs 0 conflicts (48,126
+  # without it), so a proof that needs search again means the hashing was
+  # lost: the conflict bound fails on a deterministic count, not a timing.
   sat_dir="$(mktemp -d)"
   BENCH_OUT_DIR="$sat_dir" cargo run --release --offline -q -p llvm_md_bench \
     --bin table4_sat -- --scale 4 --battery 8 > /dev/null
@@ -126,6 +128,10 @@ for row in data["configs"]:
         f"tiered cascade missed a miscompile under {row['rules']!r}: {row}"
     assert row["suite_escalated"] == 0, \
         f"suite pair escalated to miscompile under {row['rules']!r}"
+    for alarm in row["alarm_detail"]:
+        if alarm["outcome"] == "proved":
+            assert alarm["conflicts"] < 1000, \
+                f"proof needed {alarm['conflicts']} conflicts (structural hashing lost?): {alarm}"
 print(f"tier-2 smoke OK: {data['headline_proved']} surviving alarm(s) proved equivalent, "
       f"0 inversions across {len(data['configs'])} configs")
 EOF

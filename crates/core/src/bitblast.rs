@@ -20,7 +20,11 @@
 //!    states (entry memory, call effects, residuals) read as fresh bytes
 //!    tied together by Ackermann-style congruence, and entry-memory reads
 //!    at global addresses are pinned to the module's initializers using
-//!    the interpreter's exact global layout.
+//!    the interpreter's exact global layout. Gates are structurally
+//!    hashed: an and/xor/mux gate over the same (normalized) inputs as an
+//!    earlier one reuses its output literal, so the two sides' equal
+//!    subcircuits share variables instead of being re-proved equal by
+//!    search.
 //!
 //! Every approximation goes the same direction: constraints are only added
 //! when they hold in *every* real execution (global layout, alloca
@@ -549,6 +553,17 @@ enum Fill {
 /// One Ackermann-tracked opaque read: `(address bits, byte bits)`.
 type ReadPair = (Vec<Lit>, Vec<Lit>);
 
+/// Structural-hashing key of one Tseitin gate, with its inputs normalized
+/// so that equal functions of equal inputs share a key: `And` operands are
+/// sorted, `Xor` operands are sorted and stripped of polarity (the caller
+/// re-applies it to the output), `Mux` is `s ? a : b` as given.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Gate {
+    And(Lit, Lit),
+    Xor(Lit, Lit),
+    Mux(Lit, Lit, Lit),
+}
+
 /// Lowers an expanded (μ/η-free) [`ValueGraph`] to clauses in a
 /// [`Solver`].
 struct Encoder<'a> {
@@ -559,6 +574,10 @@ struct Encoder<'a> {
     t: Lit,
     /// Per-node encodings, LSB first.
     bits: HashMap<NodeId, Vec<Lit>>,
+    /// Structural hashing: normalized gate → its output literal, so the
+    /// two sides' equal subcircuits share variables instead of leaving
+    /// CDCL to re-prove them equal by search. Probed, never iterated.
+    gates: HashMap<Gate, Lit>,
     /// Memoized byte reads: `(memory state, address bits) → byte bits`.
     reads: HashMap<(NodeId, Vec<Lit>), Vec<Lit>>,
     /// Ackermann groups: opaque memory state → its `(address, byte)` reads.
@@ -609,6 +628,7 @@ impl<'a> Encoder<'a> {
             solver,
             t,
             bits: HashMap::new(),
+            gates: HashMap::new(),
             reads: HashMap::new(),
             groups: HashMap::new(),
             param_bits: HashMap::new(),
@@ -648,6 +668,36 @@ impl<'a> Encoder<'a> {
 
     // ---- Tseitin gates with constant-folding peepholes ----
 
+    /// The output literal of `gate`: the one an identical gate already got
+    /// in this query, or a fresh variable defined by the gate's clauses.
+    fn gate(&mut self, gate: Gate) -> Lit {
+        if let Some(&o) = self.gates.get(&gate) {
+            return o;
+        }
+        let o = self.fresh();
+        match gate {
+            Gate::And(a, b) => {
+                self.solver.add_clause(&[!a, !b, o]);
+                self.solver.add_clause(&[a, !o]);
+                self.solver.add_clause(&[b, !o]);
+            }
+            Gate::Xor(a, b) => {
+                self.solver.add_clause(&[!a, !b, !o]);
+                self.solver.add_clause(&[a, b, !o]);
+                self.solver.add_clause(&[a, !b, o]);
+                self.solver.add_clause(&[!a, b, o]);
+            }
+            Gate::Mux(s, a, b) => {
+                self.solver.add_clause(&[!s, !a, o]);
+                self.solver.add_clause(&[!s, a, !o]);
+                self.solver.add_clause(&[s, !b, o]);
+                self.solver.add_clause(&[s, b, !o]);
+            }
+        }
+        self.gates.insert(gate, o);
+        o
+    }
+
     fn and2(&mut self, a: Lit, b: Lit) -> Lit {
         let (t, f) = (self.t, self.f());
         if a == t {
@@ -662,11 +712,7 @@ impl<'a> Encoder<'a> {
         if a == b {
             return a;
         }
-        let o = self.fresh();
-        self.solver.add_clause(&[!a, !b, o]);
-        self.solver.add_clause(&[a, !o]);
-        self.solver.add_clause(&[b, !o]);
-        o
+        self.gate(Gate::And(a.min(b), a.max(b)))
     }
 
     fn or2(&mut self, a: Lit, b: Lit) -> Lit {
@@ -693,12 +739,14 @@ impl<'a> Encoder<'a> {
         if a == !b {
             return t;
         }
-        let o = self.fresh();
-        self.solver.add_clause(&[!a, !b, !o]);
-        self.solver.add_clause(&[a, b, !o]);
-        self.solver.add_clause(&[a, !b, o]);
-        self.solver.add_clause(&[!a, b, o]);
-        o
+        // xor(a, b) = xor(|a|, |b|) ⊕ sign(a) ⊕ sign(b).
+        let (pa, pb) = (Lit::pos(a.var()), Lit::pos(b.var()));
+        let o = self.gate(Gate::Xor(pa.min(pb), pa.max(pb)));
+        if a.is_neg() != b.is_neg() {
+            !o
+        } else {
+            o
+        }
     }
 
     fn eq2(&mut self, a: Lit, b: Lit) -> Lit {
@@ -732,12 +780,7 @@ impl<'a> Encoder<'a> {
         if b == !a {
             return self.eq2(s, a);
         }
-        let o = self.fresh();
-        self.solver.add_clause(&[!s, !a, o]);
-        self.solver.add_clause(&[!s, a, !o]);
-        self.solver.add_clause(&[s, !b, o]);
-        self.solver.add_clause(&[s, b, !o]);
-        o
+        self.gate(Gate::Mux(s, a, b))
     }
 
     // ---- word-level circuits (LSB-first bit vectors) ----
@@ -1223,6 +1266,64 @@ mod tests {
         let params: Vec<Ty> = om.functions[0].params.iter().map(|&(_, ty)| ty).collect();
         let deadline = Deadline::starting_now(Duration::from_secs(10));
         blast_ret_pair(&om, &fix, &params, opts, &deadline)
+    }
+
+    /// Run `f` on an encoder over an empty graph and module, for poking at
+    /// the gate layer directly.
+    fn with_encoder(f: impl FnOnce(&mut Encoder<'_>)) {
+        let graph = ValueGraph::new();
+        let module = Module::default();
+        let deadline = Deadline::starting_now(Duration::from_secs(10));
+        f(&mut Encoder::new(&graph, &module, &[], &deadline));
+    }
+
+    #[test]
+    fn and_gates_hash_commutatively() {
+        with_encoder(|enc| {
+            let (a, b) = (enc.fresh(), enc.fresh());
+            let ab = enc.and2(a, b);
+            assert_eq!(enc.and2(b, a), ab);
+            assert_ne!(enc.and2(!a, b), ab, "input polarity matters to an and-gate");
+        });
+    }
+
+    #[test]
+    fn xor_gates_hash_modulo_input_polarity() {
+        with_encoder(|enc| {
+            let (a, b) = (enc.fresh(), enc.fresh());
+            let x = enc.xor2(a, b);
+            let vars = enc.solver.num_vars();
+            assert_eq!(enc.xor2(!a, b), !x);
+            assert_eq!(enc.xor2(a, !b), !x);
+            assert_eq!(enc.xor2(!b, !a), x);
+            assert_eq!(enc.eq2(b, a), !x);
+            assert_eq!(enc.solver.num_vars(), vars, "all five share one gate");
+        });
+    }
+
+    #[test]
+    fn re_encoding_an_identical_mux_adds_nothing() {
+        with_encoder(|enc| {
+            let (s, a, b) = (enc.fresh(), enc.fresh(), enc.fresh());
+            let o = enc.mux(s, a, b);
+            let size = (enc.solver.num_vars(), enc.solver.num_clauses());
+            assert_eq!(enc.mux(s, a, b), o);
+            assert_eq!((enc.solver.num_vars(), enc.solver.num_clauses()), size);
+        });
+    }
+
+    #[test]
+    fn shared_subcircuits_prove_without_search() {
+        // Tier 1 (no rules) keeps `a >=u b` and `!(a <u b)` apart, but both
+        // sides lower to the same comparison chain gate for gate, so the
+        // hashed miter is refuted before search starts.
+        let r = blast_pair(
+            "define i64 @f(i64 %a, i64 %b) {\nentry:\n  %c = icmp uge i64 %a, %b\n  %z = zext i1 %c to i64\n  ret i64 %z\n}\n",
+            "define i64 @f(i64 %a, i64 %b) {\nentry:\n  %c = icmp ult i64 %a, %b\n  %n = xor i1 %c, 1\n  %z = zext i1 %n to i64\n  ret i64 %z\n}\n",
+            &SatOptions::default(),
+        );
+        assert_eq!(r.result, BlastResult::Proved);
+        assert_eq!(r.solver.conflicts, 0);
     }
 
     #[test]

@@ -443,15 +443,27 @@ enum ServeStep {
     Shutdown,
 }
 
+/// Longest accepted length line, newline included. A `usize` has at most
+/// 20 decimal digits, so a longer line is not a length, and reading no
+/// further keeps a newline-free stream of digits from growing the buffer.
+const MAX_HEADER: usize = 32;
+
 /// Read one length-prefixed frame: a decimal byte count on its own line
 /// (blank lines before it are skipped), then exactly that many payload
-/// bytes. `Ok(None)` at EOF; `InvalidData` on an unparseable length.
+/// bytes. `Ok(None)` at EOF; `InvalidData` on an unparseable or overlong
+/// length line.
 fn read_frame<R: BufRead>(input: &mut R) -> io::Result<Option<String>> {
     let mut header = String::new();
     loop {
         header.clear();
-        if input.read_line(&mut header)? == 0 {
+        if io::Read::take(&mut *input, MAX_HEADER as u64).read_line(&mut header)? == 0 {
             return Ok(None);
+        }
+        if header.len() >= MAX_HEADER && !header.ends_with('\n') {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame length line exceeds the {MAX_HEADER}-byte cap"),
+            ));
         }
         if !header.trim().is_empty() {
             break;

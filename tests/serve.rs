@@ -297,3 +297,38 @@ fn malformed_frames_produce_error_lines_not_crashes() {
     assert_eq!(end, ServeEnd::Eof);
     assert_eq!(lines_of_type(&lines, "error").len(), 1);
 }
+
+/// A client stream of `left` ASCII digits and no newline, counting how
+/// many bytes the server pulled from it.
+struct DigitStream {
+    left: usize,
+    pulled: usize,
+}
+
+impl std::io::Read for DigitStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.left);
+        buf[..n].fill(b'7');
+        self.left -= n;
+        self.pulled += n;
+        Ok(n)
+    }
+}
+
+#[test]
+fn newline_free_length_header_is_capped() {
+    // 1 MiB of digits with no newline: the server must give up on the
+    // length line after a few bytes, answer one error line and end,
+    // rather than buffer the whole stream hunting for a newline.
+    let server = new_server(VerdictStore::in_memory(1 << 16));
+    let mut stream = DigitStream { left: 1 << 20, pulled: 0 };
+    let mut out = Vec::new();
+    let end = server.serve(std::io::BufReader::new(&mut stream), &mut out).expect("serve loop");
+    assert_eq!(end, ServeEnd::Eof);
+    let text = String::from_utf8(out).expect("responses are UTF-8");
+    let lines: Vec<Json> = text.lines().map(|l| wire::parse(l).expect("response parses")).collect();
+    assert_eq!(lines.len(), 1, "{text}");
+    assert_eq!(lines_of_type(&lines, "error").len(), 1, "{text}");
+    // A buffer fill (8 KiB) may have been pulled; the megabyte must not.
+    assert!(stream.pulled <= 64 << 10, "server read {} header bytes", stream.pulled);
+}
