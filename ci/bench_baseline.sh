@@ -2,7 +2,7 @@
 # Regenerate the perf-baseline artifacts at the repo root:
 #
 #   BENCH_fig4.json     end-to-end pipeline: validated fraction + wall-clock
-#   BENCH_micro.json    micro-benchmarks: gating / import / validate medians
+#   BENCH_micro.json    micro-benchmarks: gating / import / rebuild / validate medians
 #   BENCH_scaling.json  parallel engine throughput at 1/2/4/N workers
 #   BENCH_triage.json   alarm-triage rates per rule-set ablation
 #   BENCH_chain.json    end-to-end vs per-pass chained validation + blame

@@ -244,6 +244,29 @@ assert any(l["type"] == "shutdown-ok" for l in lines), "shutdown must be acknowl
 print(f"serve smoke OK: {n} functions, batch 2 {ends[1]['store_hits']} hits / 0 validations")
 EOF
 
+  echo "==> benchmark known-answer smoke (every perfbench workload at seed 0 must report correct: true)"
+  # One short run per workload of the repo benchmark (BENCHMARK.json). Each
+  # run checks its known answers: 963 transformed / 882 validated on the
+  # pinned suite, all 6 injected bugs reported as real miscompiles, chain
+  # composition, byte-identical serve replays. A change that moves a verdict
+  # fails here rather than at benchmark time. The runs reuse the release
+  # build in target/; the drift records of earlier runs are dropped first so
+  # only this run's own checks decide.
+  bench_dir="$(mktemp -d)"
+  rm -rf target/perfbench-work/drift
+  for w in suite-tier1 suite-chain fuzz-cascade serve-mixed; do
+    CARGO_TARGET_DIR=target python3 perfbench/run.py --workload "$w" --seed 0 --seconds 1 \
+      --trace 0 > "$bench_dir/$w.txt" || true
+    python3 - "$w" "$bench_dir/$w.txt" <<'EOF'
+import json, sys
+w, out = sys.argv[1], open(sys.argv[2]).read()
+lines = out.strip().splitlines()
+result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+assert result.get("correct") is True, f"benchmark {w} failed its known-answer checks:\n{out}"
+print(f"bench smoke OK: {w}, {result['attempted']} checks")
+EOF
+  done
+
   echo "==> perf gate (micro medians vs committed BENCH_micro.json, fail on >2x regression)"
   # Guard the hash-consing/interner win: re-run the micro benchmarks into a
   # throwaway dir and compare per-axis medians against the committed

@@ -1,7 +1,8 @@
 //! Micro-benchmarks (`cargo bench -p llvm_md_bench`): the validator's
 //! moving parts at several function sizes — gating (monadic gated SSA
-//! construction), shared-graph import + hash-consing, and end-to-end
-//! validation of identity and of a pipeline-optimized function.
+//! construction), shared-graph import + hash-consing, one congruence
+//! rebuild over an original/optimized pair, and end-to-end validation of
+//! identity and of a pipeline-optimized function.
 //!
 //! The paper's efficiency claim (§4.1) is that validation work is
 //! proportional to the number of transformations, not to program size:
@@ -58,6 +59,21 @@ fn main() {
             let map = g.import(&gf);
             let map2 = g.import(&gf);
             (map, map2)
+        });
+    }
+
+    for size in SIZES {
+        let m = sized_module(size);
+        let mut opt = m.clone();
+        paper_pipeline().run_module(&mut opt);
+        let fi = pick(&m, size);
+        let fo = opt.functions.iter().find(|f| f.name == fi.name).expect("same function");
+        let (gi, go) = (gated_ssa::build(fi).expect("gates"), gated_ssa::build(fo).expect("gates"));
+        let name = format!("shared_graph_rebuild/{}", fi.inst_count());
+        report.run(&name, &cfg, || {
+            let mut g = llvm_md_core::SharedGraph::new();
+            let maps = (g.import(&gi), g.import(&go));
+            (g.rebuild(), maps)
         });
     }
 

@@ -18,6 +18,7 @@
 use gated_ssa::node::{node_hash, CalleeId, Interning, Node, NodeId, ValueGraph};
 use gated_ssa::GatedFunction;
 use lir::intern::{HashSlots, StrTab};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The arena-backed interner for [`SharedGraph`] ([`Interning::Fast`]).
@@ -29,8 +30,8 @@ use std::collections::HashMap;
 /// against the key *as interned* — not a re-resolved one — to keep hit/miss
 /// behavior (and therefore id assignment) byte-identical to the naive
 /// `HashMap`. So this interner keeps its own key copies, contiguously, and
-/// wins over the `HashMap` on hashing cost (FNV over ids vs SipHash) and
-/// locality rather than on storage.
+/// wins over the `HashMap` on hashing cost (one word per field vs SipHash)
+/// and locality rather than on storage.
 #[derive(Debug, Default)]
 struct FastIntern {
     /// hash(key) → index into `keys`.
@@ -50,6 +51,17 @@ impl FastIntern {
         let slot = self.keys.len() as u32;
         self.keys.push((node, id));
         self.slots.insert(h, slot);
+    }
+
+    fn get_or_insert(&mut self, node: Node, id: NodeId) -> Option<NodeId> {
+        let h = node_hash(&node);
+        let keys = &self.keys;
+        if let Some(i) = self.slots.get(h, |i| keys[i as usize].0 == node) {
+            return Some(keys[i as usize].1);
+        }
+        self.slots.insert(h, self.keys.len() as u32);
+        self.keys.push((node, id));
+        None
     }
 
     fn clear(&mut self) {
@@ -91,6 +103,21 @@ impl InternMap {
         }
     }
 
+    /// The id interned under `node`, or `None` after interning it as `id`:
+    /// `get` then `insert` with one hash instead of two.
+    fn get_or_insert(&mut self, node: Node, id: NodeId) -> Option<NodeId> {
+        match self {
+            InternMap::Fast(t) => t.get_or_insert(node, id),
+            InternMap::Naive(m) => match m.entry(node) {
+                Entry::Occupied(e) => Some(*e.get()),
+                Entry::Vacant(e) => {
+                    e.insert(id);
+                    None
+                }
+            },
+        }
+    }
+
     fn clear(&mut self) {
         match self {
             InternMap::Fast(t) => t.clear(),
@@ -112,6 +139,10 @@ pub struct SharedGraph {
     parent: Vec<u32>,
     callees: StrTab,
     intern: InternMap,
+    /// Set by a [`SharedGraph::rebuild`] that found nothing to do and
+    /// cleared by every mutation that could give it work again; while set,
+    /// `rebuild` is a no-op.
+    clean: bool,
 }
 
 impl SharedGraph {
@@ -143,6 +174,7 @@ impl SharedGraph {
         self.parent.clear();
         self.callees.clear();
         self.intern.clear();
+        self.clean = false;
     }
 
     /// Number of nodes ever created (including superseded ones).
@@ -192,6 +224,7 @@ impl SharedGraph {
         }
         let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
         self.parent[hi.index()] = lo.0;
+        self.clean = false;
         true
     }
 
@@ -204,6 +237,7 @@ impl SharedGraph {
             return false;
         }
         self.parent[ra.index()] = rb.0;
+        self.clean = false;
         true
     }
 
@@ -244,14 +278,12 @@ impl SharedGraph {
     /// fixpoint is unreachable.
     pub fn reintern(&mut self) {
         self.intern.clear();
+        self.clean = false;
         for i in 0..self.nodes.len() {
             let id = NodeId(i as u32);
             let n = self.resolve_at(id);
-            if n.is_mu() {
-                continue;
-            }
-            if self.intern.get(&n).is_none() {
-                self.intern.insert(n, id);
+            if !n.is_mu() {
+                self.intern.get_or_insert(n, id);
             }
         }
     }
@@ -272,6 +304,7 @@ impl SharedGraph {
         // chain terminates instead of cycling back through `member`.
         self.parent[member.index()] = member.0;
         self.parent[root.index()] = member.0;
+        self.clean = false;
     }
 
     /// Structural canonical form: φ branches sorted and de-duplicated,
@@ -280,10 +313,12 @@ impl SharedGraph {
     fn canon_node(n: &mut Node) {
         match n {
             Node::Phi { branches } => {
-                let mut bs: Vec<(NodeId, NodeId)> = branches.to_vec();
-                bs.sort();
-                bs.dedup();
-                *branches = bs.into_boxed_slice();
+                branches.sort_unstable();
+                if branches.windows(2).any(|w| w[0] == w[1]) {
+                    let mut bs = branches.to_vec();
+                    bs.dedup();
+                    *branches = bs.into_boxed_slice();
+                }
             }
             Node::Bin(op, _, a, b) if op.is_commutative() && *a > *b => {
                 std::mem::swap(a, b);
@@ -299,6 +334,10 @@ impl SharedGraph {
     /// Add `node` (children must already be canonical or will be
     /// canonicalized), interning structurally. μ-nodes are *not* interned;
     /// use [`SharedGraph::new_mu`].
+    ///
+    /// A new node keeps a clean graph clean (see [`SharedGraph::rebuild`]):
+    /// it missed a table that is exact for the current representatives,
+    /// so a rebuild could not merge it with anything.
     pub fn add(&mut self, mut node: Node) -> NodeId {
         assert!(!node.is_mu(), "mu nodes are nominal; use new_mu");
         node.map_children(|c| self.find(c));
@@ -315,6 +354,7 @@ impl SharedGraph {
 
     /// Allocate a fresh nominal μ-node.
     pub fn new_mu(&mut self, depth: u32, init: NodeId, next: Option<NodeId>) -> NodeId {
+        self.clean = false;
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::Mu {
             depth,
@@ -327,6 +367,7 @@ impl SharedGraph {
 
     /// Patch the back edge of μ-node `mu`.
     pub fn patch_mu(&mut self, mu: NodeId, next_val: NodeId) {
+        self.clean = false;
         let next_val = self.find(next_val);
         let slot = self.find(mu).index();
         match &mut self.nodes[slot] {
@@ -338,6 +379,7 @@ impl SharedGraph {
     /// Replace the initial value of μ-node `mu` (used when specializing
     /// loop cones).
     pub fn set_mu_init(&mut self, mu: NodeId, init_val: NodeId) {
+        self.clean = false;
         let init_val = self.find(init_val);
         let slot = self.find(mu).index();
         match &mut self.nodes[slot] {
@@ -399,9 +441,24 @@ impl SharedGraph {
     /// to their initial value — a constant stream *is* its value.
     ///
     /// Returns the number of unions performed.
+    ///
+    /// A rebuild whose last sweep neither changed nor counted anything
+    /// marks the graph *clean*; until a mutation clears the mark (a
+    /// merging [`union`](SharedGraph::union) or
+    /// [`replace`](SharedGraph::replace), [`reroot`](SharedGraph::reroot),
+    /// [`new_mu`](SharedGraph::new_mu), [`patch_mu`](SharedGraph::patch_mu),
+    /// [`set_mu_init`](SharedGraph::set_mu_init),
+    /// [`reintern`](SharedGraph::reintern) or
+    /// [`reset`](SharedGraph::reset)), `rebuild` returns 0 at once. That
+    /// skip is exact: a full sweep over an unchanged graph would repeat
+    /// the last one, merge nothing and leave the same intern table.
     pub fn rebuild(&mut self) -> usize {
+        if self.clean {
+            return 0;
+        }
         let mut merged = 0;
         loop {
+            let before = merged;
             let mut changed = false;
             // Trivial μ collapse first: it can unlock congruences below.
             for i in 0..self.nodes.len() {
@@ -409,7 +466,7 @@ impl SharedGraph {
                 if self.find(id) != id {
                     continue;
                 }
-                if let Node::Mu { init, next, .. } = self.nodes[i].clone() {
+                if let Node::Mu { init, next, .. } = self.nodes[i] {
                     let (ri, rn) = (self.find(init), self.find(next));
                     if rn == id || rn == ri {
                         changed |= self.replace(id, ri);
@@ -424,22 +481,18 @@ impl SharedGraph {
                 if self.find(id) != id {
                     continue;
                 }
-                let key = self.resolve(id);
-                match self.intern.get(&key) {
-                    Some(prev) => {
-                        let prev = self.find(prev);
-                        if prev != id {
-                            self.union(prev, id);
-                            merged += 1;
-                            changed = true;
-                        }
-                    }
-                    None => {
-                        self.intern.insert(key, id);
+                let key = self.resolve_at(id);
+                if let Some(prev) = self.intern.get_or_insert(key, id) {
+                    let prev = self.find(prev);
+                    if prev != id {
+                        self.union(prev, id);
+                        merged += 1;
+                        changed = true;
                     }
                 }
             }
             if !changed {
+                self.clean = merged == before;
                 return merged;
             }
         }
@@ -454,7 +507,7 @@ impl SharedGraph {
                 continue;
             }
             live[n.index()] = true;
-            self.nodes[n.index()].clone().for_each_child(|c| {
+            self.nodes[n.index()].for_each_child(|c| {
                 let c = self.find(c);
                 if !live[c.index()] {
                     stack.push(c);
@@ -495,12 +548,12 @@ impl SharedGraph {
             return;
         }
         let id = self.find(id);
-        let n = self.node(id).clone();
+        let n = self.node(id);
         if on_path[id.index()] {
             let _ = write!(out, "mu{}", id.0);
             return;
         }
-        match &n {
+        match n {
             Node::Param(i) => {
                 let _ = write!(out, "p{i}");
             }
@@ -595,6 +648,110 @@ mod tests {
         g.union(m1, m2);
         g.rebuild();
         assert!(g.same(n1, n2), "bodies merge by congruence");
+    }
+
+    /// Leaves `a`, `b`, `c`, their sums `a+b` and `a+c`, and a loop
+    /// `m = μ(0, m+1)`, rebuilt to a clean state.
+    fn clean_graph() -> (SharedGraph, [NodeId; 6]) {
+        let mut g = SharedGraph::new();
+        let (a, b, c) = (leaf(&mut g, 0), leaf(&mut g, 1), leaf(&mut g, 2));
+        let ab = g.add(Node::Bin(BinOp::Add, Ty::I64, a, b));
+        let ac = g.add(Node::Bin(BinOp::Add, Ty::I64, a, c));
+        let zero = g.add(Node::Const(Constant::int(Ty::I64, 0)));
+        let one = g.add(Node::Const(Constant::int(Ty::I64, 1)));
+        let m = g.new_mu(1, zero, None);
+        let next = g.add(Node::Bin(BinOp::Add, Ty::I64, m, one));
+        g.patch_mu(m, next);
+        g.rebuild();
+        assert!(g.clean, "a rebuild that found nothing to do marks the graph clean");
+        (g, [a, b, c, ab, ac, m])
+    }
+
+    #[test]
+    fn clean_rebuild_is_skipped_until_a_mutation() {
+        let (mut g, [a, b, _, ab, ..]) = clean_graph();
+        assert_eq!(g.rebuild(), 0);
+        // Neither a fresh node nor a no-op union gives a rebuild work.
+        let p3 = leaf(&mut g, 3);
+        g.add(Node::Bin(BinOp::Mul, Ty::I64, ab, p3));
+        assert_eq!(g.add(Node::Bin(BinOp::Add, Ty::I64, b, a)), ab, "hit the exact table");
+        assert!(!g.union(ab, ab));
+        assert!(g.clean);
+    }
+
+    #[test]
+    fn a_rebuild_that_counts_without_merging_stays_dirty() {
+        // A μ whose initial value joined its own class, with the μ as the
+        // representative, is counted by every sweep but merges nothing.
+        // The skip must not hide that count from the next rebuild.
+        let mut g = SharedGraph::new();
+        let zero = g.add(Node::Const(Constant::int(Ty::I64, 0)));
+        let m = g.new_mu(1, zero, None);
+        let x = leaf(&mut g, 5);
+        g.set_mu_init(m, x);
+        g.union(m, x);
+        assert_eq!(g.rebuild(), 1);
+        assert!(!g.clean);
+        assert_eq!(g.rebuild(), 1);
+    }
+
+    #[test]
+    fn every_mutator_makes_the_next_rebuild_work() {
+        type Mutator = fn(&mut SharedGraph, [NodeId; 6]);
+        let mutators: [(&str, Mutator); 8] = [
+            ("union", |g, [_, b, c, ..]| assert!(g.union(b, c))),
+            ("replace", |g, [_, b, c, ..]| assert!(g.replace(c, b))),
+            ("reroot", |g, [a, b, ..]| {
+                g.union(a, b);
+                g.rebuild();
+                g.reroot(b);
+            }),
+            ("new_mu", |g, [a, ..]| {
+                g.new_mu(1, a, None);
+            }),
+            ("patch_mu", |g, [.., m]| g.patch_mu(m, m)),
+            ("set_mu_init", |g, [a, .., m]| g.set_mu_init(m, a)),
+            ("reintern", |g, _| g.reintern()),
+            ("reset", |g, _| g.reset()),
+        ];
+        for (name, mutate) in mutators {
+            let (mut g, ids) = clean_graph();
+            mutate(&mut g, ids);
+            assert!(!g.clean, "{name} left the graph marked clean");
+            g.rebuild();
+            assert!(g.clean, "{name}: the following rebuild did not run to a fixpoint");
+        }
+    }
+
+    #[test]
+    fn rebuild_after_a_clean_one_still_merges() {
+        // Union two leaves: their parents merge by congruence.
+        let (mut g, [_, b, c, ab, ac, _]) = clean_graph();
+        g.union(b, c);
+        assert_eq!(g.rebuild(), 1);
+        assert!(g.same(ab, ac));
+        // A degenerate μ collapses to its initial value.
+        let (mut g, [a, ..]) = clean_graph();
+        let mu = g.new_mu(1, a, None);
+        assert_eq!(g.rebuild(), 1);
+        assert!(g.same(mu, a));
+        // Closing the loop on itself makes the μ degenerate too.
+        let (mut g, [.., m]) = clean_graph();
+        g.patch_mu(m, m);
+        assert!(g.rebuild() >= 1);
+        assert!(matches!(g.resolve(m), Node::Const(_)));
+        // `reintern` files member structures; the next rebuild must restore
+        // the representatives-only table, so re-adding `a+b` after `a+b`
+        // joined `a`'s class mints a node instead of finding the member.
+        let (mut g, [a, b, _, ab, ..]) = clean_graph();
+        g.union(a, ab);
+        g.rebuild();
+        g.reintern();
+        assert_eq!(g.add(Node::Bin(BinOp::Add, Ty::I64, a, b)), a, "member filed by reintern");
+        g.rebuild();
+        let before = g.len();
+        g.add(Node::Bin(BinOp::Add, Ty::I64, a, b));
+        assert_eq!(g.len(), before + 1, "rebuild re-filed representatives only");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use lir::func::GlobalId;
 use lir::inst::{BinOp, CastOp, FBinOp, FcmpPred, IcmpPred};
-use lir::intern::{Fnv1a, HashSlots, StrTab};
+use lir::intern::{HashSlots, StrTab, WordHasher};
 use lir::types::Ty;
 use lir::value::Constant;
 use std::collections::HashMap;
@@ -332,8 +332,8 @@ impl Node {
 ///
 /// Both modes implement the same map from node structure to [`NodeId`], so
 /// they produce **byte-identical graphs** — same ids, same node order, same
-/// verdicts. [`Interning::Fast`] is the arena interner (FNV over kind +
-/// child ids into a [`HashSlots`] table that resolves candidates against
+/// verdicts. [`Interning::Fast`] is the arena interner ([`node_hash`] over
+/// kind + child ids into a [`HashSlots`] table that resolves candidates against
 /// the node arena itself, so nodes are stored exactly once);
 /// [`Interning::Naive`] is the original `HashMap<Node, NodeId>` (a second
 /// clone of every node as the map key, hashed with std's SipHash). The
@@ -342,7 +342,7 @@ impl Node {
 /// identical verdicts, triage and statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Interning {
-    /// Arena hash-consing: FNV-hashed open addressing over the node arena.
+    /// Arena hash-consing: word-hashed open addressing over the node arena.
     #[default]
     Fast,
     /// The original boxed-key `HashMap` interner (differential oracle).
@@ -374,12 +374,17 @@ impl Default for InternTable {
     }
 }
 
-/// FNV-1a over a node's structure (kind tag + fields + child ids), via the
-/// derived [`Hash`] impl. Only used to bucket the in-memory interners
-/// (this graph's and the shared graph's in `llvm-md-core`) — never
-/// persisted — so equal nodes hashing equal is the only requirement.
+/// A node's structural hash (kind tag + fields + child ids), via the
+/// derived [`Hash`] impl fed a word at a time through [`WordHasher`].
+///
+/// Only used to bucket the in-memory interners (this graph's and the
+/// shared graph's in `llvm-md-core`) and never persisted, so equal nodes
+/// hashing equal is the only correctness requirement: node ids depend on
+/// insertion order and structural equality alone, so changing this hash
+/// moves probe lengths, never an id. Persisted and seeded hashes use
+/// [`lir::intern::fnv1a`] instead.
 pub fn node_hash(n: &Node) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = WordHasher::new();
     n.hash(&mut h);
     h.finish()
 }
@@ -717,6 +722,33 @@ mod tests {
         assert_eq!(s1, s2);
         let s3 = g.add(Node::Bin(BinOp::Add, Ty::I64, b, a));
         assert_ne!(s1, s3, "interning is structural, not semantic");
+    }
+
+    /// Distinct home slots of `nodes` in a 4,096-slot `HashSlots` table,
+    /// which indexes by the hash's low bits. Uniformly random hashes of
+    /// 4,096 distinct nodes would hit about 2,589 slots.
+    fn home_slots(nodes: impl Iterator<Item = Node>) -> usize {
+        nodes.map(|n| node_hash(&n) & 4095).collect::<std::collections::HashSet<_>>().len()
+    }
+
+    #[test]
+    fn node_hash_spreads_sequential_children_over_low_bits() {
+        // Nodes over small sequential child ids are the common shape.
+        let adds = (0..64).flat_map(|a| {
+            (0..64).map(move |b| Node::Bin(BinOp::Add, Ty::I64, NodeId(a), NodeId(b)))
+        });
+        let n = home_slots(adds);
+        assert!(n >= 3000, "only {n} distinct home slots");
+    }
+
+    #[test]
+    fn node_hash_spreads_keys_that_differ_in_high_bits() {
+        // Float constants differ in their top bits only. A hash whose low
+        // bits come straight from its last multiply puts all of them in
+        // one home slot, and folding `h ^ h >> 32` puts them in 8.
+        let floats = (0..4096).map(|k| Node::Const(Constant::Float((k as f64).to_bits())));
+        let n = home_slots(floats);
+        assert!(n >= 2400, "only {n} distinct home slots");
     }
 
     #[test]

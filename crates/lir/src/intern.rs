@@ -1,15 +1,22 @@
-//! Hash-consing primitives: a stable FNV-1a hasher, an open-addressing
-//! slot table, and a string interner.
+//! Hash-consing primitives: a stable FNV-1a hasher, a fast word-at-a-time
+//! hasher for in-memory tables, an open-addressing slot table, and a
+//! string interner.
 //!
 //! The value-graph layers (`gated-ssa`, `llvm-md-core`) maintain maximal
 //! sharing by interning every node at creation; this module supplies the
-//! machinery they share. Everything here is deliberately hasher-stable:
-//! [`fnv1a`] and [`Fnv1a`] are the repo's one byte-string hash (seed
-//! material, structural fingerprints, battery derivation and the node
-//! interners all use it), so fingerprints persisted by older binaries —
-//! verdict stores, chain caches, committed `BENCH_*.json` baselines —
-//! remain valid. std's `DefaultHasher` is explicitly *not* stable across
-//! releases and must not leak into anything persisted.
+//! machinery they share. Two hashers, two jobs:
+//!
+//! * [`fnv1a`] / [`Fnv1a`] are the repo's one *stable* byte-string hash:
+//!   seed material, structural fingerprints, store shard routing, battery
+//!   derivation and fuzz addressing all use it, so values persisted by
+//!   older binaries — verdict stores, chain caches, committed
+//!   `BENCH_*.json` baselines — remain valid. Its output must never change.
+//! * [`WordHasher`] buckets the node interners. Their hashes are never
+//!   persisted and node ids do not depend on them (see [`HashSlots`]), so
+//!   it is free to trade stability for speed.
+//!
+//! std's `DefaultHasher` is explicitly *not* stable across releases and
+//! must not leak into anything persisted.
 //!
 //! [`HashSlots`] is a bare-bones open-addressing table mapping a
 //! precomputed 64-bit hash to a `u32` payload (a node or string index).
@@ -102,6 +109,95 @@ impl fmt::Write for Fnv1a {
     }
 }
 
+/// The FxHash multiplier (the constant rustc's interners use).
+const WORD_MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+/// A word-at-a-time hasher for in-memory hash-consing tables (the FxHash
+/// recipe): every integer write mixes one 64-bit word with a rotate, an
+/// xor and a multiply, where FNV-1a spends one dependent multiply per
+/// byte.
+///
+/// Not stable and not for anything persisted or seeded — use [`Fnv1a`]
+/// there. It is safe for the node interners because a [`HashSlots`]
+/// table's payload assignment depends only on insertion order and the
+/// caller's equality, never on the hash values themselves. Like the FNV
+/// hash it replaced there, it is unkeyed: it offers no protection
+/// against keys crafted to collide.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WordHasher(u64);
+
+impl WordHasher {
+    /// A fresh hasher.
+    pub fn new() -> Self {
+        WordHasher(0)
+    }
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(WORD_MUL);
+    }
+}
+
+impl Hasher for WordHasher {
+    /// The state with its high bits rotated down into the low ones.
+    ///
+    /// After the last multiply, the low bits depend only on the low bits
+    /// of the last word, while the high bits depend on every input bit.
+    /// [`HashSlots`] takes the home slot from the low bits, so unrotated,
+    /// keys that differ only in high bits (float constants, shifted
+    /// integers) would all share one home slot. Rotating by 21 puts bits
+    /// 43..63 at the bottom; the amount was picked by measuring slot
+    /// spread over the key shapes the node-hash tests pin. An xor fold
+    /// (`h ^ h >> 32`) measured worse on every one of them.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(21)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(buf));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_isize(&mut self, i: isize) {
+        self.add(i as u64);
+    }
+}
+
 /// Payload value marking an empty slot. Arena indices are dense from 0,
 /// so `u32::MAX` can never be a legitimate payload.
 const EMPTY: u32 = u32::MAX;
@@ -113,7 +209,13 @@ const EMPTY: u32 = u32::MAX;
 /// hands each candidate whose stored hash matches to an equality closure;
 /// the caller compares against its own arena, so the table never clones
 /// keys. Stored hashes make growth a pure rehash (no key re-hashing).
-/// Capacity is a power of two and the table grows at 7/8 load.
+/// Capacity is a power of two, the home slot is the hash's low bits, and
+/// the table grows at 7/8 load.
+///
+/// As long as callers insert only after a missed [`get`](HashSlots::get),
+/// which payload a lookup returns depends only on the insertion order and
+/// on `eq`, never on the hash values: a weaker or different hash changes
+/// probe lengths, not results.
 #[derive(Clone, Debug, Default)]
 pub struct HashSlots {
     /// `(hash, payload)` pairs; `payload == EMPTY` marks a free slot.
@@ -350,6 +452,68 @@ mod tests {
         assert_eq!(t.get(31, |_| true), None);
         t.insert(7, 9);
         assert_eq!(t.get(7, |p| p == 9), Some(9));
+    }
+
+    #[test]
+    fn word_hasher_mixes_one_word_per_integer_write() {
+        let hash = |f: &dyn Fn(&mut WordHasher)| {
+            let mut h = WordHasher::new();
+            f(&mut h);
+            h.finish()
+        };
+        // Every integer width is one zero-extended word...
+        let one = hash(&|h| h.write_u64(7));
+        assert_eq!(hash(&|h| h.write_u8(7)), one);
+        assert_eq!(hash(&|h| h.write_u32(7)), one);
+        assert_eq!(hash(&|h| h.write_usize(7)), one);
+        // ...byte slices go in as little-endian words...
+        assert_eq!(hash(&|h| h.write(&7u64.to_le_bytes())), one);
+        assert_eq!(hash(&|h| h.write(&[7])), one);
+        // ...and order matters.
+        let pair = |x, y| {
+            hash(&move |h: &mut WordHasher| {
+                h.write_u32(x);
+                h.write_u32(y);
+            })
+        };
+        assert_ne!(pair(1, 2), pair(2, 1));
+    }
+
+    #[test]
+    fn slot_payloads_do_not_depend_on_the_hash() {
+        // Intern a key stream with repeats the way the node interners do
+        // (look up, insert on a miss). Ids must come out identical whether
+        // the keys spread over the table or every key collides: payloads
+        // depend on insertion order and equality, never on hash values.
+        fn intern_all(stream: &[u64], hash: impl Fn(u64) -> u64) -> Vec<u32> {
+            let mut keys: Vec<u64> = Vec::new();
+            let mut t = HashSlots::new();
+            let mut out = Vec::new();
+            for &k in stream {
+                let h = hash(k);
+                let id = match t.get(h, |p| keys[p as usize] == k) {
+                    Some(p) => p,
+                    None => {
+                        let p = keys.len() as u32;
+                        keys.push(k);
+                        t.insert(h, p);
+                        p
+                    }
+                };
+                out.push(id);
+            }
+            out
+        }
+        let stream: Vec<u64> = (0..600u64).map(|i| (i * 7919) % 211).collect();
+        let word = |k: u64| {
+            let mut h = WordHasher::new();
+            h.write_u64(k);
+            h.finish()
+        };
+        let spread = intern_all(&stream, word);
+        assert_eq!(spread, intern_all(&stream, |_| 42));
+        assert_eq!(spread, intern_all(&stream, |k| fnv1a(&k.to_le_bytes())));
+        assert_eq!(spread.iter().max(), Some(&210), "211 distinct keys, dense ids");
     }
 
     #[test]
