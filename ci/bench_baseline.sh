@@ -12,6 +12,8 @@
 # Future PRs compare their numbers against the committed artifacts, so the
 # perf trajectory of the validator is mechanical to follow. Extra arguments
 # (e.g. `--scale 1` for the full suite) are forwarded to fig4_pipeline.
+# Set BENCH_OUT_DIR to write the artifacts somewhere else (ci/check.sh does,
+# for its smoke run).
 #
 # Worker counts: every bin that builds a default ValidationEngine honors
 # the LLVM_MD_WORKERS env var (see driver::default_workers), so a re-baseline
@@ -48,4 +50,5 @@ echo "==> tier-2 SAT (BENCH_sat.json)"
 # alarm is not present in smaller suites (extra args are not forwarded).
 cargo run --release --offline -q -p llvm_md_bench --bin table4_sat
 
-echo "wrote: $(ls BENCH_fig4.json BENCH_micro.json BENCH_scaling.json BENCH_triage.json BENCH_chain.json BENCH_fuzz.json BENCH_sat.json)"
+out="${BENCH_OUT_DIR:-.}"
+echo "wrote: $(cd "$out" && ls BENCH_fig4.json BENCH_micro.json BENCH_scaling.json BENCH_triage.json BENCH_chain.json BENCH_fuzz.json BENCH_sat.json) in $out"

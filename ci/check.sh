@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# The pre-PR gate: exactly what .github/workflows/ci.yml runs, as one local
-# command. Everything is --offline — the workspace has zero crates.io
-# dependencies by policy (see README.md), so a hermetic run is always
-# possible.
+# The pre-PR gate and the one gate definition: the `gate` job of
+# .github/workflows/ci.yml checks out, installs the toolchain, restores the
+# cache and runs exactly this script. Everything is --offline — the
+# workspace has zero crates.io dependencies by policy (see README.md), so a
+# hermetic run is always possible.
 #
 # Usage: ci/check.sh [--fast]
 #   --fast   skip the release build, the doc build and the examples/triage
@@ -266,6 +267,17 @@ assert result.get("correct") is True, f"benchmark {w} failed its known-answer ch
 print(f"bench smoke OK: {w}, {result['attempted']} checks")
 EOF
   done
+
+  echo "==> bench artifacts smoke (ci/bench_baseline.sh --scale 8 writes well-formed JSON)"
+  # Every artifact writer runs end to end and emits parseable JSON. The
+  # artifacts go to a throwaway dir so the committed baselines are not
+  # clobbered.
+  artifacts_dir="$(mktemp -d)"
+  BENCH_OUT_DIR="$artifacts_dir" ci/bench_baseline.sh --scale 8 > /dev/null
+  for a in fig4 micro scaling triage chain fuzz sat; do
+    python3 -m json.tool "$artifacts_dir/BENCH_$a.json" > /dev/null
+  done
+  echo "bench artifacts smoke OK"
 
   echo "==> perf gate (micro medians vs committed BENCH_micro.json, fail on >2x regression)"
   # Guard the hash-consing/interner win: re-run the micro benchmarks into a

@@ -21,7 +21,7 @@
 use lir_opt::paper_pipeline;
 use llvm_md_bench::json::Json;
 use llvm_md_bench::{bar, pct, scale_from_args, suite, usize_flag, write_artifact};
-use llvm_md_core::{Normalizer, RuleSet, TriageClass, TriageOptions, Validator};
+use llvm_md_core::{Cascade, Normalizer, RuleSet, TriageClass, TriageOptions, Validator};
 use llvm_md_driver::ValidationEngine;
 use llvm_md_workload::injected_corpus;
 
@@ -68,7 +68,8 @@ fn main() {
     println!("{}", "-".repeat(88));
     let mut rows = Vec::new();
     for (name, rules, normalizer) in ablations() {
-        let validator = Validator { rules, normalizer, ..Validator::new() };
+        let cascade = Cascade::Triage(opts);
+        let validator = Validator { rules, normalizer, cascade, ..Validator::new() };
         // Sweep 1: the pinned suite. All alarms should triage as suspected
         // incompletenesses (the optimizer is correct).
         let mut transformed = 0;
@@ -78,7 +79,7 @@ fn main() {
         let mut sat_runs = 0;
         let mut sat_capped = 0;
         for (_, m) in &modules {
-            let (_, report) = engine.llvm_md_triaged(m, &pm, &validator, &opts);
+            let (_, report) = engine.llvm_md(m, &pm, &validator);
             transformed += report.transformed();
             alarms += report.alarms();
             suspected += report.suspected_incomplete();
@@ -96,7 +97,7 @@ fn main() {
         for bug in &bugs {
             let original = bug.module.function(bug.function).expect("function exists");
             let broken = bug.broken.function(bug.function).expect("function exists");
-            let tv = validator.validate_triaged(&bug.module, original, broken, &opts);
+            let tv = validator.validate_cascade(&bug.module, original, broken);
             let triage = tv.triage.as_ref();
             let is_caught = triage.is_some_and(|t| t.class == TriageClass::RealMiscompile);
             if is_caught {

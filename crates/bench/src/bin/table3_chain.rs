@@ -26,7 +26,7 @@
 use lir_opt::PassManager;
 use llvm_md_bench::json::Json;
 use llvm_md_bench::{scale_from_args, suite, usize_flag, write_artifact};
-use llvm_md_core::{TriageOptions, Validator};
+use llvm_md_core::{Cascade, TriageOptions, Validator};
 use llvm_md_driver::{default_workers, ChainValidator, Composition, ValidationEngine};
 use llvm_md_workload::{injected_corpus, paper_schedule, BrokenPass};
 use std::time::Instant;
@@ -35,6 +35,7 @@ fn main() {
     let scale = scale_from_args();
     let opts = TriageOptions { battery: usize_flag("--battery", 16), ..TriageOptions::default() };
     let validator = Validator::new();
+    let triaging = Validator { cascade: Cascade::Triage(opts), ..validator };
     let schedule = paper_schedule();
     let pm = schedule.pass_manager();
     let workers = default_workers();
@@ -73,12 +74,11 @@ fn main() {
         let e2e_s = t0.elapsed().as_secs_f64();
         // The chain, with the determinism cross-check at 1 and 4 workers.
         let t1 = Instant::now();
-        let chain = ChainValidator::with_triage(engine, opts).validate_chain(m, &pm, &validator);
+        let chain = ChainValidator::new(engine).validate_chain(m, &pm, &triaging);
         let chain_s = t1.elapsed().as_secs_f64();
         for probe_workers in [1usize, 4] {
-            let probe =
-                ChainValidator::with_triage(ValidationEngine::with_workers(probe_workers), opts)
-                    .validate_chain(m, &pm, &validator);
+            let probe = ChainValidator::new(ValidationEngine::with_workers(probe_workers))
+                .validate_chain(m, &pm, &triaging);
             assert!(
                 chain.same_outcome(&probe),
                 "{}: chain outcome diverged at {probe_workers} worker(s)",
@@ -180,11 +180,7 @@ fn main() {
         broken_pm.add(lir_opt::pass_by_name("adce").expect("known pass"));
         broken_pm.add(Box::new(BrokenPass(bug.kind)));
         broken_pm.add(lir_opt::pass_by_name("dse").expect("known pass"));
-        let chain = ChainValidator::with_triage(engine, opts).validate_chain(
-            &bug.module,
-            &broken_pm,
-            &validator,
-        );
+        let chain = ChainValidator::new(engine).validate_chain(&bug.module, &broken_pm, &triaging);
         let blame = chain.blame_for(bug.function);
         let correct = blame.is_some_and(|b| b.pass == bug.kind.name() && b.is_miscompile());
         if correct {

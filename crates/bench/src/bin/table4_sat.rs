@@ -35,7 +35,9 @@ use lir_opt::paper_pipeline;
 use llvm_md_bench::json::Json;
 use llvm_md_bench::{scale_from_args, suite, usize_flag, write_artifact};
 use llvm_md_core::triage::VerdictClass;
-use llvm_md_core::{Normalizer, RuleSet, SatOptions, SatOutcome, TriageOptions, Validator};
+use llvm_md_core::{
+    Cascade, Normalizer, RuleSet, SatOptions, SatOutcome, TriageOptions, Validator,
+};
 use llvm_md_driver::ValidationEngine;
 use llvm_md_workload::injected_corpus;
 
@@ -84,7 +86,9 @@ fn main() {
     let mut headline_proved = 0;
     let mut inversions = 0;
     for (name, normalizer) in configs() {
-        let validator = Validator { rules: RuleSet::full(), normalizer, ..Validator::new() };
+        let cascade = Cascade::Tiered(topts, sopts);
+        let validator =
+            Validator { rules: RuleSet::full(), normalizer, cascade, ..Validator::new() };
         // Sweep 1: the pinned suite. The optimizer is correct, so tier 2
         // may only upgrade alarms to proved-equivalent, never escalate.
         let mut alarms = 0;
@@ -95,7 +99,7 @@ fn main() {
         let mut escalated = 0;
         let mut detail = Vec::new();
         for (profile, m) in &modules {
-            let (_, report) = engine.llvm_md_tiered(m, &pm, &validator, &topts, &sopts);
+            let (_, report) = engine.llvm_md(m, &pm, &validator);
             alarms += report.alarms();
             proved += report.proved_equivalent();
             escalated += report.real_miscompiles();
@@ -139,7 +143,7 @@ fn main() {
         for bug in &bugs {
             let original = bug.module.function(bug.function).expect("function exists");
             let broken = bug.broken.function(bug.function).expect("function exists");
-            let tv = validator.validate_tiered(&bug.module, original, broken, &topts, &sopts);
+            let tv = validator.validate_cascade(&bug.module, original, broken);
             match tv.class() {
                 VerdictClass::RealMiscompile => caught += 1,
                 VerdictClass::ProvedEquivalent => inverted += 1,

@@ -69,7 +69,9 @@ pub use gated_ssa::Interning;
 pub use graph::SharedGraph;
 pub use rules::{RewriteCounts, RuleBudgets, RuleSet, RULE_ENGINE_VERSION};
 pub use sat::{SatOptions, SatOutcome, SatSkip, SatStats, SolverStats};
-pub use triage::{Triage, TriageClass, TriageOptions, TriagedVerdict, VerdictClass, Witness};
+pub use triage::{
+    Cascade, Triage, TriageClass, TriageOptions, TriagedVerdict, VerdictClass, Witness,
+};
 pub use validate::{
     validate, Deadline, DivergentRoots, FailReason, Fixpoint, Limits, Normalizer, ValidationStats,
     Validator, Verdict,

@@ -41,7 +41,7 @@
 //!
 //! ```
 //! use lir::parse::parse_module;
-//! use llvm_md_core::triage::{TriageClass, TriageOptions};
+//! use llvm_md_core::triage::{Cascade, TriageClass, TriageOptions};
 //! use llvm_md_core::Validator;
 //!
 //! let m = parse_module(
@@ -51,12 +51,9 @@
 //! let bad = parse_module(
 //!     "define i64 @inc(i64 %a) {\nentry:\n  %x = add i64 %a, 2\n  ret i64 %x\n}\n",
 //! )?;
-//! let tv = Validator::new().validate_triaged(
-//!     &m,
-//!     &m.functions[0],
-//!     &bad.functions[0],
-//!     &TriageOptions::default(),
-//! );
+//! let cascade = Cascade::Triage(TriageOptions::default());
+//! let triaging = Validator { cascade, ..Validator::new() };
+//! let tv = triaging.validate_cascade(&m, &m.functions[0], &bad.functions[0]);
 //! let triage = tv.triage.expect("alarm was triaged");
 //! assert_eq!(triage.class, TriageClass::RealMiscompile);
 //! let w = triage.witness.expect("real miscompiles carry a witness");
@@ -196,19 +193,9 @@ impl TriagedVerdict {
     }
 
     /// The pair's [`VerdictClass`] — the projection differential-fuzzing
-    /// oracles compare. An alarm that was never triaged (triage disabled,
-    /// as in an untriaged `llvm-md serve`) classifies conservatively as
-    /// [`VerdictClass::SuspectedIncomplete`] — only interpreter evidence
-    /// may escalate to [`VerdictClass::RealMiscompile`], and only a tier-2
-    /// UNSAT proof may upgrade to [`VerdictClass::ProvedEquivalent`].
+    /// oracles compare (see [`VerdictClass::of`]).
     pub fn class(&self) -> VerdictClass {
-        match &self.triage {
-            None if self.verdict.validated => VerdictClass::Validated,
-            None => VerdictClass::SuspectedIncomplete,
-            Some(t) if t.sat_proved() => VerdictClass::ProvedEquivalent,
-            Some(t) if t.class == TriageClass::RealMiscompile => VerdictClass::RealMiscompile,
-            Some(_) => VerdictClass::SuspectedIncomplete,
-        }
+        VerdictClass::of(self.verdict.validated, self.triage.as_ref())
     }
 }
 
@@ -232,6 +219,24 @@ pub enum VerdictClass {
     /// Validation failed *and* differential interpretation produced a
     /// witness: the pair observably diverges.
     RealMiscompile,
+}
+
+impl VerdictClass {
+    /// Project a tier-1 outcome and its triage onto the four classes. An
+    /// alarm that was never triaged (a [`Cascade::Graph`] run, as in an
+    /// untriaged `llvm-md serve`) classifies conservatively as
+    /// [`VerdictClass::SuspectedIncomplete`] — only interpreter evidence
+    /// may escalate to [`VerdictClass::RealMiscompile`], and only a tier-2
+    /// UNSAT proof may upgrade to [`VerdictClass::ProvedEquivalent`].
+    pub fn of(validated: bool, triage: Option<&Triage>) -> VerdictClass {
+        match triage {
+            None if validated => VerdictClass::Validated,
+            None => VerdictClass::SuspectedIncomplete,
+            Some(t) if t.sat_proved() => VerdictClass::ProvedEquivalent,
+            Some(t) if t.class == TriageClass::RealMiscompile => VerdictClass::RealMiscompile,
+            Some(_) => VerdictClass::SuspectedIncomplete,
+        }
+    }
 }
 
 impl std::fmt::Display for VerdictClass {
@@ -468,11 +473,11 @@ fn sat_skip(reason: SatSkip) -> SatStats {
     SatStats { outcome: Some(SatOutcome::Skipped(reason)), ..SatStats::default() }
 }
 
-/// Tier 2: refine a triaged alarm with the bit-precise SAT query (see
-/// [`blast_ret_pair`]). Fills `triage.sat` — always, so the record says
-/// *why* when the query never ran — and, on a replayed counterexample,
-/// escalates `triage.class` to [`TriageClass::RealMiscompile`] with the
-/// minimized witness.
+/// Tier 2: refine a triaged `SuspectedIncomplete` alarm with the
+/// bit-precise SAT query (see [`blast_ret_pair`]). Fills `triage.sat` —
+/// always, so the record says *why* when the query never ran — and, on a
+/// replayed counterexample, escalates `triage.class` to
+/// [`TriageClass::RealMiscompile`] with the minimized witness.
 ///
 /// Scope: the query only runs when the tier-1 fixpoint exists (the failure
 /// was `RootsDiffer`) and the observable-memory roots already merged in
@@ -491,10 +496,6 @@ fn sat_refine(
     topts: &TriageOptions,
     sopts: &SatOptions,
 ) {
-    if triage.class == TriageClass::RealMiscompile {
-        triage.sat = Some(sat_skip(SatSkip::Classified));
-        return;
-    }
     let Some(fix) = fix else {
         triage.sat = Some(sat_skip(SatSkip::Reason));
         return;
@@ -542,120 +543,143 @@ fn sat_refine(
     });
 }
 
-impl Validator {
-    /// Validate `optimized` against `original` and, when validation fails,
-    /// triage the alarm by differential interpretation (see the
-    /// [module docs](self)). `env` supplies the globals and sibling
-    /// functions both sides run against — pass the module the original
-    /// function came from (an empty module works for self-contained
-    /// functions).
-    pub fn validate_triaged(
-        &self,
-        env: &Module,
-        original: &Function,
-        optimized: &Function,
-        opts: &TriageOptions,
-    ) -> TriagedVerdict {
-        let verdict = self.validate(original, optimized);
-        if verdict.validated {
-            return TriagedVerdict { verdict, triage: None };
-        }
-        let triage = triage_alarm(env, original, optimized, &verdict, opts);
-        TriagedVerdict { verdict, triage: Some(triage) }
+/// Which tiers run after a tier-1 alarm — the one switch every layer (the
+/// driver's entry points, chain validation, `llvm-md serve`, the fuzzing
+/// campaign) reads from [`Validator::cascade`]:
+///
+/// * [`Cascade::Graph`] (the default) runs tier 1 only: value-graph
+///   normalization, the paper's validator. Alarms carry no triage.
+/// * [`Cascade::Triage`] adds differential triage of every alarm
+///   ([`triage_alarm`]): a real miscompile with a minimized witness, or a
+///   suspected incompleteness with the rewrite trace.
+/// * [`Cascade::Tiered`] adds, after triage, the tier-2 bit-precise SAT
+///   query on every in-scope `SuspectedIncomplete` alarm. UNSAT upgrades
+///   the pair to [`VerdictClass::ProvedEquivalent`] (the tier-1
+///   [`Verdict`] is kept unchanged as the tier-1 record); a SAT model that
+///   replays through the interpreter as a real divergence escalates to
+///   [`TriageClass::RealMiscompile`] with a minimized witness.
+///   Out-of-scope and budget-capped pairs keep the triage classification,
+///   with the skip reason recorded in [`Triage::sat`]. Tier 2 replays its
+///   models with the triage options, so it never runs without triage.
+///
+/// ```
+/// use lir::parse::parse_module;
+/// use llvm_md_core::sat::SatOptions;
+/// use llvm_md_core::triage::{Cascade, TriageOptions, VerdictClass};
+/// use llvm_md_core::{RuleSet, Validator};
+///
+/// // (a | b) + (a & b) == a + b: true bit-for-bit, but not a graph
+/// // identity — a rule-less tier 1 alarms, tier 2 proves it.
+/// let m = parse_module(
+///     "define i64 @f(i64 %a, i64 %b) {\nentry:\n  %o = or i64 %a, %b\n  %n = and i64 %a, %b\n  %r = add i64 %o, %n\n  ret i64 %r\n}\n",
+/// )?;
+/// let opt = parse_module(
+///     "define i64 @f(i64 %a, i64 %b) {\nentry:\n  %r = add i64 %a, %b\n  ret i64 %r\n}\n",
+/// )?;
+/// let cascade = Cascade::Tiered(TriageOptions::default(), SatOptions::default());
+/// let strict = Validator { rules: RuleSet::none(), cascade, ..Validator::new() };
+/// let tv = strict.validate_cascade(&m, &m.functions[0], &opt.functions[0]);
+/// assert!(!tv.validated(), "tier 1 alone cannot prove this pair");
+/// assert_eq!(tv.class(), VerdictClass::ProvedEquivalent);
+///
+/// // The same pair without tier 2: triage finds no divergence.
+/// let cascade = Cascade::Triage(TriageOptions::default());
+/// let triaging = Validator { cascade, ..strict };
+/// let tv = triaging.validate_cascade(&m, &m.functions[0], &opt.functions[0]);
+/// assert_eq!(tv.class(), VerdictClass::SuspectedIncomplete);
+///
+/// // Tier 1 alone: the alarm stays untriaged.
+/// let graph = Validator { cascade: Cascade::Graph, ..strict };
+/// let tv = graph.validate_cascade(&m, &m.functions[0], &opt.functions[0]);
+/// assert!(tv.triage.is_none());
+/// # Ok::<(), lir::parse::ParseError>(())
+/// ```
+#[derive(Clone, Copy, Debug, Default)]
+pub enum Cascade {
+    /// Tier 1 only.
+    #[default]
+    Graph,
+    /// Tier 1, then differential triage of every alarm.
+    Triage(TriageOptions),
+    /// Tier 1, triage, then the tier-2 SAT query on in-scope alarms.
+    Tiered(TriageOptions, SatOptions),
+}
+
+impl Cascade {
+    /// Whether alarms are triaged (every variant but [`Cascade::Graph`]).
+    pub fn triages(&self) -> bool {
+        !matches!(self, Cascade::Graph)
     }
 
-    /// The full three-tier cascade in one call: tier-1 graph validation,
-    /// differential triage of the alarm, then the tier-2 bit-precise SAT
-    /// query on triaged `SuspectedIncomplete` pairs whose shape is in
-    /// scope. Tier 2 can move the verdict in both directions: UNSAT
-    /// upgrades the pair to [`VerdictClass::ProvedEquivalent`] (the
-    /// tier-1 `Verdict` is kept unchanged as the tier-1 record); a SAT
-    /// model that replays through the interpreter as a real divergence
-    /// escalates to [`TriageClass::RealMiscompile`] with a minimized
-    /// witness. Out-of-scope and budget-capped pairs keep the triage
-    /// classification, with the skip reason recorded in [`Triage::sat`].
-    ///
-    /// ```
-    /// use lir::parse::parse_module;
-    /// use llvm_md_core::sat::SatOptions;
-    /// use llvm_md_core::triage::{TriageOptions, VerdictClass};
-    /// use llvm_md_core::{RuleSet, Validator};
-    ///
-    /// // (a | b) + (a & b) == a + b: true bit-for-bit, but not a graph
-    /// // identity — a rule-less tier 1 alarms, tier 2 proves it.
-    /// let m = parse_module(
-    ///     "define i64 @f(i64 %a, i64 %b) {\nentry:\n  %o = or i64 %a, %b\n  %n = and i64 %a, %b\n  %r = add i64 %o, %n\n  ret i64 %r\n}\n",
-    /// )?;
-    /// let opt = parse_module(
-    ///     "define i64 @f(i64 %a, i64 %b) {\nentry:\n  %r = add i64 %a, %b\n  ret i64 %r\n}\n",
-    /// )?;
-    /// let strict = Validator { rules: RuleSet::none(), ..Validator::new() };
-    /// let tv = strict.validate_tiered(
-    ///     &m,
-    ///     &m.functions[0],
-    ///     &opt.functions[0],
-    ///     &TriageOptions::default(),
-    ///     &SatOptions::default(),
-    /// );
-    /// assert!(!tv.validated(), "tier 1 alone cannot prove this pair");
-    /// assert_eq!(tv.class(), VerdictClass::ProvedEquivalent);
-    /// # Ok::<(), lir::parse::ParseError>(())
-    /// ```
-    pub fn validate_tiered(
+    /// Whether the tier-2 SAT query runs.
+    pub fn tier2(&self) -> bool {
+        matches!(self, Cascade::Tiered(..))
+    }
+}
+
+impl Validator {
+    /// Validate `optimized` against `original` and run the configured
+    /// [`Cascade`] on an alarm. `env` supplies the globals and sibling
+    /// functions both sides run against under triage — pass the module the
+    /// original function came from (an empty module works for
+    /// self-contained functions). Validated pairs, and every pair under
+    /// [`Cascade::Graph`], carry no triage.
+    pub fn validate_cascade(
         &self,
         env: &Module,
         original: &Function,
         optimized: &Function,
-        topts: &TriageOptions,
-        sopts: &SatOptions,
     ) -> TriagedVerdict {
         let (verdict, fix) = self.validate_with_fixpoint(original, optimized);
-        if verdict.validated {
-            return TriagedVerdict { verdict, triage: None };
-        }
-        let mut triage = triage_alarm(env, original, optimized, &verdict, topts);
-        sat_refine(env, original, optimized, fix.as_ref(), &mut triage, topts, sopts);
-        TriagedVerdict { verdict, triage: Some(triage) }
+        let triage = self.cascade_alarm(env, original, optimized, &verdict, || fix);
+        TriagedVerdict { verdict, triage }
     }
 
-    /// Triage an already-failed `verdict` and refine it with the tier-2
-    /// query. For callers that validated through a cache (chain
-    /// validation) and hold only the verdict: the tier-1 fixpoint is
-    /// re-derived here, but only for alarms that are not already
-    /// classified as real miscompiles — the common, validated case never
+    /// Run the configured [`Cascade`] on an already-computed tier-1
+    /// `verdict` (`None` when it validated or under [`Cascade::Graph`]).
+    /// For callers that validated through a cache (chain validation) and
+    /// hold only the verdict: under [`Cascade::Tiered`] the tier-1 fixpoint
+    /// is re-derived here, but only for alarms triage did not already
+    /// classify as real miscompiles — the common, validated case never
     /// pays for it.
-    pub fn triage_tiered(
+    pub fn refine_alarm(
         &self,
         env: &Module,
         original: &Function,
         optimized: &Function,
         verdict: &Verdict,
-        topts: &TriageOptions,
-        sopts: &SatOptions,
-    ) -> Triage {
-        let mut triage = triage_alarm(env, original, optimized, verdict, topts);
-        if triage.class == TriageClass::RealMiscompile {
-            triage.sat = Some(sat_skip(SatSkip::Classified));
-            return triage;
-        }
-        let (_, fix) = self.validate_with_fixpoint(original, optimized);
-        sat_refine(env, original, optimized, fix.as_ref(), &mut triage, topts, sopts);
-        triage
+    ) -> Option<Triage> {
+        self.cascade_alarm(env, original, optimized, verdict, || {
+            self.validate_with_fixpoint(original, optimized).1
+        })
     }
 
-    /// Classify one function pair in one call: validate, triage on failure,
-    /// and project to the three-way [`VerdictClass`]. This is the oracle
-    /// entry point the fuzzing campaign and the repro reducer share — a
-    /// candidate module stays *interesting* exactly when this class is
-    /// preserved.
-    pub fn classify(
+    /// The cascade after tier 1. `fix` yields the tier-1 fixpoint and is
+    /// only called when tier 2 will actually use it.
+    fn cascade_alarm(
         &self,
         env: &Module,
         original: &Function,
         optimized: &Function,
-        opts: &TriageOptions,
-    ) -> VerdictClass {
-        self.validate_triaged(env, original, optimized, opts).class()
+        verdict: &Verdict,
+        fix: impl FnOnce() -> Option<Fixpoint>,
+    ) -> Option<Triage> {
+        if verdict.validated {
+            return None;
+        }
+        let topts = match &self.cascade {
+            Cascade::Graph => return None,
+            Cascade::Triage(t) | Cascade::Tiered(t, _) => t,
+        };
+        let mut triage = triage_alarm(env, original, optimized, verdict, topts);
+        if let Cascade::Tiered(_, sopts) = &self.cascade {
+            if triage.class == TriageClass::RealMiscompile {
+                triage.sat = Some(sat_skip(SatSkip::Classified));
+            } else {
+                sat_refine(env, original, optimized, fix().as_ref(), &mut triage, topts, sopts);
+            }
+        }
+        Some(triage)
     }
 }
 
@@ -668,17 +692,18 @@ mod tests {
         parse_module(src).expect("parse")
     }
 
+    /// `v` with the triage-only cascade at default options.
+    fn triaging(v: Validator) -> Validator {
+        Validator { cascade: Cascade::Triage(TriageOptions::default()), ..v }
+    }
+
     #[test]
     fn flipped_add_is_a_real_miscompile_with_minimal_witness() {
         let m = module("define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 1\n  ret i64 %x\n}\n");
         let bad =
             module("define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 2\n  ret i64 %x\n}\n");
-        let tv = Validator::new().validate_triaged(
-            &m,
-            &m.functions[0],
-            &bad.functions[0],
-            &TriageOptions::default(),
-        );
+        let tv =
+            triaging(Validator::new()).validate_cascade(&m, &m.functions[0], &bad.functions[0]);
         assert!(!tv.validated());
         let t = tv.triage.expect("alarm triaged");
         assert_eq!(t.class, TriageClass::RealMiscompile);
@@ -699,12 +724,7 @@ mod tests {
         let opt =
             module("define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 3\n  ret i64 %x\n}\n");
         let strict = Validator { rules: crate::rules::RuleSet::none(), ..Validator::new() };
-        let tv = strict.validate_triaged(
-            &m,
-            &m.functions[0],
-            &opt.functions[0],
-            &TriageOptions::default(),
-        );
+        let tv = triaging(strict).validate_cascade(&m, &m.functions[0], &opt.functions[0]);
         assert!(!tv.validated(), "no-rules validator cannot prove x+0 = x");
         let t = tv.triage.expect("alarm triaged");
         assert_eq!(t.class, TriageClass::SuspectedIncomplete);
@@ -719,12 +739,8 @@ mod tests {
         let m = module("define i64 @f(i64 %a) {\nentry:\n  ret i64 %a\n}\n");
         let bad =
             module("define i64 @f(i64 %a) {\nentry:\n  %q = sdiv i64 %a, 0\n  ret i64 %q\n}\n");
-        let tv = Validator::new().validate_triaged(
-            &m,
-            &m.functions[0],
-            &bad.functions[0],
-            &TriageOptions::default(),
-        );
+        let tv =
+            triaging(Validator::new()).validate_cascade(&m, &m.functions[0], &bad.functions[0]);
         let t = tv.triage.expect("alarm triaged");
         assert_eq!(t.class, TriageClass::RealMiscompile);
         let w = t.witness.expect("witness");
@@ -738,12 +754,8 @@ mod tests {
         // transformed side a miscompile no matter what it returns.
         let m = module("define i64 @f(i64 %a) {\nentry:\n  %q = sdiv i64 %a, 0\n  ret i64 %q\n}\n");
         let opt = module("define i64 @f(i64 %a) {\nentry:\n  ret i64 7\n}\n");
-        let tv = Validator::new().validate_triaged(
-            &m,
-            &m.functions[0],
-            &opt.functions[0],
-            &TriageOptions::default(),
-        );
+        let tv =
+            triaging(Validator::new()).validate_cascade(&m, &m.functions[0], &opt.functions[0]);
         let t = tv.triage.expect("alarm triaged");
         assert_eq!(t.class, TriageClass::SuspectedIncomplete);
         assert_eq!(t.inputs_run, 0);
@@ -758,10 +770,9 @@ mod tests {
         let bad = module(
             "define i64 @f(i64 %a, i64 %b) {\nentry:\n  %x = add i64 %a, %b\n  ret i64 %x\n}\n",
         );
-        let v = Validator::new();
-        let o = TriageOptions::default();
-        let t1 = v.validate_triaged(&m, &m.functions[0], &bad.functions[0], &o).triage.unwrap();
-        let t2 = v.validate_triaged(&m, &m.functions[0], &bad.functions[0], &o).triage.unwrap();
+        let v = triaging(Validator::new());
+        let t1 = v.validate_cascade(&m, &m.functions[0], &bad.functions[0]).triage.unwrap();
+        let t2 = v.validate_cascade(&m, &m.functions[0], &bad.functions[0]).triage.unwrap();
         assert_eq!(t1, t2, "same inputs, same options: identical triage");
     }
 
@@ -775,12 +786,8 @@ mod tests {
         let bad = module(
             "@g = global [1 x i64] [0]\n\ndefine void @f(i64 %x) {\nentry:\n  ret void\n}\n",
         );
-        let tv = Validator::new().validate_triaged(
-            &m,
-            &m.functions[0],
-            &bad.functions[0],
-            &TriageOptions::default(),
-        );
+        let tv =
+            triaging(Validator::new()).validate_cascade(&m, &m.functions[0], &bad.functions[0]);
         let t = tv.triage.expect("alarm triaged");
         assert_eq!(t.class, TriageClass::RealMiscompile);
         let w = t.witness.expect("witness");

@@ -5,6 +5,7 @@ use crate::cycles::{match_cycles, MatchStrategy};
 use crate::egraph::{self, SaturationLimits, SaturationStats};
 use crate::graph::SharedGraph;
 use crate::rules::{apply_rules, RewriteCounts, RuleBudgets, RuleSet};
+use crate::triage::Cascade;
 use gated_ssa::{GateError, GatedFunction, Interning};
 use lir::func::Function;
 use std::time::{Duration, Instant};
@@ -125,6 +126,12 @@ pub struct Validator {
     /// Budgets for the saturation engine (unused under
     /// [`Normalizer::Destructive`]).
     pub saturation: SaturationLimits,
+    /// Which tiers run after a tier-1 alarm ([`Cascade::Graph`], tier 1
+    /// only, by default). Read by [`Validator::validate_cascade`] and
+    /// [`Validator::refine_alarm`]; the tier-1 methods
+    /// ([`Validator::validate`], `validate_with_fixpoint`,
+    /// `validate_gated*`, `validate_cached*`) ignore it.
+    pub cascade: Cascade,
 }
 
 /// Why validation failed (any of these counts as an *alarm*; assuming the
@@ -278,7 +285,8 @@ impl Validator {
     /// function before and after optimization). The whole query — gating
     /// *and* normalization — runs under one [`Deadline`] of
     /// [`Limits::max_time`], so expensive gating eats into the
-    /// normalization budget instead of extending it.
+    /// normalization budget instead of extending it. Tier 1 only: this
+    /// ignores [`Validator::cascade`] (see [`Validator::validate_cascade`]).
     pub fn validate(&self, original: &Function, optimized: &Function) -> Verdict {
         self.validate_with_fixpoint(original, optimized).0
     }

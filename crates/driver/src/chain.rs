@@ -38,13 +38,13 @@
 //! can never depend on which worker populated the cache first. The hit/miss
 //! counters *can* race (two workers may both miss one key) and are excluded.
 
-use crate::{pair_functions_by, PairJob, Pairing, Report, TriagedOutcome, ValidationEngine};
+use crate::{pair_functions_by, PairJob, Pairing, Report, ValidationEngine};
 use lir::func::Module;
 use lir_opt::PassManager;
 use llvm_md_core::cache::fingerprint_canonical;
 use llvm_md_core::cache::{CacheStats, GraphCache};
-use llvm_md_core::triage::{triage_alarm, Triage, TriageClass, TriageOptions};
-use llvm_md_core::{FailReason, SatOptions, Validator};
+use llvm_md_core::triage::{Triage, TriageClass, TriagedVerdict};
+use llvm_md_core::{FailReason, Validator};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -314,47 +314,22 @@ impl ChainReport {
     }
 }
 
-/// A chain job: which adjacent pair (step `0..n`, or `n` for the
-/// end-to-end M0-vs-Mn cross-check) and which paired functions.
-struct ChainJob {
-    step: usize,
-    job: PairJob,
-}
-
 /// Validates a `PassManager` pipeline step-by-step on a worker pool (see
-/// the [module docs](self)).
+/// the [module docs](self)). Alarms — step-level *and* end-to-end — go
+/// through the validator's `Cascade`: with triage, blames carry witnesses
+/// and the composition cross-check can compare miscompile
+/// classifications; with tier 2, a blamed pass whose alarm tier 2 proves
+/// equivalent is a certified false alarm, and a replayed SAT counterexample
+/// escalates the blame to a real miscompile with a witness.
 #[derive(Clone, Copy, Debug)]
 pub struct ChainValidator {
     engine: ValidationEngine,
-    triage: Option<TriageOptions>,
-    tier2: Option<SatOptions>,
 }
 
 impl ChainValidator {
-    /// A chain validator running its queries on `engine`'s worker pool,
-    /// without alarm triage.
+    /// A chain validator running its queries on `engine`'s worker pool.
     pub fn new(engine: ValidationEngine) -> ChainValidator {
-        ChainValidator { engine, triage: None, tier2: None }
-    }
-
-    /// A chain validator that also triages every alarm (step-level *and*
-    /// end-to-end), so blames carry witnesses and the composition
-    /// cross-check can compare miscompile classifications.
-    pub fn with_triage(engine: ValidationEngine, opts: TriageOptions) -> ChainValidator {
-        ChainValidator { engine, triage: Some(opts), tier2: None }
-    }
-
-    /// [`ChainValidator::with_triage`] plus the tier-2 bit-precise query on
-    /// every in-scope step-level and end-to-end alarm: a blamed pass whose
-    /// alarm tier 2 proves equivalent is a certified false alarm, and a
-    /// replayed SAT counterexample escalates the blame to a real
-    /// miscompile with a witness.
-    pub fn with_tiers(
-        engine: ValidationEngine,
-        topts: TriageOptions,
-        sopts: SatOptions,
-    ) -> ChainValidator {
-        ChainValidator { engine, triage: Some(topts), tier2: Some(sopts) }
+        ChainValidator { engine }
     }
 
     /// The underlying engine.
@@ -397,98 +372,76 @@ impl ChainValidator {
             .collect();
         let fps: Vec<Vec<u64>> =
             canon.iter().map(|fs| fs.iter().map(fingerprint_canonical).collect()).collect();
-        // 3. Pair each adjacent version (and M0 vs Mn) by name; a function
-        //    is transformed iff its fingerprints differ. Fingerprint-equal
-        //    pairs are the skipped queries.
+        // 3. Pair each adjacent version (step k compares Mk with Mk+1;
+        //    step n is the end-to-end M0 vs Mn cross-check) by name; a
+        //    function is transformed iff its fingerprints differ.
+        //    Fingerprint-equal pairs are the skipped queries.
+        let sides = |k: usize| if k == n { (0, n) } else { (k, k + 1) };
         let cache = GraphCache::new();
-        let mut pairings: Vec<Pairing> = (0..n)
+        let pairings: Vec<Pairing> = (0..=n)
             .map(|k| {
-                pair_functions_by(&versions[k], &versions[k + 1], |i, o| fps[k][i] != fps[k + 1][o])
+                let (a, b) = sides(k);
+                pair_functions_by(&versions[a], &versions[b], |i, o| fps[a][i] != fps[b][o])
             })
             .collect();
-        let mut e2e_pairing =
-            pair_functions_by(&versions[0], &versions[n], |i, o| fps[0][i] != fps[n][o]);
         // Untransformed (fingerprint-equal) pairs never become jobs: their
         // queries are skipped outright, including the end-to-end
         // cross-check's pairs — count them all, per CacheStats::skips.
         let skipped: u64 = pairings
             .iter()
-            .chain(std::iter::once(&e2e_pairing))
             .map(|p| p.records.iter().filter(|r| !r.transformed).count() as u64)
             .sum();
         cache.record_skips(skipped);
-        // 4. One flat batch over the pool: queries from different steps
-        //    interleave freely, so the pool never idles on a step boundary.
-        let mut flat: Vec<ChainJob> = Vec::new();
-        for (k, pairing) in pairings.iter_mut().enumerate() {
-            for job in pairing.jobs.drain(..) {
-                flat.push(ChainJob { step: k, job });
-            }
-        }
-        for job in e2e_pairing.jobs.drain(..) {
-            flat.push(ChainJob { step: n, job });
-        }
-        let triage_opts = self.triage;
-        let tier2_opts = self.tier2;
-        let outcomes: Vec<TriagedOutcome> = self.engine.run_jobs(&flat, |cj| {
-            let (vin, vout) = if cj.step == n { (0, n) } else { (cj.step, cj.step + 1) };
+        // 4. One flat batch over the pool, in step order: queries from
+        //    different steps interleave freely, so the pool never idles on
+        //    a step boundary.
+        let flat: Vec<(usize, &PairJob)> = pairings
+            .iter()
+            .enumerate()
+            .flat_map(|(k, p)| p.jobs.iter().map(move |j| (k, j)))
+            .collect();
+        let outcomes = self.engine.run_jobs(&flat, |&(k, job)| {
+            let (vin, vout) = sides(k);
             let verdict = validator.validate_cached_canonical(
-                &canon[vin][cj.job.in_idx],
-                &canon[vout][cj.job.out_idx],
-                (fps[vin][cj.job.in_idx], fps[vout][cj.job.out_idx]),
+                &canon[vin][job.in_idx],
+                &canon[vout][job.out_idx],
+                (fps[vin][job.in_idx], fps[vout][job.out_idx]),
                 &cache,
             );
-            let triage = match &triage_opts {
-                Some(opts) if !verdict.validated => {
-                    // Triage interprets the *raw* functions: the step's
-                    // input module is the interpretation environment, so
-                    // the blame evidence replays against the module exactly
-                    // as the blamed pass saw it.
-                    let original = &versions[vin].functions[cj.job.in_idx];
-                    let optimized = &versions[vout].functions[cj.job.out_idx];
-                    Some(match &tier2_opts {
-                        // The cached verdict carries no fixpoint, so the
-                        // tiered path re-derives it — alarms only, the
-                        // validated common case never pays.
-                        Some(sopts) => validator.triage_tiered(
-                            &versions[vin],
-                            original,
-                            optimized,
-                            &verdict,
-                            opts,
-                            sopts,
-                        ),
-                        None => triage_alarm(&versions[vin], original, optimized, &verdict, opts),
-                    })
-                }
-                _ => None,
-            };
-            (verdict, triage)
+            // The cascade interprets the *raw* functions: the step's input
+            // module is the interpretation environment, so the blame
+            // evidence replays against the module exactly as the blamed
+            // pass saw it. The cached verdict carries no fixpoint, so tier
+            // 2 re-derives it — alarms only, the validated common case
+            // never pays.
+            let triage = validator.refine_alarm(
+                &versions[vin],
+                &versions[vin].functions[job.in_idx],
+                &versions[vout].functions[job.out_idx],
+                &verdict,
+            );
+            TriagedVerdict { verdict, triage }
         });
-        // 5. Demultiplex outcomes back into per-step reports (input order
-        //    within each step — the determinism contract).
-        let mut per_step: Vec<(Vec<PairJob>, Vec<TriagedOutcome>)> =
-            (0..=n).map(|_| (Vec::new(), Vec::new())).collect();
-        for (cj, outcome) in flat.into_iter().zip(outcomes) {
-            per_step[cj.step].0.push(cj.job);
-            per_step[cj.step].1.push(outcome);
-        }
-        let mut steps = Vec::with_capacity(n);
-        for (k, pairing) in pairings.into_iter().enumerate() {
-            let (jobs, verdicts) = std::mem::take(&mut per_step[k]);
-            let mut records = pairing.records;
-            let validate_time =
-                ValidationEngine::merge_verdicts(&mut records, &jobs, verdicts, &versions[k], None);
-            steps.push(ChainStep {
-                pass: pm.step_name(k).to_owned(),
-                report: Report { records, opt_time: opt_times[k], validate_time },
-            });
-        }
-        let (jobs, verdicts) = std::mem::take(&mut per_step[n]);
-        let mut records = e2e_pairing.records;
-        let validate_time =
-            ValidationEngine::merge_verdicts(&mut records, &jobs, verdicts, &versions[0], None);
-        let end_to_end = Report { records, opt_time: opt_times.iter().sum(), validate_time };
+        // 5. Hand each step its outcomes, in input order within the step
+        //    (the determinism contract); the end-to-end report comes last.
+        let mut outcomes = outcomes.into_iter();
+        let mut reports: Vec<Report> = pairings
+            .into_iter()
+            .enumerate()
+            .map(|(k, p)| {
+                let mut records = p.records;
+                let validate_time =
+                    ValidationEngine::merge_verdicts(&mut records, &p.jobs, &mut outcomes, None);
+                let opt_time = if k == n { opt_times.iter().sum() } else { opt_times[k] };
+                Report { records, opt_time, validate_time }
+            })
+            .collect();
+        let end_to_end = reports.pop().expect("the end-to-end report");
+        let steps: Vec<ChainStep> = reports
+            .into_iter()
+            .enumerate()
+            .map(|(k, report)| ChainStep { pass: pm.step_name(k).to_owned(), report })
+            .collect();
         // 6. Blame: the first failing step per function, in step order.
         //    Deduplication keys on (name, occurrence) so duplicate-named
         //    copies each keep their own blame.
@@ -516,13 +469,18 @@ impl ChainValidator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::llvm_md;
     use lir::parse::parse_module;
     use lir_opt::paper_pipeline;
+    use llvm_md_core::triage::{Cascade, TriageOptions};
     use llvm_md_workload::{BrokenPass, BugKind};
 
     fn module(src: &str) -> Module {
         parse_module(src).expect("parse")
+    }
+
+    /// `v` with the triage-only cascade at default options.
+    fn triaging(v: Validator) -> Validator {
+        Validator { cascade: Cascade::Triage(TriageOptions::default()), ..v }
     }
 
     fn corpus_module() -> Module {
@@ -558,7 +516,7 @@ mod tests {
         assert!(chain.cache.skips > 0, "{:?}", chain.cache);
         assert!(chain.cache.hits > 0, "{:?}", chain.cache);
         // The end-to-end cross-check agrees with the plain driver's verdict.
-        let (_, plain) = llvm_md(&m, &pm, &v);
+        let (_, plain) = ValidationEngine::serial().llvm_md(&m, &pm, &v);
         assert_eq!(chain.end_to_end.records.len(), plain.records.len());
         for (a, b) in chain.end_to_end.records.iter().zip(&plain.records) {
             assert_eq!(a.name, b.name);
@@ -582,10 +540,8 @@ mod tests {
         pm.add(lir_opt::pass_by_name("adce").expect("known"));
         pm.add(Box::new(BrokenPass(BugKind::FlipComparison)));
         pm.add(lir_opt::pass_by_name("dse").expect("known"));
-        let v = Validator::new();
-        let chain =
-            ChainValidator::with_triage(ValidationEngine::serial(), TriageOptions::default())
-                .validate_chain(&m, &pm, &v);
+        let v = triaging(Validator::new());
+        let chain = ChainValidator::new(ValidationEngine::serial()).validate_chain(&m, &pm, &v);
         assert!(!chain.certifies());
         let blame = chain.blame_for("max").expect("the miscompiled function is blamed");
         assert_eq!(blame.step, 1);
@@ -605,13 +561,13 @@ mod tests {
         let pm = paper_pipeline();
         // A strict validator produces step alarms, exercising blame and
         // triage determinism too.
-        let strict = Validator { rules: llvm_md_core::RuleSet::none(), ..Validator::new() };
-        let opts = TriageOptions::default();
-        let serial = ChainValidator::with_triage(ValidationEngine::serial(), opts)
-            .validate_chain(&m, &pm, &strict);
+        let strict =
+            triaging(Validator { rules: llvm_md_core::RuleSet::none(), ..Validator::new() });
+        let serial =
+            ChainValidator::new(ValidationEngine::serial()).validate_chain(&m, &pm, &strict);
         assert!(!serial.blames.is_empty(), "strict validator must blame something");
         for workers in [2, 4] {
-            let par = ChainValidator::with_triage(ValidationEngine::with_workers(workers), opts)
+            let par = ChainValidator::new(ValidationEngine::with_workers(workers))
                 .validate_chain(&m, &pm, &strict);
             assert!(serial.same_outcome(&par), "workers={workers}: chain outcomes differ");
         }
@@ -664,9 +620,11 @@ mod tests {
         m.functions.push(dup);
         let mut pm = PassManager::new();
         pm.add(Box::new(BrokenPass(BugKind::FlipComparison)));
-        let chain =
-            ChainValidator::with_triage(ValidationEngine::serial(), TriageOptions::default())
-                .validate_chain(&m, &pm, &Validator::new());
+        let chain = ChainValidator::new(ValidationEngine::serial()).validate_chain(
+            &m,
+            &pm,
+            &triaging(Validator::new()),
+        );
         // The broken pass flips both copies; each alarms and each is blamed.
         assert_eq!(chain.blames.len(), 2, "both copies must be blamed: {:?}", chain.blames);
         assert!(chain.blames.iter().all(|b| b.function == "f" && b.pass == "flip-comparison"));

@@ -3,7 +3,8 @@
 //!
 //! A campaign draws seed-reproducible modules from the named fuzz profiles
 //! (`llvm_md_workload::fuzz`), batches each profile's stream through
-//! [`ValidationEngine::validate_corpus_triaged`] on the worker pool, and
+//! [`ValidationEngine::validate_corpus`] under a triage-only [`Cascade`]
+//! (the campaign's [`CampaignConfig::triage`] options) on the worker pool, and
 //! cross-checks every verdict against the differential-interpretation
 //! oracle:
 //!
@@ -44,7 +45,7 @@ use lir::func::Module;
 use lir::parse::parse_module;
 use lir_opt::{pass_by_name, PassManager};
 use llvm_md_core::triage::VerdictClass;
-use llvm_md_core::{wire, TriageClass, TriageOptions, Validator};
+use llvm_md_core::{wire, Cascade, TriageClass, TriageOptions, Validator};
 use llvm_md_workload::fuzz::{campaign_modules, fuzz_profiles};
 use llvm_md_workload::reduce::{reduce_module, ReduceOptions, ReduceStats};
 use llvm_md_workload::{BrokenPass, BugKind, DEFAULT_CAMPAIGN_SEED, PAPER_PASSES};
@@ -273,7 +274,9 @@ impl FuzzCampaign {
         &self.config
     }
 
-    /// Run the campaign.
+    /// Run the campaign. Every check runs `validator` under a triage-only
+    /// [`Cascade`] with [`CampaignConfig::triage`], whatever cascade the
+    /// caller configured.
     ///
     /// # Errors
     ///
@@ -281,6 +284,7 @@ impl FuzzCampaign {
     /// that neither the optimizer registry nor the bug injector knows.
     pub fn run(&self, validator: &Validator) -> Result<CampaignReport, UnknownPass> {
         let t0 = Instant::now();
+        let validator = &triaging(validator, &self.config.triage);
         let pm = campaign_pass_manager(&self.config.passes)?;
         let mut report = CampaignReport {
             seed: self.config.seed,
@@ -290,8 +294,7 @@ impl FuzzCampaign {
         for profile in fuzz_profiles() {
             let modules =
                 campaign_modules(&profile, self.config.seed, self.config.modules_per_profile);
-            let results =
-                self.engine.validate_corpus_triaged(&modules, &pm, validator, &self.config.triage);
+            let results = self.engine.validate_corpus(&modules, &pm, validator);
             let mut stats = ProfileStats {
                 profile: profile.name.to_owned(),
                 modules: modules.len(),
@@ -302,8 +305,11 @@ impl FuzzCampaign {
             }
             if self.config.chain_every > 0 {
                 for index in (0..modules.len()).step_by(self.config.chain_every) {
-                    let chain = ChainValidator::with_triage(self.engine, self.config.triage)
-                        .validate_chain(&modules[index], &pm, validator);
+                    let chain = ChainValidator::new(self.engine).validate_chain(
+                        &modules[index],
+                        &pm,
+                        validator,
+                    );
                     stats.chain_runs += 1;
                     if chain.certifies() {
                         stats.chain_certified += 1;
@@ -402,33 +408,21 @@ impl FuzzCampaign {
         chain: &ChainReport,
     ) {
         // The function that is chain-certified yet miscompiles end-to-end.
-        let function = chain
-            .end_to_end
-            .records
-            .iter()
-            .find(|r| {
-                r.triage.as_ref().is_some_and(|t| t.class == TriageClass::RealMiscompile)
-                    && chain.blame_for(&r.name).is_none()
-            })
-            .map(|r| r.name.clone())
-            .unwrap_or_default();
-        let witness = chain
-            .end_to_end
-            .records
-            .iter()
-            .find(|r| r.name == function)
-            .and_then(|r| r.triage.as_ref())
-            .and_then(|t| t.witness.as_ref())
+        let record = chain.end_to_end.records.iter().find(|r| {
+            r.class() == VerdictClass::RealMiscompile && chain.blame_for(&r.name).is_none()
+        });
+        let function = record.map(|r| r.name.clone()).unwrap_or_default();
+        let witness = record
+            .and_then(|r| r.triage.as_ref()?.witness.as_ref())
             .map(|w| w.args.clone())
             .unwrap_or_default();
         if report.findings.len() >= self.config.max_findings {
             report.findings_truncated += 1;
             return;
         }
-        let triage = self.config.triage;
         let oracle = |cand: &Module| {
-            let ch = ChainValidator::with_triage(ValidationEngine::serial(), triage)
-                .validate_chain(cand, pm, validator);
+            let ch =
+                ChainValidator::new(ValidationEngine::serial()).validate_chain(cand, pm, validator);
             !ch.composition_consistent()
         };
         let (minimized, reduce_stats) = reduce_module(module, oracle, &self.config.reduce);
@@ -461,7 +455,13 @@ pub fn miscompile_reproduces(
     let (Some(orig), Some(opt)) = (cand.function(function), out.function(function)) else {
         return false;
     };
-    validator.classify(cand, orig, opt, triage) == VerdictClass::RealMiscompile
+    triaging(validator, triage).validate_cascade(cand, orig, opt).class()
+        == VerdictClass::RealMiscompile
+}
+
+/// `validator` under the triage-only cascade every campaign check runs.
+fn triaging(validator: &Validator, triage: &TriageOptions) -> Validator {
+    Validator { cascade: Cascade::Triage(*triage), ..*validator }
 }
 
 /// A parsed repro file: the minimized module plus the metadata needed to
@@ -593,8 +593,11 @@ pub fn replay_repro(
             miscompile_reproduces(&repro.module, &repro.function, &pm, validator, triage)
         }
         FindingKind::ChainInconsistency => {
-            let chain = ChainValidator::with_triage(ValidationEngine::serial(), *triage)
-                .validate_chain(&repro.module, &pm, validator);
+            let chain = ChainValidator::new(ValidationEngine::serial()).validate_chain(
+                &repro.module,
+                &pm,
+                &triaging(validator, triage),
+            );
             !chain.composition_consistent()
         }
     };

@@ -19,34 +19,30 @@
 //! evaluation: which functions the optimizer changed, which of those
 //! validated, per-rule rewrite counts and wall-clock times (Figs. 4–8).
 //!
-//! # Alarm triage
+//! # The cascade
 //!
-//! The `*_triaged` entry points ([`ValidationEngine::llvm_md_triaged`],
-//! [`ValidationEngine::validate_modules_triaged`]) post-process every
-//! paired alarm through `llvm_md_core::triage`: differential interpretation
-//! over a seeded input battery classifies the alarm as a real
-//! miscompilation (with a minimized, replayable witness) or a suspected
-//! validator incompleteness (with the rewrite trace and divergent
-//! normalized roots). Triage runs on the same worker pool as validation —
-//! each worker triages the alarms it discovers — and is deterministic per
-//! function, so reports still agree at any worker count
-//! ([`Report::same_outcome`] includes the triage classification).
+//! Every entry point runs the [`Cascade`] configured on its [`Validator`]
+//! (`validator.cascade`; tier 1 only by default). Under
+//! [`Cascade::Triage`], every paired alarm is post-processed through
+//! `llvm_md_core::triage`: differential interpretation over a seeded input
+//! battery classifies the alarm as a real miscompilation (with a minimized,
+//! replayable witness) or a suspected validator incompleteness (with the
+//! rewrite trace and divergent normalized roots). Triage runs on the same
+//! worker pool as validation — each worker triages the alarms it
+//! discovers — and is deterministic per function, so reports still agree
+//! at any worker count ([`Report::same_outcome`] includes the triage
+//! classification).
 //!
-//! # The tier-2 upgrade pass
-//!
-//! The `*_tiered` entry points ([`ValidationEngine::llvm_md_tiered`],
-//! [`ValidationEngine::validate_modules_tiered`],
-//! [`ValidationEngine::validate_corpus_tiered`]) extend triage with the
-//! bit-precise SAT query (`llvm_md_core::bitblast` + `llvm_md_core::sat`)
-//! on every in-scope `SuspectedIncomplete` alarm: an UNSAT result upgrades
-//! the pair to proved-equivalent — and the certified output **keeps the
-//! optimized function** (no splice-back; the proof is the certificate
-//! tier 1 could not produce) — while a SAT model that replays as a
-//! concrete divergence escalates to a real miscompile with a minimized
-//! witness. [`Report::proved_equivalent`] counts the upgrades;
+//! [`Cascade::Tiered`] extends triage with the bit-precise SAT query
+//! (`llvm_md_core::bitblast` + `llvm_md_core::sat`) on every in-scope
+//! `SuspectedIncomplete` alarm: an UNSAT result upgrades the pair to
+//! proved-equivalent — and the certified output **keeps the optimized
+//! function** (no splice-back; the proof is the certificate tier 1 could
+//! not produce) — while a SAT model that replays as a concrete divergence
+//! escalates to a real miscompile with a minimized witness.
+//! [`Report::proved_equivalent`] counts the upgrades;
 //! [`FunctionRecord::class`] projects each record into the four-way
-//! verdict vocabulary. [`default_tier2`] reads the `LLVM_MD_TIER2` env
-//! var, mirroring [`default_workers`]/[`default_normalizer`].
+//! verdict vocabulary.
 //!
 //! # Chain validation
 //!
@@ -112,9 +108,9 @@ pub use store::{StoreStats, VerdictStore, SHARDS};
 
 use lir::func::{Function, Module};
 use lir_opt::PassManager;
-use llvm_md_core::triage::{triage_alarm, Triage, TriageClass, TriageOptions, VerdictClass};
+use llvm_md_core::triage::{Cascade, Triage, TriageOptions, TriagedVerdict};
 use llvm_md_core::{
-    FailReason, Normalizer, RewriteCounts, SatOptions, SaturationStats, Validator, Verdict,
+    FailReason, RewriteCounts, SatOptions, SaturationStats, Validator, VerdictClass,
 };
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
@@ -147,7 +143,7 @@ pub struct FunctionRecord {
     /// What the saturation engine did, when it ran (`None` under the
     /// destructive normalizer and when the fallback never engaged).
     pub saturation: Option<SaturationStats>,
-    /// Alarm triage, when the engine ran a triaged entry point and this
+    /// Alarm triage, when the validator's cascade triages and this
     /// record is a *paired* alarm (pairing alarms — missing/extra functions
     /// — have no pair to interpret differentially and stay `None`).
     pub triage: Option<Triage>,
@@ -172,18 +168,11 @@ impl FunctionRecord {
             && self.triage == other.triage
     }
 
-    /// The record's [`VerdictClass`] projection, mirroring
-    /// [`llvm_md_core::TriagedVerdict::class`]: untriaged alarms classify
-    /// conservatively as suspected-incomplete; a tier-2 UNSAT proof
-    /// upgrades to [`VerdictClass::ProvedEquivalent`].
+    /// The record's [`VerdictClass`] projection ([`VerdictClass::of`]):
+    /// untriaged alarms classify conservatively as suspected-incomplete; a
+    /// tier-2 UNSAT proof upgrades to [`VerdictClass::ProvedEquivalent`].
     pub fn class(&self) -> VerdictClass {
-        match &self.triage {
-            None if self.validated => VerdictClass::Validated,
-            None => VerdictClass::SuspectedIncomplete,
-            Some(t) if t.sat_proved() => VerdictClass::ProvedEquivalent,
-            Some(t) if t.class == TriageClass::RealMiscompile => VerdictClass::RealMiscompile,
-            Some(_) => VerdictClass::SuspectedIncomplete,
-        }
+        VerdictClass::of(self.validated, self.triage.as_ref())
     }
 }
 
@@ -233,34 +222,29 @@ impl Report {
         self.records.iter().map(|r| r.rewrites.total()).sum()
     }
 
+    /// Triaged alarms of `class` (records without triage never count).
+    fn triaged(&self, class: VerdictClass) -> usize {
+        self.records.iter().filter(|r| r.triage.is_some() && r.class() == class).count()
+    }
+
     /// Alarms the triage layer classified as real miscompilations (only
-    /// ever non-zero on reports from the `*_triaged` entry points).
+    /// ever non-zero on reports from a triaging cascade).
     pub fn real_miscompiles(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.triage.as_ref().is_some_and(|t| t.class == TriageClass::RealMiscompile))
-            .count()
+        self.triaged(VerdictClass::RealMiscompile)
     }
 
     /// Alarms the triage layer classified as suspected validator
     /// incompletenesses (the paper's false alarms) that tier 2 did not
     /// subsequently prove equivalent.
     pub fn suspected_incomplete(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| {
-                r.triage
-                    .as_ref()
-                    .is_some_and(|t| t.class == TriageClass::SuspectedIncomplete && !t.sat_proved())
-            })
-            .count()
+        self.triaged(VerdictClass::SuspectedIncomplete)
     }
 
     /// Alarms the tier-2 bit-precise query proved equivalent (UNSAT): the
-    /// certified false alarms. Only ever non-zero on reports from the
-    /// `*_tiered` entry points.
+    /// certified false alarms. Only ever non-zero on reports from
+    /// [`Cascade::Tiered`] runs.
     pub fn proved_equivalent(&self) -> usize {
-        self.records.iter().filter(|r| r.triage.as_ref().is_some_and(|t| t.sat_proved())).count()
+        self.triaged(VerdictClass::ProvedEquivalent)
     }
 
     /// True when both reports carry the same records modulo wall-clock
@@ -308,36 +292,6 @@ pub fn default_workers() -> usize {
     }
     std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
-
-/// The default normalizer mode: the `LLVM_MD_NORMALIZER` environment
-/// variable (`destructive`, `saturate`, or `saturate-fallback`) when set
-/// to a recognized mode, else [`Normalizer::default`] (destructive).
-///
-/// Like [`default_workers`], the env override lets CI smokes and
-/// re-baselining runs flip every entry point that builds its `Validator`
-/// from defaults without code edits; an unrecognized value is ignored.
-pub fn default_normalizer() -> Normalizer {
-    std::env::var("LLVM_MD_NORMALIZER")
-        .ok()
-        .and_then(|v| Normalizer::parse(v.trim()))
-        .unwrap_or_default()
-}
-
-/// Whether tier-2 SAT validation is on by default: `Some(SatOptions)` when
-/// the `LLVM_MD_TIER2` environment variable is set to `1`, `true`, or `on`,
-/// else `None`. Like [`default_workers`], the env override lets CI smokes
-/// flip every entry point that reads it (the `llvm-md` CLI, the bench bins)
-/// without code edits; any other value is ignored.
-pub fn default_tier2() -> Option<SatOptions> {
-    match std::env::var("LLVM_MD_TIER2").ok().as_deref().map(str::trim) {
-        Some("1") | Some("true") | Some("on") => Some(SatOptions::default()),
-        _ => None,
-    }
-}
-
-/// What the pool returns per job: the verdict plus, on triaged entry
-/// points, the triage of the alarm (always `None` for validated pairs).
-pub(crate) type TriagedOutcome = (Verdict, Option<Triage>);
 
 /// One name-paired validation query: which record it reports into and which
 /// input/output functions it compares.
@@ -506,50 +460,42 @@ impl ValidationEngine {
         pool::run_stealing(workers, items, f)
     }
 
-    /// Validate (and, when `triage` options are given, triage) the paired
-    /// jobs of one or more modules on the pool. Each job is `(input module,
-    /// output module, pairing job)`; triage rides the same worker that ran
+    /// Validate the paired jobs of one or more modules on the pool and run
+    /// the validator's [`Cascade`] on each alarm. Each job is `(input
+    /// module, output module, pairing job)`; the input module is the
+    /// interpretation environment. Triage rides the same worker that ran
     /// the failed validation query, so a batch with a handful of alarms
     /// pays for interpretation only on those — and the per-function triage
     /// battery is deterministic, so the aggregated records are identical at
     /// any worker count.
     fn validate_jobs(
         &self,
-        jobs: &[(&Module, &Module, PairJob)],
+        jobs: &[(&Module, &Module, &PairJob)],
         validator: &Validator,
-        triage: Option<&TriageOptions>,
-        tier2: Option<&SatOptions>,
-    ) -> Vec<TriagedOutcome> {
+    ) -> Vec<TriagedVerdict> {
         self.run_jobs(jobs, |(input, output, job)| {
-            let original = &input.functions[job.in_idx];
-            let optimized = &output.functions[job.out_idx];
-            match (triage, tier2) {
-                (Some(topts), Some(sopts)) => {
-                    let tv = validator.validate_tiered(input, original, optimized, topts, sopts);
-                    (tv.verdict, tv.triage)
-                }
-                (Some(opts), None) => {
-                    let verdict = validator.validate(original, optimized);
-                    let triage = (!verdict.validated)
-                        .then(|| triage_alarm(input, original, optimized, &verdict, opts));
-                    (verdict, triage)
-                }
-                _ => (validator.validate(original, optimized), None),
-            }
+            validator.validate_cascade(
+                input,
+                &input.functions[job.in_idx],
+                &output.functions[job.out_idx],
+            )
         })
     }
 
-    /// Fold verdicts back into their records; returns the summed validation
-    /// time and splices rejected functions when `splice` carries the output.
+    /// Fold one verdict per job, taken in order from `verdicts`, back into
+    /// the records; returns the summed validation time. With `splice =
+    /// Some((input, output))`, rejected functions in `output` are replaced
+    /// by their originals from `input`.
     pub(crate) fn merge_verdicts(
         records: &mut [FunctionRecord],
         jobs: &[PairJob],
-        verdicts: Vec<TriagedOutcome>,
-        input: &Module,
-        mut splice: Option<&mut Module>,
+        verdicts: &mut impl Iterator<Item = TriagedVerdict>,
+        mut splice: Option<(&Module, &mut Module)>,
     ) -> Duration {
         let mut total = Duration::ZERO;
-        for (job, (v, triage)) in jobs.iter().zip(verdicts) {
+        for job in jobs {
+            let TriagedVerdict { verdict: v, triage } =
+                verdicts.next().expect("one verdict per job");
             let rec = &mut records[job.slot];
             rec.validated = v.validated;
             rec.reason = v.reason;
@@ -564,7 +510,7 @@ impl ValidationEngine {
             // transformation is certified despite the tier-1 alarm.
             let proved = rec.triage.as_ref().is_some_and(Triage::sat_proved);
             if !rec.validated && !proved {
-                if let Some(output) = splice.as_deref_mut() {
+                if let Some((input, output)) = splice.as_mut() {
                     output.functions[job.out_idx] = input.functions[job.in_idx].clone();
                 }
             }
@@ -581,41 +527,26 @@ impl ValidationEngine {
     }
 
     /// Run the `llvm-md` pipeline: optimize `input` with `pm`, validate
-    /// every transformed function on the pool, and splice originals back
-    /// over rejected transformations (including functions the optimizer
-    /// dropped outright). Returns the certified module and the per-function
-    /// report.
+    /// every transformed function on the pool, run the validator's
+    /// [`Cascade`] on each alarm, and splice originals back over rejected
+    /// transformations (including functions the optimizer dropped
+    /// outright; a tier-2 proof keeps the optimized function). Returns the
+    /// certified module and the per-function report — exactly
+    /// [`ValidationEngine::validate_corpus`] over the one module.
     pub fn llvm_md(
         &self,
         input: &Module,
         pm: &PassManager,
         validator: &Validator,
     ) -> (Module, Report) {
-        self.llvm_md_impl(input, pm, validator, None, None)
+        self.validate_corpus(std::slice::from_ref(input), pm, validator)
+            .pop()
+            .expect("one result per input module")
     }
 
-    /// [`ValidationEngine::llvm_md`] with alarm triage: every paired alarm
-    /// additionally carries a [`Triage`] classification
-    /// ([`FunctionRecord::triage`]) computed by differential interpretation
-    /// on the same worker pool — real miscompilations come back with a
-    /// minimized witness input, false alarms with the rewrite trace and
-    /// divergent normalized roots.
-    pub fn llvm_md_triaged(
-        &self,
-        input: &Module,
-        pm: &PassManager,
-        validator: &Validator,
-        opts: &TriageOptions,
-    ) -> (Module, Report) {
-        self.llvm_md_impl(input, pm, validator, Some(opts), None)
-    }
-
-    /// [`ValidationEngine::llvm_md_triaged`] with the tier-2 bit-precise
-    /// query on every in-scope `SuspectedIncomplete` alarm: UNSAT proofs
-    /// upgrade the pair to proved-equivalent **and keep the optimized
-    /// function in the certified output** (no splice-back — the proof is
-    /// the certificate tier 1 could not produce); replayed SAT models
-    /// escalate to real miscompiles with a minimized witness.
+    /// [`ValidationEngine::llvm_md`] under [`Cascade::Tiered`]. Kept only
+    /// because the repository benchmark (`perfbench`) calls it by name;
+    /// new code sets `validator.cascade` instead.
     pub fn llvm_md_tiered(
         &self,
         input: &Module,
@@ -624,64 +555,34 @@ impl ValidationEngine {
         topts: &TriageOptions,
         sopts: &SatOptions,
     ) -> (Module, Report) {
-        self.llvm_md_impl(input, pm, validator, Some(topts), Some(sopts))
-    }
-
-    fn llvm_md_impl(
-        &self,
-        input: &Module,
-        pm: &PassManager,
-        validator: &Validator,
-        triage: Option<&TriageOptions>,
-        tier2: Option<&SatOptions>,
-    ) -> (Module, Report) {
-        let mut output = input.clone();
-        let t0 = Instant::now();
-        pm.run_module(&mut output);
-        let opt_time = t0.elapsed();
-        let Pairing { mut records, jobs, dropped } = pair_functions(input, &output);
-        let job_refs: Vec<(&Module, &Module, PairJob)> = {
-            // The pool borrows input and output immutably; splicing happens
-            // after the barrier, so re-borrow per job.
-            let out_ref: &Module = &output;
-            jobs.into_iter().map(|j| (input, out_ref, j)).collect()
-        };
-        let verdicts = self.validate_jobs(&job_refs, validator, triage, tier2);
-        let jobs: Vec<PairJob> = job_refs.into_iter().map(|(_, _, j)| j).collect();
-        let validate_time =
-            Self::merge_verdicts(&mut records, &jobs, verdicts, input, Some(&mut output));
-        Self::restore_dropped(input, &mut output, &dropped);
-        (output, Report { records, opt_time, validate_time })
+        self.llvm_md(
+            input,
+            pm,
+            &Validator { cascade: Cascade::Tiered(*topts, *sopts), ..*validator },
+        )
     }
 
     /// Validate a pre-optimized pair of modules function-by-function on the
     /// pool (used when the caller wants to control optimization
-    /// separately). No splicing: `output` is the caller's.
+    /// separately), running the validator's [`Cascade`] on each alarm with
+    /// the *input* module as the interpretation environment. No splicing:
+    /// `output` is the caller's.
     pub fn validate_modules(
         &self,
         input: &Module,
         output: &Module,
         validator: &Validator,
     ) -> Report {
-        self.validate_modules_impl(input, output, validator, None, None)
+        let Pairing { mut records, jobs, dropped: _ } = pair_functions(input, output);
+        let flat: Vec<_> = jobs.iter().map(|j| (input, output, j)).collect();
+        let mut verdicts = self.validate_jobs(&flat, validator).into_iter();
+        let validate_time = Self::merge_verdicts(&mut records, &jobs, &mut verdicts, None);
+        Report { records, opt_time: Duration::ZERO, validate_time }
     }
 
-    /// [`ValidationEngine::validate_modules`] with alarm triage (see
-    /// [`ValidationEngine::llvm_md_triaged`]). The *input* module is the
-    /// interpretation environment: both sides of each pair run against the
-    /// input module's globals and sibling functions.
-    pub fn validate_modules_triaged(
-        &self,
-        input: &Module,
-        output: &Module,
-        validator: &Validator,
-        opts: &TriageOptions,
-    ) -> Report {
-        self.validate_modules_impl(input, output, validator, Some(opts), None)
-    }
-
-    /// [`ValidationEngine::validate_modules_triaged`] with the tier-2
-    /// bit-precise query (see [`ValidationEngine::llvm_md_tiered`]).
+    /// [`ValidationEngine::validate_modules`] under [`Cascade::Tiered`].
+    /// Kept only because the repository benchmark (`perfbench`) calls it by
+    /// name; new code sets `validator.cascade` instead.
     pub fn validate_modules_tiered(
         &self,
         input: &Module,
@@ -690,24 +591,8 @@ impl ValidationEngine {
         topts: &TriageOptions,
         sopts: &SatOptions,
     ) -> Report {
-        self.validate_modules_impl(input, output, validator, Some(topts), Some(sopts))
-    }
-
-    fn validate_modules_impl(
-        &self,
-        input: &Module,
-        output: &Module,
-        validator: &Validator,
-        triage: Option<&TriageOptions>,
-        tier2: Option<&SatOptions>,
-    ) -> Report {
-        let Pairing { mut records, jobs, dropped: _ } = pair_functions(input, output);
-        let job_refs: Vec<(&Module, &Module, PairJob)> =
-            jobs.into_iter().map(|j| (input, output, j)).collect();
-        let verdicts = self.validate_jobs(&job_refs, validator, triage, tier2);
-        let jobs: Vec<PairJob> = job_refs.into_iter().map(|(_, _, j)| j).collect();
-        let validate_time = Self::merge_verdicts(&mut records, &jobs, verdicts, input, None);
-        Report { records, opt_time: Duration::ZERO, validate_time }
+        let validator = Validator { cascade: Cascade::Tiered(*topts, *sopts), ..*validator };
+        self.validate_modules(input, output, &validator)
     }
 
     /// Run a single optimization pass (by paper abbreviation) and validate:
@@ -739,46 +624,6 @@ impl ValidationEngine {
         pm: &PassManager,
         validator: &Validator,
     ) -> Vec<(Module, Report)> {
-        self.validate_corpus_impl(inputs, pm, validator, None, None)
-    }
-
-    /// [`ValidationEngine::validate_corpus`] with alarm triage: every
-    /// paired alarm of every module carries a [`Triage`] classification
-    /// (see [`ValidationEngine::llvm_md_triaged`]), computed on the same
-    /// flat worker batch — the entry point the differential-fuzzing
-    /// campaign streams its generated corpora through.
-    pub fn validate_corpus_triaged(
-        &self,
-        inputs: &[Module],
-        pm: &PassManager,
-        validator: &Validator,
-        opts: &TriageOptions,
-    ) -> Vec<(Module, Report)> {
-        self.validate_corpus_impl(inputs, pm, validator, Some(opts), None)
-    }
-
-    /// [`ValidationEngine::validate_corpus_triaged`] with the tier-2
-    /// bit-precise query on every module's in-scope alarms (see
-    /// [`ValidationEngine::llvm_md_tiered`]).
-    pub fn validate_corpus_tiered(
-        &self,
-        inputs: &[Module],
-        pm: &PassManager,
-        validator: &Validator,
-        topts: &TriageOptions,
-        sopts: &SatOptions,
-    ) -> Vec<(Module, Report)> {
-        self.validate_corpus_impl(inputs, pm, validator, Some(topts), Some(sopts))
-    }
-
-    fn validate_corpus_impl(
-        &self,
-        inputs: &[Module],
-        pm: &PassManager,
-        validator: &Validator,
-        triage: Option<&TriageOptions>,
-        tier2: Option<&SatOptions>,
-    ) -> Vec<(Module, Report)> {
         // Stage 1: optimize, one work unit per module.
         let optimized: Vec<(Module, Duration)> = self.run_jobs(inputs, |m| {
             let mut out = m.clone();
@@ -786,72 +631,35 @@ impl ValidationEngine {
             pm.run_module(&mut out);
             (out, t0.elapsed())
         });
-        // Stage 2: pair every module, flatten all queries into one batch.
-        let mut pairings: Vec<Pairing> = Vec::with_capacity(inputs.len());
-        let mut flat: Vec<(&Module, &Module, PairJob)> = Vec::new();
-        let mut job_module: Vec<usize> = Vec::new();
-        for (mi, (input, (output, _))) in inputs.iter().zip(&optimized).enumerate() {
-            let mut pairing = pair_functions(input, output);
-            for job in pairing.jobs.drain(..) {
-                flat.push((input, output, job));
-                job_module.push(mi);
-            }
-            pairings.push(pairing);
-        }
-        let verdicts = self.validate_jobs(&flat, validator, triage, tier2);
-        // Stage 3: demultiplex verdicts back per module, splice, report.
-        let mut per_module: Vec<(Vec<PairJob>, Vec<TriagedOutcome>)> =
-            (0..inputs.len()).map(|_| (Vec::new(), Vec::new())).collect();
-        for ((mi, (_, _, job)), verdict) in job_module.into_iter().zip(flat).zip(verdicts) {
-            per_module[mi].0.push(job);
-            per_module[mi].1.push(verdict);
-        }
-        let mut results = Vec::with_capacity(inputs.len());
-        for (((input, (mut output, opt_time)), pairing), (jobs, verdicts)) in
-            inputs.iter().zip(optimized).zip(pairings).zip(per_module)
-        {
-            let mut records = pairing.records;
-            let validate_time =
-                Self::merge_verdicts(&mut records, &jobs, verdicts, input, Some(&mut output));
-            Self::restore_dropped(input, &mut output, &pairing.dropped);
-            results.push((output, Report { records, opt_time, validate_time }));
-        }
-        results
+        // Stage 2: pair every module and validate all their queries as one
+        // flat batch, in module order.
+        let pairings: Vec<Pairing> = inputs
+            .iter()
+            .zip(&optimized)
+            .map(|(input, (output, _))| pair_functions(input, output))
+            .collect();
+        let flat: Vec<_> = inputs
+            .iter()
+            .zip(&optimized)
+            .zip(&pairings)
+            .flat_map(|((input, (output, _)), p)| p.jobs.iter().map(move |j| (input, output, j)))
+            .collect();
+        let mut verdicts = self.validate_jobs(&flat, validator).into_iter();
+        // Stage 3: hand each module its verdicts, splice, report.
+        inputs
+            .iter()
+            .zip(optimized)
+            .zip(pairings)
+            .map(|((input, (mut output, opt_time)), p)| {
+                let mut records = p.records;
+                let splice = Some((input, &mut output));
+                let validate_time =
+                    Self::merge_verdicts(&mut records, &p.jobs, &mut verdicts, splice);
+                Self::restore_dropped(input, &mut output, &p.dropped);
+                (output, Report { records, opt_time, validate_time })
+            })
+            .collect()
     }
-}
-
-/// Run the `llvm-md` pipeline serially (the historical entry point — a thin
-/// wrapper over [`ValidationEngine::llvm_md`] at `workers = 1`).
-pub fn llvm_md(input: &Module, pm: &PassManager, validator: &Validator) -> (Module, Report) {
-    ValidationEngine::serial().llvm_md(input, pm, validator)
-}
-
-/// Run the `llvm-md` pipeline serially with alarm triage (a thin wrapper
-/// over [`ValidationEngine::llvm_md_triaged`] at `workers = 1`).
-pub fn llvm_md_triaged(
-    input: &Module,
-    pm: &PassManager,
-    validator: &Validator,
-    opts: &TriageOptions,
-) -> (Module, Report) {
-    ValidationEngine::serial().llvm_md_triaged(input, pm, validator, opts)
-}
-
-/// Run a single optimization pass (by paper abbreviation) over the module
-/// and validate each function: the per-optimization experiment of Fig. 5.
-/// Returns `Err(UnknownPass)` when `pass` is not a known pass name.
-pub fn run_single_pass(
-    input: &Module,
-    pass: &str,
-    validator: &Validator,
-) -> Result<Report, UnknownPass> {
-    ValidationEngine::serial().run_single_pass(input, pass, validator)
-}
-
-/// Validate a pre-optimized pair of modules function-by-function (used when
-/// the caller wants to control optimization separately).
-pub fn validate_modules(input: &Module, output: &Module, validator: &Validator) -> Report {
-    ValidationEngine::serial().validate_modules(input, output, validator)
 }
 
 #[cfg(test)]
@@ -875,7 +683,8 @@ mod tests {
              entry:\n  %d = add i64 %a, 9\n  %u = mul i64 %d, %d\n  ret i64 %a\n\
              }\n",
         );
-        let (out, report) = llvm_md(&m, &paper_pipeline(), &Validator::new());
+        let (out, report) =
+            ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &Validator::new());
         assert_eq!(report.records.len(), 2);
         // The dead-code function must have been transformed and validated.
         let dead = report.records.iter().find(|r| r.name == "dead").unwrap();
@@ -899,7 +708,7 @@ mod tests {
              }\n",
         );
         let strict = Validator { rules: llvm_md_core::RuleSet::none(), ..Validator::new() };
-        let (out, report) = llvm_md(&m, &paper_pipeline(), &strict);
+        let (out, report) = ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &strict);
         let rec = &report.records[0];
         if rec.transformed && !rec.validated {
             assert!(!changed(&m.functions[0], &out.functions[0]), "original spliced back");
@@ -909,7 +718,8 @@ mod tests {
     #[test]
     fn untransformed_functions_are_not_counted() {
         let m = module("define i64 @id(i64 %a) {\nentry:\n  ret i64 %a\n}\n");
-        let (_, report) = llvm_md(&m, &paper_pipeline(), &Validator::new());
+        let (_, report) =
+            ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &Validator::new());
         assert_eq!(report.transformed(), 0);
         assert_eq!(report.validation_rate(), 1.0);
     }
@@ -926,7 +736,9 @@ mod tests {
              %s = sub i64 %a, %b\n  ret i64 %s\n\
              }\n",
         );
-        let report = run_single_pass(&m, "gvn", &Validator::new()).expect("known pass");
+        let report = ValidationEngine::serial()
+            .run_single_pass(&m, "gvn", &Validator::new())
+            .expect("known pass");
         let rec = &report.records[0];
         assert!(rec.transformed, "GVN merges the equivalent phis");
         assert!(rec.validated, "{:?}", rec.reason);
@@ -935,7 +747,9 @@ mod tests {
     #[test]
     fn unknown_pass_is_an_error_not_a_panic() {
         let m = module("define i64 @f(i64 %a) {\nentry:\n  ret i64 %a\n}\n");
-        let err = run_single_pass(&m, "no-such-pass", &Validator::new()).unwrap_err();
+        let err = ValidationEngine::serial()
+            .run_single_pass(&m, "no-such-pass", &Validator::new())
+            .unwrap_err();
         assert_eq!(err, UnknownPass("no-such-pass".to_owned()));
         assert!(err.to_string().contains("no-such-pass"));
     }
@@ -950,7 +764,7 @@ mod tests {
         );
         let mut out = m.clone();
         out.functions.reverse();
-        let report = validate_modules(&m, &out, &Validator::new());
+        let report = ValidationEngine::serial().validate_modules(&m, &out, &Validator::new());
         assert_eq!(report.records.len(), 2);
         assert_eq!(report.transformed(), 0, "name pairing must see identical functions");
         // Records stay in input order regardless of output order.
@@ -967,7 +781,7 @@ mod tests {
         );
         let mut out = m.clone();
         out.functions.pop();
-        let report = validate_modules(&m, &out, &Validator::new());
+        let report = ValidationEngine::serial().validate_modules(&m, &out, &Validator::new());
         assert_eq!(report.records.len(), 2);
         assert_eq!(report.alarms(), 1);
         let gone = report.records.iter().find(|r| r.name == "gone").expect("recorded");
@@ -983,7 +797,7 @@ mod tests {
             "define i64 @f(i64 %a) {\nentry:\n  ret i64 %a\n}\n\
              define i64 @ghost(i64 %a) {\nentry:\n  ret i64 %a\n}\n",
         );
-        let report = validate_modules(&m, &out, &Validator::new());
+        let report = ValidationEngine::serial().validate_modules(&m, &out, &Validator::new());
         assert_eq!(report.records.len(), 2);
         let ghost = report.records.iter().find(|r| r.name == "ghost").expect("recorded");
         assert_eq!(ghost.reason, Some(FailReason::ExtraFunction));
@@ -999,7 +813,7 @@ mod tests {
         let mut out = m.clone();
         let dup = out.functions[0].clone();
         out.functions.push(dup);
-        let report = validate_modules(&m, &out, &Validator::new());
+        let report = ValidationEngine::serial().validate_modules(&m, &out, &Validator::new());
         assert_eq!(report.records.len(), 2, "both copies recorded");
         assert_eq!(report.records[0].name, "f");
         assert!(!report.records[0].transformed, "first copy pairs with the input");
@@ -1026,7 +840,7 @@ mod tests {
         let m = module("define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 1\n  ret i64 %x\n}\n");
         let mut pm = PassManager::new();
         pm.add(Box::new(RenameAll));
-        let (out, report) = llvm_md(&m, &pm, &Validator::new());
+        let (out, report) = ValidationEngine::serial().llvm_md(&m, &pm, &Validator::new());
         // One missing (f) + one extra (f.renamed), both alarms.
         assert_eq!(report.records.len(), 2);
         assert_eq!(report.alarms(), 2);
@@ -1052,7 +866,7 @@ mod tests {
         );
         let v = Validator::new();
         let pm = paper_pipeline();
-        let (serial_out, serial_rep) = llvm_md(&m, &pm, &v);
+        let (serial_out, serial_rep) = ValidationEngine::serial().llvm_md(&m, &pm, &v);
         for workers in [1, 2, 4, 7] {
             let engine = ValidationEngine::with_workers(workers);
             assert_eq!(engine.workers(), workers);
@@ -1097,8 +911,9 @@ mod tests {
         );
         let mut pm = PassManager::new();
         pm.add(Box::new(FlipFirstIcmp));
-        let opts = llvm_md_core::TriageOptions::default();
-        let (out, report) = llvm_md_triaged(&m, &pm, &Validator::new(), &opts);
+        let triaging =
+            Validator { cascade: Cascade::Triage(TriageOptions::default()), ..Validator::new() };
+        let (out, report) = ValidationEngine::serial().llvm_md(&m, &pm, &triaging);
         assert_eq!(report.alarms(), 1);
         assert_eq!(report.real_miscompiles(), 1);
         assert_eq!(report.suspected_incomplete(), 0);
@@ -1124,10 +939,13 @@ mod tests {
         );
         // A rule-less validator alarms on every real transformation, so the
         // triage path actually runs.
-        let strict = Validator { rules: llvm_md_core::RuleSet::none(), ..Validator::new() };
+        let strict = Validator {
+            rules: llvm_md_core::RuleSet::none(),
+            cascade: Cascade::Triage(TriageOptions::default()),
+            ..Validator::new()
+        };
         let pm = paper_pipeline();
-        let opts = llvm_md_core::TriageOptions::default();
-        let (_, serial) = ValidationEngine::serial().llvm_md_triaged(&m, &pm, &strict, &opts);
+        let (_, serial) = ValidationEngine::serial().llvm_md(&m, &pm, &strict);
         assert!(serial.alarms() > 0, "strict validator must alarm here");
         assert_eq!(
             serial.real_miscompiles(),
@@ -1137,7 +955,7 @@ mod tests {
         assert_eq!(serial.suspected_incomplete(), serial.alarms());
         for workers in [2, 4] {
             let engine = ValidationEngine::with_workers(workers);
-            let (_, rep) = engine.llvm_md_triaged(&m, &pm, &strict, &opts);
+            let (_, rep) = engine.llvm_md(&m, &pm, &strict);
             assert!(serial.same_outcome(&rep), "workers={workers}: triaged outcomes differ");
         }
     }
@@ -1160,7 +978,7 @@ mod tests {
             let batch = engine.validate_corpus(&mods, &pm, &v);
             assert_eq!(batch.len(), mods.len());
             for (m, (out, rep)) in mods.iter().zip(&batch) {
-                let (serial_out, serial_rep) = llvm_md(m, &pm, &v);
+                let (serial_out, serial_rep) = ValidationEngine::serial().llvm_md(m, &pm, &v);
                 assert!(serial_rep.same_outcome(rep), "workers={workers}: corpus report differs");
                 assert_eq!(format!("{serial_out}"), format!("{out}"));
             }

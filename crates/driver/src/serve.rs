@@ -36,23 +36,25 @@
 //! fingerprint pair; their lines are rebuilt per batch, deterministically.
 //!
 //! Verdicts are only comparable across runs that used the same rewrite
-//! engine, so every line is stamped with the server's [`Normalizer`] mode
-//! and [`RULE_ENGINE_VERSION`]. A stored line whose stamp disagrees with
-//! the serving configuration is *not* replayed — the pair re-validates and
-//! the store entry is overwritten under the current stamp. Lines written
-//! before the stamp existed decode as `destructive` at engine version 1,
-//! so an unchanged destructive server keeps replaying its old store.
+//! engine and the same cascade, so every line is stamped with the server's
+//! [`Normalizer`] mode, [`RULE_ENGINE_VERSION`] and whether tier 2 ran. A
+//! stored line whose stamp disagrees with the serving configuration is
+//! *not* replayed — the pair re-validates and the store entry is
+//! overwritten under the current stamp. The same holds for an alarm line
+//! whose triage does not match the server's cascade: a triaging server
+//! never replays an untriaged alarm, nor the reverse. Lines written before
+//! the stamp existed decode as `destructive` at engine version 1, so an
+//! unchanged destructive server keeps replaying its old store.
 
 use crate::store::{StoreStats, VerdictStore, SHARDS};
 use crate::{pair_functions_by, PairJob, Pairing, ValidationEngine};
 use lir::func::Module;
 use lir::parse::parse_module;
 use llvm_md_core::cache::fingerprint;
-use llvm_md_core::triage::{triage_alarm, TriageOptions, TriagedVerdict};
+use llvm_md_core::triage::{Cascade, TriagedVerdict};
 use llvm_md_core::wire::{self, u64_hex, Json, ToWire};
 use llvm_md_core::{
-    FailReason, Normalizer, SatOptions, ValidationStats, Validator, Verdict, VerdictClass,
-    RULE_ENGINE_VERSION,
+    FailReason, Normalizer, ValidationStats, Validator, Verdict, VerdictClass, RULE_ENGINE_VERSION,
 };
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,12 +85,11 @@ pub struct ServeCounters {
 }
 
 /// The persistent validation service: engine + validator + verdict store
-/// behind the transport-independent request handler.
+/// behind the transport-independent request handler. Every pair the server
+/// validates runs the validator's [`Cascade`].
 pub struct Server {
     engine: ValidationEngine,
     validator: Validator,
-    triage: Option<TriageOptions>,
-    tier2: Option<SatOptions>,
     store: VerdictStore,
     batches: AtomicU64,
     functions: AtomicU64,
@@ -103,38 +104,17 @@ struct SlotOutcome {
 }
 
 impl Server {
-    /// A server over the given engine, validator, optional alarm triage and
-    /// verdict store.
-    pub fn new(
-        engine: ValidationEngine,
-        validator: Validator,
-        triage: Option<TriageOptions>,
-        store: VerdictStore,
-    ) -> Server {
+    /// A server over the given engine, validator (whose cascade decides
+    /// which tiers run after an alarm) and verdict store.
+    pub fn new(engine: ValidationEngine, validator: Validator, store: VerdictStore) -> Server {
         Server {
             engine,
             validator,
-            triage,
-            tier2: None,
             store,
             batches: AtomicU64::new(0),
             functions: AtomicU64::new(0),
             validations_run: AtomicU64::new(0),
         }
-    }
-
-    /// Enable the tier-2 bit-precise query on every in-scope alarm the
-    /// server validates. Tier-2 verdict lines are stamped `tier2: true`,
-    /// and the stamp joins the engine-compatibility check: a store written
-    /// by a tier-1-only server is never replayed by a tier-2 server (or
-    /// vice versa) — those pairs re-validate and the entries are
-    /// overwritten under the current stamp. Alarms are triaged with the
-    /// server's triage options, or [`TriageOptions::default`] when the
-    /// server was built without triage (the tier-2 replay step needs an
-    /// interpreter budget).
-    pub fn with_tier2(mut self, opts: SatOptions) -> Server {
-        self.tier2 = Some(opts);
-        self
     }
 
     /// The underlying verdict store.
@@ -265,14 +245,7 @@ impl Server {
                     }
                     _ => (None, Some(fingerprint_by_name(&output_mod, &rec.name))),
                 };
-                let tv = TriagedVerdict {
-                    verdict: Verdict {
-                        validated: false,
-                        reason: Some(reason),
-                        stats: ValidationStats::default(),
-                    },
-                    triage: None,
-                };
+                let tv = unqueried(false, Some(reason));
                 slots[slot] = Some(SlotOutcome {
                     line: self.verdict_line(&rec.name, fps.0, fps.1, &tv),
                     validated: false,
@@ -287,45 +260,29 @@ impl Server {
         for job in &jobs {
             let key = (fps_in[job.in_idx], fps_out[job.out_idx]);
             let name = &records[job.slot].name;
-            if let Some(line) = self
-                .store
-                .get(key)
-                .filter(|l| line_matches_engine(l, self.validator.normalizer, self.tier2.is_some()))
-            {
-                let validated = line_says_validated(&line);
+            let stored = self.store.get(key).and_then(|line| {
+                let validated =
+                    replayable(&line, self.validator.normalizer, &self.validator.cascade)?;
+                Some((line, validated))
+            });
+            if let Some((line, validated)) = stored {
                 slots[job.slot] = Some(SlotOutcome { line, validated, from_store: true });
             } else if key.0 == key.1 {
-                let tv = TriagedVerdict {
-                    verdict: Verdict {
-                        validated: true,
-                        reason: None,
-                        stats: ValidationStats::default(),
-                    },
-                    triage: None,
-                };
-                let line = self.verdict_line(name, Some(key.0), Some(key.1), &tv);
+                let line =
+                    self.verdict_line(name, Some(key.0), Some(key.1), &unqueried(true, None));
                 let _ = self.store.put(key, &line);
                 slots[job.slot] = Some(SlotOutcome { line, validated: true, from_store: false });
             } else {
                 pending.push(job);
             }
         }
-        // Pool pass: validate (and triage/tier-2) the genuinely new pairs.
+        // Pool pass: validate the genuinely new pairs and run the cascade.
         let outcomes = self.engine.run_jobs(&pending, |job| {
-            let original = &input.functions[job.in_idx];
-            let optimized = &output_mod.functions[job.out_idx];
-            if let Some(sopts) = &self.tier2 {
-                let topts = self.triage.unwrap_or_default();
-                return self.validator.validate_tiered(&input, original, optimized, &topts, sopts);
-            }
-            let verdict = self.validator.validate(original, optimized);
-            let triage = match &self.triage {
-                Some(opts) if !verdict.validated => {
-                    Some(triage_alarm(&input, original, optimized, &verdict, opts))
-                }
-                _ => None,
-            };
-            TriagedVerdict { verdict, triage }
+            self.validator.validate_cascade(
+                &input,
+                &input.functions[job.in_idx],
+                &output_mod.functions[job.out_idx],
+            )
         });
         self.validations_run.fetch_add(pending.len() as u64, Ordering::Relaxed);
         for (job, tv) in pending.iter().zip(outcomes) {
@@ -379,9 +336,10 @@ impl Server {
     /// bookkeeping: its bytes are a pure function of (function name,
     /// fingerprint pair, triaged verdict) plus the server's fixed engine
     /// configuration, which is what makes stored replays byte-identical
-    /// across batches. The `normalizer`/`rule_engine` stamp identifies the
-    /// rewrite engine the verdict was computed under, so a store shared
-    /// across configurations never replays a verdict from a different one.
+    /// across batches. The `normalizer`/`rule_engine`/`tier2` stamp
+    /// identifies the rewrite engine and cascade depth the verdict was
+    /// computed under, so a store shared across configurations never
+    /// replays a verdict from a different one.
     fn verdict_line(
         &self,
         function: &str,
@@ -398,7 +356,7 @@ impl Server {
                 ("opt_fp", fp(opt_fp)),
                 ("normalizer", self.validator.normalizer.to_wire()),
                 ("rule_engine", Json::num(RULE_ENGINE_VERSION as f64)),
-                ("tier2", Json::Bool(self.tier2.is_some())),
+                ("tier2", Json::Bool(self.validator.cascade.tier2())),
                 ("class", tv.class().to_wire()),
                 ("verdict", tv.to_wire()),
             ],
@@ -508,6 +466,13 @@ fn parse_pair(doc: &Json) -> Result<(Module, Module), wire::WireError> {
     Ok((parse_side("original")?, parse_side("optimized")?))
 }
 
+/// A verdict decided without a validation query (a pairing alarm, or a
+/// fingerprint-identical pair): empty stats, no triage.
+fn unqueried(validated: bool, reason: Option<FailReason>) -> TriagedVerdict {
+    let stats = ValidationStats::default();
+    TriagedVerdict { verdict: Verdict { validated, reason, stats }, triage: None }
+}
+
 fn fingerprint_by_name(m: &Module, name: &str) -> u64 {
     m.functions
         .iter()
@@ -516,48 +481,40 @@ fn fingerprint_by_name(m: &Module, name: &str) -> u64 {
         .expect("pairing produced this record from this module")
 }
 
-/// Whether a stored verdict line was computed by the same rewrite engine a
-/// server running `normalizer` at [`RULE_ENGINE_VERSION`] would use now —
-/// at the same tier depth. A line without the engine stamp predates it and
+/// Whether a stored verdict line may be replayed by a server running
+/// `normalizer` at [`RULE_ENGINE_VERSION`] under `cascade`: `Some(validated)`
+/// when it may (`validated` is whether its class says so), `None` when the
+/// pair must re-validate. A line without the engine stamp predates it and
 /// decodes as `destructive` at engine version 1; a line without the `tier2`
-/// stamp predates tier 2 and decodes as tier-1-only. Mismatches (and
-/// hypothetical corrupt lines) are treated as store misses, never replayed
-/// — in particular, a tier-2 server re-validates every stored tier-1-only
-/// verdict so its alarms get the bit-precise query.
-fn line_matches_engine(line: &str, normalizer: Normalizer, tier2: bool) -> bool {
-    let Ok(doc) = wire::parse(line) else { return false };
+/// stamp predates tier 2 and decodes as tier-1-only. An alarm line replays
+/// only when it carries a triage exactly when the cascade triages
+/// (validated lines never carry one, so they replay under any cascade).
+/// Mismatches and corrupt lines are store misses, never replayed — in
+/// particular, a tier-2 server re-validates every stored tier-1-only
+/// verdict so its alarms get the bit-precise query, and a triaging server
+/// re-validates every untriaged alarm so it gets a class and a witness.
+fn replayable(line: &str, normalizer: Normalizer, cascade: &Cascade) -> Option<bool> {
+    let doc = wire::parse(line).ok()?;
     let line_norm = match doc.get("normalizer") {
         None => Normalizer::Destructive,
-        Some(v) => match v.as_str().and_then(Normalizer::parse) {
-            Some(n) => n,
-            None => return false,
-        },
+        Some(v) => Normalizer::parse(v.as_str()?)?,
     };
     let line_engine = match doc.get("rule_engine") {
         None => 1,
-        Some(v) => match v.as_f64() {
-            Some(n) => n as u64,
-            None => return false,
-        },
+        Some(v) => v.as_f64()? as u64,
     };
     let line_tier2 = match doc.get("tier2") {
         None => false,
         Some(Json::Bool(b)) => *b,
-        Some(_) => return false,
+        Some(_) => return None,
     };
-    line_norm == normalizer && line_engine == RULE_ENGINE_VERSION && line_tier2 == tier2
-}
-
-/// Whether a stored verdict line's class says "validated" (stored lines
-/// always parse; a hypothetical corrupt one conservatively counts as an
-/// alarm).
-fn line_says_validated(line: &str) -> bool {
-    wire::parse(line)
-        .ok()
-        .and_then(|doc| {
-            doc.get("class")
-                .and_then(Json::as_str)
-                .map(|c| c == VerdictClass::Validated.to_string())
-        })
-        .unwrap_or(false)
+    let validated = doc.get("class").and_then(Json::as_str)
+        == Some(VerdictClass::Validated.to_string().as_str());
+    let triaged =
+        doc.get("verdict").and_then(|v| v.get("triage")).is_some_and(|t| !matches!(t, Json::Null));
+    let matches = line_norm == normalizer
+        && line_engine == RULE_ENGINE_VERSION
+        && line_tier2 == cascade.tier2()
+        && (validated || triaged == cascade.triages());
+    matches.then_some(validated)
 }

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example certify_pipeline`
 
 use llvm_md::core::Validator;
-use llvm_md::driver::llvm_md;
+use llvm_md::driver::ValidationEngine;
 use llvm_md::lir::interp::{run, ExecConfig};
 use llvm_md::opt::paper_pipeline;
 use llvm_md::workload::{corpus_modules, generate, profiles};
@@ -18,7 +18,8 @@ fn main() {
     println!("== corpus ==");
     let validator = Validator::new();
     for (name, m) in corpus_modules() {
-        let (certified, report) = llvm_md(&m, &paper_pipeline(), &validator);
+        let (certified, report) =
+            ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &validator);
         let rec = &report.records[0];
         println!(
             "{name:22} transformed={} validated={} ({} -> {} insts)",
@@ -46,7 +47,7 @@ fn main() {
     let mut profile = profiles()[0];
     profile.functions = 40;
     let m = generate(&profile);
-    let (_, report) = llvm_md(&m, &paper_pipeline(), &validator);
+    let (_, report) = ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &validator);
     println!(
         "{} functions, {} transformed, {} validated ({:.1}%), {} alarms",
         report.records.len(),

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --example chain_blame`
 
-use llvm_md::core::{TriageOptions, Validator};
+use llvm_md::core::{Cascade, TriageOptions, Validator};
 use llvm_md::driver::{ChainValidator, ValidationEngine};
 use llvm_md::lir::interp::{run, ExecConfig};
 use llvm_md::lir::parse::parse_module;
@@ -42,8 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     pm.add(pass_by_name("dse").expect("known pass"));
     println!("pipeline: {}", pm.names().join(" -> "));
 
-    let chain = ChainValidator::with_triage(ValidationEngine::new(), TriageOptions::default())
-        .validate_chain(&m, &pm, &Validator::new());
+    let validator =
+        Validator { cascade: Cascade::Triage(TriageOptions::default()), ..Validator::new() };
+    let chain = ChainValidator::new(ValidationEngine::new()).validate_chain(&m, &pm, &validator);
 
     println!("\nper-step reports (each step validates M(k) against M(k+1)):");
     for (k, step) in chain.steps.iter().enumerate() {

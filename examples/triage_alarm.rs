@@ -1,5 +1,6 @@
 //! Alarm triage end-to-end: feed a deliberately miscompiled function
-//! through `validate_triaged` and inspect the evidence each class carries.
+//! through `validate_cascade` under a triaging `Cascade` and inspect the
+//! evidence each class carries.
 //!
 //! Every failed validation is an *alarm*, but an alarm alone doesn't say
 //! whether the optimizer broke the program (a real miscompilation) or the
@@ -14,14 +15,14 @@
 //!
 //! Run with: `cargo run --example triage_alarm`
 
-use llvm_md::core::{RuleSet, TriageClass, TriageOptions, Validator};
+use llvm_md::core::{Cascade, RuleSet, TriageClass, TriageOptions, Validator};
 use llvm_md::lir::interp::{run, ExecConfig};
 use llvm_md::lir::parse::parse_module;
 use llvm_md::workload::inject::{injected_corpus, BugKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let validator = Validator { rules: RuleSet::full(), ..Validator::new() };
-    let opts = TriageOptions::default();
+    let cascade = Cascade::Triage(TriageOptions::default());
+    let validator = Validator { rules: RuleSet::full(), cascade, ..Validator::new() };
 
     // 1. A real miscompilation: every injected bug in the corpus must be
     //    caught with a concrete witness.
@@ -30,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for bug in injected_corpus() {
         let original = bug.module.function(bug.function).expect("function exists");
         let broken = bug.broken.function(bug.function).expect("function exists");
-        let tv = validator.validate_triaged(&bug.module, original, broken, &opts);
+        let tv = validator.validate_cascade(&bug.module, original, broken);
         assert!(!tv.validated(), "{}: a miscompile must never validate", bug.name);
         let triage = tv.triage.expect("alarms are triaged");
         println!("{:18} ({:15}) -> {}", bug.name, bug.kind.name(), triage.class);
@@ -64,8 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let opt =
         parse_module("define i64 @f(i64 %a) {\nentry:\n  %y = mul i64 %a, 6\n  ret i64 %y\n}\n")?;
-    let strict = Validator { rules: RuleSet::none(), ..Validator::new() };
-    let tv = strict.validate_triaged(&m, &m.functions[0], &opt.functions[0], &opts);
+    let strict = Validator { rules: RuleSet::none(), cascade, ..Validator::new() };
+    let tv = strict.validate_cascade(&m, &m.functions[0], &opt.functions[0]);
     assert!(!tv.validated());
     let triage = tv.triage.expect("alarms are triaged");
     assert_eq!(triage.class, TriageClass::SuspectedIncomplete);

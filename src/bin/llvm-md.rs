@@ -20,21 +20,19 @@
 //!
 //! Shared options: `--workers N` (default: `LLVM_MD_WORKERS` or all
 //! cores), `--normalizer MODE` (`destructive`, `saturate`, or
-//! `saturate-fallback`; default: `LLVM_MD_NORMALIZER` or `destructive`),
-//! `--triage` (classify every alarm by differential interpretation),
-//! `--battery N` (triage battery size), `--tier2` (run the bit-precise SAT
-//! query on in-scope alarms; default: on when `LLVM_MD_TIER2` is `1`,
-//! `true`, or `on` — implies triage). Serve options: `--store DIR`
+//! `saturate-fallback`; default `destructive`), `--triage` (classify every
+//! alarm by differential interpretation), `--battery N` (triage battery
+//! size; implies `--triage`), `--tier2` (run the bit-precise SAT query on
+//! in-scope alarms; implies `--triage`). The flags build one `Validator`
+//! whose `Cascade` every subcommand runs. Serve options: `--store DIR`
 //! (persistent store directory; in-memory when omitted), `--cap N` (store
 //! entry cap).
 
 use llvm_md::core::wire::{self, Json, ToWire};
-use llvm_md::core::{SatOptions, TriageOptions, Validator};
+use llvm_md::core::{Cascade, Normalizer, SatOptions, TriageOptions, Validator};
 use llvm_md::driver::serve::Server;
 use llvm_md::driver::store::{VerdictStore, DEFAULT_CAPACITY};
-use llvm_md::driver::{
-    campaign_pass_manager, default_normalizer, default_tier2, ChainValidator, ValidationEngine,
-};
+use llvm_md::driver::{campaign_pass_manager, ChainValidator, ValidationEngine};
 use llvm_md::lir::func::Module;
 use llvm_md::lir::parse::parse_module;
 use llvm_md::workload::PAPER_PASSES;
@@ -76,8 +74,6 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
 struct Common {
     engine: ValidationEngine,
     validator: Validator,
-    triage: Option<TriageOptions>,
-    tier2: Option<SatOptions>,
 }
 
 fn common_options(args: &mut Vec<String>) -> Common {
@@ -86,24 +82,31 @@ fn common_options(args: &mut Vec<String>) -> Common {
     let battery = take_value(args, "--battery")
         .map(|v| v.parse::<usize>().unwrap_or_else(|_| fail(&format!("bad --battery `{v}`"))));
     let normalizer = match take_value(args, "--normalizer") {
-        Some(v) => llvm_md::core::Normalizer::parse(&v)
-            .unwrap_or_else(|| fail(&format!("bad --normalizer `{v}`"))),
-        None => default_normalizer(),
+        Some(v) => {
+            Normalizer::parse(&v).unwrap_or_else(|| fail(&format!("bad --normalizer `{v}`")))
+        }
+        None => Normalizer::default(),
     };
     let triage = take_flag(args, "--triage");
-    let tier2 =
-        if take_flag(args, "--tier2") { Some(SatOptions::default()) } else { default_tier2() };
+    let tier2 = take_flag(args, "--tier2");
     let engine = match workers {
         Some(n) => ValidationEngine::with_workers(n),
         None => ValidationEngine::new(),
     };
-    // Tier 2 needs an interpreter budget to replay SAT models: --tier2
-    // implies triage.
-    let triage = (triage || battery.is_some() || tier2.is_some()).then(|| TriageOptions {
+    let topts = TriageOptions {
         battery: battery.unwrap_or(TriageOptions::default().battery),
         ..TriageOptions::default()
-    });
-    Common { engine, validator: Validator { normalizer, ..Validator::new() }, triage, tier2 }
+    };
+    // Tier 2 needs an interpreter budget to replay SAT models: --tier2
+    // implies triage.
+    let cascade = if tier2 {
+        Cascade::Tiered(topts, SatOptions::default())
+    } else if triage || battery.is_some() {
+        Cascade::Triage(topts)
+    } else {
+        Cascade::Graph
+    };
+    Common { engine, validator: Validator { normalizer, cascade, ..Validator::new() } }
 }
 
 fn load_module(path: &str) -> Module {
@@ -116,15 +119,7 @@ fn cmd_validate(mut args: Vec<String>) -> ExitCode {
     let opts = common_options(&mut args);
     let [original, optimized] = args.as_slice() else { usage() };
     let (input, output) = (load_module(original), load_module(optimized));
-    let report = match (&opts.triage, &opts.tier2) {
-        (Some(t), Some(s)) => {
-            opts.engine.validate_modules_tiered(&input, &output, &opts.validator, t, s)
-        }
-        (Some(t), None) => {
-            opts.engine.validate_modules_triaged(&input, &output, &opts.validator, t)
-        }
-        _ => opts.engine.validate_modules(&input, &output, &opts.validator),
-    };
+    let report = opts.engine.validate_modules(&input, &output, &opts.validator);
     let doc = wire::envelope(
         "report",
         [
@@ -152,12 +147,7 @@ fn cmd_chain(mut args: Vec<String>) -> ExitCode {
     let [input_path] = args.as_slice() else { usage() };
     let input = load_module(input_path);
     let pm = campaign_pass_manager(&passes).unwrap_or_else(|e| fail(&e.to_string()));
-    let chain = match (opts.triage, opts.tier2) {
-        (Some(t), Some(s)) => ChainValidator::with_tiers(opts.engine, t, s),
-        (Some(t), None) => ChainValidator::with_triage(opts.engine, t),
-        _ => ChainValidator::new(opts.engine),
-    };
-    let report = chain.validate_chain(&input, &pm, &opts.validator);
+    let report = ChainValidator::new(opts.engine).validate_chain(&input, &pm, &opts.validator);
     let doc = wire::envelope(
         "chain-report",
         [
@@ -195,11 +185,7 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
             .unwrap_or_else(|e| fail(&format!("cannot open store `{dir}`: {e}"))),
         None => VerdictStore::in_memory(cap),
     };
-    let server = Server::new(opts.engine, opts.validator, opts.triage, store);
-    let server = match opts.tier2 {
-        Some(s) => server.with_tier2(s),
-        None => server,
-    };
+    let server = Server::new(opts.engine, opts.validator, store);
     match socket {
         Some(path) => serve_socket(&server, &path),
         None => {

@@ -4,7 +4,7 @@
 //! must hold.
 
 use llvm_md::core::{RuleSet, Validator};
-use llvm_md::driver::llvm_md;
+use llvm_md::driver::ValidationEngine;
 use llvm_md::opt::paper_pipeline;
 use llvm_md::workload::corpus_modules;
 
@@ -22,7 +22,7 @@ fn corpus_validates_under_pipeline() {
         if name == "irreducible" || name == "unswitch_loop" {
             continue;
         }
-        let (_, report) = llvm_md(&m, &paper_pipeline(), &validator);
+        let (_, report) = ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &validator);
         for rec in &report.records {
             assert!(
                 !rec.transformed || rec.validated,
@@ -40,7 +40,8 @@ fn corpus_validates_under_pipeline() {
 #[test]
 fn extended_example_validates() {
     let m = corpus_modules().into_iter().find(|(n, _)| *n == "sec42_extended").expect("present").1;
-    let (out, report) = llvm_md(&m, &paper_pipeline(), &Validator::new());
+    let (out, report) =
+        ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &Validator::new());
     let rec = &report.records[0];
     assert!(rec.transformed, "pipeline must optimize the extended example");
     assert!(rec.validated, "{:?}", rec.reason);
@@ -59,8 +60,8 @@ fn strlen_loop_needs_libc_rules() {
         corpus_modules().into_iter().find(|(n, _)| *n == "sec53_strlen_loop").expect("present").1;
     let plain = Validator::new();
     let libc = Validator { rules: RuleSet { libc: true, ..RuleSet::all() }, ..Validator::new() };
-    let (_, r1) = llvm_md(&m, &paper_pipeline(), &plain);
-    let (_, r2) = llvm_md(&m, &paper_pipeline(), &libc);
+    let (_, r1) = ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &plain);
+    let (_, r2) = ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &libc);
     let rec1 = &r1.records[0];
     let rec2 = &r2.records[0];
     assert!(rec1.transformed, "LICM must hoist the strlen call");
@@ -107,7 +108,7 @@ fn unswitched_loop_rejects_cleanly_or_validates() {
     let m = corpus_modules().into_iter().find(|(n, _)| *n == "unswitch_loop").expect("present").1;
     let mut v = Validator::new();
     v.limits.unswitch_budget = 4;
-    let report = llvm_md::driver::run_single_pass(&m, "lu", &v).expect("known pass");
+    let report = ValidationEngine::serial().run_single_pass(&m, "lu", &v).expect("known pass");
     let rec = &report.records[0];
     if rec.transformed && !rec.validated {
         assert!(
@@ -125,14 +126,15 @@ fn unswitched_loop_rejects_cleanly_or_validates() {
 #[test]
 fn dse_stack_validates() {
     let m = corpus_modules().into_iter().find(|(n, _)| *n == "dse_stack").expect("present").1;
-    let report =
-        llvm_md::driver::run_single_pass(&m, "dse", &Validator::new()).expect("known pass");
+    let report = ValidationEngine::serial()
+        .run_single_pass(&m, "dse", &Validator::new())
+        .expect("known pass");
     let rec = &report.records[0];
     if rec.transformed {
         assert!(rec.validated, "{:?}", rec.reason);
     }
     // And the full pipeline (which also forwards the load) validates too.
-    let (_, full) = llvm_md(&m, &paper_pipeline(), &Validator::new());
+    let (_, full) = ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &Validator::new());
     assert!(full.records[0].validated, "{:?}", full.records[0].reason);
 }
 
@@ -140,7 +142,7 @@ fn dse_stack_validates() {
 #[test]
 fn loop_with_break_validates() {
     let m = corpus_modules().into_iter().find(|(n, _)| *n == "loop_with_break").expect("present").1;
-    let (_, report) = llvm_md(&m, &paper_pipeline(), &Validator::new());
+    let (_, report) = ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &Validator::new());
     let rec = &report.records[0];
     assert!(!rec.transformed || rec.validated, "{:?}", rec.reason);
 }

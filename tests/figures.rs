@@ -6,7 +6,7 @@
 //! not bit-identical); the *shapes* below are the paper's findings.
 
 use llvm_md::core::{MatchStrategy, RuleSet, Validator};
-use llvm_md::driver::{llvm_md, run_single_pass};
+use llvm_md::driver::ValidationEngine;
 use llvm_md::opt::paper_pipeline;
 use llvm_md::workload::{generate, profiles};
 
@@ -29,7 +29,7 @@ fn fig4_pipeline_rate_is_high_but_imperfect() {
     let mut transformed = 0;
     let mut validated = 0;
     for (_, m) in reduced_suite(12) {
-        let (_, report) = llvm_md(&m, &paper_pipeline(), &validator);
+        let (_, report) = ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &validator);
         transformed += report.transformed();
         validated += report.validated();
     }
@@ -47,7 +47,10 @@ fn fig5_gvn_transforms_most() {
     for pass in ["adce", "gvn", "sccp", "licm", "ld", "lu", "dse"] {
         let mut total = 0;
         for (_, m) in reduced_suite(10) {
-            total += run_single_pass(&m, pass, &validator).expect("known pass").transformed();
+            total += ValidationEngine::serial()
+                .run_single_pass(&m, pass, &validator)
+                .expect("known pass")
+                .transformed();
         }
         per_pass.push((pass, total));
     }
@@ -72,7 +75,7 @@ fn fig6_gvn_rules_monotone() {
         let mut t = 0;
         let mut ok = 0;
         for (_, m) in reduced_suite(10) {
-            let r = run_single_pass(&m, "gvn", &v).expect("known pass");
+            let r = ValidationEngine::serial().run_single_pass(&m, "gvn", &v).expect("known pass");
             t += r.transformed();
             ok += r.validated();
         }
@@ -96,7 +99,7 @@ fn fig7_licm_baseline_high_libc_helps() {
         let mut t = 0;
         let mut ok = 0;
         for (_, m) in reduced_suite(12) {
-            let r = run_single_pass(&m, "licm", &v).expect("known pass");
+            let r = ValidationEngine::serial().run_single_pass(&m, "licm", &v).expect("known pass");
             t += r.transformed();
             ok += r.validated();
         }
@@ -116,7 +119,7 @@ fn fig8_sccp_needs_constant_folding() {
         let mut t = 0;
         let mut ok = 0;
         for (_, m) in reduced_suite(10) {
-            let r = run_single_pass(&m, "sccp", &v).expect("known pass");
+            let r = ValidationEngine::serial().run_single_pass(&m, "sccp", &v).expect("known pass");
             t += r.transformed();
             ok += r.validated();
         }
@@ -148,7 +151,7 @@ fn ablation_cycle_matching_shapes() {
             if name != "lbm" && name != "hmmer" && name != "bzip2" {
                 continue;
             }
-            let (_, report) = llvm_md(&m, &paper_pipeline(), &v);
+            let (_, report) = ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &v);
             t += report.transformed();
             ok += report.validated();
         }

@@ -11,7 +11,7 @@
 //! the full pipeline over the Table-1 suites, all fuzz profiles and the
 //! injected-bug corpus, plus direct interner-invariant checks.
 
-use llvm_md::core::{Interning, TriageOptions, Validator};
+use llvm_md::core::{Cascade, Interning, TriageOptions, Validator};
 use llvm_md::driver::ValidationEngine;
 use llvm_md::gated::{build_with, Node, ValueGraph};
 use llvm_md::lir::inst::{BinOp, IcmpPred};
@@ -78,12 +78,13 @@ fn fuzz_profiles_agree_across_interners() {
 /// stats field (durations excluded: they are wall-clock).
 #[test]
 fn injected_bugs_agree_across_interners() {
-    let opts = TriageOptions { battery: 8, ..TriageOptions::default() };
+    let cascade = Cascade::Triage(TriageOptions { battery: 8, ..TriageOptions::default() });
+    let (fast_t, naive_t) = (Validator { cascade, ..fast() }, Validator { cascade, ..naive() });
     for bug in injected_corpus() {
         for workers in [1usize, 4] {
             let engine = ValidationEngine::with_workers(workers);
-            let rep_f = engine.validate_modules_triaged(&bug.module, &bug.broken, &fast(), &opts);
-            let rep_n = engine.validate_modules_triaged(&bug.module, &bug.broken, &naive(), &opts);
+            let rep_f = engine.validate_modules(&bug.module, &bug.broken, &fast_t);
+            let rep_n = engine.validate_modules(&bug.module, &bug.broken, &naive_t);
             assert!(
                 rep_f.same_outcome(&rep_n),
                 "{} ({:?}), workers={workers}: triaged reports diverge",

@@ -10,7 +10,7 @@
 //! from the determinism contract, and that exclusion is what the last test
 //! pins down.
 
-use llvm_md::core::{TriageOptions, Validator};
+use llvm_md::core::{Cascade, TriageOptions, Validator};
 use llvm_md::driver::{pool_stats, CampaignConfig, ChainValidator, FuzzCampaign, ValidationEngine};
 use llvm_md::opt::paper_pipeline;
 use llvm_md::workload::{generate, paper_schedule, profiles, ReduceOptions};
@@ -45,12 +45,11 @@ fn report_is_identical_at_all_worker_counts() {
 fn chain_report_is_identical_at_all_worker_counts() {
     let m = test_module(7);
     let pm = paper_schedule().pass_manager();
-    let v = Validator::new();
     let opts = TriageOptions { battery: 6, ..TriageOptions::default() };
-    let serial =
-        ChainValidator::with_triage(ValidationEngine::serial(), opts).validate_chain(&m, &pm, &v);
+    let v = Validator { cascade: Cascade::Triage(opts), ..Validator::new() };
+    let serial = ChainValidator::new(ValidationEngine::serial()).validate_chain(&m, &pm, &v);
     for workers in WORKER_COUNTS {
-        let par = ChainValidator::with_triage(ValidationEngine::with_workers(workers), opts)
+        let par = ChainValidator::new(ValidationEngine::with_workers(workers))
             .validate_chain(&m, &pm, &v);
         assert!(serial.same_outcome(&par), "workers={workers}: chain report diverged");
     }

@@ -318,7 +318,7 @@ fn parallel_engine_matches_serial_driver() {
         let m = generate(&p);
         let pm = paper_pipeline();
         let v = Validator::new();
-        let (serial_out, serial_rep) = llvm_md::driver::llvm_md(&m, &pm, &v);
+        let (serial_out, serial_rep) = ValidationEngine::serial().llvm_md(&m, &pm, &v);
         for workers in [1usize, 4] {
             let (out, rep) = ValidationEngine::with_workers(workers).llvm_md(&m, &pm, &v);
             ensure!(
@@ -346,7 +346,8 @@ fn corpus_batching_matches_per_module_runs() {
     let modules = corpus_batch();
     let pm = paper_pipeline();
     let v = Validator::new();
-    let reference: Vec<_> = modules.iter().map(|m| llvm_md::driver::llvm_md(m, &pm, &v)).collect();
+    let reference: Vec<_> =
+        modules.iter().map(|m| ValidationEngine::serial().llvm_md(m, &pm, &v)).collect();
     for workers in [1usize, 4] {
         let batch = ValidationEngine::with_workers(workers).validate_corpus(&modules, &pm, &v);
         assert_eq!(batch.len(), reference.len());
@@ -415,7 +416,7 @@ fn chain_certified_endpoints_never_diverge() {
 /// chain analogue of `parallel_engine_matches_serial_driver`.
 #[test]
 fn chain_report_is_worker_count_deterministic() {
-    use llvm_md::core::TriageOptions;
+    use llvm_md::core::{Cascade, TriageOptions};
     use llvm_md::driver::{ChainValidator, ValidationEngine};
     use llvm_md::workload::paper_schedule;
     harness::check("chain_report_is_worker_count_deterministic", 6, |rng| {
@@ -425,12 +426,11 @@ fn chain_report_is_worker_count_deterministic() {
         p.seed = seed * 2741 + 3;
         let m = generate(&p);
         let pm = paper_schedule().pass_manager();
-        let v = Validator::new();
         let opts = TriageOptions { battery: 8, ..TriageOptions::default() };
-        let serial = ChainValidator::with_triage(ValidationEngine::serial(), opts)
-            .validate_chain(&m, &pm, &v);
+        let v = Validator { cascade: Cascade::Triage(opts), ..Validator::new() };
+        let serial = ChainValidator::new(ValidationEngine::serial()).validate_chain(&m, &pm, &v);
         for workers in [2usize, 4] {
-            let par = ChainValidator::with_triage(ValidationEngine::with_workers(workers), opts)
+            let par = ChainValidator::new(ValidationEngine::with_workers(workers))
                 .validate_chain(&m, &pm, &v);
             ensure!(
                 serial.same_outcome(&par),

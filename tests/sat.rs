@@ -19,8 +19,8 @@ use llvm_md::core::sat::{Lit, SatResult, Solver};
 use llvm_md::core::triage::{build_envs, triage_alarm};
 use llvm_md::core::wire::{FromWire, ToWire};
 use llvm_md::core::{
-    RuleSet, SatOptions, SatOutcome, SatSkip, Triage, TriageClass, TriageOptions, TriagedVerdict,
-    Validator, VerdictClass,
+    Cascade, RuleSet, SatOptions, SatOutcome, SatSkip, Triage, TriageClass, TriageOptions,
+    TriagedVerdict, Validator, VerdictClass,
 };
 use llvm_md::driver::ValidationEngine;
 use llvm_md::lir::func::Module;
@@ -143,15 +143,14 @@ fn needle_pair() -> (Module, Module) {
     (orig, opt)
 }
 
+/// A rule-less validator under the full three-tier cascade.
+fn tiered_validator() -> Validator {
+    let cascade = Cascade::Tiered(TriageOptions::default(), SatOptions::default());
+    Validator { rules: RuleSet::none(), cascade, ..Validator::new() }
+}
+
 fn tiered(orig: &Module, opt: &Module) -> TriagedVerdict {
-    let validator = Validator { rules: RuleSet::none(), ..Validator::new() };
-    validator.validate_tiered(
-        orig,
-        &orig.functions[0],
-        &opt.functions[0],
-        &TriageOptions::default(),
-        &SatOptions::default(),
-    )
+    tiered_validator().validate_cascade(orig, &orig.functions[0], &opt.functions[0])
 }
 
 #[test]
@@ -242,13 +241,9 @@ fn tiered_reports_are_worker_count_independent() {
     let opt = parse(
         "define i64 @prove(i64 %a, i64 %b) {\nentry:\n  %r = add i64 %a, %b\n  ret i64 %r\n}\n\ndefine i64 @needle(i64 %x) {\nentry:\n  ret i64 0\n}\n\ndefine i64 @classified(i64 %x, i64 %y) {\nentry:\n  %r = sub i64 %x, %y\n  ret i64 %r\n}\n\ndefine i64 @id(i64 %x) {\nentry:\n  ret i64 %x\n}\n",
     );
-    let validator = Validator { rules: RuleSet::none(), ..Validator::new() };
-    let topts = TriageOptions::default();
-    let sopts = SatOptions::default();
-    let serial =
-        ValidationEngine::serial().validate_modules_tiered(&orig, &opt, &validator, &topts, &sopts);
-    let parallel = ValidationEngine::with_workers(4)
-        .validate_modules_tiered(&orig, &opt, &validator, &topts, &sopts);
+    let validator = tiered_validator();
+    let serial = ValidationEngine::serial().validate_modules(&orig, &opt, &validator);
+    let parallel = ValidationEngine::with_workers(4).validate_modules(&orig, &opt, &validator);
     assert!(serial.same_outcome(&parallel), "tiered reports diverged between 1 and 4 workers");
     // The report-level projections agree with the per-record classes.
     assert_eq!(serial.proved_equivalent(), 1);

@@ -7,11 +7,11 @@
 //! holds across a daemon restart when the store is on disk.
 
 use llvm_md::core::wire::{self, Json};
-use llvm_md::core::{Normalizer, Validator, RULE_ENGINE_VERSION};
+use llvm_md::core::{Cascade, Normalizer, TriageOptions, Validator, RULE_ENGINE_VERSION};
 use llvm_md::driver::store::line_key;
 use llvm_md::driver::{ServeEnd, Server, ValidationEngine, VerdictStore};
 use llvm_md::opt::paper_pipeline;
-use llvm_md::workload::generate_suite;
+use llvm_md::workload::{generate_suite, injected_corpus};
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -51,7 +51,7 @@ fn control_request(kind: &str, id: &str) -> String {
 }
 
 fn new_server(store: VerdictStore) -> Server {
-    Server::new(ValidationEngine::with_workers(2), Validator::new(), None, store)
+    Server::new(ValidationEngine::with_workers(2), Validator::new(), store)
 }
 
 /// Run a request script through a server, returning parsed response lines.
@@ -162,7 +162,6 @@ fn store_replay_requires_a_matching_engine_stamp() {
     let server = Server::new(
         ValidationEngine::with_workers(2),
         sat,
-        None,
         VerdictStore::open(&dir, 1 << 16).unwrap(),
     );
     let (_, lines) = run_script(&server, &script);
@@ -177,7 +176,6 @@ fn store_replay_requires_a_matching_engine_stamp() {
     let server = Server::new(
         ValidationEngine::with_workers(2),
         sat,
-        None,
         VerdictStore::open(&dir, 1 << 16).unwrap(),
     );
     let (_, lines) = run_script(&server, &script);
@@ -235,11 +233,75 @@ fn untagged_legacy_lines_replay_only_under_the_destructive_engine() {
     let server = Server::new(
         ValidationEngine::with_workers(2),
         sat,
-        None,
         VerdictStore::open(&dir, 1 << 16).unwrap(),
     );
     let (_, lines) = run_script(&server, &script);
     assert_eq!(field_u64(lines_of_type(&lines, "batch-end")[0], "store_hits"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An alarm line replays only under a cascade that triages exactly when
+/// the line's writer did: a triaging server over a store written by a
+/// plain server re-validates the untriaged alarm (and then answers the
+/// real-miscompile class with its witness) instead of replaying
+/// `suspected-incomplete`. Validated lines carry no triage and replay
+/// under either cascade.
+#[test]
+fn triaging_server_never_replays_an_untriaged_alarm() {
+    let dir = tmpdir("triage-stamp");
+    let bug = injected_corpus().into_iter().find(|b| b.name == "flip_max").expect("flip_max");
+    let batch = validate_request("b", &format!("{}", bug.module), &format!("{}", bug.broken));
+    let script = format!("{}{}", batch, control_request("shutdown", "x"));
+    let verdict_for = |lines: &[Json], function: &str| -> Json {
+        lines_of_type(lines, "verdict")
+            .into_iter()
+            .find(|v| v.str_field("function").ok() == Some(function))
+            .unwrap_or_else(|| panic!("no verdict line for @{function}"))
+            .clone()
+    };
+    let triaging =
+        Validator { cascade: Cascade::Triage(TriageOptions::default()), ..Validator::new() };
+    let triaging_server = || {
+        Server::new(
+            ValidationEngine::with_workers(2),
+            triaging,
+            VerdictStore::open(&dir, 1 << 16).unwrap(),
+        )
+    };
+
+    // A plain server writes the store: the alarm is untriaged.
+    let plain = {
+        let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
+        let (_, lines) = run_script(&server, &script);
+        verdict_for(&lines, bug.function)
+    };
+    assert_eq!(plain.str_field("class").unwrap(), "suspected-incomplete");
+
+    // A triaging server over that store must not replay it.
+    let server = triaging_server();
+    let (_, lines) = run_script(&server, &script);
+    let end = lines_of_type(&lines, "batch-end")[0];
+    assert_eq!(field_u64(end, "validations_run"), 1, "the untriaged alarm must re-validate");
+    let triaged = verdict_for(&lines, bug.function);
+    assert_eq!(triaged.str_field("class").unwrap(), "real-miscompile");
+    let witness = triaged
+        .get("verdict")
+        .and_then(|v| v.opt_field("triage"))
+        .and_then(|t| t.opt_field("witness"));
+    assert!(witness.is_some(), "a real miscompile carries a witness: {triaged}");
+
+    // The restamped line now replays for the triaging server, and a plain
+    // server over the triaged store re-validates it in turn.
+    let (_, lines) = run_script(&triaging_server(), &script);
+    let end = lines_of_type(&lines, "batch-end")[0];
+    assert_eq!(field_u64(end, "validations_run"), 0);
+    assert_eq!(verdict_for(&lines, bug.function).to_string(), triaged.to_string());
+    let (_, lines) = run_script(&new_server(VerdictStore::open(&dir, 1 << 16).unwrap()), &script);
+    let end = lines_of_type(&lines, "batch-end")[0];
+    assert_eq!(field_u64(end, "validations_run"), 1);
+    let replain = verdict_for(&lines, bug.function);
+    assert_eq!(replain.str_field("class").unwrap(), "suspected-incomplete");
+    assert!(replain.get("verdict").and_then(|v| v.opt_field("triage")).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -12,6 +12,7 @@
 //! memory, and the trace of observable calls.
 
 use llvm_md::core::{RuleSet, Validator};
+use llvm_md::driver::ValidationEngine;
 use llvm_md::lir::func::Module;
 use llvm_md::lir::interp::{run, ExecConfig, Trap};
 use llvm_md::opt::paper_pipeline;
@@ -115,7 +116,7 @@ fn certified_output_always_behaves_like_input() {
     let mut profile = profiles()[2]; // gcc flavour: branchy
     profile.functions = 15;
     let m = generate(&profile);
-    let (certified, _) = llvm_md::driver::llvm_md(&m, &paper_pipeline(), &validator);
+    let (certified, _) = ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &validator);
     for f in &m.functions {
         same_behaviour(&m, &certified, &f.name);
     }
@@ -132,7 +133,7 @@ fn reordered_functions_pair_by_name_not_position() {
     let m = generate(&profile);
     let mut out = m.clone();
     out.functions.reverse();
-    let report = llvm_md::driver::validate_modules(&m, &out, &Validator::new());
+    let report = ValidationEngine::serial().validate_modules(&m, &out, &Validator::new());
     assert_eq!(report.records.len(), m.functions.len());
     assert_eq!(
         report.transformed(),
@@ -155,7 +156,7 @@ fn dropped_function_alarms_instead_of_mispairing() {
     let m = generate(&profile);
     let mut out = m.clone();
     let dropped = out.functions.remove(2).name;
-    let report = llvm_md::driver::validate_modules(&m, &out, &Validator::new());
+    let report = ValidationEngine::serial().validate_modules(&m, &out, &Validator::new());
     assert_eq!(report.records.len(), m.functions.len(), "dropped function still recorded");
     assert_eq!(report.alarms(), 1, "exactly the dropped function alarms");
     let rec = report.records.iter().find(|r| r.name == dropped).expect("alarm record");

@@ -12,7 +12,7 @@
 //! * triaged reports are deterministic across worker counts.
 
 use llvm_md::core::triage::{build_envs, triage_alarm};
-use llvm_md::core::{RuleSet, TriageClass, TriageOptions, Validator};
+use llvm_md::core::{Cascade, RuleSet, TriageClass, TriageOptions, Validator};
 use llvm_md::driver::ValidationEngine;
 use llvm_md::lir::interp::{run, ExecConfig};
 use llvm_md::opt::paper_pipeline;
@@ -20,23 +20,29 @@ use llvm_md::workload::{generate_suite, injected_corpus, injected_paper_corpus};
 
 /// The ablation axis the triage guarantees must hold along: catching a
 /// miscompile must never depend on which rule groups are enabled (the
-/// validator is sound under all of them; triage runs the code).
-fn ablation_validators() -> Vec<Validator> {
+/// validator is sound under all of them; triage runs the code). Each
+/// validator triages with `opts`.
+fn ablation_validators(opts: TriageOptions) -> Vec<Validator> {
     [RuleSet::none(), RuleSet::all(), RuleSet::full()]
         .into_iter()
-        .map(|rules| Validator { rules, ..Validator::new() })
+        .map(|rules| triaging(Validator { rules, ..Validator::new() }, opts))
         .collect()
+}
+
+/// `v` under the triage-only cascade with `opts`.
+fn triaging(v: Validator, opts: TriageOptions) -> Validator {
+    Validator { cascade: Cascade::Triage(opts), ..v }
 }
 
 #[test]
 fn every_injected_miscompile_is_caught_with_a_replayable_witness() {
     let opts = TriageOptions::default();
     let cfg = ExecConfig { fuel: opts.fuel, max_depth: opts.max_depth };
-    for validator in ablation_validators() {
+    for validator in ablation_validators(opts) {
         for bug in injected_corpus() {
             let original = bug.module.function(bug.function).expect("function exists");
             let broken = bug.broken.function(bug.function).expect("function exists");
-            let tv = validator.validate_triaged(&bug.module, original, broken, &opts);
+            let tv = validator.validate_cascade(&bug.module, original, broken);
             assert!(!tv.validated(), "{}: miscompile validated (soundness bug!)", bug.name);
             let triage = tv.triage.expect("alarms carry triage");
             assert_eq!(
@@ -101,10 +107,10 @@ fn suite_alarms_are_false_alarms_and_all_classified() {
     let pm = paper_pipeline();
     // `none` maximizes alarms, exercising triage broadly.
     for rules in [RuleSet::none(), RuleSet::all()] {
-        let validator = Validator { rules, ..Validator::new() };
+        let validator = triaging(Validator { rules, ..Validator::new() }, opts);
         let mut alarms = 0;
         for (_, m) in generate_suite(24) {
-            let (_, report) = engine.llvm_md_triaged(&m, &pm, &validator, &opts);
+            let (_, report) = engine.llvm_md(&m, &pm, &validator);
             for rec in &report.records {
                 if rec.transformed && !rec.validated {
                     let t = rec.triage.as_ref().unwrap_or_else(|| {
@@ -135,13 +141,13 @@ fn paper_corpus_injections_agree_with_interpretation() {
     // *agreement*: a pair the validator proves equal must never diverge
     // under interpretation, and any witness on an alarm must replay as a
     // genuine divergence.
-    let validator = Validator { rules: RuleSet::full(), ..Validator::new() };
     let opts = TriageOptions::default();
+    let validator = triaging(Validator { rules: RuleSet::full(), ..Validator::new() }, opts);
     let mut alarms = 0;
     for bug in injected_paper_corpus() {
         let original = bug.module.function(bug.function).expect("function exists");
         let broken = bug.broken.function(bug.function).expect("function exists");
-        let tv = validator.validate_triaged(&bug.module, original, broken, &opts);
+        let tv = validator.validate_cascade(&bug.module, original, broken);
         if tv.validated() {
             // The validator claims the "bug" preserved semantics: hold it to
             // that with the differential battery.
@@ -172,12 +178,11 @@ fn triaged_corpus_reports_are_worker_count_independent() {
     // includes the triage classification and witness — so a 4-worker run
     // must agree with the serial run record-for-record.
     let opts = TriageOptions::default();
-    let validator = Validator { rules: RuleSet::none(), ..Validator::new() };
+    let validator = triaging(Validator { rules: RuleSet::none(), ..Validator::new() }, opts);
     let pm = paper_pipeline();
     for (_, m) in generate_suite(40) {
-        let (_, serial) = ValidationEngine::serial().llvm_md_triaged(&m, &pm, &validator, &opts);
-        let (_, parallel) =
-            ValidationEngine::with_workers(4).llvm_md_triaged(&m, &pm, &validator, &opts);
+        let (_, serial) = ValidationEngine::serial().llvm_md(&m, &pm, &validator);
+        let (_, parallel) = ValidationEngine::with_workers(4).llvm_md(&m, &pm, &validator);
         assert!(serial.same_outcome(&parallel), "triaged reports diverged between 1 and 4 workers");
     }
 }

@@ -12,7 +12,7 @@
 //!   documents exactly as it does for core ones.
 
 use llvm_md::core::wire::{self, FromWire, Json, ToWire};
-use llvm_md::core::{TriageOptions, Validator};
+use llvm_md::core::{Cascade, TriageOptions, Validator};
 use llvm_md::driver::{
     CampaignConfig, CampaignReport, ChainReport, ChainValidator, FuzzCampaign, Report,
     ValidationEngine,
@@ -48,13 +48,13 @@ fn assert_normalizing_fixpoint<T: ToWire + FromWire>(value: &T, what: &str) {
 #[test]
 fn suite_reports_round_trip_through_the_wire() {
     let engine = ValidationEngine::with_workers(2);
-    let validator = Validator::new();
-    let pm = paper_pipeline();
     let triage = TriageOptions { battery: 4, ..TriageOptions::default() };
+    let validator = Validator { cascade: Cascade::Triage(triage), ..Validator::new() };
+    let pm = paper_pipeline();
     for (_, module) in generate_suite(4) {
         let mut output = module.clone();
         pm.run_module(&mut output);
-        let report = engine.validate_modules_triaged(&module, &output, &validator, &triage);
+        let report = engine.validate_modules(&module, &output, &validator);
         for rec in &report.records {
             assert_fixpoint(rec, &format!("record `{}`", rec.name));
         }
