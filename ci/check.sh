@@ -84,9 +84,10 @@ EOF
 
   echo "==> chain smoke (2-worker chain vs serial end-to-end, cache must hit)"
   # table3_chain asserts internally that every chain run matches itself at
-  # 1 and 4 workers (ChainReport::same_outcome), that the chained rate is
-  # >= the end-to-end rate, and that all injected bugs are blamed on the
-  # correct pass; LLVM_MD_WORKERS=2 makes the primary run a 2-worker pool.
+  # 1 and 4 workers (ChainReport equality, which skips timings), that the
+  # chained rate is >= the end-to-end rate, and that all injected bugs are
+  # blamed on the correct pass; LLVM_MD_WORKERS=2 makes the primary run a
+  # 2-worker pool.
   # The artifact check re-verifies the invariants the gate cares about.
   chain_dir="$(mktemp -d)"
   BENCH_OUT_DIR="$chain_dir" LLVM_MD_WORKERS=2 cargo run --release --offline -q \
@@ -230,9 +231,12 @@ EOF
     --store "$serve_dir/store" < "$serve_dir/requests.txt" > "$serve_dir/responses.txt"
   python3 - "$serve_dir/responses.txt" <<'EOF'
 import json, sys
-lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
+raw = [l.rstrip("\n") for l in open(sys.argv[1]) if l.strip()]
+lines = [json.loads(l) for l in raw]
 ends = [l for l in lines if l["type"] == "batch-end"]
-verdicts = [l for l in lines if l["type"] == "verdict"]
+# Raw line text, not parsed dicts: replay must be byte-identical (key order
+# and number formatting included), which dict equality would not check.
+verdicts = [t for t, l in zip(raw, lines) if l["type"] == "verdict"]
 assert len(ends) == 2, f"expected 2 batches: {ends}"
 n = ends[0]["functions"]
 assert n > 0 and ends[0]["store_hits"] == 0, ends[0]
@@ -240,7 +244,7 @@ assert ends[1]["store_hits"] == n, f"batch 2 must be all store hits: {ends[1]}"
 assert ends[1]["validations_run"] == 0, f"batch 2 must not re-validate: {ends[1]}"
 assert ends[0]["validated"] == ends[1]["validated"], (ends[0], ends[1])
 b1, b2 = verdicts[:n], verdicts[n:]
-assert b1 == b2, "replayed verdicts must match batch 1"
+assert len(b2) == n and b1 == b2, "replayed verdict lines must be byte-identical to batch 1"
 assert any(l["type"] == "shutdown-ok" for l in lines), "shutdown must be acknowledged"
 print(f"serve smoke OK: {n} functions, batch 2 {ends[1]['store_hits']} hits / 0 validations")
 EOF

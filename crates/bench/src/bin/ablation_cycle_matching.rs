@@ -9,9 +9,8 @@
 //! Writes `BENCH_ablation.json` with the per-strategy totals.
 
 use lir_opt::paper_pipeline;
-use llvm_md_bench::json::Json;
 use llvm_md_bench::{pct, scale_from_args, suite, write_artifact};
-use llvm_md_core::{MatchStrategy, Validator};
+use llvm_md_core::{Json, MatchStrategy, Validator};
 use llvm_md_driver::ValidationEngine;
 
 fn main() {

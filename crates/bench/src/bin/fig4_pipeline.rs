@@ -14,9 +14,8 @@
 //! `ci/bench_baseline.sh`.
 
 use lir_opt::paper_pipeline;
-use llvm_md_bench::json::Json;
 use llvm_md_bench::{bar, pct, scale_from_args, suite, write_artifact};
-use llvm_md_core::Validator;
+use llvm_md_core::{Json, Validator};
 use llvm_md_driver::ValidationEngine;
 use std::time::{Duration, Instant};
 

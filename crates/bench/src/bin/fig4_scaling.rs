@@ -22,9 +22,8 @@
 //! `--repeats R` (default 3; best-of-R wall-clock per axis point).
 
 use lir_opt::paper_pipeline;
-use llvm_md_bench::json::Json;
 use llvm_md_bench::{bar, scale_from_args, usize_flag, write_artifact};
-use llvm_md_core::Validator;
+use llvm_md_core::{Json, Validator};
 use llvm_md_driver::{default_workers, Report, ValidationEngine};
 use llvm_md_workload::suite_batch;
 use std::time::{Duration, Instant};
@@ -88,8 +87,8 @@ fn main() {
             let wall = t0.elapsed();
             best = best.min(wall);
             for ((_, report), (_, reference)) in out.iter().zip(&baseline) {
-                assert!(
-                    report.same_outcome(reference),
+                assert_eq!(
+                    report, reference,
                     "workers={workers}: report diverged from the serial baseline"
                 );
             }

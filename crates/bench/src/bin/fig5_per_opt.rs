@@ -9,9 +9,8 @@
 //!
 //! Writes `BENCH_fig5.json` with the per-pass totals.
 
-use llvm_md_bench::json::Json;
 use llvm_md_bench::{pct, scale_from_args, suite, write_artifact};
-use llvm_md_core::Validator;
+use llvm_md_core::{Json, Validator};
 use llvm_md_driver::ValidationEngine;
 
 const PASSES: &[(&str, &str)] = &[

@@ -9,9 +9,8 @@
 //!
 //! Writes `BENCH_fig6.json` with the per-step totals.
 
-use llvm_md_bench::json::Json;
 use llvm_md_bench::{pct, scale_from_args, suite, write_artifact};
-use llvm_md_core::{RuleSet, Validator};
+use llvm_md_core::{Json, RuleSet, Validator};
 use llvm_md_driver::ValidationEngine;
 
 const STEPS: [&str; 6] = ["none", "+phi", "+cfold", "+ldst", "+eta", "+commute"];

@@ -26,9 +26,8 @@
 //! `--repro-dir DIR` (default `$BENCH_OUT_DIR/fuzz-repros` or
 //! `./fuzz-repros`). Worker count honors `LLVM_MD_WORKERS`.
 
-use llvm_md_bench::json::Json;
 use llvm_md_bench::{str_flag, u64_flag, usize_flag, write_artifact};
-use llvm_md_core::{TriageOptions, Validator};
+use llvm_md_core::{Json, TriageOptions, Validator};
 use llvm_md_driver::{
     default_workers, parse_repro, replay_repro, repro_to_string, CampaignConfig, CampaignReport,
     Finding, FuzzCampaign, ValidationEngine,

@@ -4,8 +4,8 @@
 //!
 //! Writes `BENCH_table1.json` with the generated-suite rows.
 
-use llvm_md_bench::json::Json;
 use llvm_md_bench::{scale_from_args, suite, write_artifact};
+use llvm_md_core::Json;
 
 fn main() {
     let scale = scale_from_args();

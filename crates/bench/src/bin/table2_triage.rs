@@ -19,9 +19,8 @@
 //! cost.
 
 use lir_opt::paper_pipeline;
-use llvm_md_bench::json::Json;
 use llvm_md_bench::{bar, pct, scale_from_args, suite, usize_flag, write_artifact};
-use llvm_md_core::{Cascade, Normalizer, RuleSet, TriageClass, TriageOptions, Validator};
+use llvm_md_core::{Cascade, Json, Normalizer, RuleSet, TriageClass, TriageOptions, Validator};
 use llvm_md_driver::ValidationEngine;
 use llvm_md_workload::injected_corpus;
 

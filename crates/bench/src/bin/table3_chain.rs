@@ -10,7 +10,7 @@
 //! end-to-end rate — adjacent modules are closer, so per-step proofs
 //! succeed where the composed proof exhausts the rules), both wall-clocks,
 //! and the chain's cache hit/skip counters. Every chain run is repeated at
-//! 1 and 4 workers and checked `ChainReport::same_outcome` — the chain's
+//! 1 and 4 workers and checked for `ChainReport` equality — the chain's
 //! determinism contract.
 //!
 //! **Sweep 2 — the injected-bug corpus.** Each ground-truth bug becomes a
@@ -24,9 +24,8 @@
 //! `default_workers`).
 
 use lir_opt::PassManager;
-use llvm_md_bench::json::Json;
 use llvm_md_bench::{scale_from_args, suite, usize_flag, write_artifact};
-use llvm_md_core::{Cascade, TriageOptions, Validator};
+use llvm_md_core::{Cascade, Json, TriageOptions, Validator};
 use llvm_md_driver::{default_workers, ChainValidator, Composition, ValidationEngine};
 use llvm_md_workload::{injected_corpus, paper_schedule, BrokenPass};
 use std::time::Instant;
@@ -79,8 +78,8 @@ fn main() {
         for probe_workers in [1usize, 4] {
             let probe = ChainValidator::new(ValidationEngine::with_workers(probe_workers))
                 .validate_chain(m, &pm, &triaging);
-            assert!(
-                chain.same_outcome(&probe),
+            assert_eq!(
+                chain, probe,
                 "{}: chain outcome diverged at {probe_workers} worker(s)",
                 profile.name
             );

@@ -32,11 +32,10 @@
 //! memo), so a proved row with many conflicts means the hashing was lost.
 
 use lir_opt::paper_pipeline;
-use llvm_md_bench::json::Json;
 use llvm_md_bench::{scale_from_args, suite, usize_flag, write_artifact};
 use llvm_md_core::triage::VerdictClass;
 use llvm_md_core::{
-    Cascade, Normalizer, RuleSet, SatOptions, SatOutcome, TriageOptions, Validator,
+    Cascade, Json, Normalizer, RuleSet, SatOptions, SatOutcome, TriageOptions, Validator,
 };
 use llvm_md_driver::ValidationEngine;
 use llvm_md_workload::injected_corpus;

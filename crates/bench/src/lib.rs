@@ -28,10 +28,10 @@
 //! machine-readable `BENCH_<exhibit>.json` (see [`write_artifact`]) so the
 //! perf trajectory across PRs can be compared mechanically.
 
-pub mod json;
 pub mod timing;
 
 use lir::func::Module;
+use llvm_md_core::Json;
 use llvm_md_workload::Profile;
 use std::path::PathBuf;
 
@@ -94,7 +94,7 @@ pub fn pct(validated: usize, transformed: usize) -> f64 {
 /// binary, whose working directory is wherever cargo was invoked, or a
 /// `cargo bench` harness, whose working directory is the package root).
 /// Returns the path written.
-pub fn write_artifact(name: &str, body: &json::Json) -> std::io::Result<PathBuf> {
+pub fn write_artifact(name: &str, body: &Json) -> std::io::Result<PathBuf> {
     let dir = std::env::var_os("BENCH_OUT_DIR").map_or_else(
         || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")),
         PathBuf::from,

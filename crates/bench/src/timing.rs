@@ -13,6 +13,7 @@
 //! [`BenchReport`], to a machine-readable `BENCH_*.json` consumed by the
 //! perf-trajectory tooling (see `ci/bench_baseline.sh`).
 
+use llvm_md_core::Json;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -106,8 +107,7 @@ impl BenchReport {
     }
 
     /// The JSON body: `{"benchmarks": [{name, median_ns, min_ns, ...}]}`.
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
+    pub fn to_json(&self) -> Json {
         Json::obj([(
             "benchmarks",
             Json::arr(self.measurements.iter().map(|m| {

@@ -27,7 +27,7 @@
 //! worker scheduling. [`CacheStats`] hit/miss totals, by contrast, *can*
 //! race (two workers may both miss the same key and build concurrently), so
 //! they are reporting data and deliberately excluded from the driver's
-//! `same_outcome` determinism contracts.
+//! determinism contracts (`ChainReport`'s field table marks them `timing`).
 //!
 //! Fingerprints are 64-bit hashes, not proofs: two *different* functions
 //! colliding would skip a query that should have run. FNV-1a over the full
@@ -88,7 +88,7 @@ pub type CachedGated = Arc<Result<GatedFunction, GateError>>;
 /// can vary slightly with worker scheduling (concurrent misses on one key
 /// both count), so these are reporting data, not part of any determinism
 /// contract.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, Eq)]
 pub struct CacheStats {
     /// Gated-graph lookups served from the cache.
     pub hits: u64,

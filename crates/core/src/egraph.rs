@@ -58,7 +58,7 @@ impl Default for SaturationLimits {
 
 /// What one saturation run did, surfaced in
 /// [`crate::validate::ValidationStats`] and on the wire.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, Eq)]
 pub struct SaturationStats {
     /// Match → union → rebuild iterations executed.
     pub iterations: usize,

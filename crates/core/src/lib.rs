@@ -76,4 +76,4 @@ pub use validate::{
     validate, Deadline, DivergentRoots, FailReason, Fixpoint, Limits, Normalizer, ValidationStats,
     Validator, Verdict,
 };
-pub use wire::{FromWire, Json, ToWire, WireError, SCHEMA_VERSION};
+pub use wire::{Json, ToWire, WireError, SCHEMA_VERSION};

@@ -170,7 +170,7 @@ impl Default for RuleSet {
 }
 
 /// Rewrite counts per rule group (for reports and the fig. 6–8 harness).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, Eq)]
 pub struct RewriteCounts {
     /// φ/boolean rewrites.
     pub phi: u64,

@@ -17,7 +17,7 @@
 //! reproducible), phase saving, and Luby-sequence restarts. There is no
 //! randomization anywhere: given the same clauses in the same order the
 //! search trace is identical on every run and at every worker count, which
-//! is what lets [`SatStats`] participate in the driver's `same_outcome`
+//! is what lets [`SatStats`] participate in the driver's worker-count
 //! determinism contract.
 //!
 //! Budgets mirror the tier-1 design: a conflict cap plus the shared
@@ -89,7 +89,7 @@ pub enum SatResult {
 }
 
 /// Search counters for one [`Solver::solve`] run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, Eq)]
 pub struct SolverStats {
     /// Conflicts hit (and clauses learned from them).
     pub conflicts: u64,
@@ -698,17 +698,6 @@ impl SatSkip {
             SatSkip::UnsupportedOp => "unsupported-op",
         }
     }
-
-    /// Inverse of [`SatSkip::as_str`].
-    pub fn parse(s: &str) -> Option<SatSkip> {
-        match s {
-            "classified" => Some(SatSkip::Classified),
-            "reason" => Some(SatSkip::Reason),
-            "memory-roots" => Some(SatSkip::MemoryRoots),
-            "unsupported-op" => Some(SatSkip::UnsupportedOp),
-            _ => None,
-        }
-    }
 }
 
 /// What the tier-2 query concluded for one pair.
@@ -749,9 +738,10 @@ impl SatOutcome {
 /// What one tier-2 query did, surfaced next to the triage verdict and on
 /// the wire.
 ///
-/// Equality deliberately ignores [`SatStats::duration`] (wall time is never
-/// deterministic) so the driver's `same_outcome` worker-count contract can
-/// include tier-2 results.
+/// Equality ignores [`SatStats::duration`] (wall time is never
+/// deterministic; the record's table in [`crate::wire`] marks it `timing`),
+/// so the driver's worker-count determinism contract includes tier-2
+/// results.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SatStats {
     /// The conclusion (`None` only for the default value; a run always
@@ -769,17 +759,6 @@ pub struct SatStats {
     pub solver: SolverStats,
     /// Wall-clock time the tier-2 query took (excluded from equality).
     pub duration: Duration,
-}
-
-impl PartialEq for SatStats {
-    fn eq(&self, other: &SatStats) -> bool {
-        self.outcome == other.outcome
-            && self.vars == other.vars
-            && self.clauses == other.clauses
-            && self.unrolled == other.unrolled
-            && self.residuals == other.residuals
-            && self.solver == other.solver
-    }
 }
 
 #[cfg(test)]

@@ -98,7 +98,7 @@ impl std::fmt::Display for TriageClass {
 /// observably diverge, plus what each side did. Replayable: running
 /// [`lir::interp::run`] over the environments from [`build_envs`] with
 /// `args` reproduces exactly these outcomes.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Witness {
     /// Raw-bit argument values, one per function parameter, minimized by
     /// greedy per-coordinate shrinking (each coordinate is as simple as the
@@ -142,7 +142,7 @@ impl Default for TriageOptions {
 }
 
 /// The result of triaging one alarm.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Triage {
     /// Real miscompile or suspected validator incompleteness.
     pub class: TriageClass,

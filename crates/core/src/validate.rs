@@ -172,7 +172,7 @@ impl std::fmt::Display for FailReason {
 /// as (truncated) S-expressions. Captured only on [`FailReason::RootsDiffer`]
 /// fixpoint failures — the evidence the alarm-triage layer hands a rule
 /// author hunting a validator incompleteness.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Eq)]
 pub struct DivergentRoots {
     /// The original function's normalized root term.
     pub original: String,

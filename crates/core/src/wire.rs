@@ -1,14 +1,26 @@
 //! The versioned verdict wire format: a zero-dependency JSON value type,
-//! encoder and recursive-descent parser, plus [`ToWire`]/[`FromWire`]
-//! serialization for the whole verdict vocabulary.
+//! encoder and recursive-descent parser, plus [`ToWire`] encoding for the
+//! whole verdict vocabulary.
 //!
 //! Everything the validator can say about a function pair — [`Verdict`],
 //! [`FailReason`], [`ValidationStats`], [`Witness`], [`TriagedVerdict`] —
-//! encodes to a [`Json`] value and parses back, so verdicts can cross a
-//! process boundary (the `llvm-md serve` daemon, the on-disk verdict store,
-//! the `BENCH_*.json` artifacts) without a serde dependency. The driver
-//! crate layers its own report types (`Report`, `ChainReport`,
-//! `CampaignReport`, `Blame`) on the same traits.
+//! encodes to a [`Json`] value, so verdicts can leave the process (`llvm-md
+//! serve` verdict lines, the on-disk verdict store, `llvm-md validate` and
+//! `chain` reports) without a serde dependency. Encoding is one-way: no
+//! consumer decodes a verdict back into typed values, it reads the fields
+//! it needs from the parsed [`Json`] tree.
+//!
+//! # Records
+//!
+//! Each struct in the vocabulary is declared once, in a
+//! [`wire_record!`](crate::wire_record) field table that lists every field
+//! in wire order with its key. The table generates both the record's
+//! [`ToWire`] impl and its `PartialEq`, the *determinism contract*:
+//! equality compares every field except those marked `[timing]` (durations
+//! and scheduling-dependent counters), so two runs over the same inputs
+//! compare equal at any worker count. The driver declares its report
+//! records (`FunctionRecord`, `Report`, `Blame`, `ChainStep`,
+//! `ChainReport`, `CampaignReport`) the same way.
 //!
 //! # Versioning
 //!
@@ -20,10 +32,8 @@
 //! modules, so refusing to guess is always safe — and a version bump is the
 //! documented signal that byte layouts changed.
 //!
-//! # Round-trip guarantees
+//! # Byte guarantees
 //!
-//! * **Value fixpoint** — for every `T: ToWire + FromWire` here,
-//!   `T::from_wire(&t.to_wire())` reconstructs an equal value.
 //! * **Byte fixpoint** — for every [`Json`] value `j`,
 //!   `parse(&j.to_string()).to_string() == j.to_string()`: encoding is a
 //!   fixpoint of parse∘encode, which is what lets the serve daemon replay
@@ -36,7 +46,7 @@
 use crate::cache::CacheStats;
 use crate::egraph::SaturationStats;
 use crate::rules::RewriteCounts;
-use crate::sat::{SatOutcome, SatSkip, SatStats, SolverStats};
+use crate::sat::{SatOutcome, SatStats, SolverStats};
 use crate::triage::{Triage, TriageClass, TriagedVerdict, VerdictClass, Witness};
 use crate::validate::{DivergentRoots, FailReason, Normalizer, ValidationStats, Verdict};
 use gated_ssa::GateError;
@@ -117,22 +127,6 @@ impl Json {
         }
     }
 
-    /// The boolean payload, if this is a [`Json::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a [`Json::Num`].
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The string payload, if this is a [`Json::Str`].
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -156,37 +150,11 @@ impl Json {
             .ok_or_else(|| WireError::schema(format!("field `{key}` is not a string")))
     }
 
-    /// A required boolean field.
-    pub fn bool_field(&self, key: &str) -> Result<bool, WireError> {
-        self.field(key)?
-            .as_bool()
-            .ok_or_else(|| WireError::schema(format!("field `{key}` is not a bool")))
-    }
-
-    /// A required numeric field.
-    pub fn f64_field(&self, key: &str) -> Result<f64, WireError> {
-        self.field(key)?
-            .as_f64()
-            .ok_or_else(|| WireError::schema(format!("field `{key}` is not a number")))
-    }
-
     /// A required `u64` field, accepting both number and `"0x…"` / decimal
     /// string encodings (see [`parse_u64`]).
     pub fn u64_field(&self, key: &str) -> Result<u64, WireError> {
         parse_u64(self.field(key)?)
             .map_err(|e| WireError::schema(format!("field `{key}`: {}", e.msg)))
-    }
-
-    /// A required `usize` field.
-    pub fn usize_field(&self, key: &str) -> Result<usize, WireError> {
-        Ok(self.u64_field(key)? as usize)
-    }
-
-    /// A required array field.
-    pub fn arr_field(&self, key: &str) -> Result<&[Json], WireError> {
-        self.field(key)?
-            .as_arr()
-            .ok_or_else(|| WireError::schema(format!("field `{key}` is not an array")))
     }
 }
 
@@ -567,43 +535,8 @@ pub fn parse_u64(v: &Json) -> Result<u64, WireError> {
     }
 }
 
-/// Encode a byte string as lowercase hex.
-pub fn bytes_hex(bytes: &[u8]) -> Json {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        use fmt::Write;
-        write!(s, "{b:02x}").expect("fmt::Write to String cannot fail");
-    }
-    Json::Str(s)
-}
-
-/// Decode a [`bytes_hex`] string back to bytes.
-pub fn parse_bytes(v: &Json) -> Result<Vec<u8>, WireError> {
-    let s = v.as_str().ok_or_else(|| WireError::schema("bytes must be a hex string"))?;
-    if s.len() % 2 != 0 {
-        return Err(WireError::schema("odd-length hex byte string"));
-    }
-    (0..s.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&s[2 * i..2 * i + 2], 16)
-                .map_err(|_| WireError::schema(format!("bad hex byte string `{s}`")))
-        })
-        .collect()
-}
-
-/// Encode a [`Duration`] as integer nanoseconds (exact to 2⁵³ ns ≈ 104
-/// days, far beyond any validation query).
-pub fn duration_ns(d: Duration) -> Json {
-    Json::Num(d.as_nanos() as f64)
-}
-
-/// Decode a [`duration_ns`] value.
-pub fn parse_duration(v: &Json) -> Result<Duration, WireError> {
-    Ok(Duration::from_nanos(parse_u64(v)?))
-}
-
 // ---------------------------------------------------------------------------
-// The serialization traits and the versioned envelope.
+// The encoding trait and the versioned envelope.
 
 /// Types that encode to a wire [`Json`] value.
 pub trait ToWire {
@@ -611,11 +544,38 @@ pub trait ToWire {
     fn to_wire(&self) -> Json;
 }
 
-/// Types that decode from a wire [`Json`] value (strict inverse of
-/// [`ToWire`]).
-pub trait FromWire: Sized {
-    /// Decode from a wire value produced by [`ToWire::to_wire`].
-    fn from_wire(v: &Json) -> Result<Self, WireError>;
+impl ToWire for bool {
+    fn to_wire(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+/// Counters. Full-width words (seeds, witness arguments) are encoded with
+/// [`u64_hex`] instead, by an encoder override in their record's table.
+impl ToWire for u64 {
+    fn to_wire(&self) -> Json {
+        Json::num(*self as f64)
+    }
+}
+
+impl ToWire for usize {
+    fn to_wire(&self) -> Json {
+        Json::num(*self as f64)
+    }
+}
+
+impl ToWire for String {
+    fn to_wire(&self) -> Json {
+        Json::str(self)
+    }
+}
+
+/// Integer nanoseconds (exact to 2⁵³ ns ≈ 104 days, far beyond any
+/// validation query). Duration keys end in `_ns`.
+impl ToWire for Duration {
+    fn to_wire(&self) -> Json {
+        Json::num(self.as_nanos() as f64)
+    }
 }
 
 impl<T: ToWire> ToWire for Option<T> {
@@ -630,16 +590,6 @@ impl<T: ToWire> ToWire for Option<T> {
 impl<T: ToWire> ToWire for Vec<T> {
     fn to_wire(&self) -> Json {
         Json::Arr(self.iter().map(ToWire::to_wire).collect())
-    }
-}
-
-impl<T: FromWire> FromWire for Vec<T> {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        v.as_arr()
-            .ok_or_else(|| WireError::schema("expected an array"))?
-            .iter()
-            .map(T::from_wire)
-            .collect()
     }
 }
 
@@ -675,121 +625,185 @@ pub fn doc_type(doc: &Json) -> Result<&str, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Verdict-vocabulary impls (core + the lir/gated types embedded in it).
+// Record tables.
 
-impl ToWire for RewriteCounts {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("phi", Json::num(self.phi as f64)),
-            ("constfold", Json::num(self.constfold as f64)),
-            ("loadstore", Json::num(self.loadstore as f64)),
-            ("eta", Json::num(self.eta as f64)),
-            ("commuting", Json::num(self.commuting as f64)),
-            ("libc", Json::num(self.libc as f64)),
-            ("float", Json::num(self.float as f64)),
-        ])
+/// Declare record structs by their field tables, generating the listed
+/// traits from each table:
+///
+/// ```text
+/// wire_record! {
+///     impl ToWire, PartialEq for Record {
+///         count: "count",
+///         words: "words" => encode_words,
+///         duration: "duration_ns" [timing],
+///     }
+/// }
+/// ```
+///
+/// * **`ToWire`** encodes a JSON object with one `"key": value` entry per
+///   field, in table order. A field's value is its own [`ToWire`] encoding
+///   unless the table names an encoder override (`=> path`, a function
+///   taking the field by reference and returning [`Json`]).
+/// * **`PartialEq`** is the determinism contract: every field compares
+///   except those marked `[timing]` — values that vary run to run
+///   (durations, scheduling-dependent counters). A record without a
+///   `ToWire` may omit the keys.
+///
+/// Both impls destructure the struct exhaustively, so a struct field the
+/// table does not list is a compile error.
+#[macro_export]
+macro_rules! wire_record {
+    (@ToWire $ty:ident {
+        $( $field:ident : $key:literal $(=> $enc:path)? $([$class:ident])? ),* $(,)?
+    }) => {
+        impl $crate::wire::ToWire for $ty {
+            fn to_wire(&self) -> $crate::wire::Json {
+                let $ty { $($field),* } = self;
+                $crate::wire::Json::obj([
+                    $( ($key, $crate::wire_record!(@encode $field $($enc)?)) ),*
+                ])
+            }
+        }
+    };
+    (@PartialEq $ty:ident {
+        $( $field:ident $(: $key:literal)? $(=> $enc:path)? $([$class:ident])? ),* $(,)?
+    }) => {
+        impl PartialEq for $ty {
+            fn eq(&self, other: &$ty) -> bool {
+                let $ty { $($field),* } = self;
+                $( $crate::wire_record!(@eq other $field $($class)?) && )* true
+            }
+        }
+    };
+    (@encode $field:ident) => { $crate::wire::ToWire::to_wire($field) };
+    (@encode $field:ident $enc:path) => { $enc($field) };
+    (@eq $other:ident $field:ident) => { *$field == $other.$field };
+    (@eq $other:ident $field:ident timing) => {{
+        let _ = $field;
+        true
+    }};
+    ($( impl $($tr:ident),+ for $ty:ident $fields:tt )*) => {
+        $( $( $crate::wire_record!(@$tr $ty $fields); )+ )*
+    };
+}
+
+wire_record! {
+    impl ToWire, PartialEq for RewriteCounts {
+        phi: "phi",
+        constfold: "constfold",
+        loadstore: "loadstore",
+        eta: "eta",
+        commuting: "commuting",
+        libc: "libc",
+        float: "float",
+    }
+    impl ToWire, PartialEq for CacheStats {
+        hits: "hits",
+        misses: "misses",
+        skips: "skips",
+        evictions: "evictions",
+    }
+    impl ToWire, PartialEq for DivergentRoots {
+        original: "original",
+        optimized: "optimized",
+    }
+    impl ToWire, PartialEq for SaturationStats {
+        iterations: "iterations",
+        e_classes: "e_classes",
+        e_nodes: "e_nodes",
+        saturated: "saturated",
+    }
+    impl ToWire, PartialEq for SolverStats {
+        conflicts: "conflicts",
+        decisions: "decisions",
+        propagations: "propagations",
+        restarts: "restarts",
+        learned: "learned",
+    }
+    impl ToWire, PartialEq for SatStats {
+        outcome: "outcome",
+        vars: "vars",
+        clauses: "clauses",
+        unrolled: "unrolled",
+        residuals: "residuals",
+        solver: "solver",
+        duration: "duration_ns" [timing],
+    }
+    impl ToWire, PartialEq for ValidationStats {
+        nodes_initial: "nodes_initial",
+        nodes_final: "nodes_final",
+        rounds: "rounds",
+        rewrites: "rewrites",
+        cycle_merges: "cycle_merges",
+        duration: "duration_ns" [timing],
+        divergent_roots: "divergent_roots",
+        saturation: "saturation",
+    }
+    impl ToWire, PartialEq for Verdict {
+        validated: "validated",
+        reason: "reason",
+        stats: "stats",
+    }
+    // `Outcome` lives in `lir`, which derives its `PartialEq`.
+    impl ToWire for Outcome {
+        ret: "ret" => hex_word_opt,
+        globals: "globals" => hex_byte_strings,
+        trace: "trace" => call_trace,
+    }
+    impl ToWire, PartialEq for Witness {
+        args: "args" => hex_words,
+        original: "original",
+        optimized: "optimized" => ok_or_trap,
+    }
+    impl ToWire, PartialEq for Triage {
+        class: "class",
+        witness: "witness",
+        rewrites: "rewrites",
+        divergent_roots: "divergent_roots",
+        inputs_run: "inputs_run",
+        inputs_skipped: "inputs_skipped",
+        sat: "sat",
+    }
+    impl ToWire, PartialEq for TriagedVerdict {
+        verdict: "verdict",
+        triage: "triage",
     }
 }
 
-impl FromWire for RewriteCounts {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(RewriteCounts {
-            phi: v.u64_field("phi")?,
-            constfold: v.u64_field("constfold")?,
-            loadstore: v.u64_field("loadstore")?,
-            eta: v.u64_field("eta")?,
-            commuting: v.u64_field("commuting")?,
-            libc: v.u64_field("libc")?,
-            float: v.u64_field("float")?,
-        })
+/// Full-width words as `"0x…"` strings.
+fn hex_words(words: &[u64]) -> Json {
+    Json::Arr(words.iter().map(|&w| u64_hex(w)).collect())
+}
+
+fn hex_word_opt(word: &Option<u64>) -> Json {
+    word.map_or(Json::Null, u64_hex)
+}
+
+/// Byte strings (global memory images) as lowercase hex.
+fn hex_byte_strings(strings: &[Vec<u8>]) -> Json {
+    let hex = |bytes: &Vec<u8>| Json::Str(bytes.iter().map(|b| format!("{b:02x}")).collect());
+    Json::Arr(strings.iter().map(hex).collect())
+}
+
+/// External calls in order, each with its full-width arguments.
+fn call_trace(trace: &[(String, Vec<u64>)]) -> Json {
+    Json::Arr(
+        trace
+            .iter()
+            .map(|(name, args)| Json::obj([("name", Json::str(name)), ("args", hex_words(args))]))
+            .collect(),
+    )
+}
+
+fn ok_or_trap(optimized: &Result<Outcome, Trap>) -> Json {
+    match optimized {
+        Ok(o) => Json::obj([("ok", o.to_wire())]),
+        Err(t) => Json::obj([("trap", t.to_wire())]),
     }
 }
 
-impl ToWire for CacheStats {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("hits", Json::num(self.hits as f64)),
-            ("misses", Json::num(self.misses as f64)),
-            ("skips", Json::num(self.skips as f64)),
-            ("evictions", Json::num(self.evictions as f64)),
-        ])
-    }
-}
-
-impl FromWire for CacheStats {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(CacheStats {
-            hits: v.u64_field("hits")?,
-            misses: v.u64_field("misses")?,
-            skips: v.u64_field("skips")?,
-            evictions: v.u64_field("evictions")?,
-        })
-    }
-}
-
-impl ToWire for DivergentRoots {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("original", Json::str(&self.original)),
-            ("optimized", Json::str(&self.optimized)),
-        ])
-    }
-}
-
-impl FromWire for DivergentRoots {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(DivergentRoots {
-            original: v.str_field("original")?.to_owned(),
-            optimized: v.str_field("optimized")?.to_owned(),
-        })
-    }
-}
-
-impl ToWire for SaturationStats {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("iterations", Json::num(self.iterations as f64)),
-            ("e_classes", Json::num(self.e_classes as f64)),
-            ("e_nodes", Json::num(self.e_nodes as f64)),
-            ("saturated", Json::Bool(self.saturated)),
-        ])
-    }
-}
-
-impl FromWire for SaturationStats {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(SaturationStats {
-            iterations: v.usize_field("iterations")?,
-            e_classes: v.usize_field("e_classes")?,
-            e_nodes: v.usize_field("e_nodes")?,
-            saturated: v.bool_field("saturated")?,
-        })
-    }
-}
-
-impl ToWire for SolverStats {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("conflicts", Json::num(self.conflicts as f64)),
-            ("decisions", Json::num(self.decisions as f64)),
-            ("propagations", Json::num(self.propagations as f64)),
-            ("restarts", Json::num(self.restarts as f64)),
-            ("learned", Json::num(self.learned as f64)),
-        ])
-    }
-}
-
-impl FromWire for SolverStats {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(SolverStats {
-            conflicts: v.u64_field("conflicts")?,
-            decisions: v.u64_field("decisions")?,
-            propagations: v.u64_field("propagations")?,
-            restarts: v.u64_field("restarts")?,
-            learned: v.u64_field("learned")?,
-        })
-    }
-}
+// ---------------------------------------------------------------------------
+// Enums.
 
 impl ToWire for SatOutcome {
     fn to_wire(&self) -> Json {
@@ -802,97 +816,9 @@ impl ToWire for SatOutcome {
     }
 }
 
-impl FromWire for SatOutcome {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        match v.str_field("kind")? {
-            "proved" => Ok(SatOutcome::Proved),
-            "refuted" => Ok(SatOutcome::Refuted),
-            "inconclusive" => Ok(SatOutcome::Inconclusive),
-            "capped" => Ok(SatOutcome::Capped),
-            "skipped" => {
-                let r = v.str_field("reason")?;
-                SatSkip::parse(r)
-                    .map(SatOutcome::Skipped)
-                    .ok_or_else(|| WireError::schema(format!("unknown sat skip reason `{r}`")))
-            }
-            other => Err(WireError::schema(format!("unknown sat outcome `{other}`"))),
-        }
-    }
-}
-
-impl ToWire for SatStats {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("outcome", self.outcome.to_wire()),
-            ("vars", Json::num(self.vars as f64)),
-            ("clauses", Json::num(self.clauses as f64)),
-            ("unrolled", Json::num(self.unrolled as f64)),
-            ("residuals", Json::num(self.residuals as f64)),
-            ("solver", self.solver.to_wire()),
-            ("duration_ns", duration_ns(self.duration)),
-        ])
-    }
-}
-
-impl FromWire for SatStats {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(SatStats {
-            outcome: v.opt_field("outcome").map(SatOutcome::from_wire).transpose()?,
-            vars: v.usize_field("vars")?,
-            clauses: v.usize_field("clauses")?,
-            unrolled: v.usize_field("unrolled")?,
-            residuals: v.usize_field("residuals")?,
-            solver: SolverStats::from_wire(v.field("solver")?)?,
-            duration: parse_duration(v.field("duration_ns")?)?,
-        })
-    }
-}
-
 impl ToWire for Normalizer {
     fn to_wire(&self) -> Json {
         Json::str(self.as_str())
-    }
-}
-
-impl FromWire for Normalizer {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        let s = v.as_str().ok_or_else(|| WireError::schema("normalizer must be a string"))?;
-        Normalizer::parse(s).ok_or_else(|| WireError::schema(format!("unknown normalizer `{s}`")))
-    }
-}
-
-impl ToWire for ValidationStats {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("nodes_initial", Json::num(self.nodes_initial as f64)),
-            ("nodes_final", Json::num(self.nodes_final as f64)),
-            ("rounds", Json::num(self.rounds as f64)),
-            ("rewrites", self.rewrites.to_wire()),
-            ("cycle_merges", Json::num(self.cycle_merges as f64)),
-            ("duration_ns", duration_ns(self.duration)),
-            ("divergent_roots", self.divergent_roots.to_wire()),
-            ("saturation", self.saturation.to_wire()),
-        ])
-    }
-}
-
-impl FromWire for ValidationStats {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(ValidationStats {
-            nodes_initial: v.usize_field("nodes_initial")?,
-            nodes_final: v.usize_field("nodes_final")?,
-            rounds: v.usize_field("rounds")?,
-            rewrites: RewriteCounts::from_wire(v.field("rewrites")?)?,
-            cycle_merges: v.usize_field("cycle_merges")?,
-            duration: parse_duration(v.field("duration_ns")?)?,
-            divergent_roots: v
-                .opt_field("divergent_roots")
-                .map(DivergentRoots::from_wire)
-                .transpose()?,
-            // Absent on pre-saturation lines: decodes as "the saturation
-            // engine did not run", keeping old stores replayable.
-            saturation: v.opt_field("saturation").map(SaturationStats::from_wire).transpose()?,
-        })
     }
 }
 
@@ -916,46 +842,6 @@ impl ToWire for FailReason {
     }
 }
 
-impl FromWire for FailReason {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        match v.str_field("kind")? {
-            "gate" => match v.str_field("gate")? {
-                "irreducible" => Ok(FailReason::Gate(GateError::Irreducible)),
-                "malformed" => {
-                    Ok(FailReason::Gate(GateError::Malformed(v.str_field("detail")?.to_owned())))
-                }
-                other => Err(WireError::schema(format!("unknown gate error `{other}`"))),
-            },
-            "signature" => Ok(FailReason::Signature),
-            "roots-differ" => Ok(FailReason::RootsDiffer),
-            "budget" => Ok(FailReason::Budget),
-            "missing-function" => Ok(FailReason::MissingFunction),
-            "extra-function" => Ok(FailReason::ExtraFunction),
-            other => Err(WireError::schema(format!("unknown fail reason `{other}`"))),
-        }
-    }
-}
-
-impl ToWire for Verdict {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("validated", Json::Bool(self.validated)),
-            ("reason", self.reason.to_wire()),
-            ("stats", self.stats.to_wire()),
-        ])
-    }
-}
-
-impl FromWire for Verdict {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(Verdict {
-            validated: v.bool_field("validated")?,
-            reason: v.opt_field("reason").map(FailReason::from_wire).transpose()?,
-            stats: ValidationStats::from_wire(v.field("stats")?)?,
-        })
-    }
-}
-
 impl ToWire for Trap {
     fn to_wire(&self) -> Json {
         match self {
@@ -974,97 +860,6 @@ impl ToWire for Trap {
     }
 }
 
-impl FromWire for Trap {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        match v.str_field("kind")? {
-            "div-by-zero" => Ok(Trap::DivByZero),
-            "out-of-bounds" => Ok(Trap::OutOfBounds { addr: v.u64_field("addr")? }),
-            "out-of-fuel" => Ok(Trap::OutOfFuel),
-            "unknown-function" => Ok(Trap::UnknownFunction(v.str_field("name")?.to_owned())),
-            "unreachable" => Ok(Trap::Unreachable),
-            "stack-overflow" => Ok(Trap::StackOverflow),
-            "undef-value" => Ok(Trap::UndefValue),
-            other => Err(WireError::schema(format!("unknown trap `{other}`"))),
-        }
-    }
-}
-
-impl ToWire for Outcome {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("ret", self.ret.map(u64_hex).unwrap_or(Json::Null)),
-            ("globals", Json::Arr(self.globals.iter().map(|g| bytes_hex(g)).collect())),
-            (
-                "trace",
-                Json::Arr(
-                    self.trace
-                        .iter()
-                        .map(|(name, args)| {
-                            Json::obj([
-                                ("name", Json::str(name)),
-                                ("args", Json::Arr(args.iter().map(|&a| u64_hex(a)).collect())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl FromWire for Outcome {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(Outcome {
-            ret: v.opt_field("ret").map(parse_u64).transpose()?,
-            globals: v.arr_field("globals")?.iter().map(parse_bytes).collect::<Result<_, _>>()?,
-            trace: v
-                .arr_field("trace")?
-                .iter()
-                .map(|e| {
-                    Ok((
-                        e.str_field("name")?.to_owned(),
-                        e.arr_field("args")?.iter().map(parse_u64).collect::<Result<_, _>>()?,
-                    ))
-                })
-                .collect::<Result<_, WireError>>()?,
-        })
-    }
-}
-
-impl ToWire for Witness {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("args", Json::Arr(self.args.iter().map(|&a| u64_hex(a)).collect())),
-            ("original", self.original.to_wire()),
-            (
-                "optimized",
-                match &self.optimized {
-                    Ok(o) => Json::obj([("ok", o.to_wire())]),
-                    Err(t) => Json::obj([("trap", t.to_wire())]),
-                },
-            ),
-        ])
-    }
-}
-
-impl FromWire for Witness {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        let optimized = v.field("optimized")?;
-        let optimized = if let Some(o) = optimized.get("ok") {
-            Ok(Outcome::from_wire(o)?)
-        } else if let Some(t) = optimized.get("trap") {
-            Err(Trap::from_wire(t)?)
-        } else {
-            return Err(WireError::schema("witness `optimized` needs `ok` or `trap`"));
-        };
-        Ok(Witness {
-            args: v.arr_field("args")?.iter().map(parse_u64).collect::<Result<_, _>>()?,
-            original: Outcome::from_wire(v.field("original")?)?,
-            optimized,
-        })
-    }
-}
-
 impl ToWire for TriageClass {
     fn to_wire(&self) -> Json {
         Json::str(match self {
@@ -1074,76 +869,9 @@ impl ToWire for TriageClass {
     }
 }
 
-impl FromWire for TriageClass {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        match v.as_str() {
-            Some("real-miscompile") => Ok(TriageClass::RealMiscompile),
-            Some("suspected-incomplete") => Ok(TriageClass::SuspectedIncomplete),
-            _ => Err(WireError::schema(format!("unknown triage class `{v}`"))),
-        }
-    }
-}
-
-impl ToWire for Triage {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("class", self.class.to_wire()),
-            ("witness", self.witness.to_wire()),
-            ("rewrites", self.rewrites.to_wire()),
-            ("divergent_roots", self.divergent_roots.to_wire()),
-            ("inputs_run", Json::num(self.inputs_run as f64)),
-            ("inputs_skipped", Json::num(self.inputs_skipped as f64)),
-            ("sat", self.sat.to_wire()),
-        ])
-    }
-}
-
-impl FromWire for Triage {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(Triage {
-            class: TriageClass::from_wire(v.field("class")?)?,
-            witness: v.opt_field("witness").map(Witness::from_wire).transpose()?,
-            rewrites: RewriteCounts::from_wire(v.field("rewrites")?)?,
-            divergent_roots: v
-                .opt_field("divergent_roots")
-                .map(DivergentRoots::from_wire)
-                .transpose()?,
-            inputs_run: v.usize_field("inputs_run")?,
-            inputs_skipped: v.usize_field("inputs_skipped")?,
-            // Optional for backward compatibility: lines written before
-            // tier 2 existed decode as never-queried.
-            sat: v.opt_field("sat").map(SatStats::from_wire).transpose()?,
-        })
-    }
-}
-
-impl ToWire for TriagedVerdict {
-    fn to_wire(&self) -> Json {
-        Json::obj([("verdict", self.verdict.to_wire()), ("triage", self.triage.to_wire())])
-    }
-}
-
-impl FromWire for TriagedVerdict {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(TriagedVerdict {
-            verdict: Verdict::from_wire(v.field("verdict")?)?,
-            triage: v.opt_field("triage").map(Triage::from_wire).transpose()?,
-        })
-    }
-}
-
 impl ToWire for VerdictClass {
     fn to_wire(&self) -> Json {
         Json::str(self.to_string())
-    }
-}
-
-impl FromWire for VerdictClass {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        v.as_str()
-            .ok_or_else(|| WireError::schema("verdict class must be a string"))?
-            .parse()
-            .map_err(WireError::schema)
     }
 }
 
@@ -1234,15 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_hex_round_trips() {
-        for bytes in [vec![], vec![0u8], vec![0xde, 0xad, 0xbe, 0xef], (0..=255).collect()] {
-            assert_eq!(parse_bytes(&bytes_hex(&bytes)).expect("bytes"), bytes);
-        }
-        assert!(parse_bytes(&Json::str("abc")).is_err(), "odd length");
-        assert!(parse_bytes(&Json::str("zz")).is_err(), "non-hex");
-    }
-
-    #[test]
     fn envelope_versioning_is_strict() {
         let doc = envelope("verdict", [("x", Json::num(1.0))]);
         check_version(&doc).expect("own version accepted");
@@ -1250,69 +969,5 @@ mod tests {
         let future = Json::obj([(VERSION_KEY, Json::num(SCHEMA_VERSION as f64 + 1.0))]);
         assert!(check_version(&future).is_err(), "future versions must be rejected");
         assert!(check_version(&Json::obj::<&str>([])).is_err(), "missing version must error");
-    }
-
-    #[test]
-    fn fail_reasons_round_trip() {
-        let reasons = [
-            FailReason::Gate(GateError::Irreducible),
-            FailReason::Gate(GateError::Malformed("entry has φ".to_owned())),
-            FailReason::Signature,
-            FailReason::RootsDiffer,
-            FailReason::Budget,
-            FailReason::MissingFunction,
-            FailReason::ExtraFunction,
-        ];
-        for r in reasons {
-            let back = FailReason::from_wire(&r.to_wire()).expect("from_wire");
-            assert_eq!(back, r);
-        }
-    }
-
-    #[test]
-    fn witness_round_trips_through_text() {
-        let w = Witness {
-            args: vec![0, u64::MAX, 0x1234_5678_9abc_def0],
-            original: Outcome {
-                ret: Some(u64::MAX - 1),
-                globals: vec![vec![1, 2, 3], vec![]],
-                trace: vec![("printf".to_owned(), vec![7, u64::MAX])],
-            },
-            optimized: Err(Trap::OutOfBounds { addr: u64::MAX }),
-        };
-        let text = w.to_wire().to_string();
-        let back = Witness::from_wire(&parse(&text).expect("parse")).expect("from_wire");
-        assert_eq!(back, w);
-        assert_eq!(back.to_wire().to_string(), text);
-    }
-
-    #[test]
-    fn verdict_round_trips_through_text() {
-        let v = Verdict {
-            validated: false,
-            reason: Some(FailReason::RootsDiffer),
-            stats: ValidationStats {
-                nodes_initial: 120,
-                nodes_final: 88,
-                rounds: 7,
-                rewrites: RewriteCounts { phi: 3, constfold: 2, ..RewriteCounts::default() },
-                cycle_merges: 1,
-                duration: Duration::from_nanos(123_456_789),
-                divergent_roots: Some(DivergentRoots {
-                    original: "(add x 1)".to_owned(),
-                    optimized: "(add x 2)".to_owned(),
-                }),
-                saturation: Some(SaturationStats {
-                    iterations: 5,
-                    e_classes: 40,
-                    e_nodes: 61,
-                    saturated: true,
-                }),
-            },
-        };
-        let text = v.to_wire().to_string();
-        let back = Verdict::from_wire(&parse(&text).expect("parse")).expect("from_wire");
-        // Verdict has no PartialEq; the byte fixpoint is the contract.
-        assert_eq!(back.to_wire().to_string(), text);
     }
 }

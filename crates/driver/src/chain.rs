@@ -32,7 +32,7 @@
 //!
 //! Everything in a [`ChainReport`] except wall-clock durations and the
 //! [`CacheStats`] counters is deterministic at any worker count
-//! ([`ChainReport::same_outcome`] checks exactly that projection): records
+//! (`ChainReport`'s equality checks exactly that projection): records
 //! aggregate in step/input order, triage batteries are seeded per function,
 //! and cached graphs are built from canonicalized functions so a verdict
 //! can never depend on which worker populated the cache first. The hit/miss
@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 /// Pass-level blame for one alarming function: the first chain step whose
 /// validation failed, with that step's evidence.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Blame {
     /// The function that alarmed.
     pub function: String,
@@ -296,22 +296,6 @@ impl ChainReport {
             !(real_miscompile && certified.get(&key).copied().unwrap_or(false))
         })
     }
-
-    /// True when both chain reports carry the same timing-independent
-    /// outcome: same steps, same per-step and end-to-end records (modulo
-    /// durations, see [`Report::same_outcome`]) and same blames. The
-    /// [`CacheStats`] counters are deliberately excluded — concurrent
-    /// misses on one key make them scheduling-dependent.
-    pub fn same_outcome(&self, other: &ChainReport) -> bool {
-        self.steps.len() == other.steps.len()
-            && self
-                .steps
-                .iter()
-                .zip(&other.steps)
-                .all(|(a, b)| a.pass == b.pass && a.report.same_outcome(&b.report))
-            && self.end_to_end.same_outcome(&other.end_to_end)
-            && self.blames == other.blames
-    }
 }
 
 /// Validates a `PassManager` pipeline step-by-step on a worker pool (see
@@ -554,7 +538,7 @@ mod tests {
     }
 
     /// Chain reports are worker-count deterministic (the chain analogue of
-    /// the engine's `same_outcome` contract).
+    /// the engine's determinism contract).
     #[test]
     fn chain_reports_agree_across_worker_counts() {
         let m = corpus_module();
@@ -569,7 +553,7 @@ mod tests {
         for workers in [2, 4] {
             let par = ChainValidator::new(ValidationEngine::with_workers(workers))
                 .validate_chain(&m, &pm, &strict);
-            assert!(serial.same_outcome(&par), "workers={workers}: chain outcomes differ");
+            assert_eq!(serial, par, "workers={workers}: chain outcomes differ");
         }
     }
 

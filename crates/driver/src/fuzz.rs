@@ -23,9 +23,10 @@
 //! violated) is a second finding class, minimized the same way.
 //!
 //! Campaigns are deterministic modulo wall-clock: the same
-//! [`CampaignConfig`] produces [`CampaignReport::same_outcome`]-equal
-//! reports at any worker count — findings, minimized repros and per-profile
-//! rates included — which is what lets CI pin a fixed-seed smoke.
+//! [`CampaignConfig`] produces equal [`CampaignReport`]s (equality skips
+//! the wall-clock) at any worker count — findings, minimized repros and
+//! per-profile rates included — which is what lets CI pin a fixed-seed
+//! smoke.
 //!
 //! # Repro files
 //!
@@ -228,7 +229,7 @@ pub struct CampaignReport {
     /// Findings beyond [`CampaignConfig::max_findings`] that were counted
     /// but not stored/minimized.
     pub findings_truncated: usize,
-    /// Campaign wall-clock (excluded from [`CampaignReport::same_outcome`]).
+    /// Campaign wall-clock (excluded from equality).
     pub wall: Duration,
 }
 
@@ -242,17 +243,6 @@ impl CampaignReport {
     /// chain inconsistencies).
     pub fn soundness_failures(&self) -> usize {
         self.findings.len() + self.findings_truncated
-    }
-
-    /// True when both reports carry the same timing-independent outcome —
-    /// the campaign's worker-count determinism contract (wall-clock is the
-    /// only excluded field).
-    pub fn same_outcome(&self, other: &CampaignReport) -> bool {
-        self.seed == other.seed
-            && self.passes == other.passes
-            && self.profiles == other.profiles
-            && self.findings == other.findings
-            && self.findings_truncated == other.findings_truncated
     }
 }
 

@@ -30,7 +30,7 @@
 //! rewrite trace and divergent normalized roots). Triage runs on the same
 //! worker pool as validation — each worker triages the alarms it
 //! discovers — and is deterministic per function, so reports still agree
-//! at any worker count ([`Report::same_outcome`] includes the triage
+//! at any worker count (`Report`'s equality includes the triage
 //! classification).
 //!
 //! [`Cascade::Tiered`] extends triage with the bit-precise SAT query
@@ -68,11 +68,13 @@
 //! the report is identical to the historical serial driver; at any worker
 //! count the report differs only in wall-clock durations and the
 //! schedule-dependent [`PoolStats`] counters, which — like
-//! `llvm_md_core::CacheStats` — are excluded from every `same_outcome`
-//! contract. The batched [`ValidationEngine::validate_corpus`]
-//! entry point streams whole corpora of modules through one pool
-//! (optimization parallel per module, validation parallel per function)
-//! for service-style throughput runs — see the `fig4_scaling` benchmark.
+//! `llvm_md_core::CacheStats` — are outside every report's equality: the
+//! determinism contract, generated from each record's field table, skips
+//! durations and scheduling-dependent counters. The batched
+//! [`ValidationEngine::validate_corpus`] entry point streams whole corpora
+//! of modules through one pool (optimization parallel per module,
+//! validation parallel per function) for service-style throughput runs —
+//! see the `fig4_scaling` benchmark.
 //!
 //! # Function pairing
 //!
@@ -150,24 +152,6 @@ pub struct FunctionRecord {
 }
 
 impl FunctionRecord {
-    /// True when both records carry the same timing-independent outcome:
-    /// every field except `duration`, which varies run to run even on one
-    /// thread. Validation itself is deterministic, so two runs over the
-    /// same inputs must agree on this projection regardless of worker
-    /// count.
-    pub fn same_outcome(&self, other: &FunctionRecord) -> bool {
-        self.name == other.name
-            && self.insts_before == other.insts_before
-            && self.insts_after == other.insts_after
-            && self.transformed == other.transformed
-            && self.validated == other.validated
-            && self.reason == other.reason
-            && self.rewrites == other.rewrites
-            && self.rounds == other.rounds
-            && self.saturation == other.saturation
-            && self.triage == other.triage
-    }
-
     /// The record's [`VerdictClass`] projection ([`VerdictClass::of`]):
     /// untriaged alarms classify conservatively as suspected-incomplete; a
     /// tier-2 UNSAT proof upgrades to [`VerdictClass::ProvedEquivalent`].
@@ -245,14 +229,6 @@ impl Report {
     /// [`Cascade::Tiered`] runs.
     pub fn proved_equivalent(&self) -> usize {
         self.triaged(VerdictClass::ProvedEquivalent)
-    }
-
-    /// True when both reports carry the same records modulo wall-clock
-    /// timing (see [`FunctionRecord::same_outcome`]) — the determinism
-    /// contract between the serial driver and the parallel engine.
-    pub fn same_outcome(&self, other: &Report) -> bool {
-        self.records.len() == other.records.len()
-            && self.records.iter().zip(&other.records).all(|(a, b)| a.same_outcome(b))
     }
 }
 
@@ -871,7 +847,7 @@ mod tests {
             let engine = ValidationEngine::with_workers(workers);
             assert_eq!(engine.workers(), workers);
             let (out, rep) = engine.llvm_md(&m, &pm, &v);
-            assert!(serial_rep.same_outcome(&rep), "workers={workers}: report outcomes differ");
+            assert_eq!(serial_rep, rep, "workers={workers}: report outcomes differ");
             assert_eq!(
                 format!("{serial_out}"),
                 format!("{out}"),
@@ -924,7 +900,7 @@ mod tests {
         assert!(!changed(&m.functions[0], &out.functions[0]));
     }
 
-    /// Triage is deterministic across worker counts: `same_outcome` (which
+    /// Triage is deterministic across worker counts: report equality (which
     /// includes the triage classification and witness) must hold between a
     /// serial and a parallel triaged run.
     #[test]
@@ -956,7 +932,7 @@ mod tests {
         for workers in [2, 4] {
             let engine = ValidationEngine::with_workers(workers);
             let (_, rep) = engine.llvm_md(&m, &pm, &strict);
-            assert!(serial.same_outcome(&rep), "workers={workers}: triaged outcomes differ");
+            assert_eq!(serial, rep, "workers={workers}: triaged outcomes differ");
         }
     }
 
@@ -979,7 +955,7 @@ mod tests {
             assert_eq!(batch.len(), mods.len());
             for (m, (out, rep)) in mods.iter().zip(&batch) {
                 let (serial_out, serial_rep) = ValidationEngine::serial().llvm_md(m, &pm, &v);
-                assert!(serial_rep.same_outcome(rep), "workers={workers}: corpus report differs");
+                assert_eq!(serial_rep, *rep, "workers={workers}: corpus report differs");
                 assert_eq!(format!("{serial_out}"), format!("{out}"));
             }
         }

@@ -15,7 +15,7 @@
 //! mapped exactly once no matter how the steals interleave; results are
 //! written back by job index and returned in input order. Validation
 //! queries are pure, so schedule only moves wall-clock time around — the
-//! driver's `same_outcome` contracts hold at every worker count.
+//! driver's report equalities hold at every worker count.
 //! [`PoolStats`] steal/batch counters, by contrast, *do* vary with
 //! scheduling; like `llvm_md_core::CacheStats` they are reporting data and
 //! deliberately excluded from every determinism contract.
@@ -41,7 +41,7 @@ static STEALS: AtomicU64 = AtomicU64::new(0);
 /// data, not part of any determinism contract**: how many steals a batch
 /// sees depends on OS scheduling and varies run to run, while the reports
 /// built on the pool (`Report`, `ChainReport`, `CampaignReport`) stay
-/// `same_outcome`-identical at every worker count.
+/// equal at every worker count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Parallel batches dispatched (serial `workers = 1` runs don't count —

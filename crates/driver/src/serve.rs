@@ -30,9 +30,11 @@
 //! the store is on disk) containing a fingerprint pair the store has seen
 //! answers from the store without re-validating, and the replayed line is
 //! byte-identical to the first run's. `verdict` lines deliberately carry no
-//! request id and no wall-clock field, so "byte-identical" is a meaningful,
-//! testable contract (`batch-begin`/`batch-end` carry the per-request
-//! bookkeeping instead). Pairing alarms (missing/extra functions) have no
+//! request id (`batch-begin`/`batch-end` carry the per-request bookkeeping
+//! instead). They do carry the verdict's wall-clock fields (`duration_ns`,
+//! and `triage.sat.duration_ns` under tier 2), which a re-validation would
+//! not reproduce: replay is byte-identical because the store returns the
+//! stored bytes. Pairing alarms (missing/extra functions) have no
 //! fingerprint pair; their lines are rebuilt per batch, deterministically.
 //!
 //! Verdicts are only comparable across runs that used the same rewrite
@@ -332,11 +334,12 @@ impl Server {
         Ok(())
     }
 
-    /// One wire verdict line. Carries **no request id** and no wall-clock
-    /// bookkeeping: its bytes are a pure function of (function name,
-    /// fingerprint pair, triaged verdict) plus the server's fixed engine
-    /// configuration, which is what makes stored replays byte-identical
-    /// across batches. The `normalizer`/`rule_engine`/`tier2` stamp
+    /// One wire verdict line: (function name, fingerprint pair, triaged
+    /// verdict) plus the server's fixed engine configuration, and **no
+    /// request id**. The verdict's wall-clock fields (`duration_ns`, and
+    /// `triage.sat.duration_ns` under tier 2) vary between computations;
+    /// replays are byte-identical because the store keeps and returns the
+    /// line verbatim. The `normalizer`/`rule_engine`/`tier2` stamp
     /// identifies the rewrite engine and cascade depth the verdict was
     /// computed under, so a store shared across configurations never
     /// replays a verdict from a different one.
@@ -501,7 +504,7 @@ fn replayable(line: &str, normalizer: Normalizer, cascade: &Cascade) -> Option<b
     };
     let line_engine = match doc.get("rule_engine") {
         None => 1,
-        Some(v) => v.as_f64()? as u64,
+        Some(v) => wire::parse_u64(v).ok()?,
     };
     let line_tier2 = match doc.get("tier2") {
         None => false,

@@ -1,282 +1,63 @@
-//! Wire-format ([`llvm_md_core::wire`]) serialization for the driver's
-//! report vocabulary: [`FunctionRecord`]/[`Report`], the chain layer's
-//! [`Blame`]/[`ChainStep`]/[`ChainReport`], and the fuzz campaign's
-//! [`Finding`]/[`ProfileStats`]/[`CampaignReport`].
+//! Field tables ([`llvm_md_core::wire_record!`]) for the driver's report
+//! vocabulary: [`FunctionRecord`]/[`Report`] and the chain layer's
+//! [`Blame`]/[`ChainStep`]/[`ChainReport`], which `llvm-md validate` and
+//! `llvm-md chain` print, plus the fuzz campaign's [`CampaignReport`],
+//! which only needs the determinism contract.
 //!
-//! Layouts follow the core conventions: durations as integer nanoseconds,
-//! full-width `u64` values (seeds, witness args) as `"0x…"` hex strings,
-//! modules as their printed `.ll` text (parsed back with
-//! [`lir::parse::parse_module`]). Like the core impls, every `FromWire`
-//! here is a strict inverse of its `ToWire` — `tests/wire.rs` pins the
-//! encode→parse→encode fixpoint over values harvested from real triage and
-//! campaign runs.
+//! Layouts follow the core conventions: durations as integer nanoseconds
+//! under `_ns` keys. Each table also generates the record's `PartialEq`,
+//! which skips the `[timing]` fields: durations, and the chain's
+//! [`CacheStats`](llvm_md_core::CacheStats) counters, which depend on which
+//! worker missed first. Two runs over the same inputs compare equal at any
+//! worker count.
 
 use crate::chain::{Blame, ChainReport, ChainStep};
-use crate::fuzz::{CampaignReport, Finding, FindingKind, ProfileStats};
+use crate::fuzz::CampaignReport;
 use crate::{FunctionRecord, Report};
-use lir::parse::parse_module;
-use llvm_md_core::triage::Triage;
-use llvm_md_core::wire::{duration_ns, parse_duration, u64_hex, FromWire, Json, ToWire, WireError};
-use llvm_md_core::{CacheStats, FailReason, SaturationStats};
-use llvm_md_workload::reduce::ReduceStats;
+use llvm_md_core::wire_record;
 
-impl ToWire for FunctionRecord {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(&self.name)),
-            ("insts_before", Json::num(self.insts_before as f64)),
-            ("insts_after", Json::num(self.insts_after as f64)),
-            ("transformed", Json::Bool(self.transformed)),
-            ("validated", Json::Bool(self.validated)),
-            ("reason", self.reason.to_wire()),
-            ("duration_ns", duration_ns(self.duration)),
-            ("rewrites", self.rewrites.to_wire()),
-            ("rounds", Json::num(self.rounds as f64)),
-            ("saturation", self.saturation.to_wire()),
-            ("triage", self.triage.to_wire()),
-        ])
+wire_record! {
+    impl ToWire, PartialEq for FunctionRecord {
+        name: "name",
+        insts_before: "insts_before",
+        insts_after: "insts_after",
+        transformed: "transformed",
+        validated: "validated",
+        reason: "reason",
+        duration: "duration_ns" [timing],
+        rewrites: "rewrites",
+        rounds: "rounds",
+        saturation: "saturation",
+        triage: "triage",
     }
-}
-
-impl FromWire for FunctionRecord {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(FunctionRecord {
-            name: v.str_field("name")?.to_owned(),
-            insts_before: v.usize_field("insts_before")?,
-            insts_after: v.usize_field("insts_after")?,
-            transformed: v.bool_field("transformed")?,
-            validated: v.bool_field("validated")?,
-            reason: v.opt_field("reason").map(FailReason::from_wire).transpose()?,
-            duration: parse_duration(v.field("duration_ns")?)?,
-            rewrites: FromWire::from_wire(v.field("rewrites")?)?,
-            rounds: v.usize_field("rounds")?,
-            saturation: v.opt_field("saturation").map(SaturationStats::from_wire).transpose()?,
-            triage: v.opt_field("triage").map(Triage::from_wire).transpose()?,
-        })
+    impl ToWire, PartialEq for Report {
+        records: "records",
+        opt_time: "opt_time_ns" [timing],
+        validate_time: "validate_time_ns" [timing],
     }
-}
-
-impl ToWire for Report {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("records", self.records.to_wire()),
-            ("opt_time_ns", duration_ns(self.opt_time)),
-            ("validate_time_ns", duration_ns(self.validate_time)),
-        ])
+    impl ToWire, PartialEq for Blame {
+        function: "function",
+        step: "step",
+        pass: "pass",
+        reason: "reason",
+        triage: "triage",
     }
-}
-
-impl FromWire for Report {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(Report {
-            records: FromWire::from_wire(v.field("records")?)?,
-            opt_time: parse_duration(v.field("opt_time_ns")?)?,
-            validate_time: parse_duration(v.field("validate_time_ns")?)?,
-        })
+    impl ToWire, PartialEq for ChainStep {
+        pass: "pass",
+        report: "report",
     }
-}
-
-impl ToWire for Blame {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("function", Json::str(&self.function)),
-            ("step", Json::num(self.step as f64)),
-            ("pass", Json::str(&self.pass)),
-            ("reason", self.reason.to_wire()),
-            ("triage", self.triage.to_wire()),
-        ])
+    impl ToWire, PartialEq for ChainReport {
+        steps: "steps",
+        end_to_end: "end_to_end",
+        blames: "blames",
+        cache: "cache" [timing],
     }
-}
-
-impl FromWire for Blame {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(Blame {
-            function: v.str_field("function")?.to_owned(),
-            step: v.usize_field("step")?,
-            pass: v.str_field("pass")?.to_owned(),
-            reason: v.opt_field("reason").map(FailReason::from_wire).transpose()?,
-            triage: v.opt_field("triage").map(Triage::from_wire).transpose()?,
-        })
-    }
-}
-
-impl ToWire for ChainStep {
-    fn to_wire(&self) -> Json {
-        Json::obj([("pass", Json::str(&self.pass)), ("report", self.report.to_wire())])
-    }
-}
-
-impl FromWire for ChainStep {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(ChainStep {
-            pass: v.str_field("pass")?.to_owned(),
-            report: Report::from_wire(v.field("report")?)?,
-        })
-    }
-}
-
-impl ToWire for ChainReport {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("steps", self.steps.to_wire()),
-            ("end_to_end", self.end_to_end.to_wire()),
-            ("blames", self.blames.to_wire()),
-            ("cache", self.cache.to_wire()),
-        ])
-    }
-}
-
-impl FromWire for ChainReport {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(ChainReport {
-            steps: FromWire::from_wire(v.field("steps")?)?,
-            end_to_end: Report::from_wire(v.field("end_to_end")?)?,
-            blames: FromWire::from_wire(v.field("blames")?)?,
-            cache: CacheStats::from_wire(v.field("cache")?)?,
-        })
-    }
-}
-
-impl ToWire for FindingKind {
-    fn to_wire(&self) -> Json {
-        Json::str(self.to_string())
-    }
-}
-
-impl FromWire for FindingKind {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        v.as_str()
-            .ok_or_else(|| WireError::schema("finding kind must be a string"))?
-            .parse()
-            .map_err(WireError::schema)
-    }
-}
-
-fn reduce_stats_wire(s: &ReduceStats) -> Json {
-    Json::obj([
-        ("oracle_calls", Json::num(s.oracle_calls as f64)),
-        ("accepted", Json::num(s.accepted as f64)),
-        ("verifier_rejected", Json::num(s.verifier_rejected as f64)),
-        ("insts_before", Json::num(s.insts_before as f64)),
-        ("insts_after", Json::num(s.insts_after as f64)),
-    ])
-}
-
-fn reduce_stats_from(v: &Json) -> Result<ReduceStats, WireError> {
-    Ok(ReduceStats {
-        oracle_calls: v.usize_field("oracle_calls")?,
-        accepted: v.usize_field("accepted")?,
-        verifier_rejected: v.usize_field("verifier_rejected")?,
-        insts_before: v.usize_field("insts_before")?,
-        insts_after: v.usize_field("insts_after")?,
-    })
-}
-
-fn module_from(v: &Json, key: &str) -> Result<lir::func::Module, WireError> {
-    parse_module(v.str_field(key)?)
-        .map_err(|e| WireError::schema(format!("field `{key}`: unparseable module: {e}")))
-}
-
-impl ToWire for Finding {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("profile", Json::str(&self.profile)),
-            ("index", Json::num(self.index as f64)),
-            ("function", Json::str(&self.function)),
-            ("kind", self.kind.to_wire()),
-            ("witness", Json::Arr(self.witness.iter().map(|&a| u64_hex(a)).collect())),
-            ("module", Json::str(format!("{}", self.module))),
-            ("minimized", Json::str(format!("{}", self.minimized))),
-            ("reduce_stats", reduce_stats_wire(&self.reduce_stats)),
-        ])
-    }
-}
-
-impl FromWire for Finding {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(Finding {
-            profile: v.str_field("profile")?.to_owned(),
-            index: v.usize_field("index")?,
-            function: v.str_field("function")?.to_owned(),
-            kind: FindingKind::from_wire(v.field("kind")?)?,
-            witness: v
-                .arr_field("witness")?
-                .iter()
-                .map(llvm_md_core::wire::parse_u64)
-                .collect::<Result<_, _>>()?,
-            module: module_from(v, "module")?,
-            minimized: module_from(v, "minimized")?,
-            reduce_stats: reduce_stats_from(v.field("reduce_stats")?)?,
-        })
-    }
-}
-
-impl ToWire for ProfileStats {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("profile", Json::str(&self.profile)),
-            ("modules", Json::num(self.modules as f64)),
-            ("functions", Json::num(self.functions as f64)),
-            ("transformed", Json::num(self.transformed as f64)),
-            ("validated", Json::num(self.validated as f64)),
-            ("suspected_incomplete", Json::num(self.suspected_incomplete as f64)),
-            ("real_miscompiles", Json::num(self.real_miscompiles as f64)),
-            ("pairing_alarms", Json::num(self.pairing_alarms as f64)),
-            ("chain_runs", Json::num(self.chain_runs as f64)),
-            ("chain_certified", Json::num(self.chain_certified as f64)),
-            ("chain_inconsistent", Json::num(self.chain_inconsistent as f64)),
-        ])
-    }
-}
-
-impl FromWire for ProfileStats {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(ProfileStats {
-            profile: v.str_field("profile")?.to_owned(),
-            modules: v.usize_field("modules")?,
-            functions: v.usize_field("functions")?,
-            transformed: v.usize_field("transformed")?,
-            validated: v.usize_field("validated")?,
-            suspected_incomplete: v.usize_field("suspected_incomplete")?,
-            real_miscompiles: v.usize_field("real_miscompiles")?,
-            pairing_alarms: v.usize_field("pairing_alarms")?,
-            chain_runs: v.usize_field("chain_runs")?,
-            chain_certified: v.usize_field("chain_certified")?,
-            chain_inconsistent: v.usize_field("chain_inconsistent")?,
-        })
-    }
-}
-
-impl ToWire for CampaignReport {
-    fn to_wire(&self) -> Json {
-        Json::obj([
-            ("seed", u64_hex(self.seed)),
-            ("passes", Json::Arr(self.passes.iter().map(Json::str).collect())),
-            ("profiles", self.profiles.to_wire()),
-            ("findings", self.findings.to_wire()),
-            ("findings_truncated", Json::num(self.findings_truncated as f64)),
-            ("wall_ns", duration_ns(self.wall)),
-        ])
-    }
-}
-
-impl FromWire for CampaignReport {
-    fn from_wire(v: &Json) -> Result<Self, WireError> {
-        Ok(CampaignReport {
-            seed: v.u64_field("seed")?,
-            passes: v
-                .arr_field("passes")?
-                .iter()
-                .map(|p| {
-                    p.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| WireError::schema("pass names must be strings"))
-                })
-                .collect::<Result<_, _>>()?,
-            profiles: FromWire::from_wire(v.field("profiles")?)?,
-            findings: FromWire::from_wire(v.field("findings")?)?,
-            findings_truncated: v.usize_field("findings_truncated")?,
-            wall: parse_duration(v.field("wall_ns")?)?,
-        })
+    impl PartialEq for CampaignReport {
+        seed,
+        passes,
+        profiles,
+        findings,
+        findings_truncated,
+        wall [timing],
     }
 }

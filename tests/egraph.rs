@@ -180,7 +180,7 @@ fn injected_bugs_are_rejected_under_every_normalizer() {
 
 /// Saturation preserves the engine's worker-count determinism: the
 /// full optimize → validate report (saturation stats included — they are
-/// part of `FunctionRecord::same_outcome`) is identical at 1, 2 and 4
+/// part of `FunctionRecord` equality) is identical at 1, 2 and 4
 /// workers.
 #[test]
 fn saturating_reports_are_worker_count_deterministic() {
@@ -191,8 +191,8 @@ fn saturating_reports_are_worker_count_deterministic() {
         let (serial_out, serial_rep) = ValidationEngine::serial().llvm_md(m, &pm, &v);
         for workers in [1, 2, 4] {
             let (out, rep) = ValidationEngine::with_workers(workers).llvm_md(m, &pm, &v);
-            assert!(
-                rep.same_outcome(&serial_rep),
+            assert_eq!(
+                rep, serial_rep,
                 "normalizer {} workers={workers}: report diverged",
                 v.normalizer
             );

@@ -1,5 +1,5 @@
 //! Integration tests for the differential-fuzzing subsystem: campaign
-//! worker-count determinism (same seed ⇒ `same_outcome`-equal reports,
+//! worker-count determinism (same seed ⇒ equal reports,
 //! findings and minimized repros included), the reducer's
 //! oracle-preservation contract (a reduced module keeps the original's
 //! verdict class), and the repro corpus's regenerability (every finding's
@@ -38,7 +38,7 @@ fn campaign_is_worker_count_deterministic() {
         let par = FuzzCampaign::new(ValidationEngine::with_workers(workers), quick_config())
             .run(&v)
             .expect("known pipeline");
-        assert!(par.same_outcome(&serial), "workers={workers}: campaign outcomes differ");
+        assert_eq!(par, serial, "workers={workers}: campaign outcomes differ");
     }
 }
 
@@ -56,7 +56,7 @@ fn injected_campaign_findings_are_worker_count_deterministic() {
     let par = FuzzCampaign::new(ValidationEngine::with_workers(4), config.clone())
         .run(&v)
         .expect("resolves");
-    assert!(par.same_outcome(&serial), "4 workers: findings or repros differ");
+    assert_eq!(par, serial, "4 workers: findings or repros differ");
     // Every stored finding replays from its persisted form.
     for finding in &serial.findings {
         let text = repro_to_string(finding, serial.seed, &serial.passes);

@@ -33,7 +33,7 @@ fn naive() -> Validator {
     Validator { interning: Interning::Naive, ..Validator::new() }
 }
 
-/// Both interners must produce `same_outcome`-identical reports and
+/// Both interners must produce equal reports (timings aside) and
 /// byte-identical certified modules. Checked at 1 worker (serial path) and
 /// 4 (work-stealing path).
 fn assert_modes_agree(m: &llvm_md::lir::func::Module, label: &str) {
@@ -42,8 +42,8 @@ fn assert_modes_agree(m: &llvm_md::lir::func::Module, label: &str) {
         let engine = ValidationEngine::with_workers(workers);
         let (out_f, rep_f) = engine.llvm_md(m, &pm, &fast());
         let (out_n, rep_n) = engine.llvm_md(m, &pm, &naive());
-        assert!(
-            rep_f.same_outcome(&rep_n),
+        assert_eq!(
+            rep_f, rep_n,
             "{label}, workers={workers}: fast/naive interning reports diverge"
         );
         assert_eq!(
@@ -85,25 +85,17 @@ fn injected_bugs_agree_across_interners() {
             let engine = ValidationEngine::with_workers(workers);
             let rep_f = engine.validate_modules(&bug.module, &bug.broken, &fast_t);
             let rep_n = engine.validate_modules(&bug.module, &bug.broken, &naive_t);
-            assert!(
-                rep_f.same_outcome(&rep_n),
+            assert_eq!(
+                rep_f, rep_n,
                 "{} ({:?}), workers={workers}: triaged reports diverge",
-                bug.name,
-                bug.kind
+                bug.name, bug.kind
             );
         }
         let orig = bug.module.functions.iter().find(|f| f.name == bug.function).expect("target");
         let broke = bug.broken.functions.iter().find(|f| f.name == bug.function).expect("target");
         let vf = fast().validate(orig, broke);
         let vn = naive().validate(orig, broke);
-        assert_eq!(vf.validated, vn.validated, "{}: verdicts differ", bug.name);
-        assert_eq!(vf.reason, vn.reason, "{}: fail reasons differ", bug.name);
-        assert_eq!(vf.stats.nodes_initial, vn.stats.nodes_initial, "{}", bug.name);
-        assert_eq!(vf.stats.nodes_final, vn.stats.nodes_final, "{}", bug.name);
-        assert_eq!(vf.stats.rounds, vn.stats.rounds, "{}", bug.name);
-        assert_eq!(vf.stats.rewrites, vn.stats.rewrites, "{}", bug.name);
-        assert_eq!(vf.stats.cycle_merges, vn.stats.cycle_merges, "{}", bug.name);
-        assert_eq!(vf.stats.divergent_roots, vn.stats.divergent_roots, "{}", bug.name);
+        assert_eq!(vf, vn, "{}: verdicts differ", bug.name);
     }
 }
 

@@ -3,7 +3,7 @@
 //! The `ValidationEngine` runs batches on per-worker deques with stealing
 //! (`llvm_md_driver::pool`). Validation queries are pure, results are
 //! aggregated by job index, and the job set is static, so every report type
-//! must be `same_outcome`-identical at *any* worker count — steals move
+//! must be equal (timings aside) at *any* worker count — steals move
 //! work between threads, never change it. The [`PoolStats`] steal/batch
 //! counters are the one schedule-dependent observable; like
 //! `llvm_md_core::CacheStats` they are reporting data, explicitly excluded
@@ -24,7 +24,7 @@ fn test_module(seed: u64) -> llvm_md::lir::func::Module {
     generate(&p)
 }
 
-/// `Report::same_outcome` holds at workers {1, 2, 4, 8}: the one-shot
+/// `Report` equality holds at workers {1, 2, 4, 8}: the one-shot
 /// pipeline report and the certified module match the serial run exactly.
 #[test]
 fn report_is_identical_at_all_worker_counts() {
@@ -34,12 +34,12 @@ fn report_is_identical_at_all_worker_counts() {
     let (serial_out, serial_rep) = ValidationEngine::serial().llvm_md(&m, &pm, &v);
     for workers in WORKER_COUNTS {
         let (out, rep) = ValidationEngine::with_workers(workers).llvm_md(&m, &pm, &v);
-        assert!(rep.same_outcome(&serial_rep), "workers={workers}: report diverged");
+        assert_eq!(rep, serial_rep, "workers={workers}: report diverged");
         assert_eq!(format!("{out}"), format!("{serial_out}"), "workers={workers}");
     }
 }
 
-/// `ChainReport::same_outcome` holds at workers {1, 2, 4, 8}, including
+/// `ChainReport` equality holds at workers {1, 2, 4, 8}, including
 /// the per-pass blame and the certified-composition cross-check.
 #[test]
 fn chain_report_is_identical_at_all_worker_counts() {
@@ -51,11 +51,11 @@ fn chain_report_is_identical_at_all_worker_counts() {
     for workers in WORKER_COUNTS {
         let par = ChainValidator::new(ValidationEngine::with_workers(workers))
             .validate_chain(&m, &pm, &v);
-        assert!(serial.same_outcome(&par), "workers={workers}: chain report diverged");
+        assert_eq!(serial, par, "workers={workers}: chain report diverged");
     }
 }
 
-/// `CampaignReport::same_outcome` holds at workers {1, 2, 4, 8}: findings,
+/// `CampaignReport` equality holds at workers {1, 2, 4, 8}: findings,
 /// minimized repros and per-profile stats all match the serial campaign.
 #[test]
 fn campaign_report_is_identical_at_all_worker_counts() {
@@ -75,12 +75,12 @@ fn campaign_report_is_identical_at_all_worker_counts() {
         let par = FuzzCampaign::new(ValidationEngine::with_workers(workers), config.clone())
             .run(&v)
             .expect("known pipeline");
-        assert!(par.same_outcome(&serial), "workers={workers}: campaign diverged");
+        assert_eq!(par, serial, "workers={workers}: campaign diverged");
     }
 }
 
 /// The steal/batch counters are *outside* the determinism contract: two
-/// runs whose `PoolStats` deltas differ still compare `same_outcome`, and
+/// runs whose `PoolStats` deltas differ still compare equal, and
 /// no report type even exposes the counters. Serial runs bypass the pool
 /// entirely (no batch is counted), parallel runs advance the batch counter.
 #[test]
@@ -105,5 +105,5 @@ fn pool_counters_are_excluded_from_the_outcome_contract() {
 
     // Counters moved between the two runs; the outcome contract is
     // untouched by them.
-    assert!(par_rep.same_outcome(&serial_rep), "counters must not leak into same_outcome");
+    assert_eq!(par_rep, serial_rep, "counters must not leak into report equality");
 }

@@ -303,7 +303,7 @@ fn gating_ignores_names() {
 
 /// The parallel engine is outcome-deterministic: at `workers ∈ {1, 4}` the
 /// certified module and the report must equal the serial driver's (modulo
-/// wall-clock durations, which `Report::same_outcome` excludes). Fewer
+/// wall-clock durations, which `Report` equality skips). Fewer
 /// cases than the default budget — each case optimizes and validates a
 /// whole generated module three times.
 #[test]
@@ -322,7 +322,7 @@ fn parallel_engine_matches_serial_driver() {
         for workers in [1usize, 4] {
             let (out, rep) = ValidationEngine::with_workers(workers).llvm_md(&m, &pm, &v);
             ensure!(
-                serial_rep.same_outcome(&rep),
+                serial_rep == rep,
                 "workers={workers}: engine report diverged from the serial driver"
             );
             ensure_eq!(
@@ -352,8 +352,8 @@ fn corpus_batching_matches_per_module_runs() {
         let batch = ValidationEngine::with_workers(workers).validate_corpus(&modules, &pm, &v);
         assert_eq!(batch.len(), reference.len());
         for ((out, rep), (serial_out, serial_rep)) in batch.iter().zip(&reference) {
-            assert!(
-                serial_rep.same_outcome(rep),
+            assert_eq!(
+                serial_rep, rep,
                 "workers={workers}: corpus report diverged from per-module serial runs"
             );
             assert_eq!(format!("{serial_out}"), format!("{out}"), "workers={workers}");
@@ -433,7 +433,7 @@ fn chain_report_is_worker_count_deterministic() {
             let par = ChainValidator::new(ValidationEngine::with_workers(workers))
                 .validate_chain(&m, &pm, &v);
             ensure!(
-                serial.same_outcome(&par),
+                serial == par,
                 "workers={workers}: chain report diverged from the serial chain"
             );
         }

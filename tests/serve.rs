@@ -240,6 +240,41 @@ fn untagged_legacy_lines_replay_only_under_the_destructive_engine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A stored line whose `rule_engine` stamp is not a whole number is
+/// malformed, not an older or newer engine: it is a store miss, never
+/// truncated to engine 1 and replayed.
+#[test]
+fn fractional_engine_stamps_are_store_misses() {
+    let dir = tmpdir("fractional-stamp");
+    let (original, optimized) = suite_pair(1);
+    let batch = validate_request("b", &original, &optimized);
+    let script = format!("{}{}", batch, control_request("shutdown", "x"));
+    for stamp in [1.5, 1.99] {
+        let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
+        let (_, lines) = run_script(&server, &script);
+        let verdicts = lines_of_type(&lines, "verdict");
+        assert!(!verdicts.is_empty());
+        for v in &verdicts {
+            let Json::Obj(fields) = (*v).clone() else { panic!("verdict must be an object") };
+            let restamped = Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| if k == "rule_engine" { (k, Json::num(stamp)) } else { (k, v) })
+                    .collect(),
+            );
+            let key = line_key(&restamped).expect("verdicts carry a fingerprint pair");
+            server.store().put(key, &restamped.to_string()).unwrap();
+        }
+
+        let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
+        let (_, lines) = run_script(&server, &script);
+        let end = lines_of_type(&lines, "batch-end")[0];
+        assert_eq!(field_u64(end, "store_hits"), 0, "rule_engine {stamp} must not replay");
+        assert_eq!(field_u64(end, "validations_run") as usize, verdicts.len());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An alarm line replays only under a cascade that triages exactly when
 /// the line's writer did: a triaging server over a store written by a
 /// plain server re-validates the untriaged alarm (and then answers the

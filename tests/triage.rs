@@ -174,7 +174,7 @@ fn paper_corpus_injections_agree_with_interpretation() {
 
 #[test]
 fn triaged_corpus_reports_are_worker_count_independent() {
-    // Determinism: triage rides the worker pool, and `same_outcome`
+    // Determinism: triage rides the worker pool, and report equality
     // includes the triage classification and witness — so a 4-worker run
     // must agree with the serial run record-for-record.
     let opts = TriageOptions::default();
@@ -183,6 +183,6 @@ fn triaged_corpus_reports_are_worker_count_independent() {
     for (_, m) in generate_suite(40) {
         let (_, serial) = ValidationEngine::serial().llvm_md(&m, &pm, &validator);
         let (_, parallel) = ValidationEngine::with_workers(4).llvm_md(&m, &pm, &validator);
-        assert!(serial.same_outcome(&parallel), "triaged reports diverged between 1 and 4 workers");
+        assert_eq!(serial, parallel, "triaged reports diverged between 1 and 4 workers");
     }
 }
