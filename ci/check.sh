@@ -283,6 +283,34 @@ EOF
   done
   echo "bench artifacts smoke OK"
 
+  echo "==> artifact identity (BENCH_chain.json, BENCH_sat.json regenerate at their committed settings)"
+  # Both artifacts are deterministic apart from their wall-clock fields (keys
+  # ending in _s, _ms or _ns), so regenerating them at the settings they were
+  # committed with must reproduce every other value. A change that moves a
+  # verdict, a blame, a cache count or a SAT count re-baselines the artifact
+  # in the same commit. The chain run is serial: cache hit/miss counts race
+  # between workers.
+  ident_dir="$(mktemp -d)"
+  BENCH_OUT_DIR="$ident_dir" LLVM_MD_WORKERS=1 cargo run --release --offline -q \
+    -p llvm_md_bench --bin table3_chain -- --scale 4 --battery 16 > /dev/null
+  BENCH_OUT_DIR="$ident_dir" cargo run --release --offline -q -p llvm_md_bench \
+    --bin table4_sat -- --scale 4 --battery 16 > /dev/null
+  python3 - "$ident_dir" BENCH_chain.json BENCH_sat.json <<'EOF'
+import json, os, sys
+def untimed(x):
+    if isinstance(x, dict):
+        return {k: untimed(v) for k, v in x.items() if not k.endswith(("_s", "_ms", "_ns"))}
+    if isinstance(x, list):
+        return [untimed(v) for v in x]
+    return x
+for name in sys.argv[2:]:
+    committed = untimed(json.load(open(name)))
+    fresh = untimed(json.load(open(os.path.join(sys.argv[1], name))))
+    moved = sorted(k for k in committed.keys() | fresh.keys() if committed.get(k) != fresh.get(k))
+    assert not moved, f"{name} does not regenerate at its committed settings; moved: {moved}"
+print(f"artifact identity OK: {', '.join(sys.argv[2:])} match apart from timing fields")
+EOF
+
   echo "==> perf gate (micro medians vs committed BENCH_micro.json, fail on >2x regression)"
   # Guard the hash-consing/interner win: re-run the micro benchmarks into a
   # throwaway dir and compare per-axis medians against the committed

@@ -36,10 +36,10 @@
 //! cross-check (which validates M0 against Mn through the normal path)
 //! bounds the blast radius to a single chain step.
 
-use crate::validate::{Deadline, FailReason, ValidationStats, Validator, Verdict};
 use gated_ssa::{GateError, GatedFunction};
-use lir::func::{Function, Module};
+use lir::func::Function;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 // The one FNV-1a implementation (shared with campaign seed derivation and
@@ -61,20 +61,16 @@ pub fn fingerprint(f: &Function) -> u64 {
 /// [`fingerprint`] for a function that is *already* canonical
 /// ([`Function::canonicalized`] output) — callers that keep the canonical
 /// form around (chain validation does, to feed
-/// [`GraphCache::gated_canonical`]) pay canonicalization once, not twice.
+/// [`Validator::validate_cascade_cached`]) pay canonicalization once, not
+/// twice.
+///
+/// [`Validator::validate_cascade_cached`]: crate::Validator::validate_cascade_cached
 pub fn fingerprint_canonical(canonical: &Function) -> u64 {
     use std::fmt::Write;
     use std::hash::Hasher;
     let mut h = Fnv1a::new();
     write!(h, "{canonical}").expect("hashing Display output cannot fail");
     h.finish()
-}
-
-/// Fingerprints for every function of a module, in function order — the
-/// per-version vector chain validation computes once and indexes from both
-/// adjacent pairs.
-pub fn module_fingerprints(m: &Module) -> Vec<u64> {
-    m.functions.iter().map(fingerprint).collect()
 }
 
 /// A cached gated-SSA build outcome. Gate *errors* are cached too:
@@ -114,6 +110,83 @@ impl CacheStats {
     }
 }
 
+/// A map bounded by an entry cap with least-recently-used eviction — the
+/// one policy behind [`GraphCache`] and the driver's verdict store. Every
+/// access stamps its entry from a monotonic counter; [`Lru::evict_over_cap`]
+/// drops the oldest stamps in a batch down to ⅞ of the cap (not just one
+/// entry), so a map sitting at its cap doesn't pay a full sort on every
+/// later insert. Inserts never evict by themselves: the holder decides
+/// when ([`GraphCache`] after every miss, the store after every put and
+/// once after loading its files).
+#[derive(Debug)]
+pub struct Lru<K, V> {
+    map: HashMap<K, (V, u64)>,
+    stamp: u64,
+    cap: usize,
+}
+
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    /// An empty map holding at most `cap` entries (at least 1;
+    /// `usize::MAX` never evicts).
+    pub fn new(cap: usize) -> Lru<K, V> {
+        Lru { map: HashMap::new(), stamp: 0, cap: cap.max(1) }
+    }
+
+    /// The value for `key`, marking it most recently used.
+    pub fn get(&mut self, key: &K) -> Option<&V> {
+        let entry = self.map.get_mut(key)?;
+        self.stamp += 1;
+        entry.1 = self.stamp;
+        Some(&entry.0)
+    }
+
+    /// Insert `value` under `key`, replacing any earlier value: the later
+    /// insert wins.
+    pub fn insert(&mut self, key: K, value: V) {
+        self.stamp += 1;
+        self.map.insert(key, (value, self.stamp));
+    }
+
+    /// The value under `key`, inserting `value` only when the key is
+    /// absent: the first insert wins.
+    pub fn get_or_insert(&mut self, key: K, value: V) -> &V {
+        self.stamp += 1;
+        &self.map.entry(key).or_insert((value, self.stamp)).0
+    }
+
+    /// Evict least-recently-used entries down to ⅞ of the cap when over
+    /// it; returns how many were evicted.
+    pub fn evict_over_cap(&mut self) -> u64 {
+        if self.map.len() <= self.cap {
+            return 0;
+        }
+        let surplus = self.map.len() - (self.cap - self.cap / 8).max(1);
+        let oldest: Vec<K> =
+            self.oldest_first().into_iter().take(surplus).map(|(&key, _)| key).collect();
+        for key in &oldest {
+            self.map.remove(key);
+        }
+        surplus as u64
+    }
+
+    /// Every entry, least recently used first.
+    pub fn oldest_first(&self) -> Vec<(&K, &V)> {
+        let mut entries: Vec<(&K, &(V, u64))> = self.map.iter().collect();
+        entries.sort_unstable_by_key(|(_, (_, stamp))| *stamp);
+        entries.into_iter().map(|(key, (value, _))| (key, value)).collect()
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// True when there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+}
+
 /// A thread-safe, fingerprint-keyed cache of gated-SSA graphs.
 ///
 /// One `GraphCache` lives for one chain-validation run (the keys are
@@ -123,9 +196,8 @@ impl CacheStats {
 /// harmless because canonicalized builds are byte-identical per key.
 ///
 /// [`GraphCache::new`] is unbounded (right for one bounded chain run);
-/// long-lived holders — the serve daemon keeps one across requests — use
-/// [`GraphCache::with_capacity`], which evicts least-recently-used entries
-/// past the cap and counts them in [`CacheStats::evictions`].
+/// [`GraphCache::with_capacity`] bounds it with the shared [`Lru`] policy
+/// and counts evictions in [`CacheStats::evictions`].
 #[derive(Debug)]
 pub struct GraphCache {
     inner: Mutex<CacheInner>,
@@ -133,12 +205,8 @@ pub struct GraphCache {
 
 #[derive(Debug)]
 struct CacheInner {
-    map: HashMap<u64, (CachedGated, u64)>,
+    graphs: Lru<u64, CachedGated>,
     stats: CacheStats,
-    /// Monotonic access counter backing the LRU order.
-    stamp: u64,
-    /// Entry cap (`usize::MAX` = unbounded).
-    cap: usize,
 }
 
 impl Default for GraphCache {
@@ -154,28 +222,16 @@ impl GraphCache {
     }
 
     /// An empty cache bounded to at most `cap` graphs: inserting past the
-    /// cap evicts least-recently-used entries (a batch at a time, so
-    /// steady-state inserts don't re-sort on every call).
+    /// cap evicts least-recently-used entries ([`Lru::evict_over_cap`]).
     pub fn with_capacity(cap: usize) -> GraphCache {
         GraphCache {
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                stats: CacheStats::default(),
-                stamp: 0,
-                cap: cap.max(1),
-            }),
+            inner: Mutex::new(CacheInner { graphs: Lru::new(cap), stats: CacheStats::default() }),
         }
     }
 
     /// The gated-SSA graph for a function whose [`fingerprint`] is `fp`,
-    /// building (from the canonicalized form) and caching it on first use.
-    pub fn gated(&self, fp: u64, f: &Function) -> CachedGated {
-        self.gated_with(fp, || gated_ssa::build(&f.canonicalized()))
-    }
-
-    /// [`GraphCache::gated`] for a caller that already holds the function's
-    /// *canonical* form (e.g. because it just computed the fingerprint from
-    /// it): skips the re-canonicalization a miss in `gated` would pay.
+    /// given its *canonical* form ([`Function::canonicalized`]), building
+    /// and caching it on first use.
     pub fn gated_canonical(&self, fp: u64, canonical: &Function) -> CachedGated {
         self.gated_with(fp, || gated_ssa::build(canonical))
     }
@@ -185,18 +241,14 @@ impl GraphCache {
     /// serialize behind it. Builders must gate a canonical form, so the
     /// cached graph is independent of which α-equivalent instance (and
     /// which worker) got here first.
-    fn gated_with(
+    pub(crate) fn gated_with(
         &self,
         fp: u64,
         build: impl FnOnce() -> Result<GatedFunction, GateError>,
     ) -> CachedGated {
         {
             let mut inner = self.inner.lock().expect("graph cache poisoned");
-            inner.stamp += 1;
-            let stamp = inner.stamp;
-            if let Some(entry) = inner.map.get_mut(&fp) {
-                entry.1 = stamp;
-                let g = Arc::clone(&entry.0);
+            if let Some(g) = inner.graphs.get(&fp).map(Arc::clone) {
                 inner.stats.hits += 1;
                 return g;
             }
@@ -204,10 +256,8 @@ impl GraphCache {
         let built: CachedGated = Arc::new(build());
         let mut inner = self.inner.lock().expect("graph cache poisoned");
         inner.stats.misses += 1;
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        let g = Arc::clone(&inner.map.entry(fp).or_insert((built, stamp)).0);
-        inner.evict_over_cap();
+        let g = Arc::clone(inner.graphs.get_or_insert(fp, built));
+        inner.stats.evictions += inner.graphs.evict_over_cap();
         g
     }
 
@@ -223,7 +273,7 @@ impl GraphCache {
 
     /// Number of cached graphs.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("graph cache poisoned").map.len()
+        self.inner.lock().expect("graph cache poisoned").graphs.len()
     }
 
     /// True when nothing has been cached yet.
@@ -232,120 +282,13 @@ impl GraphCache {
     }
 }
 
-impl CacheInner {
-    /// Evict least-recently-used entries when over capacity. Evicts in a
-    /// batch down to ⅞ of the cap (not just one entry), so a cache sitting
-    /// at its cap doesn't pay a full sort on every subsequent insert.
-    fn evict_over_cap(&mut self) {
-        if self.map.len() <= self.cap {
-            return;
-        }
-        let target = (self.cap - self.cap / 8).max(1);
-        let mut by_age: Vec<(u64, u64)> =
-            self.map.iter().map(|(&fp, &(_, stamp))| (stamp, fp)).collect();
-        by_age.sort_unstable();
-        let surplus = self.map.len() - target;
-        for &(_, fp) in by_age.iter().take(surplus) {
-            self.map.remove(&fp);
-            self.stats.evictions += 1;
-        }
-    }
-}
-
-impl Validator {
-    /// [`Validator::validate`] through a [`GraphCache`]: `fps` are the
-    /// precomputed [`fingerprint`]s of `(original, optimized)`.
-    ///
-    /// Equal fingerprints short-circuit to a validated verdict without
-    /// building anything (recorded as a skip — the functions are
-    /// structurally identical modulo renaming, which is semantics
-    /// preservation by construction). Otherwise both gated graphs come from
-    /// the cache and the query runs under one [`Deadline`] exactly like the
-    /// uncached path; cache hits simply don't pay the gating cost again.
-    pub fn validate_cached(
-        &self,
-        original: &Function,
-        optimized: &Function,
-        fps: (u64, u64),
-        cache: &GraphCache,
-    ) -> Verdict {
-        self.validate_cached_impl(original, optimized, fps, cache, false)
-    }
-
-    /// [`Validator::validate_cached`] for callers that hold the *canonical*
-    /// forms of both functions (chain validation keeps them from computing
-    /// the fingerprints): cache misses gate them directly instead of
-    /// re-canonicalizing. Semantically identical — canonicalization only
-    /// renames/reorders.
-    pub fn validate_cached_canonical(
-        &self,
-        original: &Function,
-        optimized: &Function,
-        fps: (u64, u64),
-        cache: &GraphCache,
-    ) -> Verdict {
-        self.validate_cached_impl(original, optimized, fps, cache, true)
-    }
-
-    fn validate_cached_impl(
-        &self,
-        original: &Function,
-        optimized: &Function,
-        fps: (u64, u64),
-        cache: &GraphCache,
-        canonical: bool,
-    ) -> Verdict {
-        let deadline = Deadline::starting_now(self.limits.max_time);
-        let mut stats = ValidationStats::default();
-        if fps.0 == fps.1 {
-            cache.record_skips(1);
-            stats.duration = deadline.elapsed();
-            return Verdict { validated: true, reason: None, stats };
-        }
-        let sig = |f: &Function| (f.ret, f.params.iter().map(|&(_, t)| t).collect::<Vec<_>>());
-        if sig(original) != sig(optimized) {
-            stats.duration = deadline.elapsed();
-            return Verdict::fail(FailReason::Signature, stats);
-        }
-        // Like `GraphCache::gated(_canonical)` but honoring this
-        // validator's interner mode (both modes build byte-identical
-        // graphs, so mixed-mode sharing of one cache stays sound).
-        let lookup = |fp: u64, f: &Function| {
-            if canonical {
-                cache.gated_with(fp, || gated_ssa::build_with(f, self.interning))
-            } else {
-                cache.gated_with(fp, || gated_ssa::build_with(&f.canonicalized(), self.interning))
-            }
-        };
-        let go = lookup(fps.0, original);
-        let gt = lookup(fps.1, optimized);
-        let go = match go.as_ref() {
-            Ok(g) => g,
-            Err(e) => {
-                stats.duration = deadline.elapsed();
-                return Verdict::fail(FailReason::Gate(e.clone()), stats);
-            }
-        };
-        let gt = match gt.as_ref() {
-            Ok(g) => g,
-            Err(e) => {
-                stats.duration = deadline.elapsed();
-                return Verdict::fail(FailReason::Gate(e.clone()), stats);
-            }
-        };
-        if deadline.expired() {
-            stats.duration = deadline.elapsed();
-            return Verdict::fail(FailReason::Budget, stats);
-        }
-        let mut v = self.validate_gated_with_deadline(go, gt, &deadline);
-        v.stats.duration = deadline.elapsed();
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sat::SatOptions;
+    use crate::triage::{Cascade, TriageOptions, VerdictClass};
+    use crate::{FailReason, RuleSet, Validator};
+    use lir::func::Module;
     use lir::parse::parse_module;
 
     fn func(src: &str) -> Function {
@@ -384,51 +327,55 @@ mod tests {
     /// Second lookup of the same key is a hit and returns the same graph.
     #[test]
     fn cache_hits_share_one_build() {
-        let f = func("define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 3\n  ret i64 %x\n}\n");
-        let fp = fingerprint(&f);
+        let f = func("define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 3\n  ret i64 %x\n}\n")
+            .canonicalized();
+        let fp = fingerprint_canonical(&f);
         let cache = GraphCache::new();
-        let g1 = cache.gated(fp, &f);
-        let g2 = cache.gated(fp, &f);
+        let g1 = cache.gated_canonical(fp, &f);
+        let g2 = cache.gated_canonical(fp, &f);
         assert!(Arc::ptr_eq(&g1, &g2), "hit must return the cached build");
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, ..CacheStats::default() });
         assert_eq!(cache.len(), 1);
     }
 
-    /// The cached path and the plain path agree on the verdict.
+    /// The cached cascade on canonical forms reports exactly what the
+    /// uncached cascade reports on the raw forms — for a validated pair, a
+    /// `RootsDiffer` alarm, and a pair only tier 2 proves, which shows the
+    /// cached query hands its own fixpoint to tier 2.
     #[test]
-    fn validate_cached_matches_validate() {
+    fn cached_cascade_matches_uncached() {
         let orig = func(
             "define i64 @f(i64 %a) {\nentry:\n  %x1 = add i64 3, 3\n  %x2 = mul i64 %a, %x1\n  ret i64 %x2\n}\n",
         );
         let opt = func("define i64 @f(i64 %a) {\nentry:\n  %y = mul i64 %a, 6\n  ret i64 %y\n}\n");
         let bad = func("define i64 @f(i64 %a) {\nentry:\n  %y = mul i64 %a, 7\n  ret i64 %y\n}\n");
-        let v = Validator::new();
+        let or_and = func(
+            "define i64 @f(i64 %a, i64 %b) {\nentry:\n  %o = or i64 %a, %b\n  %n = and i64 %a, %b\n  %r = add i64 %o, %n\n  ret i64 %r\n}\n",
+        );
+        let sum = func(
+            "define i64 @f(i64 %a, i64 %b) {\nentry:\n  %r = add i64 %a, %b\n  ret i64 %r\n}\n",
+        );
+        let cascade = Cascade::Tiered(TriageOptions::default(), SatOptions::default());
+        let v = Validator { cascade, ..Validator::new() };
+        let strict = Validator { rules: RuleSet::none(), ..v };
+        let env = Module::default();
         let cache = GraphCache::new();
-        let fo = fingerprint(&orig);
-        let good = v.validate_cached(&orig, &opt, (fo, fingerprint(&opt)), &cache);
-        assert_eq!(good.validated, v.validate(&orig, &opt).validated);
-        assert!(good.validated, "{:?}", good.reason);
-        let alarm = v.validate_cached(&orig, &bad, (fo, fingerprint(&bad)), &cache);
-        assert!(!alarm.validated);
-        assert_eq!(alarm.reason, Some(FailReason::RootsDiffer));
-        // The original's graph was reused across the two queries.
+        let differ = Some(FailReason::RootsDiffer);
+        let cases = [
+            (&v, &orig, &opt, None, VerdictClass::Validated),
+            (&v, &orig, &bad, differ.clone(), VerdictClass::RealMiscompile),
+            (&strict, &or_and, &sum, differ, VerdictClass::ProvedEquivalent),
+        ];
+        for (v, o, t, reason, class) in cases {
+            let (co, ct) = (o.canonicalized(), t.canonicalized());
+            let fps = (fingerprint_canonical(&co), fingerprint_canonical(&ct));
+            let cached = v.validate_cascade_cached(&env, &co, &ct, fps, &cache);
+            assert_eq!(cached, v.validate_cascade(&env, o, t), "{class}");
+            assert_eq!(cached.verdict.reason, reason, "{class}");
+            assert_eq!(cached.class(), class);
+        }
+        // The original's graph was reused across the first two queries.
         assert_eq!(cache.stats().hits, 1);
-    }
-
-    /// Equal fingerprints skip the query entirely and record the skip.
-    #[test]
-    fn equal_fingerprints_skip_validation() {
-        let f = func("define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 3\n  ret i64 %x\n}\n");
-        let renamed =
-            func("define i64 @f(i64 %b) {\nentry:\n  %y = add i64 %b, 3\n  ret i64 %y\n}\n");
-        let cache = GraphCache::new();
-        let fp = fingerprint(&f);
-        assert_eq!(fp, fingerprint(&renamed));
-        let v = Validator::new().validate_cached(&f, &renamed, (fp, fp), &cache);
-        assert!(v.validated);
-        assert_eq!(v.stats.rounds, 0, "skip must not normalize");
-        assert_eq!(cache.stats(), CacheStats { skips: 1, ..CacheStats::default() });
-        assert!(cache.is_empty(), "skip must not build a graph");
     }
 
     /// A bounded cache evicts its least-recently-used graphs, keeps hot
@@ -440,25 +387,26 @@ mod tests {
                 func(&format!(
                     "define i64 @f{i}(i64 %a) {{\nentry:\n  %x = add i64 %a, {i}\n  ret i64 %x\n}}\n"
                 ))
+                .canonicalized()
             })
             .collect();
-        let fps: Vec<u64> = funcs.iter().map(fingerprint).collect();
+        let fps: Vec<u64> = funcs.iter().map(fingerprint_canonical).collect();
         let cache = GraphCache::with_capacity(8);
         for (fp, f) in fps.iter().zip(&funcs) {
-            cache.gated(*fp, f);
+            cache.gated_canonical(*fp, f);
             // Keep key 0 hot so recency (not insertion order) decides.
-            cache.gated(fps[0], &funcs[0]);
+            cache.gated_canonical(fps[0], &funcs[0]);
         }
         assert!(cache.len() <= 8, "cap must bound the cache, len={}", cache.len());
         let stats = cache.stats();
         assert!(stats.evictions > 0, "inserting past the cap must evict");
         let before = cache.stats().hits;
-        cache.gated(fps[0], &funcs[0]);
+        cache.gated_canonical(fps[0], &funcs[0]);
         assert_eq!(cache.stats().hits, before + 1, "the hot key must have survived eviction");
         // An unbounded cache never evicts.
         let unbounded = GraphCache::new();
         for (fp, f) in fps.iter().zip(&funcs) {
-            unbounded.gated(*fp, f);
+            unbounded.gated_canonical(*fp, f);
         }
         assert_eq!(unbounded.stats().evictions, 0);
         assert_eq!(unbounded.len(), funcs.len());
@@ -474,15 +422,14 @@ mod tests {
              a:\n  br label %b\n\
              b:\n  br label %a\n\
              }\n",
-        );
-        let ok = func("define i64 @f(i1 %c) {\nentry:\n  ret i64 0\n}\n");
+        )
+        .canonicalized();
+        let ok = func("define i64 @f(i1 %c) {\nentry:\n  ret i64 0\n}\n").canonicalized();
         let cache = GraphCache::new();
-        let v = Validator::new().validate_cached(
-            &ok,
-            &irr,
-            (fingerprint(&ok), fingerprint(&irr)),
-            &cache,
-        );
-        assert!(matches!(v.reason, Some(FailReason::Gate(_))), "{:?}", v.reason);
+        let fps = (fingerprint_canonical(&ok), fingerprint_canonical(&irr));
+        let tv =
+            Validator::new().validate_cascade_cached(&Module::default(), &ok, &irr, fps, &cache);
+        assert!(matches!(tv.verdict.reason, Some(FailReason::Gate(_))), "{:?}", tv.verdict.reason);
+        assert_eq!(cache.len(), 2, "the gate error is cached like a graph");
     }
 }

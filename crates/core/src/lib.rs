@@ -28,7 +28,7 @@
 //! [`cache`] layer adds structural [`fingerprint`]s and a fingerprint-keyed
 //! [`GraphCache`] of gated graphs, so adjacent validation steps share the
 //! middle module's graphs and fingerprint-equal functions skip their
-//! queries entirely ([`Validator::validate_cached`]).
+//! queries entirely ([`Validator::validate_cascade_cached`]).
 //!
 //! # Example
 //!
@@ -62,7 +62,7 @@ pub mod validate;
 pub mod wire;
 
 pub use bitblast::{blast_ret_pair, BlastReport, BlastResult};
-pub use cache::{fingerprint, fingerprint_canonical, module_fingerprints, CacheStats, GraphCache};
+pub use cache::{fingerprint, fingerprint_canonical, CacheStats, GraphCache};
 pub use cycles::MatchStrategy;
 pub use egraph::{SaturationLimits, SaturationStats};
 pub use gated_ssa::Interning;

@@ -62,6 +62,7 @@
 //! ```
 
 use crate::bitblast::{blast_ret_pair, BlastResult};
+use crate::cache::GraphCache;
 use crate::rules::RewriteCounts;
 use crate::sat::{SatOptions, SatOutcome, SatSkip, SatStats};
 use crate::validate::{Deadline, DivergentRoots, Fixpoint, Validator, Verdict};
@@ -631,38 +632,44 @@ impl Validator {
         optimized: &Function,
     ) -> TriagedVerdict {
         let (verdict, fix) = self.validate_with_fixpoint(original, optimized);
-        let triage = self.cascade_alarm(env, original, optimized, &verdict, || fix);
+        let triage = self.cascade_alarm(env, original, optimized, &verdict, fix.as_ref());
         TriagedVerdict { verdict, triage }
     }
 
-    /// Run the configured [`Cascade`] on an already-computed tier-1
-    /// `verdict` (`None` when it validated or under [`Cascade::Graph`]).
-    /// For callers that validated through a cache (chain validation) and
-    /// hold only the verdict: under [`Cascade::Tiered`] the tier-1 fixpoint
-    /// is re-derived here, but only for alarms triage did not already
-    /// classify as real miscompiles — the common, validated case never
-    /// pays for it.
-    pub fn refine_alarm(
+    /// [`Validator::validate_cascade`] through a [`GraphCache`], for a
+    /// caller that holds the *canonical* forms of both functions
+    /// ([`Function::canonicalized`]) and their [`fingerprint_canonical`]s
+    /// `fps`: both gated graphs come from the cache (a miss gates the
+    /// canonical form), and the query runs exactly like the uncached path
+    /// under one deadline. The cascade interprets the canonical forms
+    /// against `env` and hands tier 2 this query's own fixpoint.
+    ///
+    /// [`fingerprint_canonical`]: crate::cache::fingerprint_canonical
+    pub fn validate_cascade_cached(
         &self,
         env: &Module,
         original: &Function,
         optimized: &Function,
-        verdict: &Verdict,
-    ) -> Option<Triage> {
-        self.cascade_alarm(env, original, optimized, verdict, || {
-            self.validate_with_fixpoint(original, optimized).1
-        })
+        fps: (u64, u64),
+        cache: &GraphCache,
+    ) -> TriagedVerdict {
+        let (verdict, fix) = self.query(original, optimized, || {
+            let lookup = |fp, f| cache.gated_with(fp, || gated_ssa::build_with(f, self.interning));
+            (lookup(fps.0, original), lookup(fps.1, optimized))
+        });
+        let triage = self.cascade_alarm(env, original, optimized, &verdict, fix.as_ref());
+        TriagedVerdict { verdict, triage }
     }
 
-    /// The cascade after tier 1. `fix` yields the tier-1 fixpoint and is
-    /// only called when tier 2 will actually use it.
+    /// The cascade after tier 1; `fix` is the tier-1 fixpoint, which only
+    /// tier 2 reads.
     fn cascade_alarm(
         &self,
         env: &Module,
         original: &Function,
         optimized: &Function,
         verdict: &Verdict,
-        fix: impl FnOnce() -> Option<Fixpoint>,
+        fix: Option<&Fixpoint>,
     ) -> Option<Triage> {
         if verdict.validated {
             return None;
@@ -676,7 +683,7 @@ impl Validator {
             if triage.class == TriageClass::RealMiscompile {
                 triage.sat = Some(sat_skip(SatSkip::Classified));
             } else {
-                sat_refine(env, original, optimized, fix().as_ref(), &mut triage, topts, sopts);
+                sat_refine(env, original, optimized, fix, &mut triage, topts, sopts);
             }
         }
         Some(triage)

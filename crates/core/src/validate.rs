@@ -1,6 +1,7 @@
 //! The validator: gate both functions, merge into a shared graph, normalize
 //! until the roots merge or nothing more applies (paper §2, Fig. 1).
 
+use crate::cache::CachedGated;
 use crate::cycles::{match_cycles, MatchStrategy};
 use crate::egraph::{self, SaturationLimits, SaturationStats};
 use crate::graph::SharedGraph;
@@ -8,6 +9,7 @@ use crate::rules::{apply_rules, RewriteCounts, RuleBudgets, RuleSet};
 use crate::triage::Cascade;
 use gated_ssa::{GateError, GatedFunction, Interning};
 use lir::func::Function;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A wall-clock budget for one validation query, started once and shared by
@@ -128,9 +130,9 @@ pub struct Validator {
     pub saturation: SaturationLimits,
     /// Which tiers run after a tier-1 alarm ([`Cascade::Graph`], tier 1
     /// only, by default). Read by [`Validator::validate_cascade`] and
-    /// [`Validator::refine_alarm`]; the tier-1 methods
+    /// [`Validator::validate_cascade_cached`]; the tier-1 methods
     /// ([`Validator::validate`], `validate_with_fixpoint`,
-    /// `validate_gated*`, `validate_cached*`) ignore it.
+    /// `validate_gated_with_deadline`) ignore it.
     pub cascade: Cascade,
 }
 
@@ -301,44 +303,40 @@ impl Validator {
         original: &Function,
         optimized: &Function,
     ) -> (Verdict, Option<Fixpoint>) {
-        let deadline = Deadline::starting_now(self.limits.max_time);
-        let mut stats = ValidationStats::default();
-        let sig = |f: &Function| (f.ret, f.params.iter().map(|&(_, t)| t).collect::<Vec<_>>());
-        if sig(original) != sig(optimized) {
-            stats.duration = deadline.elapsed();
-            return (Verdict::fail(FailReason::Signature, stats), None);
-        }
-        let go = match gated_ssa::build_with(original, self.interning) {
-            Ok(g) => g,
-            Err(e) => {
-                stats.duration = deadline.elapsed();
-                return (Verdict::fail(FailReason::Gate(e), stats), None);
-            }
-        };
-        let gt = match gated_ssa::build_with(optimized, self.interning) {
-            Ok(g) => g,
-            Err(e) => {
-                stats.duration = deadline.elapsed();
-                return (Verdict::fail(FailReason::Gate(e), stats), None);
-            }
-        };
-        if deadline.expired() {
-            stats.duration = deadline.elapsed();
-            return (Verdict::fail(FailReason::Budget, stats), None);
-        }
-        let (mut v, fix) = self.gated_fixpoint(&go, &gt, &deadline);
-        v.stats.duration = deadline.elapsed();
-        (v, fix)
+        self.query(original, optimized, || {
+            let build = |f| Arc::new(gated_ssa::build_with(f, self.interning));
+            (build(original), build(optimized))
+        })
     }
 
-    /// Validate two already-gated functions (exposed for benchmarks that
-    /// want to separate gating time from normalization time). The query
-    /// gets a fresh [`Deadline`] of [`Limits::max_time`]; callers that
-    /// already spent budget on gating should use
-    /// [`Validator::validate_gated_with_deadline`] instead.
-    pub fn validate_gated(&self, original: &GatedFunction, optimized: &GatedFunction) -> Verdict {
+    /// The tier-1 query every entry point runs: check the signatures, gate
+    /// both sides with `gate` (a fresh build, or a [`GraphCache`] lookup),
+    /// check the deadline, then normalize — all under one [`Deadline`].
+    /// `gate` runs only when the signatures match, and both sides are gated
+    /// before either gate error is reported.
+    ///
+    /// [`GraphCache`]: crate::cache::GraphCache
+    pub(crate) fn query(
+        &self,
+        original: &Function,
+        optimized: &Function,
+        gate: impl FnOnce() -> (CachedGated, CachedGated),
+    ) -> (Verdict, Option<Fixpoint>) {
         let deadline = Deadline::starting_now(self.limits.max_time);
-        self.validate_gated_with_deadline(original, optimized, &deadline)
+        let sig = |f: &Function| (f.ret, f.params.iter().map(|&(_, t)| t).collect::<Vec<_>>());
+        let fail = |reason| (Verdict::fail(reason, ValidationStats::default()), None);
+        let (mut verdict, fix) = if sig(original) != sig(optimized) {
+            fail(FailReason::Signature)
+        } else {
+            let (go, gt) = gate();
+            match (go.as_ref(), gt.as_ref()) {
+                (Err(e), _) | (_, Err(e)) => fail(FailReason::Gate(e.clone())),
+                _ if deadline.expired() => fail(FailReason::Budget),
+                (Ok(go), Ok(gt)) => self.gated_fixpoint(go, gt, &deadline),
+            }
+        };
+        verdict.stats.duration = deadline.elapsed();
+        (verdict, fix)
     }
 
     /// Validate two already-gated functions against an externally-started
@@ -350,7 +348,9 @@ impl Validator {
         optimized: &GatedFunction,
         deadline: &Deadline,
     ) -> Verdict {
-        self.gated_fixpoint(original, optimized, deadline).0
+        let mut verdict = self.gated_fixpoint(original, optimized, deadline).0;
+        verdict.stats.duration = deadline.elapsed();
+        verdict
     }
 
     /// The gated query, keeping the normalized graph on a `RootsDiffer`
@@ -379,7 +379,6 @@ impl Validator {
         roots.extend(ret_t);
         if ret_o.is_some() != ret_t.is_some() {
             stats.nodes_final = g.live_count(&roots);
-            stats.duration = deadline.elapsed();
             stats.divergent_roots = first_divergent_roots(&g, ret_o, ret_t, mem_o, mem_t);
             // A root-arity mismatch is not a normalized fixpoint — there is
             // nothing bit-precise to decide.
@@ -452,7 +451,6 @@ impl Validator {
         };
 
         stats.nodes_final = g.live_count(&roots);
-        stats.duration = deadline.elapsed();
         match end {
             End::Proved => (Verdict { validated: true, reason: None, stats }, None),
             End::Budget => (Verdict::fail(FailReason::Budget, stats), None),
@@ -510,7 +508,8 @@ mod tests {
         // graph was imported, so nodes_initial and duration must be set.
         let gf = gated_ssa::build(&f).expect("reducible");
         let gg = gated_ssa::build(&g).expect("reducible");
-        let v = Validator::new().validate_gated(&gf, &gg);
+        let deadline = Deadline::starting_now(Limits::default().max_time);
+        let v = Validator::new().validate_gated_with_deadline(&gf, &gg, &deadline);
         assert_eq!(v.reason, Some(FailReason::RootsDiffer));
         assert!(v.stats.nodes_initial > 0, "root-arity failure must count imported nodes");
         assert!(v.stats.duration > Duration::ZERO, "root-arity failure must time itself");

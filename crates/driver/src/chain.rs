@@ -43,7 +43,7 @@ use lir::func::Module;
 use lir_opt::PassManager;
 use llvm_md_core::cache::fingerprint_canonical;
 use llvm_md_core::cache::{CacheStats, GraphCache};
-use llvm_md_core::triage::{Triage, TriageClass, TriagedVerdict};
+use llvm_md_core::triage::{Triage, TriageClass};
 use llvm_md_core::{FailReason, Validator};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -386,25 +386,16 @@ impl ChainValidator {
             .collect();
         let outcomes = self.engine.run_jobs(&flat, |&(k, job)| {
             let (vin, vout) = sides(k);
-            let verdict = validator.validate_cached_canonical(
+            // The cascade runs the canonical forms (α-equivalent to the raw
+            // ones) inside the step's input module, so the blame evidence
+            // replays against the module exactly as the blamed pass saw it.
+            validator.validate_cascade_cached(
+                &versions[vin],
                 &canon[vin][job.in_idx],
                 &canon[vout][job.out_idx],
                 (fps[vin][job.in_idx], fps[vout][job.out_idx]),
                 &cache,
-            );
-            // The cascade interprets the *raw* functions: the step's input
-            // module is the interpretation environment, so the blame
-            // evidence replays against the module exactly as the blamed
-            // pass saw it. The cached verdict carries no fixpoint, so tier
-            // 2 re-derives it — alarms only, the validated common case
-            // never pays.
-            let triage = validator.refine_alarm(
-                &versions[vin],
-                &versions[vin].functions[job.in_idx],
-                &versions[vout].functions[job.out_idx],
-                &verdict,
-            );
-            TriagedVerdict { verdict, triage }
+            )
         });
         // 5. Hand each step its outcomes, in input order within the step
         //    (the determinism contract); the end-to-end report comes last.

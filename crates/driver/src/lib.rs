@@ -279,12 +279,14 @@ pub(crate) struct PairJob {
 
 /// The result of pairing an input module against an optimizer's output:
 /// pre-filled records (input order, then output-only extras), the
-/// transformed pairs still to validate, and the input functions the output
-/// dropped (for the certifying splice-back).
+/// transformed pairs still to validate, and the pairing alarms as
+/// `(record slot, function index)`: input functions the output dropped
+/// (for the certifying splice-back) and output functions the input lacks.
 pub(crate) struct Pairing {
     pub(crate) records: Vec<FunctionRecord>,
     pub(crate) jobs: Vec<PairJob>,
-    pub(crate) dropped: Vec<usize>,
+    pub(crate) dropped: Vec<(usize, usize)>,
+    pub(crate) extra: Vec<(usize, usize)>,
 }
 
 fn blank_record(name: &str, insts_before: usize, insts_after: usize) -> FunctionRecord {
@@ -355,24 +357,26 @@ pub(crate) fn pair_functions_by(
                 rec.transformed = true;
                 rec.validated = false;
                 rec.reason = Some(FailReason::MissingFunction);
-                dropped.push(in_idx);
+                dropped.push((records.len(), in_idx));
                 records.push(rec);
             }
         }
     }
     // Whatever is left in the map never existed in the input (including
     // surplus same-name duplicates): alarm on each, in output order.
-    let mut extra: Vec<usize> = by_name.into_values().flatten().collect();
-    extra.sort_unstable();
-    for out_idx in extra {
+    let mut extra_idx: Vec<usize> = by_name.into_values().flatten().collect();
+    extra_idx.sort_unstable();
+    let mut extra = Vec::with_capacity(extra_idx.len());
+    for out_idx in extra_idx {
         let fo = &output.functions[out_idx];
         let mut rec = blank_record(&fo.name, 0, fo.inst_count());
         rec.transformed = true;
         rec.validated = false;
         rec.reason = Some(FailReason::ExtraFunction);
+        extra.push((records.len(), out_idx));
         records.push(rec);
     }
-    Pairing { records, jobs, dropped }
+    Pairing { records, jobs, dropped, extra }
 }
 
 /// A parallel validation engine: a scoped worker pool that fans independent
@@ -496,8 +500,8 @@ impl ValidationEngine {
 
     /// Restore functions the optimizer dropped: append the originals to the
     /// certified output (their records already alarm `MissingFunction`).
-    fn restore_dropped(input: &Module, output: &mut Module, dropped: &[usize]) {
-        for &in_idx in dropped {
+    fn restore_dropped(input: &Module, output: &mut Module, dropped: &[(usize, usize)]) {
+        for &(_, in_idx) in dropped {
             output.functions.push(input.functions[in_idx].clone());
         }
     }
@@ -549,7 +553,7 @@ impl ValidationEngine {
         output: &Module,
         validator: &Validator,
     ) -> Report {
-        let Pairing { mut records, jobs, dropped: _ } = pair_functions(input, output);
+        let Pairing { mut records, jobs, .. } = pair_functions(input, output);
         let flat: Vec<_> = jobs.iter().map(|j| (input, output, j)).collect();
         let mut verdicts = self.validate_jobs(&flat, validator).into_iter();
         let validate_time = Self::merge_verdicts(&mut records, &jobs, &mut verdicts, None);

@@ -231,29 +231,24 @@ impl Server {
         let fps_out: Vec<u64> = output_mod.functions.iter().map(fingerprint).collect();
         // Every name-paired function becomes a job; fingerprints (not the
         // driver's structural predicate) decide below what actually runs.
-        let Pairing { records, jobs, dropped: _ } =
+        let Pairing { records, jobs, dropped, extra } =
             pair_functions_by(&input, &output_mod, |_, _| true);
         let mut slots: Vec<Option<SlotOutcome>> = Vec::with_capacity(records.len());
         slots.resize_with(records.len(), || None);
-        // Pairing alarms (no fingerprint pair, nothing to validate): build
-        // their deterministic lines straight from the records.
-        for (slot, rec) in records.iter().enumerate() {
-            if let Some(reason @ (FailReason::MissingFunction | FailReason::ExtraFunction)) =
-                rec.reason.clone()
-            {
-                let fps = match reason {
-                    FailReason::MissingFunction => {
-                        (Some(fingerprint_by_name(&input, &rec.name)), None)
-                    }
-                    _ => (None, Some(fingerprint_by_name(&output_mod, &rec.name))),
-                };
-                let tv = unqueried(false, Some(reason));
-                slots[slot] = Some(SlotOutcome {
-                    line: self.verdict_line(&rec.name, fps.0, fps.1, &tv),
-                    validated: false,
-                    from_store: false,
-                });
-            }
+        // Pairing alarms (one side only, nothing to validate): build their
+        // deterministic lines straight from the records, fingerprinting
+        // the very copy that went unpaired.
+        let unpaired = dropped.iter().map(|&(slot, i)| (slot, Some(fps_in[i]), None));
+        let unpaired =
+            unpaired.chain(extra.iter().map(|&(slot, o)| (slot, None, Some(fps_out[o]))));
+        for (slot, orig_fp, opt_fp) in unpaired {
+            let rec = &records[slot];
+            let tv = unqueried(false, rec.reason.clone());
+            slots[slot] = Some(SlotOutcome {
+                line: self.verdict_line(&rec.name, orig_fp, opt_fp, &tv),
+                validated: false,
+                from_store: false,
+            });
         }
         // Store pass: answer repeat fingerprint pairs verbatim; identical
         // pairs get a deterministic skip verdict; the rest queue for the
@@ -474,14 +469,6 @@ fn parse_pair(doc: &Json) -> Result<(Module, Module), wire::WireError> {
 fn unqueried(validated: bool, reason: Option<FailReason>) -> TriagedVerdict {
     let stats = ValidationStats::default();
     TriagedVerdict { verdict: Verdict { validated, reason, stats }, triage: None }
-}
-
-fn fingerprint_by_name(m: &Module, name: &str) -> u64 {
-    m.functions
-        .iter()
-        .find(|f| f.name == name)
-        .map(fingerprint)
-        .expect("pairing produced this record from this module")
 }
 
 /// Whether a stored verdict line may be replayed by a server running

@@ -32,12 +32,13 @@
 //! # Bounding
 //!
 //! The in-memory index (and, after compaction, the disk) is bounded by an
-//! entry cap with LRU eviction, mirroring `GraphCache::with_capacity`: a
-//! long-running daemon's memory is `O(cap)`, not `O(entries ever seen)`.
+//! entry cap with the shared LRU eviction policy (`llvm_md_core::cache::Lru`,
+//! also behind `GraphCache::with_capacity`): a long-running daemon's memory
+//! is `O(cap)`, not `O(entries ever seen)`.
 
+use llvm_md_core::cache::Lru;
 use llvm_md_core::wire::{self, Json};
 use llvm_md_workload::rng::fnv1a;
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -69,17 +70,9 @@ pub struct StoreStats {
     pub dropped_lines: usize,
 }
 
-struct Entry {
-    /// The encoded wire verdict line, stored verbatim (no trailing newline).
-    line: String,
-    /// LRU stamp: monotonically increasing access counter.
-    stamp: u64,
-}
-
 struct Inner {
-    map: HashMap<(u64, u64), Entry>,
-    stamp: u64,
-    cap: usize,
+    /// Encoded wire verdict lines, stored verbatim (no trailing newline).
+    lines: Lru<(u64, u64), String>,
     stats: StoreStats,
     /// Lazily opened append handles, one per shard (`None` for in-memory
     /// stores).
@@ -118,13 +111,7 @@ impl VerdictStore {
     /// update semantics).
     pub fn open(dir: &Path, cap: usize) -> std::io::Result<VerdictStore> {
         std::fs::create_dir_all(dir)?;
-        let mut inner = Inner {
-            map: HashMap::new(),
-            stamp: 0,
-            cap: cap.max(1),
-            stats: StoreStats::default(),
-            appenders: (0..SHARDS).map(|_| None).collect(),
-        };
+        let mut inner = Inner::new(cap);
         for shard in 0..SHARDS {
             let path = shard_path(dir, shard);
             let text = match std::fs::read_to_string(&path) {
@@ -140,11 +127,7 @@ impl VerdictStore {
                     wire::check_version(&doc)?;
                     line_key(&doc).map(|key| (key, doc))
                 }) {
-                    Ok((key, _)) => {
-                        inner.stamp += 1;
-                        let stamp = inner.stamp;
-                        inner.map.insert(key, Entry { line: line.to_owned(), stamp });
-                    }
+                    Ok((key, _)) => inner.lines.insert(key, line.to_owned()),
                     Err(_) => inner.stats.dropped_lines += 1,
                 }
             }
@@ -154,25 +137,16 @@ impl VerdictStore {
                 inner.stats.dropped_lines += 1;
             }
         }
-        inner.stats.loaded = inner.map.len();
-        inner.evict_over_cap();
-        inner.stats.entries = inner.map.len();
+        inner.stats.loaded = inner.lines.len();
+        inner.stats.evictions += inner.lines.evict_over_cap();
+        inner.stats.entries = inner.lines.len();
         Ok(VerdictStore { dir: Some(dir.to_owned()), inner: Mutex::new(inner) })
     }
 
     /// An ephemeral store with no backing directory (for tests and
     /// `--store none` runs): same index, same bounds, nothing persisted.
     pub fn in_memory(cap: usize) -> VerdictStore {
-        VerdictStore {
-            dir: None,
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                stamp: 0,
-                cap: cap.max(1),
-                stats: StoreStats::default(),
-                appenders: (0..SHARDS).map(|_| None).collect(),
-            }),
-        }
+        VerdictStore { dir: None, inner: Mutex::new(Inner::new(cap)) }
     }
 
     /// The backing directory (`None` for in-memory stores).
@@ -184,20 +158,12 @@ impl VerdictStore {
     /// LRU stamp on a hit.
     pub fn get(&self, key: (u64, u64)) -> Option<String> {
         let mut inner = self.inner.lock().expect("verdict store poisoned");
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        match inner.map.get_mut(&key) {
-            Some(entry) => {
-                entry.stamp = stamp;
-                let line = entry.line.clone();
-                inner.stats.hits += 1;
-                Some(line)
-            }
-            None => {
-                inner.stats.misses += 1;
-                None
-            }
+        let line = inner.lines.get(&key).cloned();
+        match line {
+            Some(_) => inner.stats.hits += 1,
+            None => inner.stats.misses += 1,
         }
+        line
     }
 
     /// Insert (or overwrite) the verdict line for a key, appending it to
@@ -206,12 +172,10 @@ impl VerdictStore {
     pub fn put(&self, key: (u64, u64), line: &str) -> std::io::Result<()> {
         debug_assert!(!line.contains('\n'), "verdict lines are newline-framed");
         let mut inner = self.inner.lock().expect("verdict store poisoned");
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        inner.map.insert(key, Entry { line: line.to_owned(), stamp });
+        inner.lines.insert(key, line.to_owned());
         inner.stats.inserts += 1;
-        inner.evict_over_cap();
-        inner.stats.entries = inner.map.len();
+        inner.stats.evictions += inner.lines.evict_over_cap();
+        inner.stats.entries = inner.lines.len();
         if let Some(dir) = &self.dir {
             let shard = shard_of(key);
             if inner.appenders[shard].is_none() {
@@ -235,19 +199,15 @@ impl VerdictStore {
         let Some(dir) = &self.dir else { return Ok(()) };
         // Group live lines per shard, oldest first, so a recovery load
         // reconstructs the same LRU order.
-        let mut per_shard: Vec<Vec<(u64, &str)>> = (0..SHARDS).map(|_| Vec::new()).collect();
-        for (&key, entry) in &inner.map {
-            per_shard[shard_of(key)].push((entry.stamp, &entry.line));
+        let mut per_shard: Vec<String> = vec![String::new(); SHARDS];
+        for (&key, line) in inner.lines.oldest_first() {
+            let buf = &mut per_shard[shard_of(key)];
+            buf.push_str(line);
+            buf.push('\n');
         }
-        for (shard, mut lines) in per_shard.into_iter().enumerate() {
-            lines.sort_unstable_by_key(|&(stamp, _)| stamp);
+        for (shard, buf) in per_shard.into_iter().enumerate() {
             let final_path = shard_path(dir, shard);
             let tmp_path = dir.join(format!("shard-{shard:02}.jsonl.tmp"));
-            let mut buf = String::new();
-            for (_, line) in lines {
-                buf.push_str(line);
-                buf.push('\n');
-            }
             std::fs::write(&tmp_path, buf)?;
             std::fs::rename(&tmp_path, &final_path)?;
         }
@@ -261,12 +221,12 @@ impl VerdictStore {
     /// A snapshot of the counters.
     pub fn stats(&self) -> StoreStats {
         let inner = self.inner.lock().expect("verdict store poisoned");
-        StoreStats { entries: inner.map.len(), ..inner.stats }
+        StoreStats { entries: inner.lines.len(), ..inner.stats }
     }
 
     /// Live entry count.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("verdict store poisoned").map.len()
+        self.inner.lock().expect("verdict store poisoned").lines.len()
     }
 
     /// True when the index is empty.
@@ -276,21 +236,11 @@ impl VerdictStore {
 }
 
 impl Inner {
-    /// Batch LRU eviction down to ⅞ of the cap once over it (same
-    /// hysteresis as `GraphCache`, so steady-state puts don't re-sort every
-    /// time).
-    fn evict_over_cap(&mut self) {
-        if self.map.len() <= self.cap {
-            return;
-        }
-        let target = (self.cap - self.cap / 8).max(1);
-        let mut by_age: Vec<(u64, (u64, u64))> =
-            self.map.iter().map(|(&key, entry)| (entry.stamp, key)).collect();
-        by_age.sort_unstable();
-        let surplus = self.map.len() - target;
-        for &(_, key) in by_age.iter().take(surplus) {
-            self.map.remove(&key);
-            self.stats.evictions += 1;
+    fn new(cap: usize) -> Inner {
+        Inner {
+            lines: Lru::new(cap),
+            stats: StoreStats::default(),
+            appenders: (0..SHARDS).map(|_| None).collect(),
         }
     }
 }

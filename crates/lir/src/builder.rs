@@ -24,7 +24,7 @@
 use crate::func::{BlockId, Function, Phi};
 use crate::inst::{BinOp, CastOp, FBinOp, FcmpPred, IcmpPred, Inst, Term};
 use crate::types::Ty;
-use crate::value::{Operand, Reg};
+use crate::value::Operand;
 
 /// Incremental function builder.
 #[derive(Debug)]
@@ -202,11 +202,6 @@ impl FunctionBuilder {
     /// Finish and return the function.
     pub fn finish(self) -> Function {
         self.f
-    }
-
-    /// Fresh register for advanced uses (e.g. hand-building φ webs).
-    pub fn fresh_reg(&mut self) -> Reg {
-        self.f.new_reg()
     }
 }
 

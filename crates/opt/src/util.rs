@@ -2,7 +2,7 @@
 
 use lir::func::{BlockId, Function};
 use lir::inst::Inst;
-use lir::value::{Operand, Reg};
+use lir::value::Reg;
 
 /// Location of an instruction: `(block, index)`.
 pub type InstLoc = (BlockId, usize);
@@ -52,18 +52,6 @@ pub fn sweep_trivially_dead(f: &mut Function) -> bool {
         }
         changed = true;
     }
-}
-
-/// Replace every use of `from` with `to` and return whether any use existed.
-pub fn replace_uses(f: &mut Function, from: Reg, to: Operand) -> bool {
-    let mut any = false;
-    f.map_operands(|op| {
-        if *op == Operand::Reg(from) {
-            *op = to;
-            any = true;
-        }
-    });
-    any
 }
 
 #[cfg(test)]

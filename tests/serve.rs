@@ -7,9 +7,12 @@
 //! holds across a daemon restart when the store is on disk.
 
 use llvm_md::core::wire::{self, Json};
-use llvm_md::core::{Cascade, Normalizer, TriageOptions, Validator, RULE_ENGINE_VERSION};
+use llvm_md::core::{
+    fingerprint, Cascade, Normalizer, TriageOptions, Validator, RULE_ENGINE_VERSION,
+};
 use llvm_md::driver::store::line_key;
 use llvm_md::driver::{ServeEnd, Server, ValidationEngine, VerdictStore};
+use llvm_md::lir::parse::parse_module;
 use llvm_md::opt::paper_pipeline;
 use llvm_md::workload::{generate_suite, injected_corpus};
 use std::path::PathBuf;
@@ -428,4 +431,29 @@ fn newline_free_length_header_is_capped() {
     assert_eq!(lines_of_type(&lines, "error").len(), 1, "{text}");
     // A buffer fill (8 KiB) may have been pulled; the megabyte must not.
     assert!(stream.pulled <= 64 << 10, "server read {} header bytes", stream.pulled);
+}
+
+/// A pairing alarm on a duplicate-named function carries the fingerprint
+/// of the copy that went unpaired, not that of the first copy with the
+/// name — for a copy the optimizer dropped and for a copy it added.
+#[test]
+fn duplicate_name_pairing_alarms_fingerprint_the_unpaired_copy() {
+    let add = "define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 1\n  ret i64 %x\n}\n";
+    let mul = "define i64 @f(i64 %a) {\nentry:\n  %x = mul i64 %a, 3\n  ret i64 %x\n}\n";
+    let both = format!("{add}{mul}");
+    let mul_fp = fingerprint(&parse_module(mul).expect("parse").functions[0]);
+    let script = format!(
+        "{}{}{}",
+        validate_request("missing", &both, add),
+        validate_request("extra", add, &both),
+        control_request("shutdown", "x"),
+    );
+    let (_, lines) = run_script(&new_server(VerdictStore::in_memory(64)), &script);
+    // Each batch answers the paired first copy, then the unpaired `mul`.
+    let verdicts = lines_of_type(&lines, "verdict");
+    assert_eq!(verdicts.len(), 4);
+    assert_eq!(field_u64(verdicts[1], "orig_fp"), mul_fp, "the dropped copy");
+    assert_eq!(verdicts[1].get("opt_fp"), Some(&Json::Null));
+    assert_eq!(field_u64(verdicts[3], "opt_fp"), mul_fp, "the added copy");
+    assert_eq!(verdicts[3].get("orig_fp"), Some(&Json::Null));
 }

@@ -25,8 +25,8 @@ use llvm_md::driver::{
 };
 use llvm_md::lir::func::Module;
 use llvm_md::lir::intern::Fnv1a;
-use llvm_md::opt::paper_pipeline;
-use llvm_md::workload::generate_suite;
+use llvm_md::opt::{paper_pipeline, pass_by_name, PassManager};
+use llvm_md::workload::{generate_suite, injected_corpus, BrokenPass};
 use std::fmt::Write;
 use std::hash::Hasher;
 use std::time::Duration;
@@ -461,4 +461,35 @@ fn tiered_suite_reports_encode_to_pinned_bytes() {
     let got = h.finish();
     let pinned: u64 = 0xca50_6490_d390_09db;
     assert_eq!(got, pinned, "encoded tiered suite drifted (fingerprint {got:#018x})");
+}
+
+/// Every injected bug spliced mid-pipeline (`adce` → the broken pass →
+/// `gvn`) and chain-validated under the full cascade, pinned by one FNV-1a
+/// fingerprint over the encoded `ChainReport`s with timing zeroed. Unlike
+/// the suite pin, these chains blame real miscompiles, so the fingerprint
+/// covers blames whose triage carries a witness.
+#[test]
+fn injected_chain_reports_encode_to_pinned_bytes() {
+    let chain = ChainValidator::new(ValidationEngine::with_workers(2));
+    let validator = tiered_validator();
+    let mut h = Fnv1a::new();
+    let mut witnessed = 0;
+    for bug in injected_corpus() {
+        let mut pm = PassManager::new();
+        pm.add(pass_by_name("adce").expect("known pass"));
+        pm.add(Box::new(BrokenPass(bug.kind)));
+        pm.add(pass_by_name("gvn").expect("known pass"));
+        let mut chained = chain.validate_chain(&bug.module, &pm, &validator);
+        zero_chain_timing(&mut chained);
+        witnessed += chained
+            .blames
+            .iter()
+            .filter(|b| b.triage.as_ref().is_some_and(|t| t.witness.is_some()))
+            .count();
+        writeln!(h, "{}", chained.to_wire()).unwrap();
+    }
+    assert!(witnessed > 0, "the pin must cover blames that carry a witness");
+    let got = h.finish();
+    let pinned: u64 = 0xc1b0_ed22_380a_e411;
+    assert_eq!(got, pinned, "encoded injected chains drifted (fingerprint {got:#018x})");
 }
