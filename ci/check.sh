@@ -283,19 +283,45 @@ EOF
   done
   echo "bench artifacts smoke OK"
 
-  echo "==> artifact identity (BENCH_chain.json, BENCH_sat.json regenerate at their committed settings)"
-  # Both artifacts are deterministic apart from their wall-clock fields (keys
+  echo "==> rate exhibits smoke (fig5-fig8, ablation, table1 at --scale 16: validated <= transformed)"
+  # No other step runs these bins. Each must run end to end and write
+  # parseable JSON, and every configuration row of the five rate exhibits
+  # must validate no more functions than its optimizer output transformed.
+  rates_dir="$(mktemp -d)"
+  for b in fig5_per_opt fig6_gvn_rules fig7_licm_rules fig8_sccp_rules \
+    ablation_cycle_matching table1_suite; do
+    BENCH_OUT_DIR="$rates_dir" cargo run --release --offline -q -p llvm_md_bench \
+      --bin "$b" -- --scale 16 > /dev/null
+  done
+  python3 - "$rates_dir" <<'EOF'
+import json, os, sys
+axes = {"fig5": "passes", "fig6": "steps", "fig7": "configs", "fig8": "steps",
+        "ablation": "strategies"}
+for name in [*axes, "table1"]:
+    data = json.load(open(os.path.join(sys.argv[1], f"BENCH_{name}.json")))
+    assert data["scale"] == 16, f"BENCH_{name}.json: {data['scale']}"
+    for row in data.get(axes.get(name), []):
+        assert row["validated"] <= row["transformed"], f"BENCH_{name}.json: {row}"
+    assert name == "table1" or data[axes[name]], f"BENCH_{name}.json has no rows"
+print(f"rate exhibits smoke OK: {len(axes)} rate artifacts + table1 parse, "
+      f"validated <= transformed in every row")
+EOF
+
+  echo "==> artifact identity (BENCH_chain.json, BENCH_sat.json, BENCH_triage.json regenerate at their committed settings)"
+  # The artifacts are deterministic apart from their wall-clock fields (keys
   # ending in _s, _ms or _ns), so regenerating them at the settings they were
   # committed with must reproduce every other value. A change that moves a
-  # verdict, a blame, a cache count or a SAT count re-baselines the artifact
+  # verdict, a blame, a triage, cache or SAT count re-baselines the artifact
   # in the same commit. The chain run is serial: cache hit/miss counts race
   # between workers.
   ident_dir="$(mktemp -d)"
   BENCH_OUT_DIR="$ident_dir" LLVM_MD_WORKERS=1 cargo run --release --offline -q \
     -p llvm_md_bench --bin table3_chain -- --scale 4 --battery 16 > /dev/null
-  BENCH_OUT_DIR="$ident_dir" cargo run --release --offline -q -p llvm_md_bench \
-    --bin table4_sat -- --scale 4 --battery 16 > /dev/null
-  python3 - "$ident_dir" BENCH_chain.json BENCH_sat.json <<'EOF'
+  for b in table4_sat table2_triage; do
+    BENCH_OUT_DIR="$ident_dir" cargo run --release --offline -q -p llvm_md_bench \
+      --bin "$b" -- --scale 4 --battery 16 > /dev/null
+  done
+  python3 - "$ident_dir" BENCH_chain.json BENCH_sat.json BENCH_triage.json <<'EOF'
 import json, os, sys
 def untimed(x):
     if isinstance(x, dict):

@@ -22,23 +22,18 @@
 //! `--repeats R` (default 3; best-of-R wall-clock per axis point).
 
 use lir_opt::paper_pipeline;
-use llvm_md_bench::{bar, scale_from_args, usize_flag, write_artifact};
+use llvm_md_bench::{bar, scale_from_args, str_flag, usize_flag, write_artifact};
 use llvm_md_core::{Json, Validator};
 use llvm_md_driver::{default_workers, Report, ValidationEngine};
 use llvm_md_workload::suite_batch;
 use std::time::{Duration, Instant};
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-}
 
 /// The worker axis: `--workers a,b,c`, or 1/2/4/N. Always sorted,
 /// deduplicated, and containing 1 — the `speedup_vs_1` field anchors on the
 /// measured one-worker point, so that point must exist even when a custom
 /// axis omits it.
 fn worker_axis() -> Vec<usize> {
-    let mut axis = if let Some(list) = flag_value("--workers") {
+    let mut axis = if let Some(list) = str_flag("--workers") {
         list.split(',').filter_map(|w| w.parse().ok()).filter(|&w| w >= 1).collect()
     } else {
         Vec::new()

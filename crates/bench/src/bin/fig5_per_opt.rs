@@ -9,11 +9,11 @@
 //!
 //! Writes `BENCH_fig5.json` with the per-pass totals.
 
-use llvm_md_bench::{pct, scale_from_args, suite, write_artifact};
-use llvm_md_core::{Json, Validator};
+use llvm_md_bench::{one_pass, pct, scale_from_args, suite, sweep, totals, RateTable};
+use llvm_md_core::Validator;
 use llvm_md_driver::ValidationEngine;
 
-const PASSES: &[(&str, &str)] = &[
+const PASSES: [(&str, &str); 7] = [
     ("adce", "ADCE"),
     ("gvn", "GVN"),
     ("sccp", "SCCP"),
@@ -25,64 +25,51 @@ const PASSES: &[(&str, &str)] = &[
 
 fn main() {
     let scale = scale_from_args();
+    let modules = suite(scale);
     // Worker count: LLVM_MD_WORKERS, else available_parallelism.
     let engine = ValidationEngine::new();
+    // One sweep per pass; each column of the table is one pass's sweep.
+    let per_pass: Vec<_> = PASSES
+        .iter()
+        .map(|(pass, _)| {
+            let pm = one_pass(pass);
+            sweep(&engine, modules.iter().map(|(_, m)| m), &pm, &[Validator::new()])
+        })
+        .collect();
+    let reports: Vec<Vec<_>> = (0..modules.len())
+        .map(|i| per_pass.iter().map(|sweep| sweep[i][0].clone()).collect())
+        .collect();
     println!("Figure 5: validator results for individual optimizations (1/{scale} scale)");
     print!("{:12}", "benchmark");
     for (_, label) in PASSES {
-        print!(" | {:>13}", label);
+        print!(" | {label:>13}");
     }
-    println!();
-    print!("{:12}", "");
+    print!("\n{:12}", "");
     for _ in PASSES {
         print!(" | {:>6} {:>6}", "xform", "valid");
     }
-    println!();
-    println!("{}", "-".repeat(12 + PASSES.len() * 16));
-    let validator = Validator::new();
-    let mut totals = vec![(0usize, 0usize); PASSES.len()];
-    for (p, m) in suite(scale) {
+    let rule = "-".repeat(12 + PASSES.len() * 16);
+    println!("\n{rule}");
+    for ((p, _), row) in modules.iter().zip(&reports) {
         print!("{:12}", p.name);
-        for (i, (pass, _)) in PASSES.iter().enumerate() {
-            let report = engine.run_single_pass(&m, pass, &validator).unwrap_or_else(|e| {
-                eprintln!("fig5_per_opt: {e}");
-                std::process::exit(2);
-            });
-            let (t, v) = (report.transformed(), report.validated());
-            totals[i].0 += t;
-            totals[i].1 += v;
-            print!(" | {:>6} {:>6}", t, v);
+        for r in row {
+            print!(" | {:>6} {:>6}", r.transformed(), r.validated());
         }
         println!();
     }
-    println!("{}", "-".repeat(12 + PASSES.len() * 16));
+    println!("{rule}");
     print!("{:12}", "total");
-    for (t, v) in &totals {
-        print!(" | {:>6} {:>5.0}%", t, pct(*v, *t));
+    let totals = totals(&reports);
+    for &(t, v) in &totals {
+        print!(" | {t:>6} {:>5.0}%", pct(v, t));
     }
-    println!();
     let gvn = totals[1].0;
     let most = totals.iter().map(|t| t.0).max().unwrap_or(0);
     println!(
-        "\nGVN transforms {gvn} functions (max over passes: {most}) — the paper's \"most \
+        "\n\nGVN transforms {gvn} functions (max over passes: {most}) — the paper's \"most \
          important as it performs many more transformations\" observation {}",
         if gvn == most { "holds" } else { "does NOT hold" }
     );
-    let artifact = Json::obj([
-        ("exhibit", Json::str("fig5_per_opt")),
-        ("scale", Json::num(scale as f64)),
-        (
-            "passes",
-            Json::arr(PASSES.iter().zip(&totals).map(|((pass, _), (t, v))| {
-                Json::obj([
-                    ("pass", Json::str(*pass)),
-                    ("transformed", Json::num(*t as f64)),
-                    ("validated", Json::num(*v as f64)),
-                    ("validated_pct", Json::num(pct(*v, *t))),
-                ])
-            })),
-        ),
-    ]);
-    let path = write_artifact("fig5", &artifact).expect("write BENCH_fig5.json");
-    println!("wrote {}", path.display());
+    let table = RateTable::new(&modules, &PASSES.map(|(pass, _)| pass), reports);
+    table.write("fig5", "fig5_per_opt", scale, ("passes", "pass"));
 }

@@ -9,61 +9,28 @@
 //!
 //! Writes `BENCH_fig6.json` with the per-step totals.
 
-use llvm_md_bench::{pct, scale_from_args, suite, write_artifact};
-use llvm_md_core::{Json, RuleSet, Validator};
+use llvm_md_bench::{one_pass, scale_from_args, suite, sweep, RateTable};
+use llvm_md_core::{RuleSet, Validator};
 use llvm_md_driver::ValidationEngine;
 
 const STEPS: [&str; 6] = ["none", "+phi", "+cfold", "+ldst", "+eta", "+commute"];
 
 fn main() {
     let scale = scale_from_args();
+    let modules = suite(scale);
+    let validators: Vec<_> = (1..=6)
+        .map(|step| Validator { rules: RuleSet::fig6_step(step), ..Validator::new() })
+        .collect();
     // Worker count: LLVM_MD_WORKERS, else available_parallelism.
-    let engine = ValidationEngine::new();
-    println!("Figure 6: GVN validation % as rule groups accumulate (1/{scale} scale)");
-    println!(
-        "{:12} {:>6} | {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "benchmark", "xform", "none", "+phi", "+cfold", "+ldst", "+eta", "+commute"
+    let reports = sweep(
+        &ValidationEngine::new(),
+        modules.iter().map(|(_, m)| m),
+        &one_pass("gvn"),
+        &validators,
     );
-    println!("{}", "-".repeat(78));
-    let mut totals = vec![(0usize, 0usize); 6];
-    for (p, m) in suite(scale) {
-        let mut row = format!("{:12}", p.name);
-        for step in 1..=6 {
-            let v = Validator { rules: RuleSet::fig6_step(step), ..Validator::new() };
-            let report = engine.run_single_pass(&m, "gvn", &v).unwrap_or_else(|e| {
-                eprintln!("fig6_gvn_rules: {e}");
-                std::process::exit(2);
-            });
-            totals[step - 1].0 += report.transformed();
-            totals[step - 1].1 += report.validated();
-            if step == 1 {
-                row += &format!(" {:>6} |", report.transformed());
-            }
-            row += &format!(" {:>7.1}%", pct(report.validated(), report.transformed()));
-        }
-        println!("{row}");
-    }
-    println!("{}", "-".repeat(78));
-    print!("{:12} {:>6} |", "overall", totals[0].0);
-    for (t, v) in &totals {
-        print!(" {:>7.1}%", pct(*v, *t));
-    }
-    println!("\n\npaper shape: ~50% with no rules, monotone improvement per group");
-    let artifact = Json::obj([
-        ("exhibit", Json::str("fig6_gvn_rules")),
-        ("scale", Json::num(scale as f64)),
-        (
-            "steps",
-            Json::arr(STEPS.iter().zip(&totals).map(|(step, (t, v))| {
-                Json::obj([
-                    ("rules", Json::str(*step)),
-                    ("transformed", Json::num(*t as f64)),
-                    ("validated", Json::num(*v as f64)),
-                    ("validated_pct", Json::num(pct(*v, *t))),
-                ])
-            })),
-        ),
-    ]);
-    let path = write_artifact("fig6", &artifact).expect("write BENCH_fig6.json");
-    println!("wrote {}", path.display());
+    println!("Figure 6: GVN validation % as rule groups accumulate (1/{scale} scale)");
+    let table = RateTable::new(&modules, &STEPS, reports);
+    table.print_rates();
+    println!("\npaper shape: ~50% with no rules, monotone improvement per group");
+    table.write("fig6", "fig6_gvn_rules", scale, ("steps", "rules"));
 }

@@ -19,7 +19,7 @@
 //! cost.
 
 use lir_opt::paper_pipeline;
-use llvm_md_bench::{bar, pct, scale_from_args, suite, usize_flag, write_artifact};
+use llvm_md_bench::{bar, pct, scale_from_args, suite, sweep, usize_flag, write_artifact};
 use llvm_md_core::{Cascade, Json, Normalizer, RuleSet, TriageClass, TriageOptions, Validator};
 use llvm_md_driver::ValidationEngine;
 use llvm_md_workload::injected_corpus;
@@ -50,10 +50,27 @@ fn ablations() -> Vec<(&'static str, RuleSet, Normalizer)> {
 fn main() {
     let scale = scale_from_args();
     let opts = TriageOptions { battery: usize_flag("--battery", 16), ..TriageOptions::default() };
-    let engine = ValidationEngine::new();
-    let pm = paper_pipeline();
     let modules = suite(scale);
     let bugs = injected_corpus();
+    let ablations = ablations();
+    let validators: Vec<_> = ablations
+        .iter()
+        .map(|&(_, rules, normalizer)| Validator {
+            rules,
+            normalizer,
+            cascade: Cascade::Triage(opts),
+            ..Validator::new()
+        })
+        .collect();
+    // Sweep 1, every ablation at once: the pinned suite, optimized once.
+    // All alarms should triage as suspected incompletenesses (the
+    // optimizer is correct).
+    let reports = sweep(
+        &ValidationEngine::new(),
+        modules.iter().map(|(_, m)| m),
+        &paper_pipeline(),
+        &validators,
+    );
     println!("Table 2: alarm triage per rule-set ablation (suite at 1/{scale} scale,");
     println!(
         "         battery of {} inputs per alarm, {} injected bugs)",
@@ -66,19 +83,14 @@ fn main() {
     );
     println!("{}", "-".repeat(88));
     let mut rows = Vec::new();
-    for (name, rules, normalizer) in ablations() {
-        let cascade = Cascade::Triage(opts);
-        let validator = Validator { rules, normalizer, cascade, ..Validator::new() };
-        // Sweep 1: the pinned suite. All alarms should triage as suspected
-        // incompletenesses (the optimizer is correct).
+    for (i, (&(name, _, normalizer), validator)) in ablations.iter().zip(&validators).enumerate() {
         let mut transformed = 0;
         let mut alarms = 0;
         let mut suspected = 0;
         let mut misclassified = 0;
         let mut sat_runs = 0;
         let mut sat_capped = 0;
-        for (_, m) in &modules {
-            let (_, report) = engine.llvm_md(m, &pm, &validator);
+        for report in reports.iter().map(|row| &row[i]) {
             transformed += report.transformed();
             alarms += report.alarms();
             suspected += report.suspected_incomplete();

@@ -25,7 +25,7 @@
 
 use lir_opt::PassManager;
 use llvm_md_bench::{scale_from_args, suite, usize_flag, write_artifact};
-use llvm_md_core::{Cascade, Json, TriageOptions, Validator};
+use llvm_md_core::{CacheStats, Cascade, Json, TriageOptions, Validator};
 use llvm_md_driver::{default_workers, ChainValidator, Composition, ValidationEngine};
 use llvm_md_workload::{injected_corpus, paper_schedule, BrokenPass};
 use std::time::Instant;
@@ -60,9 +60,7 @@ fn main() {
     println!("{}", "-".repeat(96));
 
     let mut total = Composition::default();
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    let mut cache_skips = 0u64;
+    let mut cache = CacheStats::default();
     let mut e2e_wall = 0.0f64;
     let mut chain_wall = 0.0f64;
     let mut rows = Vec::new();
@@ -109,9 +107,9 @@ fn main() {
         total.chain_certified += comp.chain_certified;
         total.chain_only += comp.chain_only;
         total.end_to_end_only += comp.end_to_end_only;
-        cache_hits += chain.cache.hits;
-        cache_misses += chain.cache.misses;
-        cache_skips += chain.cache.skips;
+        cache.hits += chain.cache.hits;
+        cache.misses += chain.cache.misses;
+        cache.skips += chain.cache.skips;
         e2e_wall += e2e_s;
         chain_wall += chain_s;
         println!(
@@ -140,12 +138,7 @@ fn main() {
         ]));
     }
     println!("{}", "-".repeat(96));
-    let hit_rate = if cache_hits + cache_misses == 0 {
-        0.0
-    } else {
-        cache_hits as f64 / (cache_hits + cache_misses) as f64
-    };
-    assert!(cache_hits > 0, "a chained suite run must reuse cached graphs");
+    assert!(cache.hits > 0, "a chained suite run must reuse cached graphs");
     // The headline invariant (empirical for the current rule set, enforced
     // at suite granularity and re-checked by the CI chain smoke): the
     // decomposition never certifies fewer functions than the one shot.
@@ -164,8 +157,8 @@ fn main() {
         total.transformed,
         total.chain_only,
         total.end_to_end_only,
-        100.0 * hit_rate,
-        cache_skips
+        100.0 * cache.hit_rate(),
+        cache.skips
     );
 
     // Sweep 2: every injected bug, spliced mid-pipeline, must be blamed on
@@ -225,10 +218,10 @@ fn main() {
         ("chain_rate", Json::num(total.chain_rate())),
         ("chain_only", Json::num(total.chain_only as f64)),
         ("end_to_end_only", Json::num(total.end_to_end_only as f64)),
-        ("cache_hits", Json::num(cache_hits as f64)),
-        ("cache_misses", Json::num(cache_misses as f64)),
-        ("cache_skips", Json::num(cache_skips as f64)),
-        ("cache_hit_rate", Json::num(hit_rate)),
+        ("cache_hits", Json::num(cache.hits as f64)),
+        ("cache_misses", Json::num(cache.misses as f64)),
+        ("cache_skips", Json::num(cache.skips as f64)),
+        ("cache_hit_rate", Json::num(cache.hit_rate())),
         ("end_to_end_wall_s", Json::num(e2e_wall)),
         ("chain_wall_s", Json::num(chain_wall)),
         ("workers_cross_checked", Json::Arr(vec![Json::num(1.0), Json::num(4.0)])),

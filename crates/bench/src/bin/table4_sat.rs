@@ -32,7 +32,7 @@
 //! memo), so a proved row with many conflicts means the hashing was lost.
 
 use lir_opt::paper_pipeline;
-use llvm_md_bench::{scale_from_args, suite, usize_flag, write_artifact};
+use llvm_md_bench::{scale_from_args, suite, sweep, usize_flag, write_artifact};
 use llvm_md_core::triage::VerdictClass;
 use llvm_md_core::{
     Cascade, Json, Normalizer, RuleSet, SatOptions, SatOutcome, TriageOptions, Validator,
@@ -66,10 +66,27 @@ fn main() {
     let scale = scale_from_args();
     let topts = TriageOptions { battery: usize_flag("--battery", 16), ..TriageOptions::default() };
     let sopts = SatOptions::default();
-    let engine = ValidationEngine::new();
-    let pm = paper_pipeline();
     let modules = suite(scale);
     let bugs = injected_corpus();
+    let configs = configs();
+    let validators: Vec<_> = configs
+        .iter()
+        .map(|&(_, normalizer)| Validator {
+            rules: RuleSet::full(),
+            normalizer,
+            cascade: Cascade::Tiered(topts, sopts),
+            ..Validator::new()
+        })
+        .collect();
+    // Sweep 1, both configurations at once: the pinned suite, optimized
+    // once. The optimizer is correct, so tier 2 may only upgrade alarms to
+    // proved-equivalent, never escalate.
+    let reports = sweep(
+        &ValidationEngine::new(),
+        modules.iter().map(|(_, m)| m),
+        &paper_pipeline(),
+        &validators,
+    );
     println!("Table 4: tier-2 SAT on surviving alarms (suite at 1/{scale} scale,");
     println!(
         "         battery of {} inputs per alarm, {} injected bugs)",
@@ -84,12 +101,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut headline_proved = 0;
     let mut inversions = 0;
-    for (name, normalizer) in configs() {
-        let cascade = Cascade::Tiered(topts, sopts);
-        let validator =
-            Validator { rules: RuleSet::full(), normalizer, cascade, ..Validator::new() };
-        // Sweep 1: the pinned suite. The optimizer is correct, so tier 2
-        // may only upgrade alarms to proved-equivalent, never escalate.
+    for (i, (&(name, normalizer), validator)) in configs.iter().zip(&validators).enumerate() {
         let mut alarms = 0;
         let mut proved = 0;
         let mut skipped = 0;
@@ -97,8 +109,7 @@ fn main() {
         let mut inconclusive = 0;
         let mut escalated = 0;
         let mut detail = Vec::new();
-        for (profile, m) in &modules {
-            let (_, report) = engine.llvm_md(m, &pm, &validator);
+        for ((profile, _), report) in modules.iter().zip(reports.iter().map(|row| &row[i])) {
             alarms += report.alarms();
             proved += report.proved_equivalent();
             escalated += report.real_miscompiles();

@@ -27,11 +27,20 @@
 //! runs the full synthetic suite. Each binary also writes a
 //! machine-readable `BENCH_<exhibit>.json` (see [`write_artifact`]) so the
 //! perf trajectory across PRs can be compared mechanically.
+//!
+//! The configuration studies (Figs. 5–8, §5.4, and the suite sweeps of
+//! Tables 2 and 4) validate one optimizer output under several validators.
+//! [`sweep`] runs them: it optimizes each module once and validates that
+//! output under every configuration, so adding a configuration costs
+//! validation only. Figs. 5–8 and §5.4 then print and write their totals
+//! through one [`RateTable`].
 
 pub mod timing;
 
 use lir::func::Module;
-use llvm_md_core::Json;
+use lir_opt::PassManager;
+use llvm_md_core::{Json, Validator};
+use llvm_md_driver::{Report, ValidationEngine};
 use llvm_md_workload::Profile;
 use std::path::PathBuf;
 
@@ -79,6 +88,125 @@ pub fn suite(scale: usize) -> Vec<(Profile, Module)> {
     llvm_md_workload::generate_suite(scale)
 }
 
+/// A pass manager that runs the one pass `name` (a paper abbreviation, see
+/// [`lir_opt::known_passes`]): the per-optimization experiment of Fig. 5.
+///
+/// # Panics
+///
+/// On an unknown pass name; every caller names a known pass.
+pub fn one_pass(name: &str) -> PassManager {
+    let pass = lir_opt::pass_by_name(name).unwrap_or_else(|| panic!("unknown pass `{name}`"));
+    let mut pm = PassManager::new();
+    pm.add(pass);
+    pm
+}
+
+/// Optimize each module once with `pm`, then validate that output under
+/// every validator ([`ValidationEngine::validate_modules`]). Returns
+/// `reports[module][validator]`. The optimizer never sees the validator,
+/// so each report equals `engine.llvm_md(module, pm, validator).1` under
+/// the timing-blind `Report ==`, for one optimizer run per module instead
+/// of one per configuration.
+pub fn sweep<'a>(
+    engine: &ValidationEngine,
+    modules: impl IntoIterator<Item = &'a Module>,
+    pm: &PassManager,
+    validators: &[Validator],
+) -> Vec<Vec<Report>> {
+    modules
+        .into_iter()
+        .map(|m| {
+            let mut out = m.clone();
+            pm.run_module(&mut out);
+            validators.iter().map(|v| engine.validate_modules(m, &out, v)).collect()
+        })
+        .collect()
+}
+
+/// `(transformed, validated)` summed per configuration over
+/// `reports[module][configuration]`.
+pub fn totals(reports: &[Vec<Report>]) -> Vec<(usize, usize)> {
+    let mut totals = vec![(0, 0); reports.first().map_or(0, Vec::len)];
+    for row in reports {
+        for (total, r) in totals.iter_mut().zip(row) {
+            total.0 += r.transformed();
+            total.1 += r.validated();
+        }
+    }
+    totals
+}
+
+/// A validation-rate exhibit (Figs. 5–8, §5.4): one row per suite
+/// benchmark, one column per configuration.
+pub struct RateTable {
+    /// The configuration labels, one per column.
+    labels: Vec<&'static str>,
+    /// The benchmark names, one per row.
+    names: Vec<&'static str>,
+    /// `reports[row][column]`, as a [`sweep`] returns them.
+    reports: Vec<Vec<Report>>,
+}
+
+impl RateTable {
+    /// Tabulate `reports[benchmark][column]` over `suite`'s benchmarks.
+    pub fn new(
+        suite: &[(Profile, Module)],
+        labels: &[&'static str],
+        reports: Vec<Vec<Report>>,
+    ) -> RateTable {
+        let names = suite.iter().map(|(p, _)| p.name).collect();
+        RateTable { labels: labels.to_vec(), names, reports }
+    }
+
+    /// Print one row per benchmark, then the overall row: the transformed
+    /// count (every column validates the same optimizer output) and each
+    /// column's validation rate, in columns as wide as the widest label
+    /// (8 at least).
+    pub fn print_rates(&self) {
+        let width = self.labels.iter().map(|l| l.len()).max().unwrap_or(0).max(8);
+        print!("{:12} {:>6} |", "benchmark", "xform");
+        for label in &self.labels {
+            print!(" {label:>width$}");
+        }
+        let rule = "-".repeat(21 + self.labels.len() * (width + 1));
+        println!("\n{rule}");
+        let row = |name: &str, cells: &[(usize, usize)]| {
+            print!("{name:12} {:>6} |", cells[0].0);
+            for &(t, v) in cells {
+                print!(" {:>w$.1}%", pct(v, t), w = width - 1);
+            }
+            println!();
+        };
+        for (name, reports) in self.names.iter().zip(&self.reports) {
+            row(name, &totals(std::slice::from_ref(reports)));
+        }
+        println!("{rule}");
+        row("overall", &totals(&self.reports));
+    }
+
+    /// Write the per-column totals to `BENCH_<name>.json` as `{exhibit,
+    /// scale, <axis>: [{<key>: label, transformed, validated,
+    /// validated_pct}]}` and print the path.
+    pub fn write(&self, name: &str, exhibit: &str, scale: usize, (axis, key): (&str, &str)) {
+        let columns = self.labels.iter().zip(totals(&self.reports)).map(|(label, (t, v))| {
+            Json::obj([
+                (key, Json::str(*label)),
+                ("transformed", Json::num(t as f64)),
+                ("validated", Json::num(v as f64)),
+                ("validated_pct", Json::num(pct(v, t))),
+            ])
+        });
+        let artifact = Json::obj([
+            ("exhibit", Json::str(exhibit)),
+            ("scale", Json::num(scale as f64)),
+            (axis, Json::arr(columns)),
+        ]);
+        let path = write_artifact(name, &artifact)
+            .unwrap_or_else(|e| panic!("write BENCH_{name}.json: {e}"));
+        println!("wrote {}", path.display());
+    }
+}
+
 /// Render `validated/transformed` as a percentage (100% when nothing was
 /// transformed).
 pub fn pct(validated: usize, transformed: usize) -> f64 {
@@ -124,6 +252,34 @@ mod tests {
         assert_eq!(s.len(), 12);
         assert!(s.iter().all(|(p, m)| m.functions.len() == p.functions));
         assert!(s.iter().all(|(p, _)| p.functions >= 5));
+    }
+
+    /// One optimizer run per module validated under each configuration
+    /// gives the reports of one whole `llvm_md` run per configuration.
+    #[test]
+    fn sweep_matches_llvm_md_per_configuration() {
+        let suite = suite(50);
+        let modules = || suite.iter().map(|(_, m)| m);
+        let engine = ValidationEngine::new();
+        let tier1 = Validator::new();
+        let triage = llvm_md_core::TriageOptions { battery: 8, ..Default::default() };
+        let triaging = Validator { cascade: llvm_md_core::Cascade::Triage(triage), ..tier1 };
+        let validators = [tier1, triaging];
+        for pm in [lir_opt::paper_pipeline(), one_pass("gvn")] {
+            let reports = sweep(&engine, modules(), &pm, &validators);
+            assert_eq!(reports.len(), suite.len());
+            let mut alarms = 0;
+            for (m, row) in modules().zip(&reports) {
+                for (v, report) in validators.iter().zip(row) {
+                    assert_eq!(*report, engine.llvm_md(m, &pm, v).1);
+                    alarms += report.alarms();
+                }
+            }
+            assert!(totals(&reports).iter().all(|&(t, v)| v <= t && t > 0));
+            if pm.len() > 1 {
+                assert!(alarms > 0, "the pipeline sweep must exercise the triage cascade");
+            }
+        }
     }
 
     #[test]

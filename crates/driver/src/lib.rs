@@ -238,7 +238,7 @@ pub fn changed(before: &Function, after: &Function) -> bool {
     before.canonicalized() != after.canonicalized()
 }
 
-/// `run_single_pass` was asked for a pass name `pass_by_name` doesn't know.
+/// A pass pipeline named a pass `pass_by_name` doesn't know.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnknownPass(pub String);
 
@@ -575,21 +575,6 @@ impl ValidationEngine {
         self.validate_modules(input, output, &validator)
     }
 
-    /// Run a single optimization pass (by paper abbreviation) and validate:
-    /// the per-optimization experiment of Fig. 5. Errors on an unknown pass
-    /// name instead of panicking.
-    pub fn run_single_pass(
-        &self,
-        input: &Module,
-        pass: &str,
-        validator: &Validator,
-    ) -> Result<Report, UnknownPass> {
-        let p = lir_opt::pass_by_name(pass).ok_or_else(|| UnknownPass(pass.to_owned()))?;
-        let mut pm = PassManager::new();
-        pm.add(p);
-        Ok(self.llvm_md(input, &pm, validator).1)
-    }
-
     /// Stream a whole corpus of modules through the pool: optimize each
     /// module (modules are independent work units), then validate **every
     /// transformed function of every module** as one flat batch, so queries
@@ -716,9 +701,8 @@ mod tests {
              %s = sub i64 %a, %b\n  ret i64 %s\n\
              }\n",
         );
-        let report = ValidationEngine::serial()
-            .run_single_pass(&m, "gvn", &Validator::new())
-            .expect("known pass");
+        let gvn = campaign_pass_manager(&["gvn".to_owned()]).expect("known pass");
+        let (_, report) = ValidationEngine::serial().llvm_md(&m, &gvn, &Validator::new());
         let rec = &report.records[0];
         assert!(rec.transformed, "GVN merges the equivalent phis");
         assert!(rec.validated, "{:?}", rec.reason);
@@ -726,10 +710,7 @@ mod tests {
 
     #[test]
     fn unknown_pass_is_an_error_not_a_panic() {
-        let m = module("define i64 @f(i64 %a) {\nentry:\n  ret i64 %a\n}\n");
-        let err = ValidationEngine::serial()
-            .run_single_pass(&m, "no-such-pass", &Validator::new())
-            .unwrap_err();
+        let err = campaign_pass_manager(&["no-such-pass".to_owned()]).unwrap_err();
         assert_eq!(err, UnknownPass("no-such-pass".to_owned()));
         assert!(err.to_string().contains("no-such-pass"));
     }

@@ -30,23 +30,6 @@ use lir::loops::LoopId;
 use lir::value::{Constant, Operand, Reg};
 use std::collections::HashMap;
 
-/// Statistics about one gated-SSA construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BuildStats {
-    /// Reachable blocks translated.
-    pub blocks: usize,
-    /// Natural loops translated.
-    pub loops: usize,
-    /// Value-graph nodes created (including gate conditions).
-    pub nodes: usize,
-    /// Gated φ nodes in the graph.
-    pub phis: usize,
-    /// μ nodes in the graph.
-    pub mus: usize,
-    /// η nodes in the graph.
-    pub etas: usize,
-}
-
 /// The gated-SSA value graph of one function.
 #[derive(Debug)]
 pub struct GatedFunction {
@@ -58,8 +41,6 @@ pub struct GatedFunction {
     pub ret: Option<NodeId>,
     /// Root of the observable final memory (an [`Node::ObsMem`] wrapper).
     pub mem: NodeId,
-    /// Construction statistics.
-    pub stats: BuildStats,
 }
 
 /// Translate `f` into gated SSA.
@@ -131,7 +112,6 @@ struct Builder<'a> {
     loop_xlat: Vec<Option<LoopXlat>>,
     loop_writes_mem: Vec<bool>,
     loop_allocates: Vec<bool>,
-    stats: BuildStats,
 }
 
 /// Entry point over an already prepared function (exposed for tests that
@@ -174,18 +154,7 @@ pub fn build_prepared_with(
         None => (None, init_mem),
     };
     let mem = b.g.add(Node::ObsMem(final_mem));
-    let mut stats = b.stats;
-    stats.nodes = b.g.len();
-    stats.loops = p.lf.loops.len();
-    for (_, n) in b.g.iter() {
-        match n {
-            Node::Phi { .. } => stats.phis += 1,
-            Node::Mu { .. } => stats.mus += 1,
-            Node::Eta { .. } => stats.etas += 1,
-            _ => {}
-        }
-    }
-    Ok(GatedFunction { name: name.to_owned(), graph: b.g, ret, mem, stats })
+    Ok(GatedFunction { name: name.to_owned(), graph: b.g, ret, mem })
 }
 
 impl<'a> Builder<'a> {
@@ -208,7 +177,6 @@ impl<'a> Builder<'a> {
             loop_xlat: (0..nloops).map(|_| None).collect(),
             loop_writes_mem: vec![false; nloops],
             loop_allocates: vec![false; nloops],
-            stats: BuildStats::default(),
         }
     }
 
@@ -619,7 +587,6 @@ impl<'a> Builder<'a> {
                 x.ca = ca;
             }
         }
-        self.stats.blocks += members.iter().filter(|m| matches!(m, Member::Block(_))).count();
         Ok(leaving)
     }
 
@@ -734,6 +701,12 @@ mod tests {
         build(&m.functions[0]).expect("gate")
     }
 
+    /// The μ and η node counts of `g`.
+    fn mus_etas(g: &GatedFunction) -> (usize, usize) {
+        let count = |want: fn(&Node) -> bool| g.graph.iter().filter(|(_, n)| want(n)).count();
+        (count(|n| matches!(n, Node::Mu { .. })), count(|n| matches!(n, Node::Eta { .. })))
+    }
+
     /// Shared graphs for equivalent straight-line code produce the same root
     /// immediately (paper §3.1: x3 = (3+3)*a + (3+3)*a vs y = a*6 << 1 need
     /// rules, but literally equal code needs none).
@@ -759,7 +732,7 @@ mod tests {
         );
         let ret = g.ret.unwrap();
         assert!(matches!(g.graph.node(ret), Node::Phi { .. }), "{}", g.graph.display(ret));
-        assert_eq!(g.stats.mus, 0);
+        assert_eq!(mus_etas(&g).0, 0);
     }
 
     #[test]
@@ -773,8 +746,9 @@ mod tests {
              done:\n  ret i64 %i\n\
              }\n",
         );
-        assert_eq!(g.stats.mus, 1);
-        assert!(g.stats.etas >= 1);
+        let (mus, etas) = mus_etas(&g);
+        assert_eq!(mus, 1);
+        assert!(etas >= 1);
         let s = g.graph.display(g.ret.unwrap());
         assert!(s.contains("(eta"), "{s}");
         assert!(s.contains("(mu"), "{s}");
@@ -915,7 +889,7 @@ mod tests {
 
     #[test]
     fn nested_loops_stack_etas() {
-        let g = gate(
+        let m = parse_module(
             "define i64 @nest(i64 %n) {\n\
              entry:\n  br label %oh\n\
              oh:\n  %i = phi i64 [ 0, %entry ], [ %i2, %olatch ]\n\
@@ -926,9 +900,12 @@ mod tests {
              olatch:\n  %i2 = add i64 %i, %j\n  br label %oh\n\
              done:\n  ret i64 %i\n\
              }\n",
-        );
-        assert_eq!(g.stats.loops, 2);
-        assert!(g.stats.mus >= 2, "stats: {:?}", g.stats);
+        )
+        .expect("parse");
+        let f = &m.functions[0];
+        assert_eq!(crate::prepare(f).expect("reducible").lf.loops.len(), 2);
+        let g = build(f).expect("gate");
+        assert!(mus_etas(&g).0 >= 2, "{}", g.graph.display(g.ret.unwrap()));
     }
 
     #[test]

@@ -41,8 +41,6 @@ pub mod build;
 pub mod node;
 pub mod prep;
 
-pub use build::{
-    build, build_prepared, build_prepared_with, build_with, BuildStats, GatedFunction,
-};
+pub use build::{build, build_prepared, build_prepared_with, build_with, GatedFunction};
 pub use node::{CalleeId, Interning, Node, NodeId, ValueGraph};
 pub use prep::{prepare, single_return, GateError, Prepared};

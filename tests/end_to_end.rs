@@ -7,6 +7,7 @@ use llvm_md::core::{RuleSet, Validator};
 use llvm_md::driver::ValidationEngine;
 use llvm_md::opt::paper_pipeline;
 use llvm_md::workload::corpus_modules;
+use llvm_md_bench::one_pass;
 
 /// The full pipeline over every corpus entry: transformed functions
 /// validate with the paper's rule set (+libc for the strlen entry, exactly
@@ -108,7 +109,7 @@ fn unswitched_loop_rejects_cleanly_or_validates() {
     let m = corpus_modules().into_iter().find(|(n, _)| *n == "unswitch_loop").expect("present").1;
     let mut v = Validator::new();
     v.limits.unswitch_budget = 4;
-    let report = ValidationEngine::serial().run_single_pass(&m, "lu", &v).expect("known pass");
+    let (_, report) = ValidationEngine::serial().llvm_md(&m, &one_pass("lu"), &v);
     let rec = &report.records[0];
     if rec.transformed && !rec.validated {
         assert!(
@@ -126,9 +127,7 @@ fn unswitched_loop_rejects_cleanly_or_validates() {
 #[test]
 fn dse_stack_validates() {
     let m = corpus_modules().into_iter().find(|(n, _)| *n == "dse_stack").expect("present").1;
-    let report = ValidationEngine::serial()
-        .run_single_pass(&m, "dse", &Validator::new())
-        .expect("known pass");
+    let (_, report) = ValidationEngine::serial().llvm_md(&m, &one_pass("dse"), &Validator::new());
     let rec = &report.records[0];
     if rec.transformed {
         assert!(rec.validated, "{:?}", rec.reason);

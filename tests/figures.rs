@@ -7,10 +7,12 @@
 
 use llvm_md::core::{MatchStrategy, RuleSet, Validator};
 use llvm_md::driver::ValidationEngine;
-use llvm_md::opt::paper_pipeline;
+use llvm_md::lir::func::Module;
+use llvm_md::opt::{paper_pipeline, PassManager};
 use llvm_md::workload::{generate, profiles};
+use llvm_md_bench::{one_pass, sweep, totals};
 
-fn reduced_suite(per_bench: usize) -> Vec<(String, llvm_md::lir::func::Module)> {
+fn reduced_suite(per_bench: usize) -> Vec<(String, Module)> {
     profiles()
         .into_iter()
         .map(|mut p| {
@@ -18,6 +20,14 @@ fn reduced_suite(per_bench: usize) -> Vec<(String, llvm_md::lir::func::Module)> 
             (p.name.to_owned(), generate(&p))
         })
         .collect()
+}
+
+/// The validation rate under each validator of `modules` optimized once by
+/// `pm`: validated / transformed, 0 when nothing was transformed.
+fn rates(modules: &[(String, Module)], pm: &PassManager, validators: &[Validator]) -> Vec<f64> {
+    let reports =
+        sweep(&ValidationEngine::serial(), modules.iter().map(|(_, m)| m), pm, validators);
+    totals(&reports).into_iter().map(|(t, ok)| ok as f64 / t.max(1) as f64).collect()
 }
 
 /// Fig. 4: the pipeline validates a high fraction but not everything, and
@@ -42,18 +52,16 @@ fn fig4_pipeline_rate_is_high_but_imperfect() {
 /// Fig. 5: GVN performs the most transformations of any single pass.
 #[test]
 fn fig5_gvn_transforms_most() {
-    let validator = Validator::new();
-    let mut per_pass: Vec<(&str, usize)> = Vec::new();
-    for pass in ["adce", "gvn", "sccp", "licm", "ld", "lu", "dse"] {
-        let mut total = 0;
-        for (_, m) in reduced_suite(10) {
-            total += ValidationEngine::serial()
-                .run_single_pass(&m, pass, &validator)
-                .expect("known pass")
-                .transformed();
-        }
-        per_pass.push((pass, total));
-    }
+    let modules = reduced_suite(10);
+    let per_pass: Vec<(&str, usize)> = ["adce", "gvn", "sccp", "licm", "ld", "lu", "dse"]
+        .into_iter()
+        .map(|pass| {
+            let ms = modules.iter().map(|(_, m)| m);
+            let reports =
+                sweep(&ValidationEngine::serial(), ms, &one_pass(pass), &[Validator::new()]);
+            (pass, totals(&reports)[0].0)
+        })
+        .collect();
     let gvn = per_pass.iter().find(|(p, _)| *p == "gvn").expect("gvn ran").1;
     let max = per_pass.iter().map(|&(_, t)| t).max().expect("non-empty");
     // On the synthetic suite ADCE edges out GVN (any dead instruction counts
@@ -69,18 +77,10 @@ fn fig5_gvn_transforms_most() {
 /// the full ladder beats no-rules.
 #[test]
 fn fig6_gvn_rules_monotone() {
-    let mut rates = Vec::new();
-    for step in 1..=6 {
-        let v = Validator { rules: RuleSet::fig6_step(step), ..Validator::new() };
-        let mut t = 0;
-        let mut ok = 0;
-        for (_, m) in reduced_suite(10) {
-            let r = ValidationEngine::serial().run_single_pass(&m, "gvn", &v).expect("known pass");
-            t += r.transformed();
-            ok += r.validated();
-        }
-        rates.push(ok as f64 / t.max(1) as f64);
-    }
+    let validators: Vec<_> = (1..=6)
+        .map(|step| Validator { rules: RuleSet::fig6_step(step), ..Validator::new() })
+        .collect();
+    let rates = rates(&reduced_suite(10), &one_pass("gvn"), &validators);
     for w in rates.windows(2) {
         assert!(w[1] >= w[0] - 0.02, "rule groups must not hurt: {rates:?}");
     }
@@ -92,19 +92,9 @@ fn fig6_gvn_rules_monotone() {
 /// false alarms.
 #[test]
 fn fig7_licm_baseline_high_libc_helps() {
-    let configs = [RuleSet::none(), RuleSet::all(), RuleSet { libc: true, ..RuleSet::all() }];
-    let mut rates = Vec::new();
-    for rules in configs {
-        let v = Validator { rules, ..Validator::new() };
-        let mut t = 0;
-        let mut ok = 0;
-        for (_, m) in reduced_suite(12) {
-            let r = ValidationEngine::serial().run_single_pass(&m, "licm", &v).expect("known pass");
-            t += r.transformed();
-            ok += r.validated();
-        }
-        rates.push(ok as f64 / t.max(1) as f64);
-    }
+    let validators = [RuleSet::none(), RuleSet::all(), RuleSet { libc: true, ..RuleSet::all() }]
+        .map(|rules| Validator { rules, ..Validator::new() });
+    let rates = rates(&reduced_suite(12), &one_pass("licm"), &validators);
     assert!(rates[0] > 0.6, "no-rule LICM baseline must be high: {rates:?}");
     assert!(rates[2] >= rates[1], "libc knowledge must not hurt: {rates:?}");
     assert!(rates[2] > rates[0] - 0.02, "full config at least baseline: {rates:?}");
@@ -113,18 +103,10 @@ fn fig7_licm_baseline_high_libc_helps() {
 /// Fig. 8: SCCP without rules is poor; constant folding gives a large jump.
 #[test]
 fn fig8_sccp_needs_constant_folding() {
-    let mut rates = Vec::new();
-    for step in 1..=4 {
-        let v = Validator { rules: RuleSet::fig8_step(step), ..Validator::new() };
-        let mut t = 0;
-        let mut ok = 0;
-        for (_, m) in reduced_suite(10) {
-            let r = ValidationEngine::serial().run_single_pass(&m, "sccp", &v).expect("known pass");
-            t += r.transformed();
-            ok += r.validated();
-        }
-        rates.push(ok as f64 / t.max(1) as f64);
-    }
+    let validators: Vec<_> = (1..=4)
+        .map(|step| Validator { rules: RuleSet::fig8_step(step), ..Validator::new() })
+        .collect();
+    let rates = rates(&reduced_suite(10), &one_pass("sccp"), &validators);
     assert!(
         rates[1] >= rates[0] + 0.1 || rates[0] > 0.85,
         "constant folding must give SCCP a big jump: {rates:?}"
@@ -136,27 +118,19 @@ fn fig8_sccp_needs_constant_folding() {
 /// as good as each; everything beats no cycle matching on loopy code.
 #[test]
 fn ablation_cycle_matching_shapes() {
-    let mut rates = Vec::new();
-    for strategy in [
+    let validators = [
         MatchStrategy::None,
         MatchStrategy::Unification,
         MatchStrategy::Partition,
         MatchStrategy::Combined,
-    ] {
-        let v = Validator { strategy, ..Validator::new() };
-        let mut t = 0;
-        let mut ok = 0;
-        // lbm/hmmer: loop-heavy profiles.
-        for (name, m) in reduced_suite(10) {
-            if name != "lbm" && name != "hmmer" && name != "bzip2" {
-                continue;
-            }
-            let (_, report) = ValidationEngine::serial().llvm_md(&m, &paper_pipeline(), &v);
-            t += report.transformed();
-            ok += report.validated();
-        }
-        rates.push(ok as f64 / t.max(1) as f64);
-    }
+    ]
+    .map(|strategy| Validator { strategy, ..Validator::new() });
+    // lbm/hmmer: loop-heavy profiles.
+    let loopy: Vec<_> = reduced_suite(10)
+        .into_iter()
+        .filter(|(name, _)| ["lbm", "hmmer", "bzip2"].contains(&name.as_str()))
+        .collect();
+    let rates = rates(&loopy, &paper_pipeline(), &validators);
     let [none, unif, part, comb] = rates[..] else { panic!("four strategies") };
     assert!(unif > none, "unification must beat no matching: {rates:?}");
     assert!(part > none, "partitioning must beat no matching: {rates:?}");

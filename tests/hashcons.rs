@@ -100,9 +100,8 @@ fn injected_bugs_agree_across_interners() {
 }
 
 /// The hand-written §3–§4 corpus builds node-for-node identical gated
-/// graphs under both interners: same node sequence, same roots, same
-/// construction stats — the strongest form of "the fast interner assigns
-/// the same ids".
+/// graphs under both interners: same node sequence and same roots — the
+/// strongest form of "the fast interner assigns the same ids".
 #[test]
 fn gated_builds_are_node_identical_across_interners() {
     for (name, m) in corpus_modules() {
@@ -113,7 +112,6 @@ fn gated_builds_are_node_identical_across_interners() {
                 (Ok(gf), Ok(gn)) => {
                     assert_eq!(gf.ret, gn.ret, "{name}/{}: return roots differ", f.name);
                     assert_eq!(gf.mem, gn.mem, "{name}/{}: memory roots differ", f.name);
-                    assert_eq!(gf.stats, gn.stats, "{name}/{}: build stats differ", f.name);
                     assert_eq!(gf.graph.len(), gn.graph.len(), "{name}/{}", f.name);
                     for ((i, a), (j, b)) in gf.graph.iter().zip(gn.graph.iter()) {
                         assert_eq!(i, j);
