@@ -29,8 +29,7 @@
 use llvm_md_bench::{str_flag, u64_flag, usize_flag, write_artifact};
 use llvm_md_core::{Json, TriageOptions, Validator};
 use llvm_md_driver::{
-    default_workers, parse_repro, replay_repro, repro_to_string, CampaignConfig, CampaignReport,
-    Finding, FuzzCampaign, ValidationEngine,
+    default_workers, CampaignConfig, Finding, FuzzCampaign, ProfileStats, Repro, ValidationEngine,
 };
 use llvm_md_workload::reduce::ReduceOptions;
 use llvm_md_workload::{BugKind, DEFAULT_CAMPAIGN_SEED};
@@ -48,83 +47,74 @@ fn repro_dir() -> PathBuf {
     )
 }
 
-fn replay_mode(file: &str, triage: &TriageOptions) -> ExitCode {
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read repro `{file}`: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let repro = match parse_repro(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot parse repro `{file}`: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "replaying {file}: profile {} module {} function @{} ({}), pipeline [{}]",
-        repro.profile,
-        repro.index,
-        repro.function,
-        repro.kind,
-        repro.passes.join(", ")
-    );
-    match replay_repro(&repro, &Validator::new(), triage) {
-        Ok(outcome) if outcome.reproduced => {
-            println!("reproduced: the recorded {} still shows", repro.kind);
-            ExitCode::SUCCESS
-        }
-        Ok(_) => {
-            eprintln!("NOT reproduced: the recorded {} no longer shows", repro.kind);
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("replay failed: {e}");
-            ExitCode::FAILURE
-        }
+/// Read, parse and replay one persisted repro: `Ok` iff its recorded
+/// finding still shows.
+fn replay(file: &Path, triage: &TriageOptions) -> Result<Repro, String> {
+    let shown = file.display();
+    let text =
+        std::fs::read_to_string(file).map_err(|e| format!("cannot read repro `{shown}`: {e}"))?;
+    let repro: Repro = text.parse().map_err(|e| format!("cannot parse repro `{shown}`: {e}"))?;
+    match repro.reproduces(&Validator::new(), triage) {
+        Ok(true) => Ok(repro),
+        Ok(false) => Err(format!("NOT reproduced: the recorded {} no longer shows", repro.kind)),
+        Err(e) => Err(format!("replay of `{shown}` failed: {e}")),
     }
 }
 
-fn persist_findings(report: &CampaignReport, dir: &Path) -> Vec<(String, PathBuf)> {
-    if report.findings.is_empty() {
-        return Vec::new();
-    }
-    std::fs::create_dir_all(dir).expect("create repro dir");
-    report
-        .findings
-        .iter()
-        .map(|f| {
-            let path = dir.join(f.file_name());
-            std::fs::write(&path, repro_to_string(f, report.seed, &report.passes))
-                .expect("write repro");
-            (f.file_name(), path)
-        })
-        .collect()
+/// A profile's counters as artifact fields, in artifact order.
+fn count_fields(p: &ProfileStats) -> Vec<(&'static str, Json)> {
+    let n = |v: usize| Json::num(v as f64);
+    vec![
+        ("functions", n(p.functions)),
+        ("transformed", n(p.transformed)),
+        ("validated", n(p.validated)),
+        ("validation_rate", Json::num(p.validation_rate())),
+        ("suspected_incomplete", n(p.suspected_incomplete)),
+        ("real_miscompiles", n(p.real_miscompiles)),
+        ("pairing_alarms", n(p.pairing_alarms)),
+        ("chain_runs", n(p.chain_runs)),
+        ("chain_certified", n(p.chain_certified)),
+        ("chain_inconsistent", n(p.chain_inconsistent)),
+    ]
 }
 
-fn finding_json(f: &Finding, file: &str) -> Json {
+fn finding_json(f: &Finding) -> Json {
+    let r = &f.repro;
     Json::obj([
-        ("profile", Json::str(f.profile.clone())),
-        ("index", Json::num(f.index as f64)),
-        ("function", Json::str(f.function.clone())),
-        ("kind", Json::str(f.kind.to_string())),
-        ("witness", Json::Arr(f.witness.iter().map(|&a| Json::str(a.to_string())).collect())),
+        ("profile", Json::str(r.profile.clone())),
+        ("index", Json::num(r.index as f64)),
+        ("function", Json::str(r.function.clone())),
+        ("kind", Json::str(r.kind.to_string())),
+        ("witness", Json::Arr(r.witness.iter().map(|&a| Json::str(a.to_string())).collect())),
         ("insts_before", Json::num(f.reduce_stats.insts_before as f64)),
         ("insts_after", Json::num(f.reduce_stats.insts_after as f64)),
         ("reduce_oracle_calls", Json::num(f.reduce_stats.oracle_calls as f64)),
         ("reduce_accepted", Json::num(f.reduce_stats.accepted as f64)),
-        ("file", Json::str(file)),
+        ("file", Json::str(r.file_name())),
     ])
 }
 
-#[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
     let battery = usize_flag("--battery", 16);
     let triage = TriageOptions { battery, ..TriageOptions::default() };
     if let Some(file) = str_flag("--replay") {
-        return replay_mode(&file, &triage);
+        return match replay(Path::new(&file), &triage) {
+            Ok(r) => {
+                println!(
+                    "reproduced {file}: profile {} module {} function @{} ({}), pipeline [{}]",
+                    r.profile,
+                    r.index,
+                    r.function,
+                    r.kind,
+                    r.passes.join(", ")
+                );
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("{e}");
+                ExitCode::FAILURE
+            }
+        };
     }
 
     let inject = str_flag("--inject");
@@ -205,27 +195,38 @@ fn main() -> ExitCode {
     );
 
     let dir = repro_dir();
-    let persisted = persist_findings(&report, &dir);
-    for (finding, (name, path)) in report.findings.iter().zip(&persisted) {
+    if !report.findings.is_empty() {
+        std::fs::create_dir_all(&dir).expect("create repro dir");
+    }
+    for f in &report.findings {
+        let path = dir.join(f.repro.file_name());
+        std::fs::write(&path, f.repro.to_string()).expect("write repro");
         println!(
             "  finding: {} @{} ({}), witness {:?}, {} -> {} insts, persisted {}",
-            finding.profile,
-            finding.function,
-            finding.kind,
-            finding.witness,
-            finding.reduce_stats.insts_before,
-            finding.reduce_stats.insts_after,
+            f.repro.profile,
+            f.repro.function,
+            f.repro.kind,
+            f.repro.witness,
+            f.reduce_stats.insts_before,
+            f.reduce_stats.insts_after,
             path.display()
         );
-        let _ = name;
     }
 
-    let totals = |f: fn(&llvm_md_driver::ProfileStats) -> usize| -> usize {
-        report.profiles.iter().map(f).sum()
-    };
-    let transformed = totals(|p| p.transformed);
-    let validated = totals(|p| p.validated);
-    let artifact = Json::obj([
+    let total = report.profiles.iter().fold(ProfileStats::default(), |t, p| ProfileStats {
+        profile: String::new(),
+        modules: t.modules + p.modules,
+        functions: t.functions + p.functions,
+        transformed: t.transformed + p.transformed,
+        validated: t.validated + p.validated,
+        suspected_incomplete: t.suspected_incomplete + p.suspected_incomplete,
+        real_miscompiles: t.real_miscompiles + p.real_miscompiles,
+        pairing_alarms: t.pairing_alarms + p.pairing_alarms,
+        chain_runs: t.chain_runs + p.chain_runs,
+        chain_certified: t.chain_certified + p.chain_certified,
+        chain_inconsistent: t.chain_inconsistent + p.chain_inconsistent,
+    });
+    let mut fields = vec![
         ("exhibit", Json::str("fuzz_campaign")),
         ("seed", Json::str(format!("{:#018x}", report.seed))),
         ("modules_per_profile", Json::num(config.modules_per_profile as f64)),
@@ -234,61 +235,22 @@ fn main() -> ExitCode {
         ("workers", Json::num(workers as f64)),
         ("passes", Json::Arr(report.passes.iter().map(Json::str).collect())),
         ("injected", Json::str(inject.clone().unwrap_or_default())),
-        ("modules_generated", Json::num(report.modules_generated() as f64)),
-        ("functions", Json::num(totals(|p| p.functions) as f64)),
-        ("transformed", Json::num(transformed as f64)),
-        ("validated", Json::num(validated as f64)),
-        (
-            "validation_rate",
-            Json::num(if transformed == 0 { 1.0 } else { validated as f64 / transformed as f64 }),
-        ),
-        ("suspected_incomplete", Json::num(totals(|p| p.suspected_incomplete) as f64)),
-        ("real_miscompiles", Json::num(totals(|p| p.real_miscompiles) as f64)),
-        ("pairing_alarms", Json::num(totals(|p| p.pairing_alarms) as f64)),
-        ("chain_runs", Json::num(totals(|p| p.chain_runs) as f64)),
-        ("chain_certified", Json::num(totals(|p| p.chain_certified) as f64)),
-        ("chain_inconsistent", Json::num(totals(|p| p.chain_inconsistent) as f64)),
+        ("modules_generated", Json::num(total.modules as f64)),
+    ];
+    fields.extend(count_fields(&total));
+    let profiles = report.profiles.iter().map(|p| {
+        let head =
+            [("profile", Json::str(p.profile.clone())), ("modules", Json::num(p.modules as f64))];
+        Json::obj(head.into_iter().chain(count_fields(p)))
+    });
+    fields.extend([
         ("soundness_failures", Json::num(report.soundness_failures() as f64)),
         ("findings_truncated", Json::num(report.findings_truncated as f64)),
-        (
-            "profiles",
-            Json::Arr(
-                report
-                    .profiles
-                    .iter()
-                    .map(|p| {
-                        Json::obj([
-                            ("profile", Json::str(p.profile.clone())),
-                            ("modules", Json::num(p.modules as f64)),
-                            ("functions", Json::num(p.functions as f64)),
-                            ("transformed", Json::num(p.transformed as f64)),
-                            ("validated", Json::num(p.validated as f64)),
-                            ("validation_rate", Json::num(p.validation_rate())),
-                            ("suspected_incomplete", Json::num(p.suspected_incomplete as f64)),
-                            ("real_miscompiles", Json::num(p.real_miscompiles as f64)),
-                            ("pairing_alarms", Json::num(p.pairing_alarms as f64)),
-                            ("chain_runs", Json::num(p.chain_runs as f64)),
-                            ("chain_certified", Json::num(p.chain_certified as f64)),
-                            ("chain_inconsistent", Json::num(p.chain_inconsistent as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "findings",
-            Json::Arr(
-                report
-                    .findings
-                    .iter()
-                    .zip(&persisted)
-                    .map(|(f, (name, _))| finding_json(f, name))
-                    .collect(),
-            ),
-        ),
+        ("profiles", Json::Arr(profiles.collect())),
+        ("findings", Json::Arr(report.findings.iter().map(finding_json).collect())),
         ("wall_s", Json::num(report.wall.as_secs_f64())),
     ]);
-    let path = write_artifact("fuzz", &artifact).expect("write BENCH_fuzz.json");
+    let path = write_artifact("fuzz", &Json::obj(fields)).expect("write BENCH_fuzz.json");
     println!("wrote {}", path.display());
 
     match inject {
@@ -313,26 +275,25 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             let finding = &report.findings[0];
-            if finding.reduce_stats.insts_after > finding.reduce_stats.insts_before {
-                eprintln!("reducer grew the repro: {:?}", finding.reduce_stats);
+            let stats = finding.reduce_stats;
+            if stats.insts_after > stats.insts_before {
+                eprintln!("reducer grew the repro: {stats:?}");
                 return ExitCode::FAILURE;
             }
-            let (_, path) = &persisted[0];
-            let text = std::fs::read_to_string(path).expect("read back persisted repro");
-            let repro = parse_repro(&text).expect("persisted repro parses");
-            match replay_repro(&repro, &Validator::new(), &config.triage) {
-                Ok(o) if o.reproduced => {
+            let path = dir.join(finding.repro.file_name());
+            match replay(&path, &config.triage) {
+                Ok(_) => {
                     println!(
                         "injected bug `{bug}` found, minimized \
                          ({} -> {} insts) and replayed from {}",
-                        finding.reduce_stats.insts_before,
-                        finding.reduce_stats.insts_after,
+                        stats.insts_before,
+                        stats.insts_after,
                         path.display()
                     );
                     ExitCode::SUCCESS
                 }
-                _ => {
-                    eprintln!("persisted repro failed to replay");
+                Err(e) => {
+                    eprintln!("persisted repro failed to replay: {e}");
                     ExitCode::FAILURE
                 }
             }

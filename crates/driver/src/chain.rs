@@ -163,18 +163,6 @@ pub struct ChainReport {
     pub cache: CacheStats,
 }
 
-/// One per-function row of [`ChainReport`]'s cross-step aggregation.
-/// Functions are keyed by `(name, per-step occurrence index)` so
-/// duplicate-named copies — which `pair_functions` pairs positionally among
-/// themselves and records separately — stay separate here too; nothing is
-/// silently merged.
-struct StepOutcome<'a> {
-    name: &'a str,
-    occurrence: usize,
-    transformed: bool,
-    certified: bool,
-}
-
 /// Per-name occurrence counter: returns 0 for the first `name`, 1 for the
 /// next duplicate, … (the positional-copy index `pair_functions` uses).
 fn occurrence<'a>(counts: &mut HashMap<&'a str, usize>, name: &'a str) -> usize {
@@ -183,61 +171,22 @@ fn occurrence<'a>(counts: &mut HashMap<&'a str, usize>, name: &'a str) -> usize 
 }
 
 impl ChainReport {
-    /// Per-function aggregate over the steps, in first-seen order:
-    /// transformed at some step / every transformed step validated.
-    fn step_outcomes(&self) -> Vec<StepOutcome<'_>> {
-        let mut order: Vec<(&str, usize)> = Vec::new();
-        let mut agg: HashMap<(&str, usize), (bool, bool)> = HashMap::new();
+    /// Which functions the chain certified (no transformed step failed to
+    /// validate), keyed by `(name, per-step occurrence index)` so
+    /// duplicate-named copies — which `pair_functions` pairs positionally
+    /// among themselves and records separately — stay separate. Shared by
+    /// the composition cross-checks.
+    fn certified_map(&self) -> HashMap<(&str, usize), bool> {
+        let mut certified: HashMap<(&str, usize), bool> = HashMap::new();
         for step in &self.steps {
             let mut occ: HashMap<&str, usize> = HashMap::new();
             for rec in &step.report.records {
                 let key = (rec.name.as_str(), occurrence(&mut occ, &rec.name));
-                let entry = agg.entry(key).or_insert_with(|| {
-                    order.push(key);
-                    (false, true)
-                });
-                entry.0 |= rec.transformed;
-                if rec.transformed && !rec.validated {
-                    entry.1 = false;
-                }
+                let ok = certified.entry(key).or_insert(true);
+                *ok &= !rec.transformed || rec.validated;
             }
         }
-        order
-            .into_iter()
-            .map(|key| {
-                let (transformed, certified) = agg[&key];
-                StepOutcome { name: key.0, occurrence: key.1, transformed, certified }
-            })
-            .collect()
-    }
-
-    /// Which `(name, occurrence)` pairs the chain certified (no failing
-    /// transformed step) — shared by the composition cross-checks.
-    fn certified_map(&self) -> HashMap<(&str, usize), bool> {
-        self.step_outcomes().into_iter().map(|o| ((o.name, o.occurrence), o.certified)).collect()
-    }
-
-    /// Functions some step transformed.
-    pub fn chain_transformed(&self) -> usize {
-        self.step_outcomes().iter().filter(|o| o.transformed).count()
-    }
-
-    /// Functions some step transformed whose every transformed step
-    /// validated — the chain-certified functions.
-    pub fn chain_validated(&self) -> usize {
-        self.step_outcomes().iter().filter(|o| o.transformed && o.certified).count()
-    }
-
-    /// `chain_validated / chain_transformed` (`1.0` when no step
-    /// transformed anything). One aggregation pass, not two.
-    pub fn chain_validation_rate(&self) -> f64 {
-        let outcomes = self.step_outcomes();
-        let t = outcomes.iter().filter(|o| o.transformed).count();
-        if t == 0 {
-            1.0
-        } else {
-            outcomes.iter().filter(|o| o.transformed && o.certified).count() as f64 / t as f64
-        }
+        certified
     }
 
     /// The certified-composition verdict for the whole module: every step
@@ -603,9 +552,9 @@ mod tests {
         // The broken pass flips both copies; each alarms and each is blamed.
         assert_eq!(chain.blames.len(), 2, "both copies must be blamed: {:?}", chain.blames);
         assert!(chain.blames.iter().all(|b| b.function == "f" && b.pass == "flip-comparison"));
-        assert_eq!(chain.chain_transformed(), 2, "aggregation must keep the copies separate");
-        assert_eq!(chain.chain_validated(), 0);
-        assert_eq!(chain.composition().transformed, 2);
+        let comp = chain.composition();
+        assert_eq!(comp.transformed, 2, "aggregation must keep the copies separate");
+        assert_eq!(comp.chain_certified, 0);
     }
 
     /// An empty pipeline yields an empty chain whose end-to-end pair is the
@@ -620,8 +569,8 @@ mod tests {
         );
         assert!(chain.steps.is_empty());
         assert!(chain.certifies());
-        assert_eq!(chain.chain_transformed(), 0);
-        assert_eq!(chain.chain_validation_rate(), 1.0);
+        assert_eq!(chain.composition(), Composition::default());
+        assert_eq!(chain.composition().chain_rate(), 1.0);
         assert_eq!(chain.end_to_end.transformed(), 0);
     }
 }

@@ -14,13 +14,16 @@
 //! * **real miscompile** — on an *unmodified* pass pipeline this means the
 //!   optimizer or the validator is unsound. The campaign records it as a
 //!   [`Finding`], shrinks the module with the outcome-preserving reducer
-//!   (`llvm_md_workload::reduce`, oracle = "the pair still classifies as a
-//!   real miscompile"), and the harness persists it as a replayable repro.
+//!   (`llvm_md_workload::reduce`), and the harness persists its [`Repro`].
 //!
 //! Every `chain_every`-th module additionally runs through the
 //! [`ChainValidator`]: a chain-certified function that triages as an
-//! end-to-end real miscompile ([`ChainReport::composition_consistent`]
-//! violated) is a second finding class, minimized the same way.
+//! end-to-end real miscompile
+//! ([`ChainReport::composition_consistent`](crate::ChainReport::composition_consistent)
+//! violated) is a second finding class. Both classes are collected per
+//! profile in discovery order (module scan, then chain checks) and drained
+//! through one store-or-truncate loop; the reducer's oracle is the
+//! finding's [`FindingKind::reproduces`], the same check replay runs.
 //!
 //! Campaigns are deterministic modulo wall-clock: the same
 //! [`CampaignConfig`] produces equal [`CampaignReport`]s (equality skips
@@ -30,23 +33,23 @@
 //!
 //! # Repro files
 //!
-//! A persisted repro is the minimized module's assembly prefixed by
-//! `; fuzz-*` header comments (profile, index, function, kind, class,
-//! witness, pipeline, campaign seed). Comments are transparent to
+//! A [`Repro`] is a finding's replayable identity. Its `Display` form, the
+//! persisted file, is the minimized module's assembly prefixed by
+//! `; fuzz-*` header comments (profile, index, function, kind, witness,
+//! pipeline, campaign seed). Comments are transparent to
 //! [`lir::parse::parse_module`], so the whole file parses as a module;
-//! [`parse_repro`] recovers the metadata and [`replay_repro`] re-runs the
-//! recorded pipeline and checks the recorded outcome class reproduces.
+//! `Repro`'s `FromStr` recovers the metadata and [`Repro::reproduces`]
+//! re-runs the recorded pipeline under the kind's oracle.
 //! Free-text header values (profile, function) are quoted/escaped with the
 //! wire format's shared helper (`llvm_md_core::wire::quote`/`unquote`);
 //! bare un-quoted values are still accepted on parse for older repros.
 
-use crate::chain::{ChainReport, ChainValidator};
-use crate::{Report, UnknownPass, ValidationEngine};
+use crate::{ChainValidator, FunctionRecord, UnknownPass, ValidationEngine};
 use lir::func::Module;
 use lir::parse::parse_module;
 use lir_opt::{pass_by_name, PassManager};
 use llvm_md_core::triage::VerdictClass;
-use llvm_md_core::{wire, Cascade, TriageClass, TriageOptions, Validator};
+use llvm_md_core::{wire, Cascade, FailReason, TriageClass, TriageOptions, Validator};
 use llvm_md_workload::fuzz::{campaign_modules, fuzz_profiles};
 use llvm_md_workload::reduce::{reduce_module, ReduceOptions, ReduceStats};
 use llvm_md_workload::{BrokenPass, BugKind, DEFAULT_CAMPAIGN_SEED, PAPER_PASSES};
@@ -123,6 +126,40 @@ pub enum FindingKind {
     ChainInconsistency,
 }
 
+impl FindingKind {
+    /// The one oracle for this kind of finding: does `cand`, pushed through
+    /// `pm` and checked under `validator` (the campaign runs a triage-only
+    /// cascade), still exhibit it? A [`FindingKind::Miscompile`] needs
+    /// `function` to classify as a real miscompile; a
+    /// [`FindingKind::ChainInconsistency`] needs the serial chain over the
+    /// whole module to violate [`ChainReport::composition_consistent`](crate::ChainReport::composition_consistent).
+    /// The campaign's reducer and [`Repro::reproduces`] both call it, so a
+    /// minimized repro is interesting by construction under exactly the
+    /// check replay performs.
+    pub fn reproduces(
+        self,
+        cand: &Module,
+        function: &str,
+        pm: &PassManager,
+        validator: &Validator,
+    ) -> bool {
+        match self {
+            FindingKind::Miscompile => {
+                let mut out = cand.clone();
+                pm.run_module(&mut out);
+                let (Some(orig), Some(opt)) = (cand.function(function), out.function(function))
+                else {
+                    return false;
+                };
+                validator.validate_cascade(cand, orig, opt).class() == VerdictClass::RealMiscompile
+            }
+            FindingKind::ChainInconsistency => !ChainValidator::new(ValidationEngine::serial())
+                .validate_chain(cand, pm, validator)
+                .composition_consistent(),
+        }
+    }
+}
+
 impl std::fmt::Display for FindingKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -144,35 +181,151 @@ impl std::str::FromStr for FindingKind {
     }
 }
 
-/// One soundness finding: the offending module, its minimized form, and
-/// the evidence.
+/// A finding's replayable identity: everything a persisted repro file
+/// records (see the [module docs](self) for the format). `Display` writes
+/// the file, `FromStr` parses it back, and [`Repro::reproduces`] replays it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Finding {
-    /// Fuzz profile the module came from.
+pub struct Repro {
+    /// Fuzz profile the original module came from.
     pub profile: String,
-    /// Module index within the profile's stream (regenerable from
-    /// `(profile, campaign seed, index)`).
+    /// Module index within that profile's stream (regenerable from
+    /// `(profile, seed, index)`).
     pub index: usize,
     /// The diverging function (for [`FindingKind::ChainInconsistency`],
-    /// the chain-certified function that still miscompiled end-to-end).
+    /// the chain-certified function that still miscompiled end-to-end;
+    /// empty when none was recorded).
     pub function: String,
-    /// Finding class.
+    /// Finding kind.
     pub kind: FindingKind,
-    /// Witness arguments from the triage layer, when one was recorded.
+    /// Witness arguments from the triage layer (may be empty for chain
+    /// inconsistencies).
     pub witness: Vec<u64>,
-    /// The original generated module.
+    /// The pipeline under test.
+    pub passes: Vec<String>,
+    /// The campaign seed the module was generated under.
+    pub seed: u64,
+    /// The minimized module (still exhibits the finding).
     pub module: Module,
-    /// The reducer's minimized module (still exhibits the finding).
-    pub minimized: Module,
-    /// What the reduction run did.
-    pub reduce_stats: ReduceStats,
 }
 
-impl Finding {
-    /// A stable file name for persisting this finding's repro.
+impl Repro {
+    /// A stable file name for persisting this repro.
     pub fn file_name(&self) -> String {
         format!("repro-{}-{:05}-{}.ll", self.profile.to_lowercase(), self.index, self.function)
     }
+
+    /// Replay: rebuild the recorded pipeline and ask the kind's oracle
+    /// ([`FindingKind::reproduces`]) under `validator` with the triage-only
+    /// cascade the campaign ran.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownPass`] when the recorded pipeline no longer resolves.
+    pub fn reproduces(
+        &self,
+        validator: &Validator,
+        triage: &TriageOptions,
+    ) -> Result<bool, UnknownPass> {
+        let pm = campaign_pass_manager(&self.passes)?;
+        Ok(self.kind.reproduces(&self.module, &self.function, &pm, &triaging(validator, triage)))
+    }
+}
+
+/// The repro file. Free-text header values (profile and function names)
+/// are quoted with the wire format's one escaping helper
+/// ([`llvm_md_core::wire::quote`]), shared with the serve protocol.
+impl std::fmt::Display for Repro {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let witness = self.witness.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(",");
+        write!(
+            f,
+            "; fuzz-repro v1\n\
+             ; fuzz-profile: {}\n\
+             ; fuzz-index: {}\n\
+             ; fuzz-function: {}\n\
+             ; fuzz-kind: {}\n\
+             ; fuzz-witness: {}\n\
+             ; fuzz-passes: {}\n\
+             ; fuzz-seed: {:#018x}\n\
+             {}",
+            wire::quote(&self.profile),
+            self.index,
+            wire::quote(&self.function),
+            self.kind,
+            witness,
+            self.passes.join(","),
+            self.seed,
+            self.module
+        )
+    }
+}
+
+/// Parse a repro file; the error describes the first missing or malformed
+/// header field, or the parse error of the embedded module.
+impl std::str::FromStr for Repro {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<Self, Self::Err> {
+        let field = |key: &str| -> Result<String, String> {
+            // The key is matched without the separator's trailing space, so
+            // an empty value (witness, passes) survives the line trim.
+            let raw = text
+                .lines()
+                .find_map(|l| l.trim().strip_prefix(&format!("; fuzz-{key}:")))
+                .map(str::trim)
+                .ok_or_else(|| format!("repro is missing the `; fuzz-{key}:` header"))?;
+            // Free-text values are wire-quoted since the serve protocol
+            // landed; bare values (older repros, hand-written files) stay
+            // accepted.
+            if raw.starts_with('"') {
+                wire::unquote(raw).map_err(|e| format!("bad `; fuzz-{key}:` value {raw}: {e}"))
+            } else {
+                Ok(raw.to_owned())
+            }
+        };
+        let list = |key: &str| -> Result<Vec<String>, String> {
+            let raw = field(key)?;
+            if raw.is_empty() {
+                return Ok(Vec::new());
+            }
+            Ok(raw.split(',').map(|v| v.trim().to_owned()).collect())
+        };
+        if !text.lines().any(|l| l.trim() == "; fuzz-repro v1") {
+            return Err("not a fuzz repro (no `; fuzz-repro v1` header)".to_owned());
+        }
+        let witness = list("witness")?
+            .iter()
+            .map(|a| a.parse::<u64>().map_err(|e| format!("bad witness arg `{a}`: {e}")))
+            .collect::<Result<Vec<u64>, String>>()?;
+        let seed_text = field("seed")?;
+        let seed = seed_text
+            .strip_prefix("0x")
+            .map_or_else(|| seed_text.parse::<u64>(), |h| u64::from_str_radix(h, 16))
+            .map_err(|e| format!("bad seed `{seed_text}`: {e}"))?;
+        let module = parse_module(text).map_err(|e| format!("embedded module: {e}"))?;
+        Ok(Repro {
+            profile: field("profile")?,
+            index: field("index")?.parse().map_err(|e| format!("bad index: {e}"))?,
+            function: field("function")?,
+            kind: field("kind")?.parse()?,
+            witness,
+            passes: list("passes")?,
+            seed,
+            module,
+        })
+    }
+}
+
+/// One stored soundness finding: its replayable [`Repro`] plus the
+/// original generated module and what minimizing it took.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Finding {
+    /// The finding's replayable identity, minimized module included.
+    pub repro: Repro,
+    /// The original generated module.
+    pub original: Module,
+    /// What the reduction run did.
+    pub reduce_stats: ReduceStats,
 }
 
 /// Per-profile aggregation of a campaign run.
@@ -290,8 +443,39 @@ impl FuzzCampaign {
                 modules: modules.len(),
                 ..ProfileStats::default()
             };
+            // Candidate findings `(kind, index, function, witness)` in
+            // discovery order: the module scan, then the chain checks.
+            let mut candidates: Vec<(FindingKind, usize, String, Vec<u64>)> = Vec::new();
             for (index, (module, (_, rep))) in modules.iter().zip(&results).enumerate() {
-                self.fold_module(&pm, validator, &mut report, &mut stats, index, module, rep);
+                stats.functions += module.functions.len();
+                for rec in &rep.records {
+                    if rec.transformed {
+                        stats.transformed += 1;
+                    }
+                    if rec.transformed && rec.validated {
+                        stats.validated += 1;
+                    }
+                    if matches!(
+                        rec.reason,
+                        Some(FailReason::MissingFunction) | Some(FailReason::ExtraFunction)
+                    ) {
+                        stats.pairing_alarms += 1;
+                        continue;
+                    }
+                    match rec.triage.as_ref().map(|t| t.class) {
+                        Some(TriageClass::SuspectedIncomplete) => stats.suspected_incomplete += 1,
+                        Some(TriageClass::RealMiscompile) => {
+                            stats.real_miscompiles += 1;
+                            candidates.push((
+                                FindingKind::Miscompile,
+                                index,
+                                rec.name.clone(),
+                                witness_args(rec),
+                            ));
+                        }
+                        None => {}
+                    }
+                }
             }
             if self.config.chain_every > 0 {
                 for index in (0..modules.len()).step_by(self.config.chain_every) {
@@ -306,292 +490,57 @@ impl FuzzCampaign {
                     }
                     if !chain.composition_consistent() {
                         stats.chain_inconsistent += 1;
-                        self.record_chain_finding(
-                            &pm,
-                            validator,
-                            &mut report,
-                            profile.name,
+                        // The function that is chain-certified yet
+                        // miscompiles end-to-end.
+                        let record = chain.end_to_end.records.iter().find(|r| {
+                            r.class() == VerdictClass::RealMiscompile
+                                && chain.blame_for(&r.name).is_none()
+                        });
+                        candidates.push((
+                            FindingKind::ChainInconsistency,
                             index,
-                            &modules[index],
-                            &chain,
-                        );
+                            record.map(|r| r.name.clone()).unwrap_or_default(),
+                            record.map(witness_args).unwrap_or_default(),
+                        ));
                     }
                 }
+            }
+            // Store and minimize the first `max_findings`; count the rest.
+            for (kind, index, function, witness) in candidates {
+                if report.findings.len() >= self.config.max_findings {
+                    report.findings_truncated += 1;
+                    continue;
+                }
+                let original = modules[index].clone();
+                let oracle = |cand: &Module| kind.reproduces(cand, &function, &pm, validator);
+                let (module, reduce_stats) = reduce_module(&original, oracle, &self.config.reduce);
+                let repro = Repro {
+                    profile: stats.profile.clone(),
+                    index,
+                    function,
+                    kind,
+                    witness,
+                    passes: self.config.passes.clone(),
+                    seed: self.config.seed,
+                    module,
+                };
+                report.findings.push(Finding { repro, original, reduce_stats });
             }
             report.profiles.push(stats);
         }
         report.wall = t0.elapsed();
         Ok(report)
     }
-
-    /// Fold one module's validation report into the stats, recording (and
-    /// minimizing) any real-miscompile finding.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_module(
-        &self,
-        pm: &PassManager,
-        validator: &Validator,
-        report: &mut CampaignReport,
-        stats: &mut ProfileStats,
-        index: usize,
-        module: &Module,
-        rep: &Report,
-    ) {
-        stats.functions += module.functions.len();
-        for rec in &rep.records {
-            if rec.transformed {
-                stats.transformed += 1;
-            }
-            if rec.transformed && rec.validated {
-                stats.validated += 1;
-            }
-            if matches!(
-                rec.reason,
-                Some(llvm_md_core::FailReason::MissingFunction)
-                    | Some(llvm_md_core::FailReason::ExtraFunction)
-            ) {
-                stats.pairing_alarms += 1;
-                continue;
-            }
-            let Some(triage) = &rec.triage else { continue };
-            match triage.class {
-                TriageClass::SuspectedIncomplete => stats.suspected_incomplete += 1,
-                TriageClass::RealMiscompile => {
-                    stats.real_miscompiles += 1;
-                    let witness =
-                        triage.witness.as_ref().map(|w| w.args.clone()).unwrap_or_default();
-                    if report.findings.len() >= self.config.max_findings {
-                        report.findings_truncated += 1;
-                        continue;
-                    }
-                    let fname = rec.name.clone();
-                    let oracle = |cand: &Module| {
-                        miscompile_reproduces(cand, &fname, pm, validator, &self.config.triage)
-                    };
-                    let (minimized, reduce_stats) =
-                        reduce_module(module, oracle, &self.config.reduce);
-                    report.findings.push(Finding {
-                        profile: stats.profile.clone(),
-                        index,
-                        function: rec.name.clone(),
-                        kind: FindingKind::Miscompile,
-                        witness,
-                        module: module.clone(),
-                        minimized,
-                        reduce_stats,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Record (and minimize) a chain/composition soundness violation.
-    #[allow(clippy::too_many_arguments)]
-    fn record_chain_finding(
-        &self,
-        pm: &PassManager,
-        validator: &Validator,
-        report: &mut CampaignReport,
-        profile: &str,
-        index: usize,
-        module: &Module,
-        chain: &ChainReport,
-    ) {
-        // The function that is chain-certified yet miscompiles end-to-end.
-        let record = chain.end_to_end.records.iter().find(|r| {
-            r.class() == VerdictClass::RealMiscompile && chain.blame_for(&r.name).is_none()
-        });
-        let function = record.map(|r| r.name.clone()).unwrap_or_default();
-        let witness = record
-            .and_then(|r| r.triage.as_ref()?.witness.as_ref())
-            .map(|w| w.args.clone())
-            .unwrap_or_default();
-        if report.findings.len() >= self.config.max_findings {
-            report.findings_truncated += 1;
-            return;
-        }
-        let oracle = |cand: &Module| {
-            let ch =
-                ChainValidator::new(ValidationEngine::serial()).validate_chain(cand, pm, validator);
-            !ch.composition_consistent()
-        };
-        let (minimized, reduce_stats) = reduce_module(module, oracle, &self.config.reduce);
-        report.findings.push(Finding {
-            profile: profile.to_owned(),
-            index,
-            function,
-            kind: FindingKind::ChainInconsistency,
-            witness,
-            module: module.clone(),
-            minimized,
-            reduce_stats,
-        });
-    }
 }
 
-/// The miscompile oracle: does `function` of `cand`, pushed through the
-/// pipeline, still classify as a real miscompile? Shared by the campaign's
-/// reducer calls and [`replay_repro`], so a minimized repro is interesting
-/// by construction under exactly the check replay performs.
-pub fn miscompile_reproduces(
-    cand: &Module,
-    function: &str,
-    pm: &PassManager,
-    validator: &Validator,
-    triage: &TriageOptions,
-) -> bool {
-    let mut out = cand.clone();
-    pm.run_module(&mut out);
-    let (Some(orig), Some(opt)) = (cand.function(function), out.function(function)) else {
-        return false;
-    };
-    triaging(validator, triage).validate_cascade(cand, orig, opt).class()
-        == VerdictClass::RealMiscompile
+/// The triage witness arguments a record carries (empty when none).
+fn witness_args(rec: &FunctionRecord) -> Vec<u64> {
+    rec.triage.as_ref().and_then(|t| t.witness.as_ref()).map(|w| w.args.clone()).unwrap_or_default()
 }
 
 /// `validator` under the triage-only cascade every campaign check runs.
 fn triaging(validator: &Validator, triage: &TriageOptions) -> Validator {
     Validator { cascade: Cascade::Triage(*triage), ..*validator }
-}
-
-/// A parsed repro file: the minimized module plus the metadata needed to
-/// replay it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Repro {
-    /// Fuzz profile the original module came from.
-    pub profile: String,
-    /// Module index within that profile's stream.
-    pub index: usize,
-    /// The diverging function.
-    pub function: String,
-    /// Finding kind.
-    pub kind: FindingKind,
-    /// Witness arguments (may be empty for chain inconsistencies).
-    pub witness: Vec<u64>,
-    /// The pipeline under test.
-    pub passes: Vec<String>,
-    /// The campaign seed the module was generated under.
-    pub seed: u64,
-    /// The minimized module.
-    pub module: Module,
-}
-
-/// Render a finding as a self-contained, replayable repro file (see the
-/// [module docs](self) for the format).
-///
-/// Free-text header values (profile and function names) are quoted with the
-/// wire format's one escaping helper ([`llvm_md_core::wire::quote`]) — the
-/// repro header and the serve protocol share a single quoting
-/// implementation instead of two private copies.
-pub fn repro_to_string(finding: &Finding, seed: u64, passes: &[String]) -> String {
-    let witness = finding.witness.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(",");
-    format!(
-        "; fuzz-repro v1\n\
-         ; fuzz-profile: {}\n\
-         ; fuzz-index: {}\n\
-         ; fuzz-function: {}\n\
-         ; fuzz-kind: {}\n\
-         ; fuzz-witness: {}\n\
-         ; fuzz-passes: {}\n\
-         ; fuzz-seed: {:#018x}\n\
-         {}",
-        wire::quote(&finding.profile),
-        finding.index,
-        wire::quote(&finding.function),
-        finding.kind,
-        witness,
-        passes.join(","),
-        seed,
-        finding.minimized
-    )
-}
-
-/// Parse a repro file produced by [`repro_to_string`].
-///
-/// # Errors
-///
-/// Returns a description of the first missing/malformed header field, or
-/// the parse error of the embedded module.
-pub fn parse_repro(text: &str) -> Result<Repro, String> {
-    let field = |key: &str| -> Result<String, String> {
-        let raw = text
-            .lines()
-            .find_map(|l| l.trim().strip_prefix(&format!("; fuzz-{key}: ")))
-            .map(str::trim)
-            .ok_or_else(|| format!("repro is missing the `; fuzz-{key}:` header"))?;
-        // Free-text values are wire-quoted since the serve protocol landed;
-        // bare values (pre-wire repros, hand-written files) stay accepted.
-        if raw.starts_with('"') {
-            wire::unquote(raw).map_err(|e| format!("bad `; fuzz-{key}:` value {raw}: {e}"))
-        } else {
-            Ok(raw.to_owned())
-        }
-    };
-    if !text.lines().any(|l| l.trim() == "; fuzz-repro v1") {
-        return Err("not a fuzz repro (no `; fuzz-repro v1` header)".to_owned());
-    }
-    let witness_text = field("witness")?;
-    let witness = if witness_text.is_empty() {
-        Vec::new()
-    } else {
-        witness_text
-            .split(',')
-            .map(|a| a.trim().parse::<u64>().map_err(|e| format!("bad witness arg `{a}`: {e}")))
-            .collect::<Result<Vec<u64>, String>>()?
-    };
-    let seed_text = field("seed")?;
-    let seed = seed_text
-        .strip_prefix("0x")
-        .map_or_else(|| seed_text.parse::<u64>(), |h| u64::from_str_radix(h, 16))
-        .map_err(|e| format!("bad seed `{seed_text}`: {e}"))?;
-    let module = parse_module(text).map_err(|e| format!("embedded module: {e}"))?;
-    Ok(Repro {
-        profile: field("profile")?,
-        index: field("index")?.parse().map_err(|e| format!("bad index: {e}"))?,
-        function: field("function")?,
-        kind: field("kind")?.parse()?,
-        witness,
-        passes: field("passes")?.split(',').map(|p| p.trim().to_owned()).collect(),
-        seed,
-        module,
-    })
-}
-
-/// The outcome of replaying a repro.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReplayOutcome {
-    /// Did the recorded finding reproduce?
-    pub reproduced: bool,
-}
-
-/// Replay a repro: rebuild its recorded pipeline and re-run the check its
-/// kind encodes (miscompile classification for [`FindingKind::Miscompile`],
-/// the chain/composition cross-check for
-/// [`FindingKind::ChainInconsistency`]).
-///
-/// # Errors
-///
-/// Returns [`UnknownPass`] when the recorded pipeline no longer resolves.
-pub fn replay_repro(
-    repro: &Repro,
-    validator: &Validator,
-    triage: &TriageOptions,
-) -> Result<ReplayOutcome, UnknownPass> {
-    let pm = campaign_pass_manager(&repro.passes)?;
-    let reproduced = match repro.kind {
-        FindingKind::Miscompile => {
-            miscompile_reproduces(&repro.module, &repro.function, &pm, validator, triage)
-        }
-        FindingKind::ChainInconsistency => {
-            let chain = ChainValidator::new(ValidationEngine::serial()).validate_chain(
-                &repro.module,
-                &pm,
-                &triaging(validator, triage),
-            );
-            !chain.composition_consistent()
-        }
-    };
-    Ok(ReplayOutcome { reproduced })
 }
 
 #[cfg(test)]
@@ -627,20 +576,44 @@ mod tests {
         let report = campaign.run(&Validator::new()).expect("bug names resolve");
         assert!(report.soundness_failures() > 0, "the broken pass must be caught");
         let finding = report.findings.first().expect("at least one stored finding");
-        assert_eq!(finding.kind, FindingKind::Miscompile);
+        assert_eq!(finding.repro.kind, FindingKind::Miscompile);
         assert!(
             finding.reduce_stats.insts_after <= finding.reduce_stats.insts_before,
             "{:?}",
             finding.reduce_stats
         );
         // Round-trip through the repro format and replay.
-        let text = repro_to_string(finding, report.seed, &report.passes);
-        let repro = parse_repro(&text).expect("repro parses");
-        assert_eq!(repro.function, finding.function);
+        let repro: Repro = finding.repro.to_string().parse().expect("repro parses");
+        assert_eq!(repro.function, finding.repro.function);
         assert_eq!(repro.seed, report.seed);
         assert_eq!(repro.passes, report.passes);
-        let outcome = replay_repro(&repro, &Validator::new(), &config.triage).expect("replays");
-        assert!(outcome.reproduced, "minimized repro must reproduce the miscompile");
+        let reproduced = repro.reproduces(&Validator::new(), &config.triage).expect("replays");
+        assert!(reproduced, "minimized repro must reproduce the miscompile");
+    }
+
+    /// A chain-inconsistency repro may carry no witness (and no function);
+    /// its empty header values must survive the print/parse round trip, and
+    /// on an honest pipeline its oracle does not fire.
+    #[test]
+    fn empty_header_values_round_trip() {
+        let repro = Repro {
+            profile: "mixed".to_owned(),
+            index: 7,
+            function: String::new(),
+            kind: FindingKind::ChainInconsistency,
+            witness: Vec::new(),
+            passes: vec!["adce".to_owned(), "dse".to_owned()],
+            seed: DEFAULT_CAMPAIGN_SEED,
+            module: parse_module("define i64 @f(i64 %a) {\nentry:\n  ret i64 %a\n}\n")
+                .expect("parses"),
+        };
+        let text = repro.to_string();
+        assert!(text.contains("; fuzz-witness: \n"), "written bytes keep the separator");
+        assert_eq!(text.parse::<Repro>(), Ok(repro.clone()));
+        let no_passes = Repro { passes: Vec::new(), ..repro.clone() };
+        assert_eq!(no_passes.to_string().parse::<Repro>(), Ok(no_passes));
+        let triage = TriageOptions { battery: 6, ..TriageOptions::default() };
+        assert_eq!(repro.reproduces(&Validator::new(), &triage), Ok(false));
     }
 
     #[test]
@@ -653,7 +626,7 @@ mod tests {
 
     #[test]
     fn repro_parse_rejects_garbage() {
-        assert!(parse_repro("define i64 @f() {\nentry:\n  ret i64 0\n}\n").is_err());
-        assert!(parse_repro("; fuzz-repro v1\n").is_err(), "missing fields must error");
+        assert!("define i64 @f() {\nentry:\n  ret i64 0\n}\n".parse::<Repro>().is_err());
+        assert!("; fuzz-repro v1\n".parse::<Repro>().is_err(), "missing fields must error");
     }
 }

@@ -101,8 +101,8 @@ mod wirefmt;
 
 pub use chain::{Blame, ChainReport, ChainStep, ChainValidator, Composition};
 pub use fuzz::{
-    campaign_pass_manager, parse_repro, replay_repro, repro_to_string, CampaignConfig,
-    CampaignReport, Finding, FindingKind, FuzzCampaign, ProfileStats, ReplayOutcome, Repro,
+    campaign_pass_manager, CampaignConfig, CampaignReport, Finding, FindingKind, FuzzCampaign,
+    ProfileStats, Repro,
 };
 pub use pool::{pool_stats, PoolStats};
 pub use serve::{ServeCounters, ServeEnd, Server};

@@ -9,10 +9,7 @@
 //! Run with: `cargo run --example fuzz_and_reduce`
 
 use llvm_md::core::Validator;
-use llvm_md::driver::{
-    parse_repro, replay_repro, repro_to_string, CampaignConfig, FindingKind, FuzzCampaign,
-    ValidationEngine,
-};
+use llvm_md::driver::{CampaignConfig, FindingKind, FuzzCampaign, Repro, ValidationEngine};
 use llvm_md::workload::reduce::ReduceOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,10 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(report.soundness_failures() > 0, "the injected bug must be caught");
 
     let finding = &report.findings[0];
-    assert_eq!(finding.kind, FindingKind::Miscompile);
+    let found = &finding.repro;
+    assert_eq!(found.kind, FindingKind::Miscompile);
     println!(
         "\nfound: profile {}, module {}, function @{} — witness args {:?}",
-        finding.profile, finding.index, finding.function, finding.witness
+        found.profile, found.index, found.function, found.witness
     );
     println!(
         "reduced {} -> {} instructions in {} oracle calls",
@@ -54,11 +52,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         finding.reduce_stats.oracle_calls
     );
 
-    // Persist → parse → replay: the repro file is self-contained.
-    let text = repro_to_string(finding, report.seed, &report.passes);
-    let repro = parse_repro(&text)?;
-    let outcome = replay_repro(&repro, &validator, &campaign.config().triage)?;
-    assert!(outcome.reproduced, "persisted repro must reproduce");
+    // Persist → parse → replay: the repro file is self-contained, and
+    // replay asks the same `FindingKind` oracle that drove minimization.
+    let repro: Repro = found.to_string().parse()?;
+    let reproduced = repro.reproduces(&validator, &campaign.config().triage)?;
+    assert!(reproduced, "persisted repro must reproduce");
     println!("\nminimized repro (replays as a {}):\n{}", repro.kind, repro.module);
     Ok(())
 }

@@ -5,12 +5,10 @@
 //! verdict class), and the repro corpus's regenerability (every finding's
 //! module is re-derivable from its `(profile, seed, index)` address).
 
-use llvm_md::core::{TriageOptions, Validator};
-use llvm_md::driver::fuzz::miscompile_reproduces;
-use llvm_md::driver::{
-    parse_repro, replay_repro, repro_to_string, CampaignConfig, FindingKind, FuzzCampaign,
-    ValidationEngine,
-};
+use llvm_md::core::{Cascade, TriageOptions, Validator};
+use llvm_md::driver::{CampaignConfig, FindingKind, FuzzCampaign, Repro, ValidationEngine};
+use llvm_md::lir::intern::fnv1a;
+use llvm_md::lir::{Function, Module};
 use llvm_md::workload::fuzz::campaign_module;
 use llvm_md::workload::reduce::{reduce_module, ReduceOptions};
 use llvm_md::workload::{fuzz_profile, fuzz_profiles};
@@ -42,8 +40,15 @@ fn campaign_is_worker_count_deterministic() {
     }
 }
 
+/// `m` with every function canonicalized: equal to another module's
+/// canonical form iff the two differ only in register and block naming.
+fn canonical(m: &Module) -> Module {
+    Module { functions: m.functions.iter().map(Function::canonicalized).collect(), ..m.clone() }
+}
+
 /// Same seed ⇒ same findings (and byte-identical minimized repros) at any
-/// worker count, on a pipeline with an injected bug.
+/// worker count, on a pipeline with an injected bug. The repro bytes are
+/// pinned: FNV-1a over every stored finding's repro text, in order.
 #[test]
 fn injected_campaign_findings_are_worker_count_deterministic() {
     let mut config = quick_config();
@@ -58,50 +63,51 @@ fn injected_campaign_findings_are_worker_count_deterministic() {
         .expect("resolves");
     assert_eq!(par, serial, "4 workers: findings or repros differ");
     // Every stored finding replays from its persisted form.
+    let mut texts = String::new();
     for finding in &serial.findings {
-        let text = repro_to_string(finding, serial.seed, &serial.passes);
-        let repro = parse_repro(&text).expect("repro parses");
+        let text = finding.repro.to_string();
+        let repro: Repro = text.parse().expect("repro parses");
+        // Every header field survives print/parse exactly; the module does
+        // up to register numbering (the parser numbers densely, the reducer
+        // leaves gaps).
+        assert_eq!(Repro { module: finding.repro.module.clone(), ..repro.clone() }, finding.repro);
+        assert_eq!(canonical(&repro.module), canonical(&finding.repro.module));
         assert_eq!(repro.kind, FindingKind::Miscompile);
-        let outcome = replay_repro(&repro, &v, &config.triage).expect("replays");
-        assert!(outcome.reproduced, "finding @{} must reproduce", finding.function);
+        let reproduced = repro.reproduces(&v, &config.triage).expect("replays");
+        assert!(reproduced, "finding @{} must reproduce", repro.function);
+        texts.push_str(&text);
     }
+    assert_eq!(serial.findings.len(), 3);
+    assert_eq!(fnv1a(texts.as_bytes()), 0x8682_293c_978b_28fc, "repro bytes moved");
 }
 
 /// The reducer's oracle-preservation contract, checked against the shared
-/// miscompile oracle itself: for several fuzzed modules under a broken
+/// miscompile oracle ([`FindingKind::reproduces`]) itself: for several fuzzed modules under a broken
 /// pipeline, the minimized module still classifies as a real miscompile,
 /// still verifies, and never grew.
 #[test]
 fn reducer_preserves_verdict_class() {
-    let v = Validator::new();
     let triage = TriageOptions { battery: 6, ..TriageOptions::default() };
+    let v = Validator { cascade: Cascade::Triage(triage), ..Validator::new() };
     let pm = llvm_md::driver::campaign_pass_manager(&[
         "adce".to_owned(),
         "flip-comparison".to_owned(),
         "dse".to_owned(),
     ])
     .expect("resolves");
+    let miscompiles = |m: &Module, f: &str| FindingKind::Miscompile.reproduces(m, f, &pm, &v);
     let mut reduced_any = false;
     for (pi, profile) in fuzz_profiles().iter().enumerate().take(3) {
         let m = campaign_module(profile, 0x5eed ^ pi as u64, pi);
         // Find a miscompiling function in this module, if any.
-        let Some(f) = m
-            .functions
-            .iter()
-            .find(|f| miscompile_reproduces(&m, &f.name, &pm, &v, &triage))
-            .map(|f| f.name.clone())
+        let Some(f) = m.functions.iter().find(|f| miscompiles(&m, &f.name)).map(|f| f.name.clone())
         else {
             continue;
         };
         let opts = ReduceOptions { budget: 200 };
-        let (red, stats) =
-            reduce_module(&m, |cand| miscompile_reproduces(cand, &f, &pm, &v, &triage), &opts);
+        let (red, stats) = reduce_module(&m, |cand| miscompiles(cand, &f), &opts);
         llvm_md::lir::verify::verify_module(&red).expect("reduced module verifies");
-        assert!(
-            miscompile_reproduces(&red, &f, &pm, &v, &triage),
-            "{}: reduction lost the miscompile class",
-            profile.name
-        );
+        assert!(miscompiles(&red, &f), "{}: reduction lost the miscompile class", profile.name);
         assert!(stats.insts_after <= stats.insts_before, "{stats:?}");
         reduced_any |= stats.accepted > 0;
     }
@@ -121,15 +127,17 @@ fn findings_regenerate_from_their_address() {
         .expect("resolves");
     assert!(!report.findings.is_empty(), "skip-phi must be caught");
     for finding in &report.findings {
-        let profile = fuzz_profile(&finding.profile).expect("profile name round-trips");
-        let regenerated = campaign_module(&profile, report.seed, finding.index);
+        let repro = &finding.repro;
+        assert_eq!(repro.seed, report.seed);
+        let profile = fuzz_profile(&repro.profile).expect("profile name round-trips");
+        let regenerated = campaign_module(&profile, repro.seed, repro.index);
         assert_eq!(
             format!("{regenerated}"),
-            format!("{}", finding.module),
+            format!("{}", finding.original),
             "finding ({}, {:#x}, {}) must regenerate byte-identically",
-            finding.profile,
-            report.seed,
-            finding.index
+            repro.profile,
+            repro.seed,
+            repro.index
         );
     }
 }
