@@ -307,15 +307,18 @@ print(f"rate exhibits smoke OK: {len(axes)} rate artifacts + table1 parse, "
       f"validated <= transformed in every row")
 EOF
 
-  echo "==> artifact identity (BENCH_chain.json, BENCH_sat.json, BENCH_triage.json, BENCH_fuzz.json regenerate at their committed settings)"
+  echo "==> artifact identity (BENCH_fig4.json, BENCH_chain.json, BENCH_sat.json, BENCH_triage.json, BENCH_fuzz.json regenerate at their committed settings)"
   # The artifacts are deterministic apart from their wall-clock fields (keys
   # ending in _s, _ms or _ns), so regenerating them at the settings they were
   # committed with must reproduce every other value. A change that moves a
   # verdict, a blame, a triage, cache or SAT count re-baselines the artifact
-  # in the same commit. The chain run is serial: cache hit/miss counts race
+  # in the same commit. fig4 is the default validator's verdicts over the
+  # pinned suite. The chain run is serial: cache hit/miss counts race
   # between workers. The fuzz campaign runs at its defaults, serially (the
   # artifact records the worker count), with repros kept out of the tree.
   ident_dir="$(mktemp -d)"
+  BENCH_OUT_DIR="$ident_dir" cargo run --release --offline -q \
+    -p llvm_md_bench --bin fig4_pipeline -- --scale 4 > /dev/null
   BENCH_OUT_DIR="$ident_dir" LLVM_MD_WORKERS=1 cargo run --release --offline -q \
     -p llvm_md_bench --bin table3_chain -- --scale 4 --battery 16 > /dev/null
   BENCH_OUT_DIR="$ident_dir" LLVM_MD_WORKERS=1 cargo run --release --offline -q \
@@ -324,7 +327,8 @@ EOF
     BENCH_OUT_DIR="$ident_dir" cargo run --release --offline -q -p llvm_md_bench \
       --bin "$b" -- --scale 4 --battery 16 > /dev/null
   done
-  python3 - "$ident_dir" BENCH_chain.json BENCH_sat.json BENCH_triage.json BENCH_fuzz.json <<'EOF'
+  python3 - "$ident_dir" BENCH_fig4.json BENCH_chain.json BENCH_sat.json BENCH_triage.json \
+    BENCH_fuzz.json <<'EOF'
 import json, os, sys
 def untimed(x):
     if isinstance(x, dict):

@@ -48,17 +48,11 @@ use crate::validate::{Deadline, Fixpoint};
 use gated_ssa::node::{Node, NodeId, ValueGraph};
 use lir::func::Module;
 use lir::inst::{BinOp, CastOp, IcmpPred};
+use lir::interp::{global_layout, STACK_BASE};
 use lir::types::Ty;
 use lir::value::Constant;
 use std::collections::{HashMap, HashSet};
 
-/// Mirror of the interpreter's global-region base address (`lir::interp`
-/// lays globals out from here; the differential tests in `tests/sat.rs`
-/// keep the two in sync).
-const GLOBAL_BASE: u64 = 0x1_0000;
-/// Mirror of the interpreter's first stack address: every `alloca` base is
-/// at or above it.
-const STACK_BASE: u64 = 0x100_0000;
 /// Recursion guard for expansion and encoding (the graphs are dags, but
 /// store/φ chains can be long).
 const MAX_DEPTH: u32 = 2_000;
@@ -586,7 +580,7 @@ struct Encoder<'a> {
     param_bits: HashMap<u32, Vec<Lit>>,
     /// Encoded allocas: node → (base bits, size) for disjointness.
     allocas: HashMap<NodeId, (Vec<Lit>, u64)>,
-    /// Concrete global base addresses, mirroring the interpreter's layout.
+    /// Concrete global base addresses: the interpreter's layout.
     global_bases: Vec<u64>,
     /// Per-global initializer bytes, parallel to `global_bases`.
     global_images: Vec<Vec<u8>>,
@@ -608,20 +602,13 @@ impl<'a> Encoder<'a> {
         let mut solver = Solver::new(1);
         let t = Lit::pos(0);
         solver.add_clause(&[t]);
-        let mut global_bases = Vec::new();
-        let mut global_images = Vec::new();
-        let mut addr = GLOBAL_BASE;
-        let mut global_bytes = 0u64;
-        for g in &module.globals {
-            global_bases.push(addr);
-            let mut image = Vec::with_capacity(g.size() as usize);
-            for w in &g.words {
-                image.extend_from_slice(&(*w as u64).to_le_bytes());
-            }
-            global_bytes += image.len() as u64;
-            global_images.push(image);
-            addr += g.size() + 64;
-        }
+        let (global_bases, layout_end) = global_layout(module);
+        let global_images: Vec<Vec<u8>> = module
+            .globals
+            .iter()
+            .map(|g| g.words.iter().flat_map(|w| (*w as u64).to_le_bytes()).collect())
+            .collect();
+        let global_bytes = global_images.iter().map(|image| image.len() as u64).sum();
         Encoder {
             out,
             params,
@@ -635,7 +622,7 @@ impl<'a> Encoder<'a> {
             allocas: HashMap::new(),
             global_bases,
             global_images,
-            layout_end: addr,
+            layout_end,
             global_bytes,
             deadline,
             ticks: 0,

@@ -33,7 +33,7 @@
 
 use crate::cycles::match_cycles;
 use crate::graph::SharedGraph;
-use crate::rules::{self, ClassView, RuleBudgets, RuleCtx};
+use crate::rules::{self, ClassView, RuleCtx};
 use crate::validate::{Deadline, ValidationStats, Validator};
 use gated_ssa::node::{Node, NodeId};
 use std::collections::HashMap;
@@ -92,7 +92,6 @@ pub(crate) fn saturate(
     v: &Validator,
     deadline: &Deadline,
     stats: &mut ValidationStats,
-    budgets: &mut RuleBudgets,
 ) -> Outcome {
     let mut iterations = 0usize;
     let mut hits: Vec<(NodeId, rules::Group)> = Vec::new();
@@ -142,14 +141,9 @@ pub(crate) fn saturate(
         iterations += 1;
         stats.rounds += 1;
         let live = live_members(g, &members, roots);
-        let (esc, dead, evidence) = rules::sweep_analyses(g, &live);
-        let cx = RuleCtx {
-            rules: &v.rules,
-            esc: &esc,
-            dead: &dead,
-            evidence: &evidence,
-            view: ClassView::Members(&members),
-        };
+        let (esc, dead) = rules::sweep_analyses(g, &live);
+        let cx =
+            RuleCtx { rules: &v.rules, esc: &esc, dead: &dead, view: ClassView::Members(&members) };
         unions = 0;
         // Every live member in ascending id order is a matching target —
         // except μs, which stay nominal. Nodes the rules add are past
@@ -164,7 +158,7 @@ pub(crate) fn saturate(
                 continue;
             }
             hits.clear();
-            rules::rewrite_all(g, &n, &cx, budgets, &mut hits);
+            rules::rewrite_all(g, &n, &cx, &mut hits);
             for &(new, group) in hits.iter() {
                 if g.union(id, new) {
                     unions += 1;
@@ -307,7 +301,6 @@ mod tests {
         let roots = [a, or];
         let v = Validator { rules: crate::rules::RuleSet::full(), ..Validator::new() };
         let mut stats = ValidationStats::default();
-        let mut budgets = RuleBudgets::default();
         let outcome = saturate(
             &mut g,
             &roots,
@@ -315,7 +308,6 @@ mod tests {
             &v,
             &Deadline::starting_now(std::time::Duration::from_secs(5)),
             &mut stats,
-            &mut budgets,
         );
         assert!(matches!(outcome, Outcome::Proved), "chain did not close: {:?}", stats);
         assert!(g.same(a, or));

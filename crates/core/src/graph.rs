@@ -376,18 +376,6 @@ impl SharedGraph {
         }
     }
 
-    /// Replace the initial value of μ-node `mu` (used when specializing
-    /// loop cones).
-    pub fn set_mu_init(&mut self, mu: NodeId, init_val: NodeId) {
-        self.clean = false;
-        let init_val = self.find(init_val);
-        let slot = self.find(mu).index();
-        match &mut self.nodes[slot] {
-            Node::Mu { init, .. } => *init = init_val,
-            n => panic!("set_mu_init on non-mu node {}", n.opname()),
-        }
-    }
-
     /// Import a per-function gated graph, returning a map from its node ids
     /// to ids in this graph. Hash-consing extends across imports: nodes of
     /// the second function re-use the first function's ids wherever the
@@ -447,7 +435,6 @@ impl SharedGraph {
     /// merging [`union`](SharedGraph::union) or
     /// [`replace`](SharedGraph::replace), [`reroot`](SharedGraph::reroot),
     /// [`new_mu`](SharedGraph::new_mu), [`patch_mu`](SharedGraph::patch_mu),
-    /// [`set_mu_init`](SharedGraph::set_mu_init),
     /// [`reintern`](SharedGraph::reintern) or
     /// [`reset`](SharedGraph::reset)), `rebuild` returns 0 at once. That
     /// skip is exact: a full sweep over an unchanged graph would repeat
@@ -685,11 +672,9 @@ mod tests {
         // representative, is counted by every sweep but merges nothing.
         // The skip must not hide that count from the next rebuild.
         let mut g = SharedGraph::new();
-        let zero = g.add(Node::Const(Constant::int(Ty::I64, 0)));
-        let m = g.new_mu(1, zero, None);
         let x = leaf(&mut g, 5);
-        g.set_mu_init(m, x);
-        g.union(m, x);
+        let m = g.new_mu(1, x, None);
+        g.replace(x, m);
         assert_eq!(g.rebuild(), 1);
         assert!(!g.clean);
         assert_eq!(g.rebuild(), 1);
@@ -698,7 +683,7 @@ mod tests {
     #[test]
     fn every_mutator_makes_the_next_rebuild_work() {
         type Mutator = fn(&mut SharedGraph, [NodeId; 6]);
-        let mutators: [(&str, Mutator); 8] = [
+        let mutators: [(&str, Mutator); 7] = [
             ("union", |g, [_, b, c, ..]| assert!(g.union(b, c))),
             ("replace", |g, [_, b, c, ..]| assert!(g.replace(c, b))),
             ("reroot", |g, [a, b, ..]| {
@@ -710,7 +695,6 @@ mod tests {
                 g.new_mu(1, a, None);
             }),
             ("patch_mu", |g, [.., m]| g.patch_mu(m, m)),
-            ("set_mu_init", |g, [a, .., m]| g.set_mu_init(m, a)),
             ("reintern", |g, _| g.reintern()),
             ("reset", |g, _| g.reset()),
         ];

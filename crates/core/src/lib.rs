@@ -67,7 +67,7 @@ pub use cycles::MatchStrategy;
 pub use egraph::{SaturationLimits, SaturationStats};
 pub use gated_ssa::Interning;
 pub use graph::SharedGraph;
-pub use rules::{RewriteCounts, RuleBudgets, RuleSet, RULE_ENGINE_VERSION};
+pub use rules::{RewriteCounts, RuleSet, RULE_ENGINE_VERSION};
 pub use sat::{SatOptions, SatOutcome, SatSkip, SatStats, SolverStats};
 pub use triage::{
     Cascade, Triage, TriageClass, TriageOptions, TriagedVerdict, VerdictClass, Witness,

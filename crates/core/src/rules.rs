@@ -9,7 +9,7 @@
 //! | [`RuleSet::constfold`] | integer constant folding, arithmetic identities and LLVM canonicalizations (`a+a ↓ shl a 1`, `mul a 2ᵏ ↓ shl a k`, `add x (−k) ↓ sub x k`, constant-to-the-right comparison swaps) |
 //! | [`RuleSet::loadstore`] | rules (10)–(11), store-over-store elimination, non-aliasing store reordering, loads jumping over loop memory, and the observable-memory purge of dead stack stores |
 //! | [`RuleSet::eta`] | rules (7)–(9): η over an invariant stream drops, η whose exit fires on the first iteration projects the first value |
-//! | [`RuleSet::commuting`] | η push-down toward the matching μs, φ-congruence pulling (`φ{c→f(a), ¬c→f(b)} ↓ f(φ{c→a,¬c→b})`), commutative operand ordering, and graph-level loop unswitching |
+//! | [`RuleSet::commuting`] | η push-down toward the matching μs, φ-congruence pulling (`φ{c→f(a), ¬c→f(b)} ↓ f(φ{c→a,¬c→b})`) — how the two versions of an unswitched loop re-merge — and, under saturation only, η pull-up |
 //! | [`RuleSet::libc`] | opt-in "insider knowledge of libc" (§5.3): `strlen`/`atoi` jump non-aliasing stores and loops, `memset` forwarding |
 //! | [`RuleSet::float`] | opt-in floating-point constant folding (off by default, as in the paper) |
 //!
@@ -76,7 +76,7 @@ pub struct RuleSet {
     pub loadstore: bool,
     /// η rules (7)–(9).
     pub eta: bool,
-    /// Commuting rules (η push-down, φ pulling, operand ordering, unswitch).
+    /// Commuting rules (η push-down, φ pulling, η pull-up).
     pub commuting: bool,
     /// libc knowledge (opt-in; §5.3).
     pub libc: bool,
@@ -128,20 +128,8 @@ impl RuleSet {
     pub fn fig6_step(step: usize) -> RuleSet {
         assert!((1..=6).contains(&step), "fig6 has steps 1..=6");
         let mut r = RuleSet::none();
-        if step >= 2 {
-            r.phi = true;
-        }
-        if step >= 3 {
-            r.constfold = true;
-        }
-        if step >= 4 {
-            r.loadstore = true;
-        }
-        if step >= 5 {
-            r.eta = true;
-        }
-        if step >= 6 {
-            r.commuting = true;
+        for &group in &Group::ALL[..step - 1] {
+            *r.toggle(group) = true;
         }
         r
     }
@@ -160,6 +148,24 @@ impl RuleSet {
             3 => RuleSet { constfold: true, phi: true, ..RuleSet::none() },
             _ => RuleSet::all(),
         }
+    }
+
+    /// The toggle for `group`.
+    fn toggle(&mut self, group: Group) -> &mut bool {
+        match group {
+            Group::Phi => &mut self.phi,
+            Group::ConstFold => &mut self.constfold,
+            Group::LoadStore => &mut self.loadstore,
+            Group::Eta => &mut self.eta,
+            Group::Commuting => &mut self.commuting,
+            Group::Libc => &mut self.libc,
+            Group::Float => &mut self.float,
+        }
+    }
+
+    /// Is `group` enabled?
+    fn enables(mut self, group: Group) -> bool {
+        *self.toggle(group)
     }
 }
 
@@ -213,21 +219,6 @@ impl RewriteCounts {
     }
 }
 
-/// Mutable per-query rule budgets. The graph-level unswitch rule clones
-/// loop cones; speculative splits that the other side never made leave
-/// unmatched clones behind, so the rule is **off by default** (budget 0)
-/// and enabled explicitly via [`Validator`](crate::validate::Validator)
-/// limits when hunting unswitch-shaped divergences. Multi-exit loops
-/// produce φ-over-η shapes organically, which defeats purely structural
-/// evidence for "the other side unswitched here" — the paper's observation
-/// that complex φs are where "essentially all of the technical
-/// difficulties lie" (§5.4).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RuleBudgets {
-    /// Remaining graph-level loop unswitchings.
-    pub unswitches: u32,
-}
-
 /// Which group produced a rewrite.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Group {
@@ -238,6 +229,34 @@ pub(crate) enum Group {
     Commuting,
     Libc,
     Float,
+}
+
+impl Group {
+    /// Every group in the paper's rule order: the destructive engine's
+    /// priority, the wire order of [`RewriteCounts`], and — its first five
+    /// entries — the order in which Fig. 6 accumulates groups.
+    const ALL: [Group; 7] = [
+        Group::Phi,
+        Group::ConstFold,
+        Group::LoadStore,
+        Group::Eta,
+        Group::Commuting,
+        Group::Libc,
+        Group::Float,
+    ];
+
+    /// Try this group's rules on `n`.
+    fn rewrite(self, g: &mut SharedGraph, n: &Node, cx: &RuleCtx) -> Option<NodeId> {
+        match self {
+            Group::Phi => try_phi(g, n),
+            Group::ConstFold => try_constfold(g, n),
+            Group::LoadStore => try_loadstore(g, n, cx),
+            Group::Eta => try_eta(g, n),
+            Group::Commuting => try_commuting(g, n),
+            Group::Libc => try_libc(g, n, cx),
+            Group::Float => try_float(g, n),
+        }
+    }
 }
 
 /// How a rule sees the children of the node it is matching.
@@ -286,20 +305,15 @@ pub(crate) struct RuleCtx<'a> {
     pub(crate) rules: &'a RuleSet,
     pub(crate) esc: &'a Escapes,
     pub(crate) dead: &'a HashSet<NodeId>,
-    pub(crate) evidence: &'a HashSet<NodeId>,
     pub(crate) view: ClassView<'a>,
 }
 
-/// Compute the per-sweep analyses (escapes, dead allocas, unswitch
-/// evidence) the rules consult, from a liveness vector.
-pub(crate) fn sweep_analyses(
-    g: &SharedGraph,
-    live: &[bool],
-) -> (Escapes, HashSet<NodeId>, HashSet<NodeId>) {
+/// Compute the per-sweep analyses the rules consult — escapes and dead
+/// allocas — from a liveness vector.
+pub(crate) fn sweep_analyses(g: &SharedGraph, live: &[bool]) -> (Escapes, HashSet<NodeId>) {
     let esc = Escapes::compute(g, live);
     let dead = dead_allocas(g, live, &esc);
-    let evidence = unswitch_evidence(g, live);
-    (esc, dead, evidence)
+    (esc, dead)
 }
 
 /// Apply one sweep of the enabled rules over the live graph. Returns the
@@ -309,11 +323,10 @@ pub fn apply_rules(
     roots: &[NodeId],
     rules: &RuleSet,
     counts: &mut RewriteCounts,
-    budgets: &mut RuleBudgets,
 ) -> usize {
     let live = g.live_set(roots);
-    let (esc, dead, evidence) = sweep_analyses(g, &live);
-    let cx = RuleCtx { rules, esc: &esc, dead: &dead, evidence: &evidence, view: ClassView::Rep };
+    let (esc, dead) = sweep_analyses(g, &live);
+    let cx = RuleCtx { rules, esc: &esc, dead: &dead, view: ClassView::Rep };
     let mut rewrites = 0;
     let upper = live.len(); // nodes added during the sweep are visited next round
     for (i, &is_live) in live.iter().enumerate().take(upper) {
@@ -325,7 +338,7 @@ pub fn apply_rules(
             continue;
         }
         let n = g.resolve(id);
-        if let Some((new, group)) = rewrite_first(g, &n, &cx, budgets) {
+        if let Some((new, group)) = rewrite_first(g, &n, &cx) {
             if g.replace(id, new) {
                 rewrites += 1;
                 counts.bump(group);
@@ -337,48 +350,11 @@ pub fn apply_rules(
 
 /// The destructive engine's dispatch: the first rule group that matches `n`
 /// wins (group priority is the paper's rule order).
-fn rewrite_first(
-    g: &mut SharedGraph,
-    n: &Node,
-    cx: &RuleCtx,
-    budgets: &mut RuleBudgets,
-) -> Option<(NodeId, Group)> {
-    if cx.rules.phi {
-        if let Some(new) = try_phi(g, n) {
-            return Some((new, Group::Phi));
-        }
-    }
-    if cx.rules.constfold {
-        if let Some(new) = try_constfold(g, n) {
-            return Some((new, Group::ConstFold));
-        }
-    }
-    if cx.rules.loadstore {
-        if let Some(new) = try_loadstore(g, n, cx) {
-            return Some((new, Group::LoadStore));
-        }
-    }
-    if cx.rules.eta {
-        if let Some(new) = try_eta(g, n) {
-            return Some((new, Group::Eta));
-        }
-    }
-    if cx.rules.commuting {
-        if let Some(new) = try_commuting(g, n, cx.evidence, budgets) {
-            return Some((new, Group::Commuting));
-        }
-    }
-    if cx.rules.libc {
-        if let Some(new) = try_libc(g, n, cx) {
-            return Some((new, Group::Libc));
-        }
-    }
-    if cx.rules.float {
-        if let Some(new) = try_float(g, n) {
-            return Some((new, Group::Float));
-        }
-    }
-    None
+fn rewrite_first(g: &mut SharedGraph, n: &Node, cx: &RuleCtx) -> Option<(NodeId, Group)> {
+    Group::ALL
+        .into_iter()
+        .filter(|&group| cx.rules.enables(group))
+        .find_map(|group| Some((group.rewrite(g, n, cx)?, group)))
 }
 
 /// The saturation engine's dispatch: *every* enabled rule group gets a shot
@@ -389,42 +365,13 @@ pub(crate) fn rewrite_all(
     g: &mut SharedGraph,
     n: &Node,
     cx: &RuleCtx,
-    budgets: &mut RuleBudgets,
     out: &mut Vec<(NodeId, Group)>,
 ) {
-    if cx.rules.phi {
-        if let Some(new) = try_phi(g, n) {
-            out.push((new, Group::Phi));
-        }
-    }
-    if cx.rules.constfold {
-        if let Some(new) = try_constfold(g, n) {
-            out.push((new, Group::ConstFold));
-        }
-    }
-    if cx.rules.loadstore {
-        if let Some(new) = try_loadstore(g, n, cx) {
-            out.push((new, Group::LoadStore));
-        }
-    }
-    if cx.rules.eta {
-        if let Some(new) = try_eta(g, n) {
-            out.push((new, Group::Eta));
-        }
-    }
-    if cx.rules.commuting {
-        if let Some(new) = try_commuting(g, n, cx.evidence, budgets) {
-            out.push((new, Group::Commuting));
-        }
-    }
-    if cx.rules.libc {
-        if let Some(new) = try_libc(g, n, cx) {
-            out.push((new, Group::Libc));
-        }
-    }
-    if cx.rules.float {
-        if let Some(new) = try_float(g, n) {
-            out.push((new, Group::Float));
+    for group in Group::ALL {
+        if cx.rules.enables(group) {
+            if let Some(new) = group.rewrite(g, n, cx) {
+                out.push((new, group));
+            }
         }
     }
     if cx.rules.phi {
@@ -1127,7 +1074,7 @@ fn try_eta(g: &mut SharedGraph, n: &Node) -> Option<NodeId> {
 }
 
 // ---------------------------------------------------------------------------
-// Commuting rules: η push-down, φ pulling, operand ordering, unswitching.
+// Commuting rules: η push-down, φ pulling.
 // ---------------------------------------------------------------------------
 
 fn eta_or_self(g: &mut SharedGraph, depth: u32, cond: NodeId, v: NodeId) -> NodeId {
@@ -1141,45 +1088,7 @@ fn eta_or_self(g: &mut SharedGraph, depth: u32, cond: NodeId, v: NodeId) -> Node
     }
 }
 
-/// Conditions under which some side of the graph already holds a
-/// post-unswitch shape: a φ branch gated on the condition whose value is a
-/// loop exit (η). The graph-level unswitch rule only splits loops on such
-/// conditions — splitting speculatively on every invariant gate clones
-/// loops the other side never split, and the clones then fail to match.
-fn unswitch_evidence(g: &SharedGraph, live: &[bool]) -> std::collections::HashSet<NodeId> {
-    let mut ev = std::collections::HashSet::new();
-    for (i, &is_live) in live.iter().enumerate() {
-        if !is_live {
-            continue;
-        }
-        let id = NodeId(i as u32);
-        if g.find(id) != id {
-            continue;
-        }
-        if let Node::Phi { branches } = g.resolve(id) {
-            for (c, v) in branches.iter() {
-                if matches!(g.node(g.find(*v)), Node::Eta { .. }) {
-                    let c = g.find(*c);
-                    ev.insert(c);
-                    // A negated gate counts as evidence for the positive.
-                    if let Node::Bin(BinOp::Xor, Ty::I1, x, t) = *g.node(c) {
-                        if matches!(g.node(g.find(t)), Node::Const(k) if k.is_true()) {
-                            ev.insert(g.find(x));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    ev
-}
-
-fn try_commuting(
-    g: &mut SharedGraph,
-    n: &Node,
-    evidence: &std::collections::HashSet<NodeId>,
-    budgets: &mut RuleBudgets,
-) -> Option<NodeId> {
+fn try_commuting(g: &mut SharedGraph, n: &Node) -> Option<NodeId> {
     match n {
         // η push-down: move ηs toward the μs they select from (the paper's
         // "push down η-nodes to get them close to the matching μ-nodes").
@@ -1198,14 +1107,7 @@ fn try_commuting(
                     | Node::Phi { .. }
             );
             if !pushable {
-                if budgets.unswitches == 0 {
-                    return None;
-                }
-                let r = try_unswitch(g, *depth, *cond, *val, evidence);
-                if r.is_some() {
-                    budgets.unswitches -= 1;
-                }
-                return r;
+                return None;
             }
             let mut inner = inner;
             let (d, c) = (*depth, *cond);
@@ -1276,167 +1178,6 @@ fn try_commuting(
         }
         _ => None,
     }
-}
-
-/// Graph-level loop unswitching: `η(ca, v)` over a loop whose body branches
-/// on a loop-invariant, non-constant condition `c` splits into
-/// `φ{c → η(ca, v)[c:=true], ¬c → η(ca, v)[c:=false]}`, mirroring what the
-/// loop-unswitch pass did to the optimized side.
-fn try_unswitch(
-    g: &mut SharedGraph,
-    depth: u32,
-    cond: NodeId,
-    val: NodeId,
-    evidence: &std::collections::HashSet<NodeId>,
-) -> Option<NodeId> {
-    let c = find_invariant_gate(g, val, depth, evidence)?;
-    let t = bool_const(g, true);
-    let f = bool_const(g, false);
-    let spec_t = specialize(g, &[cond, val], c, t, depth)?;
-    let spec_f = specialize(g, &[cond, val], c, f, depth)?;
-    let eta_t = g.add(Node::Eta { depth, cond: spec_t[0], val: spec_t[1] });
-    let eta_f = g.add(Node::Eta { depth, cond: spec_f[0], val: spec_f[1] });
-    let notc = mk_not(g, c);
-    Some(g.add(Node::Phi { branches: vec![(c, eta_t), (notc, eta_f)].into_boxed_slice() }))
-}
-
-/// Find a φ branch condition inside the depth-`depth` cycle of `root` that
-/// is invariant at that depth and not a constant.
-fn find_invariant_gate(
-    g: &SharedGraph,
-    root: NodeId,
-    depth: u32,
-    evidence: &std::collections::HashSet<NodeId>,
-) -> Option<NodeId> {
-    let mut seen = std::collections::HashSet::new();
-    let mut stack = vec![g.find(root)];
-    let mut best: Option<NodeId> = None;
-    let mut steps = 0;
-    while let Some(n) = stack.pop() {
-        let n = g.find(n);
-        if !seen.insert(n) {
-            continue;
-        }
-        steps += 1;
-        if steps > 512 {
-            return None;
-        }
-        match g.resolve(n) {
-            Node::Eta { depth: d2, .. } if d2 <= depth => continue,
-            Node::Phi { branches } => {
-                for (c, v) in branches.iter() {
-                    let c = g.find(*c);
-                    // A useful unswitch gate: invariant, non-constant, and
-                    // actually used inside the loop (we only look inside).
-                    if as_const(g, c).is_none()
-                        && evidence.contains(&c)
-                        && !varies_at_depth(g, c, depth)
-                    {
-                        best = Some(best.map_or(c, |b| if c < b { c } else { b }));
-                    }
-                    stack.push(c);
-                    stack.push(*v);
-                }
-            }
-            other => other.for_each_child(|ch| stack.push(ch)),
-        }
-    }
-    best
-}
-
-/// Clone the cone of `roots` with `gate` replaced by `replacement`,
-/// preserving μ cycles (bounded; `None` when the cone is too large).
-fn specialize(
-    g: &mut SharedGraph,
-    roots: &[NodeId],
-    gate: NodeId,
-    replacement: NodeId,
-    depth: u32,
-) -> Option<Vec<NodeId>> {
-    let mut memo: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut budget = 384u32;
-    fn go(
-        g: &mut SharedGraph,
-        n: NodeId,
-        gate: NodeId,
-        replacement: NodeId,
-        depth: u32,
-        memo: &mut HashMap<NodeId, NodeId>,
-        budget: &mut u32,
-    ) -> Option<NodeId> {
-        let n = g.find(n);
-        if n == g.find(gate) {
-            return Some(replacement);
-        }
-        if let Some(&m) = memo.get(&n) {
-            return Some(m);
-        }
-        // Values invariant at this depth can't contain the gate's use sites
-        // that matter... but they *can* contain the gate itself; only clone
-        // within the loop-varying cone.
-        if !varies_at_depth(g, n, depth) && !reaches(g, n, gate) {
-            return Some(n);
-        }
-        if *budget == 0 {
-            return None;
-        }
-        *budget -= 1;
-        match g.resolve(n) {
-            Node::Mu { depth: d, init, next } => {
-                let new_mu = g.new_mu(d, init, None);
-                memo.insert(n, new_mu);
-                let ni = go(g, init, gate, replacement, depth, memo, budget)?;
-                let nn = go(g, next, gate, replacement, depth, memo, budget)?;
-                g.patch_mu(new_mu, nn);
-                g.set_mu_init(new_mu, ni);
-                Some(new_mu)
-            }
-            mut other => {
-                let mut ok = true;
-                let mut cloned: HashMap<NodeId, NodeId> = HashMap::new();
-                other.for_each_child(|c| {
-                    if ok && !cloned.contains_key(&c) {
-                        match go(g, c, gate, replacement, depth, memo, budget) {
-                            Some(x) => {
-                                cloned.insert(c, x);
-                            }
-                            None => ok = false,
-                        }
-                    }
-                });
-                if !ok {
-                    return None;
-                }
-                other.map_children(|c| cloned[&c]);
-                let new = g.add(other);
-                memo.insert(n, new);
-                Some(new)
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(roots.len());
-    for &r in roots {
-        out.push(go(g, r, gate, replacement, depth, &mut memo, &mut budget)?);
-    }
-    Some(out)
-}
-
-/// True if `from` reaches `target` (μ-cycle-safe).
-fn reaches(g: &SharedGraph, from: NodeId, target: NodeId) -> bool {
-    let target = g.find(target);
-    let mut seen = std::collections::HashSet::new();
-    let mut stack = vec![g.find(from)];
-    while let Some(n) = stack.pop() {
-        let n = g.find(n);
-        if n == target {
-            return true;
-        }
-        if !seen.insert(n) {
-            continue;
-        }
-        g.node(n).clone().for_each_child(|c| stack.push(c));
-    }
-    false
 }
 
 // ---------------------------------------------------------------------------

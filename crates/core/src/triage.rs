@@ -382,7 +382,8 @@ fn shrink_candidates(v: u64) -> Vec<u64> {
 
 /// Greedy per-coordinate minimization of a diverging input vector: try
 /// simpler values for each coordinate, keeping any change that preserves
-/// divergence, until a fixpoint or the budget runs out.
+/// divergence, until a fixpoint or the budget runs out. The result is the
+/// [`Witness`]: the minimized vector with both sides' outcomes on it.
 fn minimize(
     orig_env: &Module,
     opt_env: &Module,
@@ -390,13 +391,13 @@ fn minimize(
     mut args: Vec<u64>,
     cfg: &ExecConfig,
     mut budget: usize,
-) -> Vec<u64> {
-    loop {
+) -> Witness {
+    'shrink: loop {
         let mut improved = false;
         for i in 0..args.len() {
             for cand in shrink_candidates(args[i]) {
                 if budget == 0 {
-                    return args;
+                    break 'shrink;
                 }
                 budget -= 1;
                 let prev = std::mem::replace(&mut args[i], cand);
@@ -410,9 +411,14 @@ fn minimize(
             }
         }
         if !improved {
-            return args;
+            break;
         }
     }
+    // Re-probe the minimized vector for the outcomes to record.
+    let Probe::Diverge(original, optimized) = probe(orig_env, opt_env, fname, &args, cfg) else {
+        unreachable!("minimize only keeps diverging inputs");
+    };
+    Witness { args, original, optimized }
 }
 
 /// Triage one alarm: differentially interpret `original` vs `optimized`
@@ -444,12 +450,8 @@ pub fn triage_alarm(
             Probe::Agree => inputs_run += 1,
             Probe::Diverge(..) => {
                 inputs_run += 1;
-                let args = minimize(&orig_env, &opt_env, fname, args, &cfg, opts.shrink_budget);
-                // Re-probe the minimized vector for the outcomes to record.
-                let Probe::Diverge(a, b) = probe(&orig_env, &opt_env, fname, &args, &cfg) else {
-                    unreachable!("minimize only keeps diverging inputs");
-                };
-                witness = Some(Witness { args, original: a, optimized: b });
+                witness =
+                    Some(minimize(&orig_env, &opt_env, fname, args, &cfg, opts.shrink_budget));
                 break;
             }
         }
@@ -519,14 +521,9 @@ fn sat_refine(
             let cfg = ExecConfig { fuel: topts.fuel, max_depth: topts.max_depth };
             match probe(&orig_env, &opt_env, fname, &args, &cfg) {
                 Probe::Diverge(..) => {
-                    let args =
-                        minimize(&orig_env, &opt_env, fname, args, &cfg, topts.shrink_budget);
-                    let Probe::Diverge(a, b) = probe(&orig_env, &opt_env, fname, &args, &cfg)
-                    else {
-                        unreachable!("minimize only keeps diverging inputs");
-                    };
                     triage.class = TriageClass::RealMiscompile;
-                    triage.witness = Some(Witness { args, original: a, optimized: b });
+                    triage.witness =
+                        Some(minimize(&orig_env, &opt_env, fname, args, &cfg, topts.shrink_budget));
                     SatOutcome::Refuted
                 }
                 _ => SatOutcome::Inconclusive,

@@ -5,7 +5,7 @@ use crate::cache::CachedGated;
 use crate::cycles::{match_cycles, MatchStrategy};
 use crate::egraph::{self, SaturationLimits, SaturationStats};
 use crate::graph::SharedGraph;
-use crate::rules::{apply_rules, RewriteCounts, RuleBudgets, RuleSet};
+use crate::rules::{apply_rules, RewriteCounts, RuleSet};
 use crate::triage::Cascade;
 use gated_ssa::{GateError, GatedFunction, Interning};
 use lir::func::Function;
@@ -48,19 +48,11 @@ pub struct Limits {
     pub max_nodes: usize,
     /// Wall-clock budget per validation query.
     pub max_time: Duration,
-    /// Graph-level loop-unswitch splits allowed per query (0 disables the
-    /// speculative rule; see [`crate::rules::RuleBudgets`]).
-    pub unswitch_budget: u32,
 }
 
 impl Default for Limits {
     fn default() -> Self {
-        Limits {
-            max_rounds: 48,
-            max_nodes: 1_000_000,
-            max_time: Duration::from_secs(5),
-            unswitch_budget: 0,
-        }
+        Limits { max_rounds: 48, max_nodes: 1_000_000, max_time: Duration::from_secs(5) }
     }
 }
 
@@ -361,7 +353,6 @@ impl Validator {
         optimized: &GatedFunction,
         deadline: &Deadline,
     ) -> (Verdict, Option<Fixpoint>) {
-        let mut budgets = RuleBudgets { unswitches: self.limits.unswitch_budget };
         let mut stats = ValidationStats::default();
         let mut g = SharedGraph::with_interning(self.interning);
         let mo = g.import(original);
@@ -396,50 +387,46 @@ impl Validator {
             Fixpoint,
         }
 
-        let destructive =
-            |g: &mut SharedGraph, stats: &mut ValidationStats, budgets: &mut RuleBudgets| -> End {
-                loop {
+        let destructive = |g: &mut SharedGraph, stats: &mut ValidationStats| -> End {
+            loop {
+                g.rebuild();
+                stats.rounds += 1;
+                if equal(g) {
+                    return End::Proved;
+                }
+                if stats.rounds >= self.limits.max_rounds
+                    || g.len() >= self.limits.max_nodes
+                    || deadline.expired()
+                {
+                    return End::Budget;
+                }
+                let n = apply_rules(g, &roots, &self.rules, &mut stats.rewrites);
+                if n == 0 {
                     g.rebuild();
-                    stats.rounds += 1;
                     if equal(g) {
                         return End::Proved;
                     }
-                    if stats.rounds >= self.limits.max_rounds
-                        || g.len() >= self.limits.max_nodes
-                        || deadline.expired()
-                    {
-                        return End::Budget;
-                    }
-                    let n = apply_rules(g, &roots, &self.rules, &mut stats.rewrites, budgets);
-                    if n == 0 {
-                        g.rebuild();
-                        if equal(g) {
-                            return End::Proved;
-                        }
-                        let merged = match_cycles(g, &roots, self.strategy);
-                        stats.cycle_merges += merged;
-                        if merged == 0 {
-                            return End::Fixpoint;
-                        }
+                    let merged = match_cycles(g, &roots, self.strategy);
+                    stats.cycle_merges += merged;
+                    if merged == 0 {
+                        return End::Fixpoint;
                     }
                 }
-            };
-        let saturate = |g: &mut SharedGraph,
-                        stats: &mut ValidationStats,
-                        budgets: &mut RuleBudgets|
-         -> egraph::Outcome {
-            egraph::saturate(g, &roots, &equal, self, deadline, stats, budgets)
+            }
+        };
+        let saturate = |g: &mut SharedGraph, stats: &mut ValidationStats| -> egraph::Outcome {
+            egraph::saturate(g, &roots, &equal, self, deadline, stats)
         };
 
         let end = match self.normalizer {
-            Normalizer::Destructive => destructive(&mut g, &mut stats, &mut budgets),
-            Normalizer::Saturate => match saturate(&mut g, &mut stats, &mut budgets) {
+            Normalizer::Destructive => destructive(&mut g, &mut stats),
+            Normalizer::Saturate => match saturate(&mut g, &mut stats) {
                 egraph::Outcome::Proved => End::Proved,
                 egraph::Outcome::Saturated => End::Fixpoint,
                 egraph::Outcome::Capped => End::Budget,
             },
-            Normalizer::SaturateFallback => match destructive(&mut g, &mut stats, &mut budgets) {
-                End::Fixpoint => match saturate(&mut g, &mut stats, &mut budgets) {
+            Normalizer::SaturateFallback => match destructive(&mut g, &mut stats) {
+                End::Fixpoint => match saturate(&mut g, &mut stats) {
                     egraph::Outcome::Proved => End::Proved,
                     // The destructive pass already reached a fixpoint with
                     // divergent roots; a capped saturation retry must not

@@ -1,4 +1,4 @@
-//! Dominator and post-dominator trees, dominance frontiers.
+//! Dominator trees and dominance frontiers.
 //!
 //! Uses the iterative algorithm of Cooper, Harvey & Kennedy ("A Simple, Fast
 //! Dominance Algorithm"), which is near-linear on reducible CFGs and robust
@@ -61,12 +61,11 @@ impl DomTree {
             }
         }
         idom[entry.index()] = None;
-        Self::finish(idom, n, Some(entry))
+        Self::finish(idom, n, entry)
     }
 
-    /// Build a "dominator tree" from an explicit idom array (used for
-    /// post-dominators via the reversed CFG).
-    fn finish(idom: Vec<Option<BlockId>>, n: usize, root: Option<BlockId>) -> DomTree {
+    /// Build the tree rooted at `root` from its idom array.
+    fn finish(idom: Vec<Option<BlockId>>, n: usize, root: BlockId) -> DomTree {
         let mut children = vec![Vec::new(); n];
         for (i, d) in idom.iter().enumerate() {
             if let Some(d) = d {
@@ -76,30 +75,27 @@ impl DomTree {
         let mut tin = vec![0u32; n];
         let mut tout = vec![0u32; n];
         let mut clock = 1u32;
-        if let Some(root) = root {
-            // Iterative DFS over the dominator tree.
-            let mut stack: Vec<(BlockId, usize)> = vec![(root, 0)];
-            tin[root.index()] = clock;
-            clock += 1;
-            while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-                if *i < children[b.index()].len() {
-                    let c = children[b.index()][*i];
-                    *i += 1;
-                    tin[c.index()] = clock;
-                    clock += 1;
-                    stack.push((c, 0));
-                } else {
-                    tout[b.index()] = clock;
-                    clock += 1;
-                    stack.pop();
-                }
+        // Iterative DFS over the dominator tree.
+        let mut stack: Vec<(BlockId, usize)> = vec![(root, 0)];
+        tin[root.index()] = clock;
+        clock += 1;
+        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
+            if *i < children[b.index()].len() {
+                let c = children[b.index()][*i];
+                *i += 1;
+                tin[c.index()] = clock;
+                clock += 1;
+                stack.push((c, 0));
+            } else {
+                tout[b.index()] = clock;
+                clock += 1;
+                stack.pop();
             }
         }
-        DomTree { idom, children, tin, tout, root }
+        DomTree { idom, children, tin, tout, root: Some(root) }
     }
 
-    /// The root block of the tree (entry, or the virtual-exit representative
-    /// for post-dominators). `None` for an empty function.
+    /// The root block of the tree (the entry). `None` for an empty function.
     pub fn root(&self) -> Option<BlockId> {
         self.root
     }
@@ -170,147 +166,6 @@ fn intersect(
         }
     }
     a
-}
-
-/// Post-dominator tree, computed over the reverse CFG with a virtual exit
-/// that succeeds every `ret`/`unreachable` block.
-#[derive(Clone, Debug)]
-pub struct PostDomTree {
-    /// Immediate post-dominator of each block. `None` when the block is the
-    /// sole exit or post-dominated only by the virtual exit.
-    pub ipdom: Vec<Option<BlockId>>,
-    tin: Vec<u32>,
-    tout: Vec<u32>,
-    /// Virtual-exit index = number of real blocks.
-    vexit: usize,
-}
-
-impl PostDomTree {
-    /// Compute the post-dominator tree of `f` given its CFG.
-    pub fn new(f: &Function, cfg: &Cfg) -> PostDomTree {
-        let n = f.blocks.len();
-        let vexit = n;
-        // Reverse graph: node ids 0..n are blocks, n is the virtual exit.
-        let mut rsuccs: Vec<Vec<usize>> = vec![Vec::new(); n + 1]; // reverse successors = preds in original
-        let mut rpreds: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-        for (id, _b) in f.iter_blocks() {
-            for s in f.block(id).term.successors() {
-                // original edge id -> s becomes reverse edge s -> id
-                rsuccs[s.index()].push(id.index());
-                rpreds[id.index()].push(s.index());
-            }
-        }
-        for (id, b) in f.iter_blocks() {
-            if b.term.successors().is_empty() && cfg.is_reachable(id) {
-                // virtual exit -> block in reverse graph
-                rsuccs[vexit].push(id.index());
-                rpreds[id.index()].push(vexit);
-            }
-        }
-        // RPO on the reverse graph from vexit.
-        let mut post = Vec::new();
-        let mut state = vec![0u8; n + 1];
-        let mut stack = vec![(vexit, 0usize)];
-        state[vexit] = 1;
-        while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-            if *i < rsuccs[u].len() {
-                let v = rsuccs[u][*i];
-                *i += 1;
-                if state[v] == 0 {
-                    state[v] = 1;
-                    stack.push((v, 0));
-                }
-            } else {
-                post.push(u);
-                stack.pop();
-            }
-        }
-        let rpo: Vec<usize> = post.into_iter().rev().collect();
-        let mut rpo_index = vec![usize::MAX; n + 1];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_index[b] = i;
-        }
-        let mut idom: Vec<Option<usize>> = vec![None; n + 1];
-        idom[vexit] = Some(vexit);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<usize> = None;
-                for &p in &rpreds[b] {
-                    if idom[p].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => {
-                            let mut a = p;
-                            let mut c = cur;
-                            while a != c {
-                                while rpo_index[a] > rpo_index[c] {
-                                    a = idom[a].unwrap();
-                                }
-                                while rpo_index[c] > rpo_index[a] {
-                                    c = idom[c].unwrap();
-                                }
-                            }
-                            a
-                        }
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom[b] != Some(ni) {
-                        idom[b] = Some(ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        // DFS numbering over tree rooted at vexit.
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-        for (i, d) in idom.iter().enumerate() {
-            if let Some(d) = *d {
-                if d != i {
-                    children[d].push(i);
-                }
-            }
-        }
-        let mut tin = vec![0u32; n + 1];
-        let mut tout = vec![0u32; n + 1];
-        let mut clock = 1u32;
-        let mut stack = vec![(vexit, 0usize)];
-        tin[vexit] = clock;
-        clock += 1;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < children[b].len() {
-                let c = children[b][*i];
-                *i += 1;
-                tin[c] = clock;
-                clock += 1;
-                stack.push((c, 0));
-            } else {
-                tout[b] = clock;
-                clock += 1;
-                stack.pop();
-            }
-        }
-        let ipdom = (0..n)
-            .map(|b| match idom[b] {
-                Some(d) if d != vexit => Some(BlockId(d as u32)),
-                _ => None,
-            })
-            .collect();
-        PostDomTree { ipdom, tin, tout, vexit }
-    }
-
-    /// Does `a` post-dominate `b`?
-    pub fn post_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let (ai, bi) = (a.index(), b.index());
-        if ai >= self.vexit || bi >= self.vexit || self.tin[ai] == 0 || self.tin[bi] == 0 {
-            return false;
-        }
-        self.tin[ai] <= self.tin[bi] && self.tout[bi] <= self.tout[ai]
-    }
 }
 
 #[cfg(test)]
@@ -389,28 +244,5 @@ mod tests {
         assert!(df[1].contains(&BlockId(1)));
         assert_eq!(dt.idom_of(BlockId(2)), Some(BlockId(1)));
         assert_eq!(dt.idom_of(BlockId(3)), Some(BlockId(1)));
-    }
-
-    #[test]
-    fn post_dominators_diamond() {
-        let f = diamond();
-        let cfg = Cfg::new(&f);
-        let pdt = PostDomTree::new(&f, &cfg);
-        // c post-dominates everything.
-        assert!(pdt.post_dominates(BlockId(3), BlockId(0)));
-        assert!(pdt.post_dominates(BlockId(3), BlockId(1)));
-        assert!(!pdt.post_dominates(BlockId(1), BlockId(0)));
-        assert_eq!(pdt.ipdom[0], Some(BlockId(3)));
-    }
-
-    #[test]
-    fn post_dominators_loop() {
-        let f = while_loop();
-        let cfg = Cfg::new(&f);
-        let pdt = PostDomTree::new(&f, &cfg);
-        // exit post-dominates header and entry.
-        assert!(pdt.post_dominates(BlockId(3), BlockId(1)));
-        assert!(pdt.post_dominates(BlockId(1), BlockId(2)));
-        assert!(!pdt.post_dominates(BlockId(2), BlockId(1)));
     }
 }

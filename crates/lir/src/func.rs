@@ -114,11 +114,6 @@ impl Function {
         self.next_reg as usize
     }
 
-    /// Reserve register numbers up to at least `n` (used by the parser).
-    pub fn ensure_reg_bound(&mut self, n: u32) {
-        self.next_reg = self.next_reg.max(n);
-    }
-
     /// Append a new empty block and return its id.
     pub fn add_block(&mut self, name: impl Into<String>) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
@@ -158,26 +153,6 @@ impl Function {
     /// function size used in reports.
     pub fn inst_count(&self) -> usize {
         self.blocks.iter().map(|b| b.phis.len() + b.insts.len() + 1).sum()
-    }
-
-    /// Compute the type of every register: parameters, φs, and instruction
-    /// results. Indexed by `Reg::index`; `None` for unused register numbers.
-    pub fn reg_types(&self) -> Vec<Option<Ty>> {
-        let mut tys = vec![None; self.reg_bound()];
-        for &(r, ty) in &self.params {
-            tys[r.index()] = Some(ty);
-        }
-        for b in &self.blocks {
-            for phi in &b.phis {
-                tys[phi.dst.index()] = Some(phi.ty);
-            }
-            for inst in &b.insts {
-                if let Some(d) = inst.dst() {
-                    tys[d.index()] = Some(inst.dst_ty());
-                }
-            }
-        }
-        tys
     }
 
     /// Count uses of each register across the whole function.
@@ -453,11 +428,8 @@ mod tests {
     }
 
     #[test]
-    fn reg_types_and_defs() {
+    fn def_blocks_index_by_register() {
         let f = two_block_fn();
-        let tys = f.reg_types();
-        assert_eq!(tys[0], Some(Ty::I64));
-        assert_eq!(tys[1], Some(Ty::I64));
         let defs = f.def_blocks();
         assert_eq!(defs[0], Some(BlockId(0)));
         assert_eq!(defs[1], Some(BlockId(0)));
@@ -486,7 +458,7 @@ mod tests {
         let f = two_block_fn();
         // Renumber registers by shifting them.
         let mut g = f.clone();
-        g.ensure_reg_bound(10);
+        g.next_reg = 10;
         let shifted = g.new_reg();
         // rename reg 1 -> shifted everywhere (def + uses)
         for b in &mut g.blocks {

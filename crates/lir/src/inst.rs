@@ -418,15 +418,6 @@ impl Inst {
         }
     }
 
-    /// True if the instruction may read memory.
-    pub fn may_read_mem(&self) -> bool {
-        match self {
-            Inst::Load { .. } => true,
-            Inst::Call { callee, .. } => known::effects_of(callee).may_read(),
-            _ => false,
-        }
-    }
-
     /// True if the instruction may write memory.
     pub fn may_write_mem(&self) -> bool {
         match self {
@@ -886,10 +877,10 @@ mod tests {
     #[test]
     fn effect_classification() {
         let ld = Inst::Load { dst: Reg(0), ty: Ty::I64, ptr: Operand::Reg(Reg(1)) };
-        assert!(ld.may_read_mem() && !ld.may_write_mem() && ld.may_trap());
+        assert!(!ld.may_write_mem() && ld.may_trap());
         let st =
             Inst::Store { ty: Ty::I64, val: Operand::int(Ty::I64, 0), ptr: Operand::Reg(Reg(1)) };
-        assert!(!st.may_read_mem() && st.may_write_mem());
+        assert!(st.may_write_mem());
         let add = Inst::Bin {
             dst: Reg(0),
             op: BinOp::Add,

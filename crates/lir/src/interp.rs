@@ -101,8 +101,30 @@ struct Machine<'m> {
     global_addrs: Vec<u64>,
 }
 
-const GLOBAL_BASE: u64 = 0x1_0000;
-const STACK_BASE: u64 = 0x100_0000;
+/// Address of the first global; the module's globals follow in order.
+pub const GLOBAL_BASE: u64 = 0x1_0000;
+/// Unallocated bytes after each global, so an overrun traps.
+pub const GLOBAL_RED_ZONE: u64 = 64;
+/// First stack address: every `alloca` base is at or above it.
+pub const STACK_BASE: u64 = 0x100_0000;
+
+/// The base address of each of `module`'s globals, in declaration order,
+/// and the end of the global region. Anything that models this
+/// interpreter's memory (the SAT encoder, whose models are replayed here)
+/// must lay globals out the same way.
+pub fn global_layout(module: &Module) -> (Vec<u64>, u64) {
+    let mut addr = GLOBAL_BASE;
+    let bases = module
+        .globals
+        .iter()
+        .map(|g| {
+            let base = addr;
+            addr += g.size() + GLOBAL_RED_ZONE;
+            base
+        })
+        .collect();
+    (bases, addr)
+}
 
 impl<'m> Machine<'m> {
     fn new(module: &'m Module, fuel: u64) -> Machine<'m> {
@@ -113,11 +135,9 @@ impl<'m> Machine<'m> {
             next_addr: STACK_BASE,
             fuel,
             trace: Vec::new(),
-            global_addrs: Vec::new(),
+            global_addrs: global_layout(module).0,
         };
-        let mut addr = GLOBAL_BASE;
-        for g in &module.globals {
-            m.global_addrs.push(addr);
+        for (g, &addr) in module.globals.iter().zip(&m.global_addrs) {
             m.regions.push(Region { start: addr, len: g.size() });
             for (i, w) in g.words.iter().enumerate() {
                 let bytes = (*w as u64).to_le_bytes();
@@ -125,7 +145,6 @@ impl<'m> Machine<'m> {
                     m.mem.insert(addr + (i as u64) * 8 + j as u64, *b);
                 }
             }
-            addr += g.size() + 64; // red zone between globals
         }
         m
     }

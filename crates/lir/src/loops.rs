@@ -195,11 +195,6 @@ impl LoopForest {
         false
     }
 
-    /// Loop depth of a block (0 = not in any loop).
-    pub fn depth_of(&self, b: BlockId) -> u32 {
-        self.loop_of(b).map_or(0, |l| self.get(l).depth)
-    }
-
     /// Iterate loops innermost-first (deepest depth first).
     pub fn innermost_first(&self) -> Vec<LoopId> {
         let mut ids: Vec<LoopId> = (0..self.loops.len()).map(|i| LoopId(i as u32)).collect();
@@ -303,7 +298,6 @@ mod tests {
         assert_eq!(lf.loop_of(BlockId(3)), Some(LoopId(inner as u32)));
         assert!(lf.contains(LoopId(outer as u32), BlockId(3)));
         assert!(!lf.contains(LoopId(inner as u32), BlockId(5)));
-        assert_eq!(lf.depth_of(BlockId(3)), 2);
         // innermost_first puts the inner loop first.
         assert_eq!(lf.innermost_first()[0], LoopId(inner as u32));
     }

@@ -93,14 +93,6 @@ impl Constant {
         }
     }
 
-    /// The value as an `f64`, if this is a float constant.
-    pub fn as_float(self) -> Option<f64> {
-        match self {
-            Constant::Float(bits) => Some(f64::from_bits(bits)),
-            _ => None,
-        }
-    }
-
     /// True if this is the `i1` constant `true`.
     pub fn is_true(self) -> bool {
         self == Constant::bool(true)
@@ -109,11 +101,6 @@ impl Constant {
     /// True if this is the `i1` constant `false`.
     pub fn is_false(self) -> bool {
         self == Constant::bool(false)
-    }
-
-    /// True if this is an integer zero of any width.
-    pub fn is_zero_int(self) -> bool {
-        matches!(self, Constant::Int { bits: 0, .. })
     }
 }
 
@@ -174,11 +161,6 @@ impl Operand {
     pub fn as_int(self) -> Option<i64> {
         self.as_const().and_then(Constant::as_int)
     }
-
-    /// True if this operand is a constant (of any kind) or a global address.
-    pub fn is_constantlike(self) -> bool {
-        matches!(self, Operand::Const(_) | Operand::Global(_))
-    }
 }
 
 impl From<Reg> for Operand {
@@ -212,7 +194,6 @@ mod tests {
         assert!(Constant::bool(true).is_true());
         assert!(Constant::bool(false).is_false());
         assert!(!Constant::int(Ty::I64, 1).is_true());
-        assert!(Constant::int(Ty::I32, 0).is_zero_int());
     }
 
     #[test]
@@ -220,7 +201,6 @@ mod tests {
         let nan1 = Constant::float(f64::NAN);
         let nan2 = Constant::float(f64::NAN);
         assert_eq!(nan1, nan2);
-        assert_eq!(Constant::float(1.5).as_float(), Some(1.5));
         assert_ne!(Constant::float(0.0), Constant::float(-0.0));
     }
 
@@ -241,8 +221,6 @@ mod tests {
         assert_eq!(r.as_const(), None);
         let c = Operand::int(Ty::I32, -5);
         assert_eq!(c.as_int(), Some(-5));
-        assert!(c.is_constantlike());
-        assert!(!r.is_constantlike());
     }
 
     #[test]

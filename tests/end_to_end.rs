@@ -14,9 +14,8 @@ use llvm_md_bench::one_pass;
 /// as §5.3 prescribes), except the entries that document a limitation.
 #[test]
 fn corpus_validates_under_pipeline() {
-    let mut validator =
+    let validator =
         Validator { rules: RuleSet { libc: true, ..RuleSet::all() }, ..Validator::new() };
-    validator.limits.unswitch_budget = 4;
     for (name, m) in corpus_modules() {
         // `irreducible` is rejected by the front end; `unswitch_loop` is the
         // documented hard case (see `unswitched_loop_rejects_cleanly_or_validates`).
@@ -107,8 +106,7 @@ fn memset_forwarding() {
 #[test]
 fn unswitched_loop_rejects_cleanly_or_validates() {
     let m = corpus_modules().into_iter().find(|(n, _)| *n == "unswitch_loop").expect("present").1;
-    let mut v = Validator::new();
-    v.limits.unswitch_budget = 4;
+    let v = Validator::new();
     let (_, report) = ValidationEngine::serial().llvm_md(&m, &one_pass("lu"), &v);
     let rec = &report.records[0];
     if rec.transformed && !rec.validated {

@@ -19,7 +19,7 @@
 use lir::inst::BinOp;
 use lir::types::Ty;
 use lir::value::Constant;
-use llvm_md::core::{RuleBudgets, RuleSet, SharedGraph, Validator};
+use llvm_md::core::{RuleSet, SharedGraph, Validator};
 use llvm_md::gated::{Node, NodeId};
 use llvm_md::workload::rng::SplitMix64;
 use llvm_md::workload::{generate, profiles};
@@ -186,12 +186,9 @@ fn rewrites_preserve_evaluation() {
         let root = build(&mut g, &e);
         let rules = RuleSet::full();
         let mut counts = llvm_md::core::RewriteCounts::default();
-        let mut budgets = RuleBudgets::default();
         for _ in 0..16 {
             g.rebuild();
-            if llvm_md::core::rules::apply_rules(&mut g, &[root], &rules, &mut counts, &mut budgets)
-                == 0
-            {
+            if llvm_md::core::rules::apply_rules(&mut g, &[root], &rules, &mut counts) == 0 {
                 break;
             }
         }
