@@ -8,10 +8,12 @@
 #   BENCH_chain.json    end-to-end vs per-pass chained validation + blame
 #   BENCH_fuzz.json     differential fuzz campaign: per-profile rates, 0 findings
 #   BENCH_sat.json      tier-2 SAT on surviving alarms: upgrades + solver stats
+#   BENCH_ablation.json cycle-matching ablation: validated rate per match strategy
 #
 # Future PRs compare their numbers against the committed artifacts, so the
 # perf trajectory of the validator is mechanical to follow. Extra arguments
-# (e.g. `--scale 1` for the full suite) are forwarded to fig4_pipeline.
+# (e.g. `--scale 1` for the full suite) are forwarded to fig4_pipeline and
+# the other scaled bins (scaling, triage, chain, ablation).
 # Set BENCH_OUT_DIR to write the artifacts somewhere else (ci/check.sh does,
 # for its smoke run).
 #
@@ -50,5 +52,8 @@ echo "==> tier-2 SAT (BENCH_sat.json)"
 # alarm is not present in smaller suites (extra args are not forwarded).
 cargo run --release --offline -q -p llvm_md_bench --bin table4_sat
 
+echo "==> cycle-matching ablation (BENCH_ablation.json)"
+cargo run --release --offline -q -p llvm_md_bench --bin ablation_cycle_matching -- "$@"
+
 out="${BENCH_OUT_DIR:-.}"
-echo "wrote: $(cd "$out" && ls BENCH_fig4.json BENCH_micro.json BENCH_scaling.json BENCH_triage.json BENCH_chain.json BENCH_fuzz.json BENCH_sat.json) in $out"
+echo "wrote: $(cd "$out" && ls BENCH_fig4.json BENCH_micro.json BENCH_scaling.json BENCH_triage.json BENCH_chain.json BENCH_fuzz.json BENCH_sat.json BENCH_ablation.json) in $out"

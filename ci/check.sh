@@ -278,7 +278,7 @@ EOF
   # clobbered.
   artifacts_dir="$(mktemp -d)"
   BENCH_OUT_DIR="$artifacts_dir" ci/bench_baseline.sh --scale 8 > /dev/null
-  for a in fig4 micro scaling triage chain fuzz sat; do
+  for a in fig4 micro scaling triage chain fuzz sat ablation; do
     python3 -m json.tool "$artifacts_dir/BENCH_$a.json" > /dev/null
   done
   echo "bench artifacts smoke OK"
@@ -307,7 +307,7 @@ print(f"rate exhibits smoke OK: {len(axes)} rate artifacts + table1 parse, "
       f"validated <= transformed in every row")
 EOF
 
-  echo "==> artifact identity (BENCH_fig4.json, BENCH_chain.json, BENCH_sat.json, BENCH_triage.json, BENCH_fuzz.json regenerate at their committed settings)"
+  echo "==> artifact identity (BENCH_fig4.json, BENCH_chain.json, BENCH_sat.json, BENCH_triage.json, BENCH_fuzz.json, BENCH_ablation.json regenerate at their committed settings)"
   # The artifacts are deterministic apart from their wall-clock fields (keys
   # ending in _s, _ms or _ns), so regenerating them at the settings they were
   # committed with must reproduce every other value. A change that moves a
@@ -316,9 +316,13 @@ EOF
   # pinned suite. The chain run is serial: cache hit/miss counts race
   # between workers. The fuzz campaign runs at its defaults, serially (the
   # artifact records the worker count), with repros kept out of the tree.
+  # The ablation pins every cycle-matching strategy's verdicts, not just
+  # the default's.
   ident_dir="$(mktemp -d)"
   BENCH_OUT_DIR="$ident_dir" cargo run --release --offline -q \
     -p llvm_md_bench --bin fig4_pipeline -- --scale 4 > /dev/null
+  BENCH_OUT_DIR="$ident_dir" cargo run --release --offline -q \
+    -p llvm_md_bench --bin ablation_cycle_matching -- --scale 4 > /dev/null
   BENCH_OUT_DIR="$ident_dir" LLVM_MD_WORKERS=1 cargo run --release --offline -q \
     -p llvm_md_bench --bin table3_chain -- --scale 4 --battery 16 > /dev/null
   BENCH_OUT_DIR="$ident_dir" LLVM_MD_WORKERS=1 cargo run --release --offline -q \
@@ -328,7 +332,7 @@ EOF
       --bin "$b" -- --scale 4 --battery 16 > /dev/null
   done
   python3 - "$ident_dir" BENCH_fig4.json BENCH_chain.json BENCH_sat.json BENCH_triage.json \
-    BENCH_fuzz.json <<'EOF'
+    BENCH_fuzz.json BENCH_ablation.json <<'EOF'
 import json, os, sys
 def untimed(x):
     if isinstance(x, dict):

@@ -19,7 +19,7 @@
 
 use crate::graph::SharedGraph;
 use gated_ssa::node::{Node, NodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Which cycle-matching algorithm to use (§5.4 ablation).
 ///
@@ -101,6 +101,11 @@ fn live_mus(g: &SharedGraph, roots: &[NodeId]) -> Vec<NodeId> {
 // ---------------------------------------------------------------------------
 
 /// Try to unify every (same-depth) pair of live μ-nodes. Returns unions made.
+///
+/// Each successful unification commits its assumed pairs and rebuilds at
+/// once, so the next pair is tried over the merged graph. That rebuild is
+/// an incremental repair: it re-files only the uses of the classes the
+/// unification merged (see [`SharedGraph::rebuild`]), not the whole arena.
 pub fn unify_all(g: &mut SharedGraph, roots: &[NodeId]) -> usize {
     let mut total = 0;
     loop {
@@ -242,15 +247,23 @@ fn unify(
 // ---------------------------------------------------------------------------
 
 /// Hopcroft-style partition refinement over the live graph; merges μ-nodes
-/// (and by congruence their bodies) that land in the same stable class.
-/// Returns unions made.
+/// (and by congruence their bodies, in the [`SharedGraph::rebuild`] that
+/// follows) that land in the same stable class. Returns unions made.
+///
+/// Returns 0 as soon as no class of the current partition holds two live
+/// μs, before refining further: refinement only splits classes, so those
+/// μs can never end up sharing one. With fewer than two live μs that is
+/// before the first pass, which keeps a long straight-line graph from
+/// paying one whole-graph pass per level of depth for nothing.
 pub fn partition_refine(g: &mut SharedGraph, roots: &[NodeId]) -> usize {
     let live = g.live_set(roots);
     let nodes: Vec<NodeId> = (0..live.len())
         .filter(|&i| live[i] && g.find(NodeId(i as u32)) == NodeId(i as u32))
         .map(|i| NodeId(i as u32))
         .collect();
-    if nodes.is_empty() {
+    // Positions of the live μs in `nodes`.
+    let mus: Vec<usize> = (0..nodes.len()).filter(|&i| g.node(nodes[i]).is_mu()).collect();
+    if mus.len() < 2 {
         return 0;
     }
     let index: HashMap<NodeId, usize> =
@@ -278,6 +291,10 @@ pub fn partition_refine(g: &mut SharedGraph, roots: &[NodeId]) -> usize {
     // Refine until stable: key = (own class, orientation-canonical children
     // classes).
     loop {
+        let mut seen = HashSet::new();
+        if mus.iter().all(|&i| seen.insert(class[i])) {
+            return 0;
+        }
         let mut keys: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
         let mut next_class: Vec<u32> = Vec::with_capacity(nodes.len());
         for (i, &n) in nodes.iter().enumerate() {

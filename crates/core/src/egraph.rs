@@ -100,12 +100,9 @@ pub(crate) fn saturate(
     let mut unions = usize::MAX;
     loop {
         let mut merged = g.rebuild();
-        loop {
-            let m = congruence_members(g);
-            if m == 0 {
-                break;
-            }
-            merged += m + g.rebuild();
+        while congruence_members(g) > 0 {
+            g.rebuild();
+            merged = true;
         }
         promote_consts(g);
         g.reintern();
@@ -119,7 +116,7 @@ pub(crate) fn saturate(
         // derivable. (Re-deriving an existing form is not a union: `add`
         // hash-conses against the re-interned table, so `find` already
         // agrees and the hit is skipped below.)
-        if merged == 0 && unions == 0 {
+        if !merged && unions == 0 {
             let cyc = match_cycles(g, roots, v.strategy);
             stats.cycle_merges += cyc;
             if cyc == 0 {

@@ -22,7 +22,9 @@
 //! precomputed 64-bit hash to a `u32` payload (a node or string index).
 //! It stores no keys: the caller resolves candidate payloads against its
 //! own arena through an equality closure, which is what lets the graph
-//! interners avoid keeping a second copy of every node.
+//! interners avoid keeping a second copy of every node. Entries can be
+//! removed, which the shared value graph's incremental rebuild uses to
+//! re-file only the nodes whose key changed.
 
 use std::fmt;
 use std::hash::Hasher;
@@ -212,10 +214,15 @@ const EMPTY: u32 = u32::MAX;
 /// Capacity is a power of two, the home slot is the hash's low bits, and
 /// the table grows at 7/8 load.
 ///
+/// [`remove`](HashSlots::remove) deletes by backward shift, so the table
+/// never holds tombstones and a lookup's probe ends at the first free slot
+/// exactly as if the removed entry had never been inserted.
+///
 /// As long as callers insert only after a missed [`get`](HashSlots::get),
-/// which payload a lookup returns depends only on the insertion order and
-/// on `eq`, never on the hash values: a weaker or different hash changes
-/// probe lengths, not results.
+/// which payload a lookup returns depends only on the insertion and
+/// removal order and on `eq`, never on the hash values: a weaker or
+/// different hash changes probe lengths, not results. Removal keeps that
+/// rule intact, since it only ever takes a key out.
 #[derive(Clone, Debug, Default)]
 pub struct HashSlots {
     /// `(hash, payload)` pairs; `payload == EMPTY` marks a free slot.
@@ -276,6 +283,49 @@ impl HashSlots {
         }
         self.slots[i] = (hash, payload);
         self.len += 1;
+    }
+
+    /// Remove the entry whose payload `eq` accepts among those stored
+    /// under `hash`, returning its payload. Removal shifts the rest of the
+    /// probe cluster back (no tombstones), so every remaining key is still
+    /// found and lookups never lengthen.
+    pub fn remove(&mut self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut hole = hash as usize & mask;
+        loop {
+            let (h, p) = self.slots[hole];
+            if p == EMPTY {
+                return None;
+            }
+            if h == hash && eq(p) {
+                break;
+            }
+            hole = (hole + 1) & mask;
+        }
+        let removed = self.slots[hole].1;
+        // Backward shift: an entry later in the cluster moves into the hole
+        // unless its home slot lies cyclically after the hole (then the
+        // hole does not sit on its probe path).
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let (h, p) = self.slots[j];
+            if p == EMPTY {
+                break;
+            }
+            let from_home = j.wrapping_sub(h as usize) & mask;
+            let from_hole = j.wrapping_sub(hole) & mask;
+            if from_home >= from_hole {
+                self.slots[hole] = (h, p);
+                hole = j;
+            }
+        }
+        self.slots[hole] = (0, EMPTY);
+        self.len -= 1;
+        Some(removed)
     }
 
     /// Remove every entry, keeping the allocation for reuse.
@@ -455,6 +505,54 @@ mod tests {
     }
 
     #[test]
+    fn slots_remove_shifts_wrapping_clusters_back() {
+        // Every key's home is one of the last three slots of a 16-slot
+        // table, so the clusters wrap past the end into slot 0 and up.
+        let home = |k: u32| 13 + (k as u64 % 3) + 16 * (k as u64 / 3);
+        let mut t = HashSlots::new();
+        for k in 0..12 {
+            t.insert(home(k), k);
+        }
+        assert_eq!(t.slots.len(), 16, "12 entries stay under 7/8 load");
+        let mut present: Vec<u32> = (0..12).collect();
+        // Remove from the front, the wrapped middle and the tail of the run.
+        for k in [0, 7, 11, 3, 4, 9] {
+            assert_eq!(t.remove(home(k), |p| p == k), Some(k));
+            present.retain(|&p| p != k);
+            assert_eq!(t.len(), present.len());
+            assert_eq!(t.get(home(k), |p| p == k), None, "removed key {k} still found");
+            assert_eq!(t.remove(home(k), |p| p == k), None, "removed twice");
+            for &p in &present {
+                assert_eq!(t.get(home(p), |q| q == p), Some(p), "key {p} lost after removing {k}");
+            }
+        }
+        // Refill the freed slots and drain the table.
+        for k in [0, 7, 11] {
+            t.insert(home(k), k);
+            present.push(k);
+        }
+        for &k in &present {
+            assert_eq!(t.remove(home(k), |p| p == k), Some(k));
+        }
+        assert!(t.is_empty());
+        assert!(t.slots.iter().all(|&(_, p)| p == EMPTY), "no tombstones left behind");
+    }
+
+    #[test]
+    fn slots_remove_finds_the_one_eq_accepts() {
+        let mut t = HashSlots::new();
+        for p in 0..5 {
+            t.insert(42, p);
+        }
+        assert_eq!(t.remove(42, |p| p == 2), Some(2));
+        assert_eq!(t.remove(42, |_| false), None);
+        for p in [0, 1, 3, 4] {
+            assert_eq!(t.get(42, |q| q == p), Some(p));
+        }
+        assert_eq!(HashSlots::new().remove(42, |_| true), None, "empty table");
+    }
+
+    #[test]
     fn word_hasher_mixes_one_word_per_integer_write() {
         let hash = |f: &dyn Fn(&mut WordHasher)| {
             let mut h = WordHasher::new();
@@ -505,15 +603,56 @@ mod tests {
             out
         }
         let stream: Vec<u64> = (0..600u64).map(|i| (i * 7919) % 211).collect();
-        let word = |k: u64| {
-            let mut h = WordHasher::new();
-            h.write_u64(k);
-            h.finish()
-        };
         let spread = intern_all(&stream, word);
         assert_eq!(spread, intern_all(&stream, |_| 42));
         assert_eq!(spread, intern_all(&stream, |k| fnv1a(&k.to_le_bytes())));
         assert_eq!(spread.iter().max(), Some(&210), "211 distinct keys, dense ids");
+    }
+
+    fn word(k: u64) -> u64 {
+        let mut h = WordHasher::new();
+        h.write_u64(k);
+        h.finish()
+    }
+
+    #[test]
+    fn slot_payloads_do_not_depend_on_the_hash_under_removal() {
+        // The same interning stream with removals interleaved: every third
+        // step drops the entry of an earlier key, and a later repeat of that
+        // key mints a fresh id. Ids must still come out identical whether
+        // the keys spread, all collide, or hash another way.
+        fn intern_and_remove(stream: &[u64], hash: impl Fn(u64) -> u64) -> Vec<u32> {
+            let mut keys: Vec<u64> = Vec::new();
+            let mut t = HashSlots::new();
+            let mut out = Vec::new();
+            for (step, &k) in stream.iter().enumerate() {
+                let h = hash(k);
+                let id = match t.get(h, |p| keys[p as usize] == k) {
+                    Some(p) => p,
+                    None => {
+                        let p = keys.len() as u32;
+                        keys.push(k);
+                        t.insert(h, p);
+                        p
+                    }
+                };
+                out.push(id);
+                if step % 3 == 2 {
+                    let gone = stream[step / 2];
+                    let removed = t.remove(hash(gone), |p| keys[p as usize] == gone);
+                    out.push(removed.unwrap_or(u32::MAX));
+                }
+            }
+            out
+        }
+        let stream: Vec<u64> = (0..900u64).map(|i| (i * 7919) % 97).collect();
+        let spread = intern_and_remove(&stream, word);
+        assert_eq!(spread, intern_and_remove(&stream, |_| 42));
+        assert_eq!(spread, intern_and_remove(&stream, |k| fnv1a(&k.to_le_bytes())));
+        assert!(
+            spread.iter().filter(|&&p| p != u32::MAX).max() > Some(&96),
+            "removed keys re-mint"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use llvm_md::core::wire::{self, Json};
 use llvm_md::core::{
-    fingerprint, Cascade, Normalizer, TriageOptions, Validator, RULE_ENGINE_VERSION,
+    fingerprint, Cascade, Limits, Normalizer, TriageOptions, Validator, RULE_ENGINE_VERSION,
 };
 use llvm_md::driver::store::line_key;
 use llvm_md::driver::{ServeEnd, Server, ValidationEngine, VerdictStore};
@@ -456,4 +456,63 @@ fn duplicate_name_pairing_alarms_fingerprint_the_unpaired_copy() {
     assert_eq!(verdicts[1].get("opt_fp"), Some(&Json::Null));
     assert_eq!(field_u64(verdicts[3], "opt_fp"), mul_fp, "the added copy");
     assert_eq!(verdicts[3].get("orig_fp"), Some(&Json::Null));
+}
+
+/// `n` dependent `add`s in one block: a graph as deep as it is long.
+fn add_chain(n: usize) -> String {
+    let mut f = String::from("define i64 @f(i64 %x) {\nentry:\n  %v0 = add i64 %x, 1\n");
+    for i in 1..n {
+        f += &format!("  %v{i} = add i64 %v{}, %x\n", i - 1);
+    }
+    f + &format!("  ret i64 %v{}\n}}\n", n - 1)
+}
+
+/// A counting loop whose body is `n` dependent `add`s.
+fn loop_with_add_body(n: usize) -> String {
+    let mut f = String::from(
+        "define i64 @f(i64 %x) {\nentry:\n  br label %h\nh:\n\
+         \x20 %i = phi i64 [ 0, %entry ], [ %i2, %b ]\n\
+         \x20 %c = icmp slt i64 %i, %x\n  br i1 %c, label %b, label %d\nb:\n\
+         \x20 %a0 = add i64 %i, %x\n",
+    );
+    for k in 1..n {
+        f += &format!("  %a{k} = add i64 %a{}, %x\n", k - 1);
+    }
+    f + &format!("  %i2 = add i64 %a{}, 1\n  br label %h\nd:\n  ret i64 %i\n}}\n", n - 1)
+}
+
+/// Deep graphs validated against `ret i64 %x` are answered within the
+/// validator's deadline: one 8,000-add chain and one loop with a
+/// 4,000-add body, each a single frame. Cycle matching used to refine the
+/// whole graph once per level of depth (about 17 s and 4 s) even though
+/// neither side has two loops to match.
+#[test]
+fn deep_graphs_are_answered_within_the_deadline() {
+    let identity = "define i64 @f(i64 %x) {\nentry:\n  ret i64 %x\n}\n";
+    let max_time = Limits::default().max_time;
+    for (name, original) in [("chain", add_chain(8_000)), ("loop", loop_with_add_body(4_000))] {
+        let script = format!(
+            "{}{}",
+            validate_request(name, &original, identity),
+            control_request("shutdown", "x")
+        );
+        let server = new_server(VerdictStore::in_memory(1 << 16));
+        let (end, lines) = run_script(&server, &script);
+        assert_eq!(end, ServeEnd::Shutdown, "{name}");
+        assert!(lines_of_type(&lines, "error").is_empty(), "{name}: {lines:?}");
+        let ends = lines_of_type(&lines, "batch-end");
+        assert_eq!(ends.len(), 1, "{name}: one complete batch");
+        assert_eq!(field_u64(ends[0], "functions"), 1, "{name}");
+        let verdicts = lines_of_type(&lines, "verdict");
+        assert_eq!(verdicts.len(), 1, "{name}");
+        let v = verdicts[0].get("verdict").and_then(|v| v.get("verdict")).expect("tier-1 verdict");
+        assert_eq!(
+            v.get("reason").and_then(|r| r.str_field("kind").ok()),
+            Some("roots-differ"),
+            "{name}: {v}"
+        );
+        let stats = v.get("stats").expect("stats");
+        let took = std::time::Duration::from_nanos(field_u64(stats, "duration_ns"));
+        assert!(took < max_time, "{name}: {took:?} is past the {max_time:?} deadline");
+    }
 }

@@ -4,8 +4,9 @@
 //!   runs parses back to the same `Json` tree and re-encodes to the exact
 //!   same bytes.
 //! * **Pinned bytes**: every enum variant and a set of hand-built records
-//!   encode to literal expected strings, and the encoded scale-4 suite
-//!   under the full cascade is pinned by an FNV-1a fingerprint.
+//!   encode to literal expected strings, and the encoded scale-4 suite is
+//!   pinned by FNV-1a fingerprints under the full cascade and under the
+//!   tier-1 normalizer and cycle-matching configurations it leaves out.
 //! * **Determinism contract**: report equality, generated from each
 //!   record's field table, ignores exactly the `timing` fields.
 //! * **Artifacts**: every committed `BENCH_*.json` baseline parses through
@@ -17,7 +18,8 @@
 
 use llvm_md::core::wire::{self, Json, ToWire};
 use llvm_md::core::{
-    CacheStats, Cascade, SatOptions, Triage, TriageClass, TriageOptions, TriagedVerdict, Validator,
+    CacheStats, Cascade, MatchStrategy, Normalizer, RuleSet, SatOptions, Triage, TriageClass,
+    TriageOptions, TriagedVerdict, Validator,
 };
 use llvm_md::driver::{
     CampaignConfig, ChainReport, ChainValidator, FunctionRecord, FuzzCampaign, Report,
@@ -461,6 +463,42 @@ fn tiered_suite_reports_encode_to_pinned_bytes() {
     let got = h.finish();
     let pinned: u64 = 0xca50_6490_d390_09db;
     assert_eq!(got, pinned, "encoded tiered suite drifted (fingerprint {got:#018x})");
+}
+
+/// The encoded scale-4 suite under the tier-1 configurations the two pins
+/// above leave out, pinned by one FNV-1a fingerprint over every module's
+/// `Report` with timing zeroed:
+///
+/// * the saturate-fallback normalizer with every rule, the only path that
+///   reroots classes and re-interns members;
+/// * speculative unification alone;
+/// * partition refinement alone.
+#[test]
+fn normalizer_and_matcher_configurations_encode_to_pinned_bytes() {
+    let engine = ValidationEngine::with_workers(2);
+    let validators = [
+        Validator {
+            normalizer: Normalizer::SaturateFallback,
+            rules: RuleSet::full(),
+            ..Validator::new()
+        },
+        Validator { strategy: MatchStrategy::Unification, ..Validator::new() },
+        Validator { strategy: MatchStrategy::Partition, ..Validator::new() },
+    ];
+    let pm = paper_pipeline();
+    let mut h = Fnv1a::new();
+    for (_, module) in generate_suite(4) {
+        let mut output = module.clone();
+        pm.run_module(&mut output);
+        for validator in &validators {
+            let mut report = engine.validate_modules(&module, &output, validator);
+            zero_report_timing(&mut report);
+            writeln!(h, "{}", report.to_wire()).unwrap();
+        }
+    }
+    let got = h.finish();
+    let pinned: u64 = 0x62a8_ed04_ac28_a93b;
+    assert_eq!(got, pinned, "encoded configuration reports drifted (fingerprint {got:#018x})");
 }
 
 /// Every injected bug spliced mid-pipeline (`adce` → the broken pass →
