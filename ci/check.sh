@@ -307,19 +307,25 @@ print(f"rate exhibits smoke OK: {len(axes)} rate artifacts + table1 parse, "
       f"validated <= transformed in every row")
 EOF
 
-  echo "==> artifact identity (BENCH_fig4.json, BENCH_chain.json, BENCH_sat.json, BENCH_triage.json, BENCH_fuzz.json, BENCH_ablation.json regenerate at their committed settings)"
+  echo "==> artifact identity (BENCH_fig4.json at default and 1 worker, BENCH_chain.json, BENCH_sat.json, BENCH_triage.json, BENCH_fuzz.json, BENCH_ablation.json regenerate at their committed settings)"
   # The artifacts are deterministic apart from their wall-clock fields (keys
   # ending in _s, _ms or _ns), so regenerating them at the settings they were
   # committed with must reproduce every other value. A change that moves a
   # verdict, a blame, a triage, cache or SAT count re-baselines the artifact
   # in the same commit. fig4 is the default validator's verdicts over the
-  # pinned suite. The chain run is serial: cache hit/miss counts race
-  # between workers. The fuzz campaign runs at its defaults, serially (the
+  # pinned suite, regenerated twice: at the default worker count (the
+  # fused optimize-and-validate jobs on the work-stealing pool) and at
+  # LLVM_MD_WORKERS=1 (the same jobs inline, serially); both must match.
+  # The chain run is serial: cache hit/miss counts race between workers.
+  # The fuzz campaign runs at its defaults, serially (the
   # artifact records the worker count), with repros kept out of the tree.
   # The ablation pins every cycle-matching strategy's verdicts, not just
   # the default's.
   ident_dir="$(mktemp -d)"
   BENCH_OUT_DIR="$ident_dir" cargo run --release --offline -q \
+    -p llvm_md_bench --bin fig4_pipeline -- --scale 4 > /dev/null
+  mkdir "$ident_dir/serial"
+  BENCH_OUT_DIR="$ident_dir/serial" LLVM_MD_WORKERS=1 cargo run --release --offline -q \
     -p llvm_md_bench --bin fig4_pipeline -- --scale 4 > /dev/null
   BENCH_OUT_DIR="$ident_dir" cargo run --release --offline -q \
     -p llvm_md_bench --bin ablation_cycle_matching -- --scale 4 > /dev/null
@@ -331,8 +337,8 @@ EOF
     BENCH_OUT_DIR="$ident_dir" cargo run --release --offline -q -p llvm_md_bench \
       --bin "$b" -- --scale 4 --battery 16 > /dev/null
   done
-  python3 - "$ident_dir" BENCH_fig4.json BENCH_chain.json BENCH_sat.json BENCH_triage.json \
-    BENCH_fuzz.json BENCH_ablation.json <<'EOF'
+  python3 - "$ident_dir" BENCH_fig4.json serial/BENCH_fig4.json BENCH_chain.json BENCH_sat.json \
+    BENCH_triage.json BENCH_fuzz.json BENCH_ablation.json <<'EOF'
 import json, os, sys
 def untimed(x):
     if isinstance(x, dict):
@@ -341,7 +347,7 @@ def untimed(x):
         return [untimed(v) for v in x]
     return x
 for name in sys.argv[2:]:
-    committed = untimed(json.load(open(name)))
+    committed = untimed(json.load(open(os.path.basename(name))))
     fresh = untimed(json.load(open(os.path.join(sys.argv[1], name))))
     moved = sorted(k for k in committed.keys() | fresh.keys() if committed.get(k) != fresh.get(k))
     assert not moved, f"{name} does not regenerate at its committed settings; moved: {moved}"

@@ -47,7 +47,7 @@
 use crate::{ChainValidator, FunctionRecord, UnknownPass, ValidationEngine};
 use lir::func::Module;
 use lir::parse::parse_module;
-use lir_opt::{pass_by_name, PassManager};
+use lir_opt::{pass_by_name, Ctx, PassManager};
 use llvm_md_core::triage::VerdictClass;
 use llvm_md_core::{wire, Cascade, FailReason, TriageClass, TriageOptions, Validator};
 use llvm_md_workload::fuzz::{campaign_modules, fuzz_profiles};
@@ -145,13 +145,14 @@ impl FindingKind {
     ) -> bool {
         match self {
             FindingKind::Miscompile => {
-                let mut out = cand.clone();
-                pm.run_module(&mut out);
-                let (Some(orig), Some(opt)) = (cand.function(function), out.function(function))
-                else {
-                    return false;
-                };
-                validator.validate_cascade(cand, orig, opt).class() == VerdictClass::RealMiscompile
+                // Passes are function-local: optimizing the one function
+                // under check is exactly its copy in the optimized module.
+                let Some(orig) = cand.function(function) else { return false };
+                let mut opt = orig.clone();
+                pm.run_function(&mut opt, &Ctx::of(cand));
+                opt.name == function
+                    && validator.validate_cascade(cand, orig, &opt).class()
+                        == VerdictClass::RealMiscompile
             }
             FindingKind::ChainInconsistency => !ChainValidator::new(ValidationEngine::serial())
                 .validate_chain(cand, pm, validator)

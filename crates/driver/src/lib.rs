@@ -70,11 +70,13 @@
 //! schedule-dependent [`PoolStats`] counters, which — like
 //! `llvm_md_core::CacheStats` — are outside every report's equality: the
 //! determinism contract, generated from each record's field table, skips
-//! durations and scheduling-dependent counters. The batched
-//! [`ValidationEngine::validate_corpus`] entry point streams whole corpora
-//! of modules through one pool (optimization parallel per module,
-//! validation parallel per function) for service-style throughput runs —
-//! see the `fig4_scaling` benchmark.
+//! durations and scheduling-dependent counters. The certifying pipeline
+//! ([`ValidationEngine::validate_corpus`], with
+//! [`ValidationEngine::llvm_md`] as its one-module call) runs **one job per
+//! (module, function)**: the job optimizes its function, checks whether it
+//! changed, and validates it right away, so optimization and validation
+//! share the pool with no stage barrier between them — see the
+//! `fig4_scaling` benchmark.
 //!
 //! # Function pairing
 //!
@@ -109,7 +111,7 @@ pub use serve::{ServeCounters, ServeEnd, Server};
 pub use store::{StoreStats, VerdictStore, SHARDS};
 
 use lir::func::{Function, Module};
-use lir_opt::PassManager;
+use lir_opt::{Ctx, PassManager};
 use llvm_md_core::triage::{Cascade, Triage, TriageOptions, TriagedVerdict};
 use llvm_md_core::{
     FailReason, RewriteCounts, SatOptions, SaturationStats, Validator, VerdictClass,
@@ -167,7 +169,9 @@ pub struct Report {
     /// Per-function outcomes, in input-module order (records for functions
     /// only present in the output module follow, in output order).
     pub records: Vec<FunctionRecord>,
-    /// Total optimizer time.
+    /// Total optimizer time (the sum of per-function optimizer times — CPU
+    /// work, not wall-clock, once the engine optimizes functions
+    /// concurrently).
     pub opt_time: Duration,
     /// Total validation time (the sum of per-query durations — CPU work,
     /// not wall-clock, once the engine runs queries concurrently).
@@ -506,13 +510,13 @@ impl ValidationEngine {
         }
     }
 
-    /// Run the `llvm-md` pipeline: optimize `input` with `pm`, validate
-    /// every transformed function on the pool, run the validator's
-    /// [`Cascade`] on each alarm, and splice originals back over rejected
-    /// transformations (including functions the optimizer dropped
-    /// outright; a tier-2 proof keeps the optimized function). Returns the
-    /// certified module and the per-function report — exactly
-    /// [`ValidationEngine::validate_corpus`] over the one module.
+    /// Run the `llvm-md` pipeline: optimize every function of `input` with
+    /// `pm` and validate each transformed one, in one pool job per
+    /// function; run the validator's [`Cascade`] on each alarm, and splice
+    /// originals back over rejected transformations (including functions
+    /// the optimizer dropped outright; a tier-2 proof keeps the optimized
+    /// function). Returns the certified module and the per-function report
+    /// — exactly [`ValidationEngine::validate_corpus`] over the one module.
     pub fn llvm_md(
         &self,
         input: &Module,
@@ -575,47 +579,95 @@ impl ValidationEngine {
         self.validate_modules(input, output, &validator)
     }
 
-    /// Stream a whole corpus of modules through the pool: optimize each
-    /// module (modules are independent work units), then validate **every
-    /// transformed function of every module** as one flat batch, so queries
-    /// from different modules interleave freely and the pool never idles on
-    /// a module boundary. Returns the certified module and report per
-    /// input, in input order — each report identical to what
-    /// [`ValidationEngine::llvm_md`] would produce for that module alone
-    /// (modulo wall-clock durations).
+    /// Stream a whole corpus of modules through the pool as **one flat batch
+    /// of per-function jobs**. Passes are function-local, so each job
+    /// optimizes one function (against its module's globals), checks
+    /// whether the optimizer changed it, and — when it did and the function
+    /// kept its name — runs the validator's [`Cascade`] on the pair at once.
+    /// Optimization and validation of different functions (and modules)
+    /// interleave freely; nothing waits on a module-wide optimize stage.
+    ///
+    /// Each certified module is then rebuilt from its job results (name,
+    /// globals and declarations from the input) and paired with its input
+    /// by name. Passes map functions 1:1 in order, so every name-paired
+    /// `(i, i)` takes job `i`'s verdict; a pair with different indices can
+    /// only come from a pass that renamed a function, and those run in a
+    /// second pool batch. Rejected functions are spliced back and dropped
+    /// ones restored, as in [`ValidationEngine::llvm_md`]. Returns the
+    /// certified module and report per input, in input order; each report
+    /// is identical to a staged run (optimize the module, then
+    /// [`ValidationEngine::validate_modules`], then splice) modulo
+    /// wall-clock durations, and its `opt_time` is the summed per-function
+    /// optimizer time.
     pub fn validate_corpus(
         &self,
         inputs: &[Module],
         pm: &PassManager,
         validator: &Validator,
     ) -> Vec<(Module, Report)> {
-        // Stage 1: optimize, one work unit per module.
-        let optimized: Vec<(Module, Duration)> = self.run_jobs(inputs, |m| {
-            let mut out = m.clone();
-            let t0 = Instant::now();
-            pm.run_module(&mut out);
-            (out, t0.elapsed())
-        });
-        // Stage 2: pair every module and validate all their queries as one
-        // flat batch, in module order.
-        let pairings: Vec<Pairing> = inputs
+        // Batch 1: optimize-and-validate, one job per (module, function).
+        let jobs: Vec<(&Module, &Function)> =
+            inputs.iter().flat_map(|m| m.functions.iter().map(move |f| (m, f))).collect();
+        let mut fused = self
+            .run_jobs(&jobs, |&(input, orig)| {
+                let mut f = orig.clone();
+                let t0 = Instant::now();
+                pm.run_function(&mut f, &Ctx::of(input));
+                let opt_time = t0.elapsed();
+                let changed = changed(orig, &f);
+                let verdict = (changed && f.name == orig.name)
+                    .then(|| validator.validate_cascade(input, orig, &f));
+                FusedJob { function: f, opt_time, changed, verdict }
+            })
+            .into_iter();
+        // Rebuild each output module and pair it by name, reusing the jobs'
+        // `changed` flags for the identity pairs.
+        let mut modules: Vec<(Module, Pairing, Vec<Option<TriagedVerdict>>, Duration)> =
+            Vec::with_capacity(inputs.len());
+        for input in inputs {
+            let mut output = Module {
+                name: input.name.clone(),
+                globals: input.globals.clone(),
+                declarations: input.declarations.clone(),
+                functions: Vec::with_capacity(input.functions.len()),
+            };
+            let (mut flags, mut verdicts, mut opt_time) = (Vec::new(), Vec::new(), Duration::ZERO);
+            for job in fused.by_ref().take(input.functions.len()) {
+                output.functions.push(job.function);
+                flags.push(job.changed);
+                verdicts.push(job.verdict);
+                opt_time += job.opt_time;
+            }
+            let pairing = pair_functions_by(input, &output, |i, o| {
+                if i == o {
+                    flags[i]
+                } else {
+                    changed(&input.functions[i], &output.functions[o])
+                }
+            });
+            modules.push((output, pairing, verdicts, opt_time));
+        }
+        // Batch 2: pairs a renaming pass moved off the diagonal.
+        let moved: Vec<_> = inputs
             .iter()
-            .zip(&optimized)
-            .map(|(input, (output, _))| pair_functions(input, output))
+            .zip(&modules)
+            .flat_map(|(input, (output, p, ..))| {
+                p.jobs.iter().filter(|j| j.in_idx != j.out_idx).map(move |j| (input, output, j))
+            })
             .collect();
-        let flat: Vec<_> = inputs
-            .iter()
-            .zip(&optimized)
-            .zip(&pairings)
-            .flat_map(|((input, (output, _)), p)| p.jobs.iter().map(move |j| (input, output, j)))
-            .collect();
-        let mut verdicts = self.validate_jobs(&flat, validator).into_iter();
-        // Stage 3: hand each module its verdicts, splice, report.
+        let mut moved = self.validate_jobs(&moved, validator).into_iter();
+        // Hand each module its verdicts in job order, splice, report.
         inputs
             .iter()
-            .zip(optimized)
-            .zip(pairings)
-            .map(|((input, (mut output, opt_time)), p)| {
+            .zip(modules)
+            .map(|(input, (mut output, p, mut speculative, opt_time))| {
+                let mut verdicts = p.jobs.iter().map(|j| {
+                    if j.in_idx == j.out_idx {
+                        speculative[j.in_idx].take().expect("a changed, same-named function")
+                    } else {
+                        moved.next().expect("one verdict per moved pair")
+                    }
+                });
                 let mut records = p.records;
                 let splice = Some((input, &mut output));
                 let validate_time =
@@ -625,6 +677,17 @@ impl ValidationEngine {
             })
             .collect()
     }
+}
+
+/// One fused job's result: the optimized function, its optimizer time,
+/// whether the optimizer changed it, and its speculative verdict (run when
+/// it changed and kept its name; unused if a renamed same-named copy
+/// shifted its pairing off the diagonal).
+struct FusedJob {
+    function: Function,
+    opt_time: Duration,
+    changed: bool,
+    verdict: Option<TriagedVerdict>,
 }
 
 #[cfg(test)]

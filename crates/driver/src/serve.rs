@@ -52,6 +52,7 @@ use crate::store::{StoreStats, VerdictStore, SHARDS};
 use crate::{pair_functions_by, PairJob, Pairing, ValidationEngine};
 use lir::func::Module;
 use lir::parse::parse_module;
+use lir::verify::verify_function;
 use llvm_md_core::cache::fingerprint;
 use llvm_md_core::triage::{Cascade, TriagedVerdict};
 use llvm_md_core::wire::{self, u64_hex, Json, ToWire};
@@ -272,6 +273,25 @@ impl Server {
             } else {
                 pending.push(job);
             }
+        }
+        // Untrusted IR: every pair about to be validated must be well-formed
+        // SSA, or graph construction would panic on it. Replays and
+        // identical pairs never reach the validator and pay nothing.
+        let malformed = pending.iter().find_map(|job| {
+            [
+                ("original", &input.functions[job.in_idx]),
+                ("optimized", &output_mod.functions[job.out_idx]),
+            ]
+            .into_iter()
+            .find_map(|(side, f)| Some((side, verify_function(f).err()?)))
+        });
+        if let Some((side, e)) = malformed {
+            let msg = format!(
+                "field `{side}`: function @{} is malformed: {}",
+                e.function,
+                e.problems.join("; ")
+            );
+            return write_line(output, &error_line(Some(id), &msg));
         }
         // Pool pass: validate the genuinely new pairs and run the cascade.
         let outcomes = self.engine.run_jobs(&pending, |job| {

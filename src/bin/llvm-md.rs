@@ -35,6 +35,7 @@ use llvm_md::driver::store::{VerdictStore, DEFAULT_CAPACITY};
 use llvm_md::driver::{campaign_pass_manager, ChainValidator, ValidationEngine};
 use llvm_md::lir::func::Module;
 use llvm_md::lir::parse::parse_module;
+use llvm_md::lir::verify::verify_module;
 use llvm_md::workload::PAPER_PASSES;
 use std::process::ExitCode;
 
@@ -112,7 +113,12 @@ fn common_options(args: &mut Vec<String>) -> Common {
 fn load_module(path: &str) -> Module {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("cannot read `{path}`: {e}")));
-    parse_module(&text).unwrap_or_else(|e| fail(&format!("cannot parse `{path}`: {e}")))
+    let m = parse_module(&text).unwrap_or_else(|e| fail(&format!("cannot parse `{path}`: {e}")));
+    // Untrusted input: malformed SSA would panic graph construction.
+    if let Err(e) = verify_module(&m) {
+        fail(&format!("`{path}` is malformed: {}", e.to_string().trim_end()));
+    }
+    m
 }
 
 fn cmd_validate(mut args: Vec<String>) -> ExitCode {

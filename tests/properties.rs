@@ -358,6 +358,100 @@ fn corpus_batching_matches_per_module_runs() {
     }
 }
 
+/// An independent oracle for the fused `validate_corpus`: the staged
+/// pipeline — optimize each whole module, validate the module pair, then
+/// splice rejected and dropped functions back by hand — must give the same
+/// report and certified module at every worker count. One module holds two
+/// functions named `@dup`, and one pipeline renames only the first copy, so
+/// a pair lands off the diagonal and the fused engine's second batch runs.
+#[test]
+fn corpus_matches_the_staged_pipeline() {
+    use llvm_md::core::{FailReason, RuleSet, VerdictClass};
+    use llvm_md::driver::{Report, ValidationEngine};
+    use llvm_md::lir::func::{Function, Module};
+    use llvm_md::lir::parse::parse_module;
+    use llvm_md::opt::{paper_pipeline, Ctx, Pass, PassManager};
+    use llvm_md::workload::corpus_batch;
+
+    struct RenameFirstDup;
+    impl Pass for RenameFirstDup {
+        fn name(&self) -> &'static str {
+            "rename-first-dup"
+        }
+        fn run(&self, f: &mut Function, _ctx: &Ctx<'_>) -> bool {
+            let hit = f.name == "dup" && f.params.len() == 1;
+            if hit {
+                f.name.push_str(".renamed");
+            }
+            hit
+        }
+    }
+
+    fn staged(input: &Module, pm: &PassManager, v: &Validator) -> (Module, Report) {
+        let mut output = input.clone();
+        pm.run_module(&mut output);
+        let report = ValidationEngine::serial().validate_modules(input, &output, v);
+        let mut certified = output.clone();
+        let mut dropped = Vec::new();
+        for (i, (f, rec)) in input.functions.iter().zip(&report.records).enumerate() {
+            if rec.reason == Some(FailReason::MissingFunction) {
+                dropped.push(f.clone());
+            } else if !rec.validated && rec.class() != VerdictClass::ProvedEquivalent {
+                // The k-th input copy of a name pairs with its k-th output copy.
+                let rank = input.functions[..i].iter().filter(|g| g.name == f.name).count();
+                let (o, _) = output
+                    .functions
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, g)| g.name == f.name)
+                    .nth(rank)
+                    .expect("a paired record has an output copy");
+                certified.functions[o] = f.clone();
+            }
+        }
+        certified.functions.extend(dropped);
+        (certified, report)
+    }
+
+    let mut modules = corpus_batch();
+    modules.push(
+        parse_module(
+            "define i64 @dup(i64 %a) {\nentry:\n  %x = add i64 3, 3\n  %y = mul i64 %a, %x\n  ret i64 %y\n}\n\
+             define i64 @dup(i64 %a, i64 %b) {\nentry:\n  %d = add i64 %a, 9\n  ret i64 %b\n}\n\
+             define i64 @keep(i64 %a) {\nentry:\n  %z = add i64 %a, 0\n  ret i64 %z\n}\n",
+        )
+        .expect("parse"),
+    );
+    let mut renaming = paper_pipeline();
+    renaming.add(Box::new(RenameFirstDup));
+    let strict = Validator { rules: RuleSet::none(), ..Validator::new() };
+    for (tag, pm) in [("paper", paper_pipeline()), ("renaming", renaming)] {
+        for v in [Validator::new(), strict] {
+            let reference: Vec<_> = modules.iter().map(|m| staged(m, &pm, &v)).collect();
+            // Renaming pairs the first `@dup` with the second's output.
+            let off_diagonal = reference
+                .iter()
+                .flat_map(|(_, r)| &r.records)
+                .filter(|r| r.name == "dup" && r.reason == Some(FailReason::Signature))
+                .count();
+            assert_eq!(off_diagonal, usize::from(tag == "renaming"), "{tag}");
+            for workers in [1usize, 2, 4] {
+                let batch =
+                    ValidationEngine::with_workers(workers).validate_corpus(&modules, &pm, &v);
+                assert_eq!(batch.len(), reference.len());
+                for ((out, rep), (staged_out, staged_rep)) in batch.iter().zip(&reference) {
+                    assert_eq!(staged_rep, rep, "{tag}, workers={workers}: report differs");
+                    assert_eq!(
+                        format!("{staged_out}"),
+                        format!("{out}"),
+                        "{tag}, workers={workers}: certified module differs"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Chain soundness: whenever the per-pass chain certifies a function
 /// (every step that changed it validated), the *endpoints* — the original
 /// and the fully-optimized function — never observably diverge under the

@@ -398,6 +398,42 @@ fn malformed_frames_produce_error_lines_not_crashes() {
     assert_eq!(lines_of_type(&lines, "error").len(), 1);
 }
 
+/// Malformed SSA in a validate frame (a use of an undefined register, a
+/// register defined twice) parses but would panic graph construction: the
+/// server answers that one request with an error line, runs nothing, and
+/// keeps serving the next frame.
+#[test]
+fn malformed_ssa_is_an_error_line_not_a_crash() {
+    let good = "define i64 @f(i64 %x) {\nentry:\n  %r = add i64 %x, 0\n  ret i64 %r\n}\n";
+    let optimized = "define i64 @f(i64 %x) {\nentry:\n  ret i64 %x\n}\n";
+    let undefined = "define i64 @f(i64 %x) {\nentry:\n  %r = add i64 %y, 0\n  ret i64 %r\n}\n";
+    let twice = "define i64 @f(i64 %x) {\nentry:\n  %r = add i64 %x, 0\n  \
+                 %r = add i64 %x, 1\n  ret i64 %r\n}\n";
+    for (tag, bad) in [("undefined", undefined), ("twice", twice)] {
+        parse_module(bad).unwrap_or_else(|e| panic!("{tag}: the frame must parse: {e}"));
+        let server = new_server(VerdictStore::in_memory(1 << 16));
+        let script = format!(
+            "{}{}{}",
+            validate_request("bad", bad, optimized),
+            validate_request("good", good, optimized),
+            control_request("shutdown", "s")
+        );
+        let (end, lines) = run_script(&server, &script);
+        assert_eq!(end, ServeEnd::Shutdown, "{tag}: the loop must survive malformed SSA");
+        let errors = lines_of_type(&lines, "error");
+        assert_eq!(errors.len(), 1, "{tag}: {lines:?}");
+        assert_eq!(errors[0].get("id").and_then(Json::as_str), Some("bad"), "{tag}");
+        let ends = lines_of_type(&lines, "batch-end");
+        assert_eq!(ends.len(), 1, "{tag}: only the good frame gets a batch");
+        assert_eq!(ends[0].get("id").and_then(Json::as_str), Some("good"), "{tag}");
+        assert_eq!(field_u64(ends[0], "functions"), 1, "{tag}");
+        assert_eq!(field_u64(ends[0], "validated"), 1, "{tag}");
+        assert_eq!(lines_of_type(&lines, "verdict").len(), 1, "{tag}");
+        assert_eq!(lines_of_type(&lines, "shutdown-ok").len(), 1, "{tag}");
+        assert_eq!(server.counters().validations_run, 1, "{tag}: the bad frame ran nothing");
+    }
+}
+
 /// A client stream of `left` ASCII digits and no newline, counting how
 /// many bytes the server pulled from it.
 struct DigitStream {
