@@ -181,11 +181,14 @@ EOF
     echo "replay OK: $r"
   done
 
-  echo "==> serve smoke (repeat batch must be 100% store hits, byte-identical verdicts)"
-  # Two identical framed batches through `llvm-md serve --stdin` with an
-  # on-disk store: batch 1 validates, batch 2 must answer every function
-  # from the store (validations_run == 0) with byte-identical verdict
-  # lines.
+  echo "==> serve smoke (repeat batches must be 100% store hits, byte-identical verdicts)"
+  # Three framed batches through `llvm-md serve --stdin` with an on-disk
+  # store: batch 1 validates; batch 2 repeats it exactly and is answered in
+  # direct mode, without parsing; batch 3 changes only a comment in the
+  # original text, so it misses the request manifest and takes the parse
+  # path. Batches 2 and 3 must answer every function from the store
+  # (validations_run == 0) with verdict lines byte-identical to batch 1's,
+  # and the `stats` reply must count exactly one direct replay.
   serve_dir="$(mktemp -d)"
   cat > "$serve_dir/orig.ll" <<'LL'
 ; module smoke
@@ -219,13 +222,14 @@ d = sys.argv[1]
 orig = open(os.path.join(d, "orig.ll")).read()
 opt = open(os.path.join(d, "opt.ll")).read()
 with open(os.path.join(d, "requests.txt"), "w") as f:
-    for rid in ("b1", "b2"):
+    for rid, original in (("b1", orig), ("b2", orig), ("b3", orig + "; edited\n")):
         body = json.dumps({"schema_version": 1, "type": "validate", "id": rid,
-                           "original": orig, "optimized": opt}, separators=(",", ":"))
+                           "original": original, "optimized": opt}, separators=(",", ":"))
         f.write(f"{len(body.encode())}\n{body}")
-    body = json.dumps({"schema_version": 1, "type": "shutdown", "id": "x"},
-                      separators=(",", ":"))
-    f.write(f"{len(body.encode())}\n{body}")
+    for kind in ("stats", "shutdown"):
+        body = json.dumps({"schema_version": 1, "type": kind, "id": "x"},
+                          separators=(",", ":"))
+        f.write(f"{len(body.encode())}\n{body}")
 EOF
   cargo run --release --offline -q --bin llvm-md -- serve --stdin \
     --store "$serve_dir/store" < "$serve_dir/requests.txt" > "$serve_dir/responses.txt"
@@ -237,16 +241,21 @@ ends = [l for l in lines if l["type"] == "batch-end"]
 # Raw line text, not parsed dicts: replay must be byte-identical (key order
 # and number formatting included), which dict equality would not check.
 verdicts = [t for t, l in zip(raw, lines) if l["type"] == "verdict"]
-assert len(ends) == 2, f"expected 2 batches: {ends}"
+assert len(ends) == 3, f"expected 3 batches: {ends}"
 n = ends[0]["functions"]
 assert n > 0 and ends[0]["store_hits"] == 0, ends[0]
-assert ends[1]["store_hits"] == n, f"batch 2 must be all store hits: {ends[1]}"
-assert ends[1]["validations_run"] == 0, f"batch 2 must not re-validate: {ends[1]}"
-assert ends[0]["validated"] == ends[1]["validated"], (ends[0], ends[1])
-b1, b2 = verdicts[:n], verdicts[n:]
-assert len(b2) == n and b1 == b2, "replayed verdict lines must be byte-identical to batch 1"
+for b, end in enumerate(ends[1:], 2):
+    assert end["store_hits"] == n, f"batch {b} must be all store hits: {end}"
+    assert end["validations_run"] == 0, f"batch {b} must not re-validate: {end}"
+    assert end["validated"] == ends[0]["validated"], (ends[0], end)
+assert len(verdicts) == 3 * n, verdicts
+b1, b2, b3 = verdicts[:n], verdicts[n:2 * n], verdicts[2 * n:]
+assert b1 == b2 == b3, "replayed verdict lines must be byte-identical to batch 1"
+stats = [l for l in lines if l["type"] == "stats"]
+assert len(stats) == 1 and stats[0]["direct_replays"] == 1, \
+    f"only the exact repeat may be answered without parsing: {stats}"
 assert any(l["type"] == "shutdown-ok" for l in lines), "shutdown must be acknowledged"
-print(f"serve smoke OK: {n} functions, batch 2 {ends[1]['store_hits']} hits / 0 validations")
+print(f"serve smoke OK: {n} functions, batches 2-3 {n} hits / 0 validations, 1 direct replay")
 EOF
 
   echo "==> benchmark known-answer smoke (every perfbench workload at seed 0 must report correct: true)"

@@ -57,7 +57,8 @@ pub fn pool_stats() -> PoolStats {
 }
 
 /// Map `f` over `items` with `workers` threads on sharded work-stealing
-/// deques; results return in input order. Callers guarantee
+/// deques; results return in input order. The calling thread is worker 0,
+/// so a batch spawns `workers - 1` threads. Callers guarantee
 /// `2 <= workers <= items.len()` (the serial case stays inline in
 /// `run_jobs`).
 pub(crate) fn run_stealing<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
@@ -79,40 +80,41 @@ where
         .collect();
     BATCHES.fetch_add(1, Ordering::Relaxed);
 
+    // One worker's loop: pop its own deque, steal once it drains, and
+    // return the `(job index, result)` pairs it ran.
+    let work = |w: usize| -> Vec<(usize, R)> {
+        let mut done = Vec::new();
+        loop {
+            // LIFO from our own deque first.
+            let mut job = deques[w].lock().expect("pool deque poisoned").pop_back();
+            if job.is_none() {
+                // FIFO steal, scanning victims from our right.
+                for off in 1..workers {
+                    let v = (w + off) % workers;
+                    job = deques[v].lock().expect("pool deque poisoned").pop_front();
+                    if job.is_some() {
+                        STEALS.fetch_add(1, Ordering::Relaxed);
+                        break;
+                    }
+                }
+            }
+            // Deques only drain: a fully empty scan is final.
+            let Some(i) = job else { break };
+            done.push((i, f(&items[i])));
+        }
+        done
+    };
+
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (deques, f) = (&deques, &f);
-                s.spawn(move || {
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        // LIFO from our own deque first.
-                        let mut job = deques[w].lock().expect("pool deque poisoned").pop_back();
-                        if job.is_none() {
-                            // FIFO steal, scanning victims from our right.
-                            for off in 1..workers {
-                                let v = (w + off) % workers;
-                                job = deques[v].lock().expect("pool deque poisoned").pop_front();
-                                if job.is_some() {
-                                    STEALS.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        // Deques only drain: a fully empty scan is final.
-                        let Some(i) = job else { break };
-                        done.push((i, f(&items[i])));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("validation worker panicked") {
-                slots[i] = Some(r);
-            }
+        // Worker 0 is the calling thread: only workers 1.. are spawned.
+        let work = &work;
+        let handles: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
+        let mine = work(0);
+        let theirs = handles.into_iter().map(|h| h.join().expect("validation worker panicked"));
+        for (i, r) in std::iter::once(mine).chain(theirs).flatten() {
+            slots[i] = Some(r);
         }
     });
     slots.into_iter().map(|r| r.expect("work deques covered every job")).collect()

@@ -47,13 +47,50 @@
 //! never replays an untriaged alarm, nor the reverse. Lines written before
 //! the stamp existed decode as `destructive` at engine version 1, so an
 //! unchanged destructive server keeps replaying its old store.
+//!
+//! # Direct mode
+//!
+//! Most of a repeated request's time would go to re-deriving what the
+//! server already knows: parsing both modules, fingerprinting every
+//! function and pairing them by name. So the server keeps an in-memory,
+//! LRU-bounded **request manifest** ([`MANIFEST_CAPACITY`] entries), after
+//! ccache's direct mode:
+//!
+//! - **Key:** FNV-1a of the `original` text and FNV-1a of the `optimized`
+//!   text, exactly as the frame carries them. A one-byte change anywhere
+//!   (a comment, whitespace) is a different key.
+//! - **Value:** what the parse path derived from those texts: the input
+//!   module's name and, per record slot in order, either a name-paired
+//!   function's `(orig_fp, opt_fp)` store key or a pairing alarm's name,
+//!   fingerprints and reason.
+//!
+//! A manifest hit looks every store key up and checks each line with the
+//! same replay rule as the parse path, rebuilds the pairing-alarm lines,
+//! and streams `batch-begin`, the lines and `batch-end` without parsing
+//! anything. The answer is byte-identical to what the parse path writes
+//! for the same store state. If any slot's line is missing (evicted from
+//! the store) or not replayable (overwritten under another stamp), the
+//! whole batch falls back to the parse path, which re-validates what it
+//! must. The fallback looks up again the lines direct mode already
+//! fetched, so the store's hit and miss counters count those twice. A
+//! manifest is written only after its batch completed, so a request that
+//! answered an `error` line never has one.
+//!
+//! The trust model is the store's: a manifest key, like a fingerprint, is
+//! a 64-bit FNV-1a hash, and two different texts with one hash would
+//! share an answer. The manifest carries no configuration stamp because
+//! parsing, fingerprinting and pairing depend on the text alone; every
+//! verdict it points at still passes the stamp check. The manifest is not
+//! persisted: after a restart, the first repeat of each request takes the
+//! parse path (answered from the store) and the next one is direct.
 
 use crate::store::{StoreStats, VerdictStore, SHARDS};
 use crate::{pair_functions_by, PairJob, Pairing, ValidationEngine};
 use lir::func::Module;
+use lir::intern::fnv1a;
 use lir::parse::parse_module;
 use lir::verify::verify_function;
-use llvm_md_core::cache::fingerprint;
+use llvm_md_core::cache::{fingerprint, Lru};
 use llvm_md_core::triage::{Cascade, TriagedVerdict};
 use llvm_md_core::wire::{self, u64_hex, Json, ToWire};
 use llvm_md_core::{
@@ -61,10 +98,15 @@ use llvm_md_core::{
 };
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Frames larger than this are rejected — the daemon reads untrusted input
 /// and must not be an allocation bomb.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Distinct requests the direct-mode manifest remembers (see "Direct
+/// mode" above); least recently used ones are evicted past it.
+pub const MANIFEST_CAPACITY: usize = 1 << 16;
 
 /// How a serve loop ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,6 +127,8 @@ pub struct ServeCounters {
     /// Validation queries actually run (store misses on non-identical
     /// pairs).
     pub validations_run: u64,
+    /// `validate` batches answered in direct mode, without parsing.
+    pub direct_replays: u64,
 }
 
 /// The persistent validation service: engine + validator + verdict store
@@ -94,9 +138,31 @@ pub struct Server {
     engine: ValidationEngine,
     validator: Validator,
     store: VerdictStore,
+    /// Direct mode's request manifest, keyed by the FNV-1a pair of the two
+    /// module texts.
+    manifests: Mutex<Lru<(u64, u64), Manifest>>,
     batches: AtomicU64,
     functions: AtomicU64,
     validations_run: AtomicU64,
+    direct_replays: AtomicU64,
+}
+
+/// What the parse path derived from one request's two texts: the input
+/// module's name and how to answer each record slot, in order.
+struct Manifest {
+    module: String,
+    slots: Vec<ManifestSlot>,
+}
+
+/// One record slot of a [`Manifest`].
+#[derive(Clone)]
+enum ManifestSlot {
+    /// A name-paired function, answered by its `(orig_fp, opt_fp)` store
+    /// line.
+    Stored((u64, u64)),
+    /// A pairing alarm (a function only one side has), whose line is
+    /// rebuilt per batch.
+    Alarm { name: String, orig_fp: Option<u64>, opt_fp: Option<u64>, reason: Option<FailReason> },
 }
 
 /// One verdict line plus the classification bookkeeping `batch-end` needs.
@@ -114,9 +180,11 @@ impl Server {
             engine,
             validator,
             store,
+            manifests: Mutex::new(Lru::new(MANIFEST_CAPACITY)),
             batches: AtomicU64::new(0),
             functions: AtomicU64::new(0),
             validations_run: AtomicU64::new(0),
+            direct_replays: AtomicU64::new(0),
         }
     }
 
@@ -131,6 +199,7 @@ impl Server {
             batches: self.batches.load(Ordering::Relaxed),
             functions: self.functions.load(Ordering::Relaxed),
             validations_run: self.validations_run.load(Ordering::Relaxed),
+            direct_replays: self.direct_replays.load(Ordering::Relaxed),
         }
     }
 
@@ -220,11 +289,26 @@ impl Server {
         Ok(ServeStep::Continue)
     }
 
-    /// Handle one `validate` batch: pair by name, answer repeat fingerprint
-    /// pairs from the store, validate only the rest on the worker pool, and
-    /// stream one verdict line per function in deterministic record order.
+    /// Handle one `validate` batch. A request whose two texts the manifest
+    /// knows is answered in direct mode; otherwise pair by name, answer
+    /// repeat fingerprint pairs from the store, validate only the rest on
+    /// the worker pool, and stream one verdict line per function in
+    /// deterministic record order.
     fn handle_validate<W: Write>(&self, id: &str, doc: &Json, output: &mut W) -> io::Result<()> {
-        let (input, output_mod) = match parse_pair(doc) {
+        let original = doc.str_field("original");
+        let optimized = doc.str_field("optimized");
+        let request = match (&original, &optimized) {
+            (Ok(o), Ok(p)) => Some((fnv1a(o.as_bytes()), fnv1a(p.as_bytes()))),
+            _ => None,
+        };
+        if let Some((module, outcomes)) = request.and_then(|key| self.replay_manifest(key)) {
+            self.write_batch(output, id, &module, &outcomes, 0)?;
+            self.direct_replays.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
+        }
+        let parsed = parse_side("original", original)
+            .and_then(|input| Ok((input, parse_side("optimized", optimized)?)));
+        let (input, output_mod) = match parsed {
             Ok(pair) => pair,
             Err(e) => return write_line(output, &error_line(Some(id), &e.to_string())),
         };
@@ -234,45 +318,52 @@ impl Server {
         // driver's structural predicate) decide below what actually runs.
         let Pairing { records, jobs, dropped, extra } =
             pair_functions_by(&input, &output_mod, |_, _| true);
-        let mut slots: Vec<Option<SlotOutcome>> = Vec::with_capacity(records.len());
-        slots.resize_with(records.len(), || None);
-        // Pairing alarms (one side only, nothing to validate): build their
-        // deterministic lines straight from the records, fingerprinting
-        // the very copy that went unpaired.
-        let unpaired = dropped.iter().map(|&(slot, i)| (slot, Some(fps_in[i]), None));
-        let unpaired =
-            unpaired.chain(extra.iter().map(|&(slot, o)| (slot, None, Some(fps_out[o]))));
-        for (slot, orig_fp, opt_fp) in unpaired {
-            let rec = &records[slot];
-            let tv = unqueried(false, rec.reason.clone());
-            slots[slot] = Some(SlotOutcome {
-                line: self.verdict_line(&rec.name, orig_fp, opt_fp, &tv),
-                validated: false,
-                from_store: false,
-            });
+        // The manifest: each job's store key, and each pairing alarm with
+        // the fingerprint of the very copy that went unpaired.
+        let mut entries: Vec<Option<ManifestSlot>> = vec![None; records.len()];
+        let mut job_at: Vec<Option<&PairJob>> = vec![None; records.len()];
+        for job in &jobs {
+            entries[job.slot] =
+                Some(ManifestSlot::Stored((fps_in[job.in_idx], fps_out[job.out_idx])));
+            job_at[job.slot] = Some(job);
         }
+        let alarm = |slot: usize, orig_fp, opt_fp| ManifestSlot::Alarm {
+            name: records[slot].name.clone(),
+            orig_fp,
+            opt_fp,
+            reason: records[slot].reason.clone(),
+        };
+        for &(slot, i) in &dropped {
+            entries[slot] = Some(alarm(slot, Some(fps_in[i]), None));
+        }
+        for &(slot, o) in &extra {
+            entries[slot] = Some(alarm(slot, None, Some(fps_out[o])));
+        }
+        let manifest = Manifest {
+            module: input.name.clone(),
+            slots: entries.into_iter().map(|e| e.expect("every record slot paired")).collect(),
+        };
         // Store pass: answer repeat fingerprint pairs verbatim; identical
         // pairs get a deterministic skip verdict; the rest queue for the
         // pool.
         let mut pending: Vec<&PairJob> = Vec::new();
-        for job in &jobs {
-            let key = (fps_in[job.in_idx], fps_out[job.out_idx]);
-            let name = &records[job.slot].name;
-            let stored = self.store.get(key).and_then(|line| {
-                let validated =
-                    replayable(&line, self.validator.normalizer, &self.validator.cascade)?;
-                Some((line, validated))
-            });
-            if let Some((line, validated)) = stored {
-                slots[job.slot] = Some(SlotOutcome { line, validated, from_store: true });
-            } else if key.0 == key.1 {
-                let line =
-                    self.verdict_line(name, Some(key.0), Some(key.1), &unqueried(true, None));
-                let _ = self.store.put(key, &line);
-                slots[job.slot] = Some(SlotOutcome { line, validated: true, from_store: false });
-            } else {
-                pending.push(job);
-            }
+        let mut slots: Vec<Option<SlotOutcome>> = Vec::with_capacity(records.len());
+        for (slot, entry) in manifest.slots.iter().enumerate() {
+            let outcome = match (self.replay_slot(entry), entry) {
+                (Some(outcome), _) => Some(outcome),
+                (None, &ManifestSlot::Stored(key)) if key.0 == key.1 => {
+                    let tv = unqueried(true, None);
+                    let line =
+                        self.verdict_line(&records[slot].name, Some(key.0), Some(key.1), &tv);
+                    let _ = self.store.put(key, &line);
+                    Some(SlotOutcome { line, validated: true, from_store: false })
+                }
+                (None, _) => {
+                    pending.push(job_at[slot].expect("only stored slots miss"));
+                    None
+                }
+            };
+            slots.push(outcome);
         }
         // Untrusted IR: every pair about to be validated must be well-formed
         // SSA, or graph construction would panic on it. Replays and
@@ -309,9 +400,60 @@ impl Server {
             let _ = self.store.put(key, &line);
             slots[job.slot] = Some(SlotOutcome { line, validated, from_store: false });
         }
-        // Stream: batch-begin, verdict lines in record order, batch-end.
         let outcomes: Vec<SlotOutcome> =
             slots.into_iter().map(|s| s.expect("every record slot filled")).collect();
+        self.write_batch(output, id, &input.name, &outcomes, pending.len())?;
+        // Both fields were strings, or parsing would have failed.
+        if let Some(key) = request {
+            let mut manifests = self.manifests.lock().expect("manifest poisoned");
+            manifests.insert(key, manifest);
+            manifests.evict_over_cap();
+        }
+        Ok(())
+    }
+
+    /// Direct mode: answer a request the manifest knows from the store
+    /// alone, as `(module name, slot outcomes)`. `None` — fall back to the
+    /// parse path — when the manifest has no entry or a stored slot misses.
+    fn replay_manifest(&self, request: (u64, u64)) -> Option<(String, Vec<SlotOutcome>)> {
+        let mut manifests = self.manifests.lock().expect("manifest poisoned");
+        let manifest = manifests.get(&request)?;
+        let outcomes: Option<Vec<SlotOutcome>> =
+            manifest.slots.iter().map(|slot| self.replay_slot(slot)).collect();
+        Some((manifest.module.clone(), outcomes?))
+    }
+
+    /// Answer one record slot without validating: a pairing alarm's line
+    /// is rebuilt; a paired function's line comes from the store when it
+    /// is replayable under the serving configuration, and is `None` (a
+    /// miss) otherwise.
+    fn replay_slot(&self, slot: &ManifestSlot) -> Option<SlotOutcome> {
+        match slot {
+            &ManifestSlot::Stored(key) => {
+                let line = self.store.get(key)?;
+                let validated =
+                    replayable(&line, self.validator.normalizer, &self.validator.cascade)?;
+                Some(SlotOutcome { line, validated, from_store: true })
+            }
+            ManifestSlot::Alarm { name, orig_fp, opt_fp, reason } => {
+                let tv = unqueried(false, reason.clone());
+                let line = self.verdict_line(name, *orig_fp, *opt_fp, &tv);
+                Some(SlotOutcome { line, validated: false, from_store: false })
+            }
+        }
+    }
+
+    /// Stream one answered batch — `batch-begin`, the verdict lines in
+    /// record order, `batch-end` — and count it. Both the parse path and
+    /// direct mode answer through here.
+    fn write_batch<W: Write>(
+        &self,
+        output: &mut W,
+        id: &str,
+        module: &str,
+        outcomes: &[SlotOutcome],
+        validations_run: usize,
+    ) -> io::Result<()> {
         let store_hits = outcomes.iter().filter(|o| o.from_store).count();
         let validated = outcomes.iter().filter(|o| o.validated).count();
         write_line(
@@ -320,13 +462,13 @@ impl Server {
                 "batch-begin",
                 [
                     ("id", Json::str(id)),
-                    ("module", Json::str(&input.name)),
+                    ("module", Json::str(module)),
                     ("functions", Json::num(outcomes.len() as f64)),
                 ],
             )
             .to_string(),
         )?;
-        for o in &outcomes {
+        for o in outcomes {
             write_line(output, &o.line)?;
         }
         write_line(
@@ -339,7 +481,7 @@ impl Server {
                     ("validated", Json::num(validated as f64)),
                     ("alarms", Json::num((outcomes.len() - validated) as f64)),
                     ("store_hits", Json::num(store_hits as f64)),
-                    ("validations_run", Json::num(pending.len() as f64)),
+                    ("validations_run", Json::num(validations_run as f64)),
                 ],
             )
             .to_string(),
@@ -395,6 +537,7 @@ impl Server {
                 ("batches", Json::num(c.batches as f64)),
                 ("functions", Json::num(c.functions as f64)),
                 ("validations_run", Json::num(c.validations_run as f64)),
+                ("direct_replays", Json::num(c.direct_replays as f64)),
                 (
                     "store",
                     Json::obj([
@@ -476,12 +619,10 @@ fn error_line(id: Option<&str>, message: &str) -> String {
     wire::envelope("error", fields).to_string()
 }
 
-fn parse_pair(doc: &Json) -> Result<(Module, Module), wire::WireError> {
-    let parse_side = |key: &str| -> Result<Module, wire::WireError> {
-        parse_module(doc.str_field(key)?)
-            .map_err(|e| wire::WireError::schema(format!("field `{key}`: unparseable module: {e}")))
-    };
-    Ok((parse_side("original")?, parse_side("optimized")?))
+/// Parse the module text of one `validate` field.
+fn parse_side(key: &str, text: Result<&str, wire::WireError>) -> Result<Module, wire::WireError> {
+    parse_module(text?)
+        .map_err(|e| wire::WireError::schema(format!("field `{key}`: unparseable module: {e}")))
 }
 
 /// A verdict decided without a validation query (a pairing alarm, or a

@@ -15,7 +15,6 @@ use crate::func::{BlockId, Function};
 use crate::inst::{Inst, Term};
 use crate::types::Ty;
 use crate::value::{Constant, Operand, Reg};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A verification failure report (one or more problems).
@@ -39,7 +38,9 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Verify a single function.
+/// Verify a single function. A well-formed function costs its CFG, its
+/// dominator tree and two per-register tables; problem messages are only
+/// formatted when there is a problem.
 ///
 /// # Errors
 ///
@@ -78,10 +79,41 @@ pub fn verify_module(m: &crate::func::Module) -> Result<(), VerifyError> {
     Ok(())
 }
 
-fn collect_types(f: &Function, problems: &mut Vec<String>) -> HashMap<Reg, Ty> {
-    let mut tys: HashMap<Reg, Ty> = HashMap::new();
+/// Where an operand is used or checked, for problem messages. Rendered
+/// only when a problem is reported, so the success path formats nothing.
+#[derive(Clone, Copy)]
+enum Site {
+    /// A φ-node, by the register it defines.
+    Phi(Reg),
+    /// An instruction, by the register it defines (`None` for stores and
+    /// void calls).
+    Inst(Option<Reg>),
+    /// A fixed label (`ret`, `br`, `inst`, `terminator`, …).
+    Label(&'static str),
+}
+
+impl fmt::Display for Site {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Site::Phi(r) => write!(f, "phi {r}"),
+            Site::Inst(Some(d)) => write!(f, "{d}"),
+            Site::Inst(None) => f.write_str("store/call"),
+            Site::Label(label) => f.write_str(label),
+        }
+    }
+}
+
+/// The type of each register, indexed by register number (`None`:
+/// undefined).
+type RegTypes = Vec<Option<Ty>>;
+
+fn collect_types(f: &Function, problems: &mut Vec<String>) -> RegTypes {
+    let mut tys: RegTypes = vec![None; f.reg_bound()];
     let mut define = |r: Reg, ty: Ty, what: &str, problems: &mut Vec<String>| {
-        if tys.insert(r, ty).is_some() {
+        if r.index() >= tys.len() {
+            tys.resize(r.index() + 1, None);
+        }
+        if tys[r.index()].replace(ty).is_some() {
             problems.push(format!("register {r} defined more than once ({what})"));
         }
     };
@@ -106,16 +138,18 @@ fn check_phi_shape(f: &Function, cfg: &Cfg, problems: &mut Vec<String>) {
         if !cfg.is_reachable(id) {
             continue;
         }
+        // `Cfg::new` lists predecessors in ascending block order, so the
+        // distinct ones are those unequal to their left neighbor.
         let preds = &cfg.preds[id.index()];
+        let distinct = || {
+            preds.iter().enumerate().filter(|&(i, p)| i == 0 || preds[i - 1] != *p).map(|(_, p)| p)
+        };
         for phi in &b.phis {
             // Each pred edge needs exactly one incoming; with multi-edges a
             // single (pred, v) entry would be ambiguous only if values
             // differed, which SSA φ syntax cannot express, so we require one
             // entry per distinct predecessor.
-            let mut distinct: Vec<BlockId> = preds.clone();
-            distinct.sort();
-            distinct.dedup();
-            for p in &distinct {
+            for p in distinct() {
                 let n = phi.incomings.iter().filter(|(q, _)| q == p).count();
                 if n != 1 {
                     problems.push(format!(
@@ -127,7 +161,7 @@ fn check_phi_shape(f: &Function, cfg: &Cfg, problems: &mut Vec<String>) {
                 }
             }
             for (p, _) in &phi.incomings {
-                if !distinct.contains(p) {
+                if !preds.contains(p) {
                     problems.push(format!(
                         "phi {} in {}: incoming from non-predecessor {}",
                         phi.dst,
@@ -140,21 +174,15 @@ fn check_phi_shape(f: &Function, cfg: &Cfg, problems: &mut Vec<String>) {
     }
 }
 
-fn operand_ty(op: Operand, tys: &HashMap<Reg, Ty>) -> Option<Ty> {
+fn operand_ty(op: Operand, tys: &RegTypes) -> Option<Ty> {
     match op {
-        Operand::Reg(r) => tys.get(&r).copied(),
+        Operand::Reg(r) => tys.get(r.index()).copied().flatten(),
         Operand::Const(c) => Some(c.ty()),
         Operand::Global(_) => Some(Ty::Ptr),
     }
 }
 
-fn expect_ty(
-    what: &str,
-    op: Operand,
-    want: Ty,
-    tys: &HashMap<Reg, Ty>,
-    problems: &mut Vec<String>,
-) {
+fn expect_ty(what: Site, op: Operand, want: Ty, tys: &RegTypes, problems: &mut Vec<String>) {
     match operand_ty(op, tys) {
         Some(t) if t == want => {}
         Some(t) => problems.push(format!("{what}: operand has type {t}, expected {want}")),
@@ -166,7 +194,7 @@ fn expect_ty(
     }
 }
 
-fn check_types(f: &Function, tys: &HashMap<Reg, Ty>, problems: &mut Vec<String>) {
+fn check_types(f: &Function, tys: &RegTypes, problems: &mut Vec<String>) {
     for (_, b) in f.iter_blocks() {
         for phi in &b.phis {
             for &(_, v) in &phi.incomings {
@@ -174,41 +202,41 @@ fn check_types(f: &Function, tys: &HashMap<Reg, Ty>, problems: &mut Vec<String>)
                 if let Operand::Const(Constant::Undef(_)) = v {
                     continue;
                 }
-                expect_ty(&format!("phi {}", phi.dst), v, phi.ty, tys, problems);
+                expect_ty(Site::Phi(phi.dst), v, phi.ty, tys, problems);
             }
         }
         for inst in &b.insts {
-            let ctx = inst.dst().map_or_else(|| "store/call".to_string(), |d| format!("{d}"));
+            let ctx = Site::Inst(inst.dst());
             match inst {
                 Inst::Bin { ty, a, b: bb, .. } => {
                     if !ty.is_int() {
                         problems.push(format!("{ctx}: integer op at type {ty}"));
                     }
-                    expect_ty(&ctx, *a, *ty, tys, problems);
-                    expect_ty(&ctx, *bb, *ty, tys, problems);
+                    expect_ty(ctx, *a, *ty, tys, problems);
+                    expect_ty(ctx, *bb, *ty, tys, problems);
                 }
                 Inst::FBin { a, b: bb, .. } => {
-                    expect_ty(&ctx, *a, Ty::F64, tys, problems);
-                    expect_ty(&ctx, *bb, Ty::F64, tys, problems);
+                    expect_ty(ctx, *a, Ty::F64, tys, problems);
+                    expect_ty(ctx, *bb, Ty::F64, tys, problems);
                 }
                 Inst::Icmp { ty, a, b: bb, .. } => {
                     if !ty.is_int() && !ty.is_ptr() {
                         problems.push(format!("{ctx}: icmp at type {ty}"));
                     }
-                    expect_ty(&ctx, *a, *ty, tys, problems);
-                    expect_ty(&ctx, *bb, *ty, tys, problems);
+                    expect_ty(ctx, *a, *ty, tys, problems);
+                    expect_ty(ctx, *bb, *ty, tys, problems);
                 }
                 Inst::Fcmp { a, b: bb, .. } => {
-                    expect_ty(&ctx, *a, Ty::F64, tys, problems);
-                    expect_ty(&ctx, *bb, Ty::F64, tys, problems);
+                    expect_ty(ctx, *a, Ty::F64, tys, problems);
+                    expect_ty(ctx, *bb, Ty::F64, tys, problems);
                 }
                 Inst::Select { ty, c, t, f: fv, .. } => {
-                    expect_ty(&ctx, *c, Ty::I1, tys, problems);
-                    expect_ty(&ctx, *t, *ty, tys, problems);
-                    expect_ty(&ctx, *fv, *ty, tys, problems);
+                    expect_ty(ctx, *c, Ty::I1, tys, problems);
+                    expect_ty(ctx, *t, *ty, tys, problems);
+                    expect_ty(ctx, *fv, *ty, tys, problems);
                 }
                 Inst::Cast { op, from, to, v, .. } => {
-                    expect_ty(&ctx, *v, *from, tys, problems);
+                    expect_ty(ctx, *v, *from, tys, problems);
                     use crate::inst::CastOp::*;
                     let ok = match op {
                         Zext | Sext => from.is_int() && to.is_int() && from.bits() < to.bits(),
@@ -225,18 +253,18 @@ fn check_types(f: &Function, tys: &HashMap<Reg, Ty>, problems: &mut Vec<String>)
                         problems.push(format!("{ctx}: alloca size/align invalid"));
                     }
                 }
-                Inst::Load { ptr, .. } => expect_ty(&ctx, *ptr, Ty::Ptr, tys, problems),
+                Inst::Load { ptr, .. } => expect_ty(ctx, *ptr, Ty::Ptr, tys, problems),
                 Inst::Store { ty, val, ptr } => {
-                    expect_ty(&ctx, *val, *ty, tys, problems);
-                    expect_ty(&ctx, *ptr, Ty::Ptr, tys, problems);
+                    expect_ty(ctx, *val, *ty, tys, problems);
+                    expect_ty(ctx, *ptr, Ty::Ptr, tys, problems);
                 }
                 Inst::Gep { base, offset, .. } => {
-                    expect_ty(&ctx, *base, Ty::Ptr, tys, problems);
-                    expect_ty(&ctx, *offset, Ty::I64, tys, problems);
+                    expect_ty(ctx, *base, Ty::Ptr, tys, problems);
+                    expect_ty(ctx, *offset, Ty::I64, tys, problems);
                 }
                 Inst::Call { args, .. } => {
                     for (ty, a) in args {
-                        expect_ty(&ctx, *a, *ty, tys, problems);
+                        expect_ty(ctx, *a, *ty, tys, problems);
                     }
                 }
             }
@@ -250,15 +278,15 @@ fn check_types(f: &Function, tys: &HashMap<Reg, Ty>, problems: &mut Vec<String>)
                     (Ty::Void, None) => {}
                     (Ty::Void, Some(_)) => problems.push("ret void with a value".into()),
                     (_, None) => problems.push("non-void ret without a value".into()),
-                    (t, Some(v)) => expect_ty("ret", *v, *t, tys, problems),
+                    (t, Some(v)) => expect_ty(Site::Label("ret"), *v, *t, tys, problems),
                 }
             }
-            Term::CondBr { cond, .. } => expect_ty("br", *cond, Ty::I1, tys, problems),
+            Term::CondBr { cond, .. } => expect_ty(Site::Label("br"), *cond, Ty::I1, tys, problems),
             Term::Switch { ty, val, .. } => {
                 if !ty.is_int() {
                     problems.push(format!("switch at non-integer type {ty}"));
                 }
-                expect_ty("switch", *val, *ty, tys, problems);
+                expect_ty(Site::Label("switch"), *val, *ty, tys, problems);
             }
             Term::Br { .. } | Term::Unreachable => {}
         }
@@ -272,20 +300,22 @@ fn check_types(f: &Function, tys: &HashMap<Reg, Ty>, problems: &mut Vec<String>)
 
 fn check_dominance(f: &Function, cfg: &Cfg, dt: &DomTree, problems: &mut Vec<String>) {
     let defs = f.def_blocks();
-    // Position of each def within its block, for same-block ordering checks.
-    let mut def_pos: HashMap<Reg, usize> = HashMap::new();
+    // Position of each def within its block, for same-block ordering checks
+    // (parameters and φs define "at the top", position 0; with duplicate
+    // definitions the last one wins, as in `def_blocks`).
+    let mut def_pos = vec![0; defs.len()];
     for (_, b) in f.iter_blocks() {
         for phi in &b.phis {
-            def_pos.insert(phi.dst, 0); // φs define "at the top"
+            def_pos[phi.dst.index()] = 0;
         }
         for (i, inst) in b.insts.iter().enumerate() {
             if let Some(d) = inst.dst() {
-                def_pos.insert(d, i + 1);
+                def_pos[d.index()] = i + 1;
             }
         }
     }
     let check_use =
-        |r: Reg, at_block: BlockId, at_pos: usize, what: &str, problems: &mut Vec<String>| {
+        |r: Reg, at_block: BlockId, at_pos: usize, what: Site, problems: &mut Vec<String>| {
             let Some(db) = defs.get(r.index()).copied().flatten() else {
                 problems.push(format!("{what}: use of undefined register {r}"));
                 return;
@@ -294,7 +324,7 @@ fn check_dominance(f: &Function, cfg: &Cfg, dt: &DomTree, problems: &mut Vec<Str
                 return; // dominance is vacuous in unreachable code
             }
             if db == at_block {
-                let dp = def_pos.get(&r).copied().unwrap_or(0);
+                let dp = def_pos[r.index()];
                 if dp > at_pos {
                     problems
                         .push(format!("{what}: {r} used before its definition in the same block"));
@@ -315,20 +345,20 @@ fn check_dominance(f: &Function, cfg: &Cfg, dt: &DomTree, problems: &mut Vec<Str
             for &(pred, v) in &phi.incomings {
                 if let Operand::Reg(r) = v {
                     // A φ use happens at the end of the predecessor.
-                    check_use(r, pred, usize::MAX, &format!("phi {}", phi.dst), problems);
+                    check_use(r, pred, usize::MAX, Site::Phi(phi.dst), problems);
                 }
             }
         }
         for (i, inst) in b.insts.iter().enumerate() {
             inst.visit_operands(|op| {
                 if let Operand::Reg(r) = op {
-                    check_use(r, id, i + 1, "inst", problems);
+                    check_use(r, id, i + 1, Site::Label("inst"), problems);
                 }
             });
         }
         b.term.visit_operands(|op| {
             if let Operand::Reg(r) = op {
-                check_use(r, id, usize::MAX, "terminator", problems);
+                check_use(r, id, usize::MAX, Site::Label("terminator"), problems);
             }
         });
     }

@@ -5,6 +5,11 @@
 //! batch twice must answer the second entirely from the verdict store —
 //! zero validations run — with **byte-identical** verdict lines. The same
 //! holds across a daemon restart when the store is on disk.
+//!
+//! Direct mode (a request whose two texts the server has answered before,
+//! replayed without parsing) must write exactly what the parse path writes
+//! for the same store state, and must fall back to it whenever a stored
+//! line is missing or not replayable.
 
 use llvm_md::core::wire::{self, Json};
 use llvm_md::core::{
@@ -57,13 +62,20 @@ fn new_server(store: VerdictStore) -> Server {
     Server::new(ValidationEngine::with_workers(2), Validator::new(), store)
 }
 
-/// Run a request script through a server, returning parsed response lines.
-fn run_script(server: &Server, script: &str) -> (ServeEnd, Vec<Json>) {
+/// Run a request script through a server, returning the raw response
+/// lines.
+fn run_raw(server: &Server, script: &str) -> (ServeEnd, Vec<String>) {
     let mut out = Vec::new();
     let end = server.serve(script.as_bytes(), &mut out).expect("serve loop");
     let text = String::from_utf8(out).expect("responses are UTF-8");
-    let lines = text
-        .lines()
+    (end, text.lines().map(str::to_owned).collect())
+}
+
+/// Run a request script through a server, returning parsed response lines.
+fn run_script(server: &Server, script: &str) -> (ServeEnd, Vec<Json>) {
+    let (end, raw) = run_raw(server, script);
+    let lines = raw
+        .iter()
         .map(|l| wire::parse(l).unwrap_or_else(|e| panic!("unparseable response `{l}`: {e}")))
         .collect();
     (end, lines)
@@ -357,12 +369,26 @@ fn stats_and_flush_report_store_state() {
     let (_, lines) = run_script(&server, &script);
     let stats = lines_of_type(&lines, "stats")[0];
     assert_eq!(field_u64(stats, "batches"), 1);
+    assert_eq!(field_u64(stats, "direct_replays"), 0, "a first batch is never direct");
     assert!(field_u64(stats, "functions") > 0);
     let store = stats.field("store").unwrap();
     assert_eq!(field_u64(store, "entries"), field_u64(stats, "functions"));
     let flush = lines_of_type(&lines, "flush-ok")[0];
     assert!(field_u64(flush, "entries") > 0);
     assert_eq!(lines_of_type(&lines, "shutdown-ok").len(), 1);
+
+    // The same texts again, after the flush: answered without parsing, and
+    // counted as a direct replay.
+    let script = format!(
+        "{}{}",
+        validate_request("b2", &original, &optimized),
+        control_request("stats", "s2"),
+    );
+    let (_, lines) = run_script(&server, &script);
+    let stats = lines_of_type(&lines, "stats")[0];
+    assert_eq!(field_u64(stats, "batches"), 2);
+    assert_eq!(field_u64(stats, "direct_replays"), 1);
+    assert_eq!(server.counters().direct_replays, 1);
 }
 
 #[test]
@@ -551,4 +577,200 @@ fn deep_graphs_are_answered_within_the_deadline() {
         let took = std::time::Duration::from_nanos(field_u64(stats, "duration_ns"));
         assert!(took < max_time, "{name}: {took:?} is past the {max_time:?} deadline");
     }
+}
+
+/// The verdict lines of every batch in a raw response stream, one vector
+/// per `batch-end`, and the `batch-begin`/`batch-end` lines with their
+/// request id removed.
+fn batches(raw: &[String]) -> Vec<(Vec<String>, String, String)> {
+    let without_id = |line: &str| {
+        let Json::Obj(fields) = wire::parse(line).expect("response parses") else {
+            panic!("response must be an object: {line}")
+        };
+        Json::Obj(fields.into_iter().filter(|(k, _)| k != "id").collect()).to_string()
+    };
+    let mut out = Vec::new();
+    let mut current: Option<(Vec<String>, String)> = None;
+    for line in raw {
+        let doc = wire::parse(line).expect("response parses");
+        match wire::doc_type(&doc).expect("typed response") {
+            "batch-begin" => current = Some((Vec::new(), without_id(line))),
+            "verdict" => current.as_mut().expect("verdict inside a batch").0.push(line.clone()),
+            "batch-end" => {
+                let (verdicts, begin) = current.take().expect("batch-end closes a batch");
+                out.push((verdicts, begin, without_id(line)));
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Two modules whose pairing raises every kind of pairing alarm: `@g` is
+/// dropped, `@k` is extra, and the second `@h` (a duplicate name) is
+/// dropped too, next to two transformed pairs and one unchanged pair.
+fn alarm_pair() -> (String, String) {
+    let f = "define i64 @f(i64 %x) {\nentry:\n  %r = add i64 %x, %x\n  ret i64 %r\n}\n";
+    let f_opt = "define i64 @f(i64 %x) {\nentry:\n  %r = shl i64 %x, 1\n  ret i64 %r\n}\n";
+    let g = "define i64 @g(i64 %x) {\nentry:\n  ret i64 %x\n}\n";
+    let h_add = "define i64 @h(i64 %a) {\nentry:\n  %x = add i64 %a, 0\n  ret i64 %x\n}\n";
+    let h_opt = "define i64 @h(i64 %a) {\nentry:\n  ret i64 %a\n}\n";
+    let h_mul = "define i64 @h(i64 %a) {\nentry:\n  %x = mul i64 %a, 3\n  ret i64 %x\n}\n";
+    let id = "define i64 @id(i64 %x) {\nentry:\n  ret i64 %x\n}\n";
+    let k = "define i64 @k(i64 %x) {\nentry:\n  %r = sub i64 %x, 1\n  ret i64 %r\n}\n";
+    (
+        format!("; module alarms\n{f}{g}{h_add}{h_mul}{id}"),
+        format!("; module alarms\n{f_opt}{h_opt}{id}{k}"),
+    )
+}
+
+/// Direct mode writes exactly what the parse path writes for the same
+/// store state: the verdict lines (pairing alarms for a dropped, an extra
+/// and a duplicate-named function included), the counts and the module
+/// name. A one-comment change to either text misses the manifest but hits
+/// the store by fingerprint, so it takes the parse path with 100% store
+/// hits; only exact repeats are direct.
+#[test]
+fn direct_replay_matches_the_parse_path() {
+    let (original, optimized) = alarm_pair();
+    let script = format!(
+        "{}{}{}{}{}",
+        validate_request("first", &original, &optimized),
+        validate_request("direct", &original, &optimized),
+        validate_request("orig-comment", &format!("{original}; edited\n"), &optimized),
+        validate_request("opt-comment", &original, &format!("{optimized}; edited\n")),
+        control_request("stats", "s"),
+    );
+    let server = new_server(VerdictStore::in_memory(1 << 16));
+    let (_, raw) = run_raw(&server, &script);
+    let lines: Vec<Json> = raw.iter().map(|l| wire::parse(l).expect("response parses")).collect();
+    let ends = lines_of_type(&lines, "batch-end");
+    assert_eq!(ends.len(), 4, "{raw:?}");
+    assert_eq!(field_u64(ends[0], "functions"), 6, "f, g, h, the second h, id, the extra k");
+    for end in &ends[1..] {
+        assert_eq!(field_u64(end, "store_hits"), 3, "every paired function hits the store: {end}");
+        assert_eq!(field_u64(end, "validations_run"), 0, "{end}");
+    }
+    let stats = lines_of_type(&lines, "stats")[0];
+    assert_eq!(field_u64(stats, "direct_replays"), 1, "only the exact repeat is direct");
+
+    let answers = batches(&raw);
+    let (direct, parsed) = (&answers[1], &answers[2..]);
+    for answer in parsed {
+        assert_eq!(answer, direct, "the direct answer must equal the parse path's, byte for byte");
+    }
+    assert_eq!(answers[0].0, direct.0, "replayed verdict lines equal the first answer's");
+    assert!(direct.1.contains(r#""module":"alarms""#), "{}", direct.1);
+    let reasons: Vec<String> = lines_of_type(&lines, "verdict")[6..12]
+        .iter()
+        .filter_map(|v| v.get("verdict")?.get("verdict")?.get("reason")?.str_field("kind").ok())
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(reasons, ["missing-function", "missing-function", "extra-function"]);
+}
+
+/// A manifest whose store lines are gone (evicted from a one-entry store)
+/// or no longer replayable (restamped) falls back to the parse path: the
+/// repeat re-validates and answers the same classes, never an error.
+#[test]
+fn manifest_with_missing_or_stale_lines_falls_back() {
+    let (original, optimized) = suite_pair(0);
+    let batch = |id: &str| validate_request(id, &original, &optimized);
+    let classes = |lines: &[Json]| -> Vec<String> {
+        lines_of_type(lines, "verdict")
+            .iter()
+            .map(|v| v.str_field("class").expect("class").to_owned())
+            .collect()
+    };
+
+    // A roomy store: the repeat is direct, then a restamped line forces
+    // the next repeat back onto the parse path.
+    let server = new_server(VerdictStore::in_memory(1 << 16));
+    let (_, first) = run_script(&server, &batch("b1"));
+    let (_, second) = run_script(&server, &batch("b2"));
+    assert_eq!(server.counters().direct_replays, 1);
+    assert_eq!(classes(&second), classes(&first));
+    let transformed = lines_of_type(&first, "verdict")
+        .into_iter()
+        .find(|v| v.get("orig_fp") != v.get("opt_fp"))
+        .expect("suite module 0 has a transformed function")
+        .clone();
+    let Json::Obj(fields) = transformed else { panic!("verdict must be an object") };
+    let stale = Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| if k == "rule_engine" { (k, Json::num(1.5)) } else { (k, v) })
+            .collect(),
+    );
+    server.store().put(line_key(&stale).unwrap(), &stale.to_string()).unwrap();
+    let (_, third) = run_script(&server, &batch("b3"));
+    let end = lines_of_type(&third, "batch-end")[0];
+    assert_eq!(field_u64(end, "validations_run"), 1, "the stale line re-validates");
+    assert_eq!(server.counters().direct_replays, 1, "a stale line is never replayed directly");
+    assert_eq!(classes(&third), classes(&first));
+
+    // A one-entry store keeps only the batch's last line: the repeat's
+    // manifest points at evicted lines and must re-validate.
+    let server = new_server(VerdictStore::in_memory(1));
+    let (_, first) = run_script(&server, &batch("b1"));
+    let (_, second) = run_script(&server, &batch("b2"));
+    assert!(lines_of_type(&second, "error").is_empty(), "{second:?}");
+    let ends = (lines_of_type(&first, "batch-end")[0], lines_of_type(&second, "batch-end")[0]);
+    assert!(field_u64(ends.1, "validations_run") > 0, "evicted lines re-validate: {}", ends.1);
+    assert_eq!(field_u64(ends.1, "validated"), field_u64(ends.0, "validated"));
+    assert_eq!(server.counters().direct_replays, 0);
+    assert_eq!(classes(&second), classes(&first));
+}
+
+/// A malformed-SSA frame leaves no manifest: sent twice, it answers two
+/// `error` lines, while a good frame sent twice is replayed directly once.
+#[test]
+fn malformed_ssa_frames_are_never_replayed_directly() {
+    let undefined = "define i64 @f(i64 %x) {\nentry:\n  %r = add i64 %y, 0\n  ret i64 %r\n}\n";
+    let good = "define i64 @f(i64 %x) {\nentry:\n  %r = add i64 %x, 0\n  ret i64 %r\n}\n";
+    let optimized = "define i64 @f(i64 %x) {\nentry:\n  ret i64 %x\n}\n";
+    let script = format!(
+        "{}{}{}{}",
+        validate_request("bad1", undefined, optimized),
+        validate_request("good1", good, optimized),
+        validate_request("bad2", undefined, optimized),
+        validate_request("good2", good, optimized),
+    );
+    let server = new_server(VerdictStore::in_memory(1 << 16));
+    let (_, lines) = run_script(&server, &script);
+    let errors = lines_of_type(&lines, "error");
+    let ids: Vec<&str> = errors.iter().filter_map(|e| e.get("id").and_then(Json::as_str)).collect();
+    assert_eq!(ids, ["bad1", "bad2"], "{lines:?}");
+    assert_eq!(lines_of_type(&lines, "batch-end").len(), 2);
+    assert_eq!(server.counters().direct_replays, 1, "only the good repeat is direct");
+    assert_eq!(server.counters().validations_run, 1, "neither bad frame ran anything");
+}
+
+/// The manifest lives in memory: after a restart on the same store
+/// directory, the first repeat takes the parse path with 100% store hits,
+/// and the second one is direct. All three answers are the same lines.
+#[test]
+fn restart_parses_once_then_replays_directly() {
+    let dir = tmpdir("direct-restart");
+    let (original, optimized) = suite_pair(1);
+    let batch = |id: &str| validate_request(id, &original, &optimized);
+    let first = {
+        let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
+        let (_, raw) =
+            run_raw(&server, &format!("{}{}", batch("b1"), control_request("shutdown", "x")));
+        batches(&raw).remove(0)
+    };
+    let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
+    let (_, raw) = run_raw(&server, &batch("b2"));
+    assert_eq!(server.counters().direct_replays, 0, "the manifest does not survive a restart");
+    let parsed = batches(&raw).remove(0);
+    let end = wire::parse(&parsed.2).unwrap();
+    assert_eq!(field_u64(&end, "store_hits"), field_u64(&end, "functions"));
+    assert_eq!(field_u64(&end, "validations_run"), 0);
+    let (_, raw) = run_raw(&server, &batch("b3"));
+    assert_eq!(server.counters().direct_replays, 1, "the second repeat is direct");
+    let direct = batches(&raw).remove(0);
+    assert_eq!(direct, parsed, "direct and parse-path answers must be byte-identical");
+    assert_eq!(first.0, direct.0, "verdict lines replay byte-identically across the restart");
+    let _ = std::fs::remove_dir_all(&dir);
 }
