@@ -107,6 +107,56 @@ print(f"chain smoke OK: rate {data['chain_rate']:.3f} vs e2e {data['end_to_end_r
       f"{data['injected_blamed_correctly']}/{data['injected_bugs']} bugs blamed correctly")
 EOF
 
+  echo "==> llvm-md chain smoke (honest chain exits 0; a flipped comparison is blamed on its pass, witness attached)"
+  # The CLI face of chain validation, at 2 workers. Run 1: the paper
+  # pipeline over an honest module must exit 0, blame nothing and report a
+  # consistent composition. Run 2: a broken pass between two honest ones
+  # must exit 1 with exactly one blame, at step 1, naming flip-comparison,
+  # with the triage witness that replays the divergence.
+  cli_chain_dir="$(mktemp -d)"
+  cat > "$cli_chain_dir/max.ll" <<'LL'
+define i64 @max(i64 %a, i64 %b) {
+entry:
+  %dead = add i64 %a, 9
+  %c = icmp sgt i64 %a, %b
+  br i1 %c, label %l, label %r
+l:
+  ret i64 %a
+r:
+  ret i64 %b
+}
+
+define i64 @fold(i64 %a) {
+entry:
+  %x = add i64 3, 3
+  %y = mul i64 %a, %x
+  ret i64 %y
+}
+LL
+  cargo run --release --offline -q --bin llvm-md -- chain "$cli_chain_dir/max.ll" \
+    --workers 2 > "$cli_chain_dir/honest.json"
+  status=0
+  cargo run --release --offline -q --bin llvm-md -- chain "$cli_chain_dir/max.ll" \
+    --triage --workers 2 --passes adce,flip-comparison,dse > "$cli_chain_dir/broken.json" \
+    || status=$?
+  [[ $status -eq 1 ]] || { echo "llvm-md chain on a broken pass exited $status, want 1"; exit 1; }
+  python3 - "$cli_chain_dir" <<'EOF'
+import json, os, sys
+honest = json.load(open(os.path.join(sys.argv[1], "honest.json")))
+assert honest["type"] == "chain-report" and honest["consistent"] is True, honest
+assert honest["blames"] == 0 and honest["report"]["blames"] == [], honest["report"]["blames"]
+assert any(r["transformed"] for s in honest["report"]["steps"] for r in s["report"]["records"]), \
+    "the honest module must be transformed by some pass"
+broken = json.load(open(os.path.join(sys.argv[1], "broken.json")))
+blames = broken["report"]["blames"]
+assert broken["blames"] == 1 and len(blames) == 1, blames
+b = blames[0]
+assert b["step"] == 1 and b["pass"] == "flip-comparison", b
+assert b["triage"]["class"] == "real-miscompile" and b["triage"]["witness"], b
+print(f"llvm-md chain smoke OK: honest chain blames nothing; @{b['function']} blamed on "
+      f"{b['pass']} at step {b['step']}, witness args {b['triage']['witness']['args']}")
+EOF
+
   echo "==> tier-2 SAT smoke (>=1 surviving alarm proved equivalent, 0 soundness inversions, proofs under 1000 conflicts)"
   # table4_sat already asserts the two gate invariants internally (and exits
   # nonzero on failure); the artifact check re-verifies them and pins the

@@ -4,9 +4,10 @@
 //! The paper evaluates LLVM's pipeline pass-by-pass (Figs. 5–8), but the
 //! one-shot driver entry points only check input-vs-final-output: every
 //! pass's incompleteness composes into one verdict, and an alarm cannot say
-//! *which* pass is at fault. A [`ChainValidator`] instead materializes every
-//! intermediate module (M0 →pass0→ M1 →pass1→ … →passn-1→ Mn), validates
-//! each **adjacent pair** on the driver's worker pool, and reports:
+//! *which* pass is at fault. A [`ChainValidator`] instead steps every
+//! function through the pipeline one pass at a time (M0 →pass0→ M1 →pass1→
+//! … →passn-1→ Mn, one pool job per function), validates each **adjacent
+//! pair** on the driver's worker pool, and reports:
 //!
 //! * a per-pass [`Report`] for every step ([`ChainStep`]);
 //! * a [`Blame`] for every alarming function — the *first* failing step,
@@ -21,9 +22,13 @@
 //!
 //! Adjacent pairs share a module — Mk is the optimized side of step k−1 and
 //! the original side of step k — so the chain runs every query through one
-//! `llvm_md_core::cache::GraphCache`: each version's functions are
-//! fingerprinted once ([`llvm_md_core::fingerprint`]), fingerprint-equal
-//! pairs (functions the pass didn't touch) skip validation outright with a
+//! `llvm_md_core::cache::GraphCache`. A function's trajectory keeps only the
+//! versions a pass changed structurally, and each distinct function version
+//! is canonicalized and fingerprinted once, on the pool
+//! ([`llvm_md_core::fingerprint`]); the modules Mk are never cloned whole,
+//! only paired as views of the trajectories (and rebuilt as interpretation
+//! environments when the cascade triages). Fingerprint-equal pairs
+//! (functions the pass didn't touch) skip validation outright with a
 //! recorded skip stat, and gated-SSA graphs are built once per distinct
 //! fingerprint and reused by both adjacent steps *and* the end-to-end
 //! cross-check (whose sides, M0 and Mn, are always already cached).
@@ -39,8 +44,8 @@
 //! counters *can* race (two workers may both miss one key) and are excluded.
 
 use crate::{pair_functions_by, PairJob, Pairing, Report, ValidationEngine};
-use lir::func::Module;
-use lir_opt::PassManager;
+use lir::func::{Function, Module};
+use lir_opt::{Ctx, PassManager};
 use llvm_md_core::cache::fingerprint_canonical;
 use llvm_md_core::cache::{CacheStats, GraphCache};
 use llvm_md_core::triage::{Triage, TriageClass};
@@ -96,7 +101,8 @@ impl std::fmt::Display for Blame {
 
 /// One step of a validated chain: the pass that ran and the adjacent-pair
 /// validation report (`records` compare M(k) against M(k+1); `opt_time` is
-/// this pass's optimization time).
+/// this pass's optimizer time summed over the functions it ran on, as for
+/// [`Report::opt_time`] of the fused driver entry points).
 #[derive(Clone, Debug)]
 pub struct ChainStep {
     /// The pass name (`PassManager::step_name` of this step's index).
@@ -153,7 +159,7 @@ pub struct ChainReport {
     /// One entry per pass, in pipeline order.
     pub steps: Vec<ChainStep>,
     /// The one-shot M0-vs-Mn cross-check report (its `opt_time` is the sum
-    /// of the per-step optimization times).
+    /// of the per-step optimizer times).
     pub end_to_end: Report,
     /// Pass-level blame for every alarming function, in step order then
     /// record order (one blame per function: its first failing step).
@@ -247,6 +253,64 @@ impl ChainReport {
     }
 }
 
+/// One input function stepped through the pipeline: its distinct versions
+/// (version 0 is the input function), the version each step left it at,
+/// and each step's optimizer time.
+struct Trajectory {
+    /// Raw forms of versions 1.. (version 0 is borrowed from the input).
+    raw: Vec<Function>,
+    /// Canonical form and fingerprint of every version, version 0 included.
+    canon: Vec<(Function, u64)>,
+    /// `at[k]`: the version after the first k steps (`at[0] == 0`).
+    at: Vec<usize>,
+    /// Per-step optimizer time for this function.
+    opt_times: Vec<Duration>,
+}
+
+impl Trajectory {
+    /// Run every step of `pm` on a copy of `input`, keeping a new version
+    /// only when a step changed the function structurally (a pass's own
+    /// `changed` flag is not trusted for this).
+    fn step(input: &Function, pm: &PassManager, ctx: &Ctx<'_>) -> Trajectory {
+        let canon0 = input.canonicalized();
+        let fp0 = fingerprint_canonical(&canon0);
+        let mut t = Trajectory {
+            raw: Vec::new(),
+            canon: vec![(canon0, fp0)],
+            at: Vec::with_capacity(pm.len() + 1),
+            opt_times: Vec::with_capacity(pm.len()),
+        };
+        t.at.push(0);
+        let mut f = input.clone();
+        for k in 0..pm.len() {
+            let t0 = Instant::now();
+            pm.run_step_function(k, &mut f, ctx);
+            t.opt_times.push(t0.elapsed());
+            if f != *t.raw.last().unwrap_or(input) {
+                let canon = f.canonicalized();
+                let fp = fingerprint_canonical(&canon);
+                t.raw.push(f.clone());
+                t.canon.push((canon, fp));
+            }
+            t.at.push(t.canon.len() - 1);
+        }
+        t
+    }
+
+    /// The raw function after the first `k` steps (`input` is version 0).
+    fn raw_at<'a>(&'a self, input: &'a Function, k: usize) -> &'a Function {
+        match self.at[k] {
+            0 => input,
+            v => &self.raw[v - 1],
+        }
+    }
+
+    /// The canonical form and fingerprint after the first `k` steps.
+    fn canon_at(&self, k: usize) -> &(Function, u64) {
+        &self.canon[self.at[k]]
+    }
+}
+
 /// Validates a `PassManager` pipeline step-by-step on a worker pool (see
 /// the [module docs](self)). Alarms — step-level *and* end-to-end — go
 /// through the validator's `Cascade`: with triage, blames carry witnesses
@@ -279,42 +343,50 @@ impl ChainValidator {
         validator: &Validator,
     ) -> ChainReport {
         let n = pm.len();
-        // 1. Materialize every intermediate module. Passes are
-        //    function-local, so stepping the pipeline produces exactly the
-        //    module `run_module` would (asserted by lir_opt's tests).
-        let mut versions: Vec<Module> = Vec::with_capacity(n + 1);
-        let mut opt_times: Vec<Duration> = Vec::with_capacity(n);
-        versions.push(input.clone());
-        for k in 0..n {
-            let mut next = versions[k].clone();
-            let t0 = Instant::now();
-            pm.run_step(k, &mut next);
-            opt_times.push(t0.elapsed());
-            versions.push(next);
-        }
-        // 2. Canonicalize and fingerprint every version once; each vector
-        //    serves as the "original" side of one pair and the "optimized"
-        //    side of the next — the shared-middle-module reuse. The
+        // 1. Step every input function through the pipeline, one pool job
+        //    per function. Passes are function-local, so version k of each
+        //    function is exactly its copy in the module k `run_step` calls
+        //    would produce (tests/properties.rs checks the whole report
+        //    against that staged chain). Each distinct function version is
+        //    canonicalized and fingerprinted once, on the pool; the
         //    canonical forms are kept for the run so cache misses gate them
-        //    directly instead of canonicalizing a second time (one extra
-        //    module copy per version, traded for one less CFG rebuild per
-        //    distinct function version).
-        let canon: Vec<Vec<lir::func::Function>> = versions
-            .iter()
-            .map(|m| m.functions.iter().map(|f| f.canonicalized()).collect())
+        //    directly.
+        let ctx = Ctx::of(input);
+        let trajectories: Vec<Trajectory> =
+            self.engine.run_jobs(&input.functions, |f| Trajectory::step(f, pm, &ctx));
+        // Version k of the module, as views into the trajectories.
+        let views: Vec<Vec<&Function>> = (0..=n)
+            .map(|k| {
+                input.functions.iter().zip(&trajectories).map(|(f, t)| t.raw_at(f, k)).collect()
+            })
             .collect();
-        let fps: Vec<Vec<u64>> =
-            canon.iter().map(|fs| fs.iter().map(fingerprint_canonical).collect()).collect();
-        // 3. Pair each adjacent version (step k compares Mk with Mk+1;
+        // Triage interprets an alarm inside its step's input module, so the
+        // intermediate modules are built only when the cascade triages
+        // (version 0 is `input` itself).
+        let envs: Vec<Module> = if validator.cascade.triages() {
+            (1..n)
+                .map(|k| Module {
+                    name: input.name.clone(),
+                    globals: input.globals.clone(),
+                    declarations: input.declarations.clone(),
+                    functions: views[k].iter().map(|&f| f.clone()).collect(),
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let env = |k: usize| if k == 0 || envs.is_empty() { input } else { &envs[k - 1] };
+        // 2. Pair each adjacent version (step k compares Mk with Mk+1;
         //    step n is the end-to-end M0 vs Mn cross-check) by name; a
         //    function is transformed iff its fingerprints differ.
         //    Fingerprint-equal pairs are the skipped queries.
         let sides = |k: usize| if k == n { (0, n) } else { (k, k + 1) };
+        let fp = |k: usize, i: usize| trajectories[i].canon_at(k).1;
         let cache = GraphCache::new();
         let pairings: Vec<Pairing> = (0..=n)
             .map(|k| {
                 let (a, b) = sides(k);
-                pair_functions_by(&versions[a], &versions[b], |i, o| fps[a][i] != fps[b][o])
+                pair_functions_by(&views[a], &views[b], |i, o| fp(a, i) != fp(b, o))
             })
             .collect();
         // Untransformed (fingerprint-equal) pairs never become jobs: their
@@ -325,7 +397,7 @@ impl ChainValidator {
             .map(|p| p.records.iter().filter(|r| !r.transformed).count() as u64)
             .sum();
         cache.record_skips(skipped);
-        // 4. One flat batch over the pool, in step order: queries from
+        // 3. One flat batch over the pool, in step order: queries from
         //    different steps interleave freely, so the pool never idles on
         //    a step boundary.
         let flat: Vec<(usize, &PairJob)> = pairings
@@ -335,18 +407,20 @@ impl ChainValidator {
             .collect();
         let outcomes = self.engine.run_jobs(&flat, |&(k, job)| {
             let (vin, vout) = sides(k);
+            let (original, fp_in) = trajectories[job.in_idx].canon_at(vin);
+            let (optimized, fp_out) = trajectories[job.out_idx].canon_at(vout);
             // The cascade runs the canonical forms (α-equivalent to the raw
             // ones) inside the step's input module, so the blame evidence
             // replays against the module exactly as the blamed pass saw it.
             validator.validate_cascade_cached(
-                &versions[vin],
-                &canon[vin][job.in_idx],
-                &canon[vout][job.out_idx],
-                (fps[vin][job.in_idx], fps[vout][job.out_idx]),
+                env(vin),
+                original,
+                optimized,
+                (*fp_in, *fp_out),
                 &cache,
             )
         });
-        // 5. Hand each step its outcomes, in input order within the step
+        // 4. Hand each step its outcomes, in input order within the step
         //    (the determinism contract); the end-to-end report comes last.
         let mut outcomes = outcomes.into_iter();
         let mut reports: Vec<Report> = pairings
@@ -356,7 +430,11 @@ impl ChainValidator {
                 let mut records = p.records;
                 let validate_time =
                     ValidationEngine::merge_verdicts(&mut records, &p.jobs, &mut outcomes, None);
-                let opt_time = if k == n { opt_times.iter().sum() } else { opt_times[k] };
+                let opt_time = if k == n {
+                    trajectories.iter().flat_map(|t| &t.opt_times).sum()
+                } else {
+                    trajectories.iter().map(|t| t.opt_times[k]).sum()
+                };
                 Report { records, opt_time, validate_time }
             })
             .collect();
@@ -366,7 +444,7 @@ impl ChainValidator {
             .enumerate()
             .map(|(k, report)| ChainStep { pass: pm.step_name(k).to_owned(), report })
             .collect();
-        // 6. Blame: the first failing step per function, in step order.
+        // 5. Blame: the first failing step per function, in step order.
         //    Deduplication keys on (name, occurrence) so duplicate-named
         //    copies each keep their own blame.
         let mut blames: Vec<Blame> = Vec::new();

@@ -116,6 +116,7 @@ use llvm_md_core::triage::{Cascade, Triage, TriageOptions, TriagedVerdict};
 use llvm_md_core::{
     FailReason, RewriteCounts, SatOptions, SaturationStats, Validator, VerdictClass,
 };
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
@@ -316,26 +317,29 @@ fn blank_record(name: &str, insts_before: usize, insts_after: usize) -> Function
 /// copy, …); every unmatched copy still gets a missing/extra alarm record —
 /// nothing is silently skipped.
 pub(crate) fn pair_functions(input: &Module, output: &Module) -> Pairing {
-    pair_functions_by(input, output, |i, o| changed(&input.functions[i], &output.functions[o]))
+    pair_functions_by(&input.functions, &output.functions, |i, o| {
+        changed(&input.functions[i], &output.functions[o])
+    })
 }
 
-/// [`pair_functions`] with a pluggable transformed-predicate over
-/// `(input index, output index)` — chain validation passes fingerprint
-/// inequality here so per-version fingerprints are computed once instead of
-/// one structural comparison per adjacent pair.
+/// [`pair_functions`] over function slices, with a pluggable
+/// transformed-predicate over `(input index, output index)`. Chain
+/// validation pairs `&Function` views of each step's versions and passes
+/// fingerprint inequality here, so each distinct version is fingerprinted
+/// once instead of compared structurally once per adjacent pair.
 pub(crate) fn pair_functions_by(
-    input: &Module,
-    output: &Module,
+    input: &[impl Borrow<Function>],
+    output: &[impl Borrow<Function>],
     is_changed: impl Fn(usize, usize) -> bool,
 ) -> Pairing {
-    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::with_capacity(output.functions.len());
-    for (i, f) in output.functions.iter().enumerate() {
-        by_name.entry(f.name.as_str()).or_default().push(i);
+    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::with_capacity(output.len());
+    for (i, f) in output.iter().enumerate() {
+        by_name.entry(f.borrow().name.as_str()).or_default().push(i);
     }
-    let mut records = Vec::with_capacity(input.functions.len());
+    let mut records = Vec::with_capacity(input.len());
     let mut jobs = Vec::new();
     let mut dropped = Vec::new();
-    for (in_idx, fi) in input.functions.iter().enumerate() {
+    for (in_idx, fi) in input.iter().map(Borrow::borrow).enumerate() {
         let next_with_name = by_name.get_mut(fi.name.as_str()).and_then(|idxs| {
             if idxs.is_empty() {
                 None
@@ -345,7 +349,7 @@ pub(crate) fn pair_functions_by(
         });
         match next_with_name {
             Some(out_idx) => {
-                let fo = &output.functions[out_idx];
+                let fo: &Function = output[out_idx].borrow();
                 let transformed = is_changed(in_idx, out_idx);
                 let mut rec = blank_record(&fi.name, fi.inst_count(), fo.inst_count());
                 rec.transformed = transformed;
@@ -372,7 +376,7 @@ pub(crate) fn pair_functions_by(
     extra_idx.sort_unstable();
     let mut extra = Vec::with_capacity(extra_idx.len());
     for out_idx in extra_idx {
-        let fo = &output.functions[out_idx];
+        let fo: &Function = output[out_idx].borrow();
         let mut rec = blank_record(&fo.name, 0, fo.inst_count());
         rec.transformed = true;
         rec.validated = false;
@@ -638,7 +642,7 @@ impl ValidationEngine {
                 verdicts.push(job.verdict);
                 opt_time += job.opt_time;
             }
-            let pairing = pair_functions_by(input, &output, |i, o| {
+            let pairing = pair_functions_by(&input.functions, &output.functions, |i, o| {
                 if i == o {
                     flags[i]
                 } else {

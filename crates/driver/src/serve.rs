@@ -317,7 +317,7 @@ impl Server {
         // Every name-paired function becomes a job; fingerprints (not the
         // driver's structural predicate) decide below what actually runs.
         let Pairing { records, jobs, dropped, extra } =
-            pair_functions_by(&input, &output_mod, |_, _| true);
+            pair_functions_by(&input.functions, &output_mod.functions, |_, _| true);
         // The manifest: each job's store key, and each pairing alarm with
         // the fingerprint of the very copy that went unpaired.
         let mut entries: Vec<Option<ManifestSlot>> = vec![None; records.len()];

@@ -116,27 +116,34 @@ impl PassManager {
         self.passes[idx].name()
     }
 
-    /// Run only the pass at step `idx` over every function of a module —
-    /// the step granularity chain validation observes. Because passes are
-    /// function-local, running steps 0..len() in order over one module
-    /// produces exactly the module [`PassManager::run_module`] produces.
-    /// Returns `true` if anything changed; panics when `idx` is out of
-    /// range.
-    pub fn run_step(&self, idx: usize, m: &mut Module) -> bool {
-        let globals = m.globals.clone();
-        let ctx = Ctx { globals: &globals };
+    /// Run only the pass at step `idx` on one function — the unit chain
+    /// validation steps each function through the pipeline with. Returns
+    /// the pass's own `changed` flag; panics when `idx` is out of range.
+    pub fn run_step_function(&self, idx: usize, f: &mut Function, ctx: &Ctx<'_>) -> bool {
         let p = &self.passes[idx];
+        let changed = p.run(f, ctx);
+        debug_assert!(
+            lir::verify::verify_function(f).is_ok(),
+            "pass {} broke function @{}:\n{}\n{:?}",
+            p.name(),
+            f.name,
+            f,
+            lir::verify::verify_function(f).err()
+        );
+        changed
+    }
+
+    /// Run only the pass at step `idx` over every function of a module.
+    /// Because passes are function-local, running steps 0..len() in order
+    /// over one module produces exactly the module
+    /// [`PassManager::run_module`] produces. Returns `true` if anything
+    /// changed; panics when `idx` is out of range.
+    pub fn run_step(&self, idx: usize, m: &mut Module) -> bool {
+        let Module { globals, functions, .. } = m;
+        let ctx = Ctx { globals };
         let mut changed = false;
-        for f in &mut m.functions {
-            changed |= p.run(f, &ctx);
-            debug_assert!(
-                lir::verify::verify_function(f).is_ok(),
-                "pass {} broke function @{}:\n{}\n{:?}",
-                p.name(),
-                f.name,
-                f,
-                lir::verify::verify_function(f).err()
-            );
+        for f in functions {
+            changed |= self.run_step_function(idx, f, &ctx);
         }
         changed
     }
@@ -144,26 +151,18 @@ impl PassManager {
     /// Run all passes on one function. Returns `true` if anything changed.
     pub fn run_function(&self, f: &mut Function, ctx: &Ctx<'_>) -> bool {
         let mut changed = false;
-        for p in &self.passes {
-            changed |= p.run(f, ctx);
-            debug_assert!(
-                lir::verify::verify_function(f).is_ok(),
-                "pass {} broke function @{}:\n{}\n{:?}",
-                p.name(),
-                f.name,
-                f,
-                lir::verify::verify_function(f).err()
-            );
+        for idx in 0..self.len() {
+            changed |= self.run_step_function(idx, f, ctx);
         }
         changed
     }
 
     /// Run all passes over every function of a module.
     pub fn run_module(&self, m: &mut Module) -> bool {
-        let globals = m.globals.clone();
-        let ctx = Ctx { globals: &globals };
+        let Module { globals, functions, .. } = m;
+        let ctx = Ctx { globals };
         let mut changed = false;
-        for f in &mut m.functions {
+        for f in functions {
             changed |= self.run_function(f, &ctx);
         }
         changed

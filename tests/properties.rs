@@ -452,6 +452,331 @@ fn corpus_matches_the_staged_pipeline() {
     }
 }
 
+/// An independent oracle for `validate_chain`: the staged chain, which
+/// materializes every intermediate module with `run_step`, canonicalizes
+/// and fingerprints every function of every version, pairs adjacent
+/// versions by name (duplicate names pair positionally), validates each
+/// fingerprint-changed pair through one `GraphCache` with its step's input
+/// module as the triage environment, and blames each function's first
+/// failing step. Returns the report with its cache counters.
+fn staged_chain(
+    input: &lir::func::Module,
+    pm: &llvm_md::opt::PassManager,
+    v: &Validator,
+) -> llvm_md::driver::ChainReport {
+    use lir::func::Function;
+    use llvm_md::core::cache::{fingerprint_canonical, GraphCache};
+    use llvm_md::core::{FailReason, RewriteCounts};
+    use llvm_md::driver::{Blame, ChainReport, ChainStep, FunctionRecord, Report};
+    use std::time::Duration;
+
+    fn record(name: &str, insts_before: usize, insts_after: usize) -> FunctionRecord {
+        FunctionRecord {
+            name: name.to_owned(),
+            insts_before,
+            insts_after,
+            transformed: true,
+            validated: false,
+            reason: None,
+            duration: Duration::ZERO,
+            rewrites: RewriteCounts::default(),
+            rounds: 0,
+            saturation: None,
+            triage: None,
+        }
+    }
+
+    let n = pm.len();
+    let mut versions = vec![input.clone()];
+    for k in 0..n {
+        let mut next = versions[k].clone();
+        pm.run_step(k, &mut next);
+        versions.push(next);
+    }
+    let canon: Vec<Vec<Function>> = versions
+        .iter()
+        .map(|m| m.functions.iter().map(Function::canonicalized).collect())
+        .collect();
+    let fps: Vec<Vec<u64>> =
+        canon.iter().map(|fs| fs.iter().map(fingerprint_canonical).collect()).collect();
+    let cache = GraphCache::new();
+    let mut skips = 0;
+    let mut reports = Vec::new();
+    for k in 0..=n {
+        let (a, b) = if k == n { (0, n) } else { (k, k + 1) };
+        let (ins, outs) = (&versions[a].functions, &versions[b].functions);
+        let mut used = vec![false; outs.len()];
+        let mut records = Vec::new();
+        for (i, f) in ins.iter().enumerate() {
+            let Some(o) = (0..outs.len()).find(|&o| !used[o] && outs[o].name == f.name) else {
+                let mut rec = record(&f.name, f.inst_count(), 0);
+                rec.reason = Some(FailReason::MissingFunction);
+                records.push(rec);
+                continue;
+            };
+            used[o] = true;
+            let mut rec = record(&f.name, f.inst_count(), outs[o].inst_count());
+            rec.transformed = fps[a][i] != fps[b][o];
+            if rec.transformed {
+                let tv = v.validate_cascade_cached(
+                    &versions[a],
+                    &canon[a][i],
+                    &canon[b][o],
+                    (fps[a][i], fps[b][o]),
+                    &cache,
+                );
+                rec.validated = tv.verdict.validated;
+                rec.reason = tv.verdict.reason;
+                rec.rewrites = tv.verdict.stats.rewrites;
+                rec.rounds = tv.verdict.stats.rounds;
+                rec.saturation = tv.verdict.stats.saturation;
+                rec.triage = tv.triage;
+            } else {
+                rec.validated = true;
+                skips += 1;
+            }
+            records.push(rec);
+        }
+        for (g, _) in outs.iter().zip(&used).filter(|&(_, &paired)| !paired) {
+            let mut rec = record(&g.name, 0, g.inst_count());
+            rec.reason = Some(FailReason::ExtraFunction);
+            records.push(rec);
+        }
+        reports.push(Report { records, opt_time: Duration::ZERO, validate_time: Duration::ZERO });
+    }
+    cache.record_skips(skips);
+    let end_to_end = reports.pop().expect("the end-to-end report");
+    let steps: Vec<ChainStep> = reports
+        .into_iter()
+        .enumerate()
+        .map(|(k, report)| ChainStep { pass: pm.step_name(k).to_owned(), report })
+        .collect();
+    let mut blames = Vec::new();
+    let mut blamed = std::collections::HashSet::new();
+    for (k, step) in steps.iter().enumerate() {
+        let mut seen = std::collections::HashMap::new();
+        for rec in &step.report.records {
+            let copy = seen.entry(rec.name.clone()).and_modify(|c| *c += 1).or_insert(0usize);
+            if rec.transformed && !rec.validated && blamed.insert((rec.name.clone(), *copy)) {
+                blames.push(Blame {
+                    function: rec.name.clone(),
+                    step: k,
+                    pass: step.pass.clone(),
+                    reason: rec.reason.clone(),
+                    triage: rec.triage.clone(),
+                });
+            }
+        }
+    }
+    ChainReport { steps, end_to_end, blames, cache: cache.stats() }
+}
+
+/// `validate_chain`, which steps each function through the pipeline on
+/// the pool and keeps only the versions a pass changed, reproduces the
+/// staged chain exactly — records, blames, triage witnesses and skip
+/// counts — under the graph-only and the triaging cascade at 1, 2 and 4
+/// workers. Besides the paper pipeline over the scale-4 suite and 8 fuzz
+/// modules per profile, the inputs cover the cases where a function's
+/// trajectory and the whole-module versions could disagree: a pass pair
+/// that changes a function and then restores it, a pass that mutates a
+/// function but reports no change, a renaming pass, duplicate-named
+/// functions, and a callee change followed by a broken pass on its caller
+/// (the caller's triage must run against the step's own module).
+#[test]
+fn chain_matches_the_staged_chain() {
+    use lir::func::Function;
+    use lir::inst::Inst;
+    use llvm_md::core::{Cascade, TriageOptions};
+    use llvm_md::driver::{ChainValidator, ValidationEngine};
+    use llvm_md::lir::parse::parse_module;
+    use llvm_md::opt::{paper_pipeline, pass_by_name, Ctx, Pass, PassManager};
+    use llvm_md::workload::{
+        campaign_modules, fuzz_profiles, suite_batch, BrokenPass, BugKind, DEFAULT_CAMPAIGN_SEED,
+    };
+
+    /// Swaps the operands of every `add` whose operands differ: applied
+    /// twice, the function is back where it started. `honest: false`
+    /// reports no change even when it swapped something.
+    struct SwapAdds {
+        honest: bool,
+    }
+    impl Pass for SwapAdds {
+        fn name(&self) -> &'static str {
+            if self.honest {
+                "swap-adds"
+            } else {
+                "swap-adds-silently"
+            }
+        }
+        fn run(&self, f: &mut Function, _ctx: &Ctx<'_>) -> bool {
+            let mut changed = false;
+            for inst in f.blocks.iter_mut().flat_map(|b| &mut b.insts) {
+                if let Inst::Bin { op: BinOp::Add, a, b, .. } = inst {
+                    if a != b {
+                        std::mem::swap(a, b);
+                        changed = true;
+                    }
+                }
+            }
+            changed && self.honest
+        }
+    }
+    /// Renames the first function of every name it sees (`@f` → `@f.renamed`
+    /// when `f` has one parameter), so pairing reports missing and extra
+    /// functions.
+    struct RenameUnary;
+    impl Pass for RenameUnary {
+        fn name(&self) -> &'static str {
+            "rename-unary"
+        }
+        fn run(&self, f: &mut Function, _ctx: &Ctx<'_>) -> bool {
+            let hit = f.params.len() == 1;
+            if hit {
+                f.name.push_str(".renamed");
+            }
+            hit
+        }
+    }
+    /// Applies `bug` to `@callee` only.
+    struct BreakCallee(BugKind);
+    impl Pass for BreakCallee {
+        fn name(&self) -> &'static str {
+            "break-callee"
+        }
+        fn run(&self, f: &mut Function, _ctx: &Ctx<'_>) -> bool {
+            f.name == "callee" && self.0.apply(f)
+        }
+    }
+
+    let pipeline = |passes: Vec<Box<dyn Pass + Send + Sync>>| {
+        let mut pm = PassManager::new();
+        for p in passes {
+            pm.add(p);
+        }
+        pm
+    };
+    let known = |name: &str| pass_by_name(name).expect("known pass");
+    let mut cases: Vec<(String, lir::func::Module, PassManager)> = Vec::new();
+    for m in suite_batch(4) {
+        cases.push((format!("suite {}", m.name), m, paper_pipeline()));
+    }
+    for p in fuzz_profiles() {
+        for (i, m) in campaign_modules(&p, DEFAULT_CAMPAIGN_SEED, 8).into_iter().enumerate() {
+            cases.push((format!("fuzz {} #{i}", p.name), m, paper_pipeline()));
+        }
+    }
+    let small = parse_module(
+        "define i64 @callee(i64 %a, i64 %b) {\n\
+         entry:\n  %c = icmp sgt i64 %a, %b\n  br i1 %c, label %l, label %r\n\
+         l:\n  %s = add i64 %a, 1\n  ret i64 %s\n\
+         r:\n  ret i64 %b\n\
+         }\n\
+         define i64 @caller(i64 %x) {\n\
+         entry:\n  %y = add i64 %x, 7\n  %v = call i64 @callee(i64 %x, i64 %y)\n\
+         \x20 %c = icmp ult i64 %v, %x\n  br i1 %c, label %l, label %r\n\
+         l:\n  ret i64 %v\n\
+         r:\n  %d = add i64 %x, %v\n  ret i64 %d\n\
+         }\n\
+         define i64 @dup(i64 %a) {\nentry:\n  %x = add i64 3, 3\n  %y = add i64 %a, %x\n  ret i64 %y\n}\n\
+         define i64 @dup(i64 %a, i64 %b) {\nentry:\n  %d = add i64 %a, 9\n  %e = add i64 %d, %b\n  ret i64 %e\n}\n",
+    )
+    .expect("parse");
+    let swap = |honest| Box::new(SwapAdds { honest }) as Box<dyn Pass + Send + Sync>;
+    cases.push((
+        "change then restore".into(),
+        small.clone(),
+        pipeline(vec![swap(true), swap(true)]),
+    ));
+    cases.push((
+        "silent change".into(),
+        small.clone(),
+        pipeline(vec![known("adce"), swap(false), known("gvn")]),
+    ));
+    cases.push((
+        "renaming".into(),
+        small.clone(),
+        pipeline(vec![known("sccp"), Box::new(RenameUnary), known("dse")]),
+    ));
+    cases.push((
+        "callee then caller".into(),
+        small.clone(),
+        pipeline(vec![
+            Box::new(BreakCallee(BugKind::FlipComparison)),
+            Box::new(BrokenPass(BugKind::FlipComparison)),
+        ]),
+    ));
+    let battery = TriageOptions { battery: 6, ..TriageOptions::default() };
+    for cascade in [Cascade::Graph, Cascade::Triage(battery)] {
+        let v = Validator { cascade, ..Validator::new() };
+        for (tag, m, pm) in &cases {
+            let staged = staged_chain(m, pm, &v);
+            for workers in [1usize, 2, 4] {
+                let chain = ChainValidator::new(ValidationEngine::with_workers(workers))
+                    .validate_chain(m, pm, &v);
+                assert_eq!(chain, staged, "{tag}, {cascade:?}, workers={workers}: report differs");
+                assert_eq!(
+                    chain.cache.skips, staged.cache.skips,
+                    "{tag}, {cascade:?}, workers={workers}: skip count differs"
+                );
+            }
+        }
+        // The hand-made cases hit what they are there for.
+        let find = |tag: &str| {
+            let (_, m, pm) = cases.iter().find(|(t, ..)| t == tag).expect("case");
+            staged_chain(m, pm, &v)
+        };
+        let restored = find("change then restore");
+        assert!(restored.steps.iter().all(|s| s.report.transformed() > 0), "{restored:?}");
+        assert_eq!(restored.end_to_end.transformed(), 0, "{restored:?}");
+        assert!(find("silent change").steps[1].report.transformed() > 0);
+        assert!(find("renaming").blames.iter().any(|b| b.pass == "rename-unary"));
+        let chained = find("callee then caller");
+        assert!(chained.blame_for("callee").is_some_and(|b| b.step == 0), "{chained:?}");
+        let caller = chained.blame_for("caller").expect("the caller is blamed");
+        assert_eq!(caller.step, 1);
+        if v.cascade.triages() {
+            assert!(caller.is_miscompile(), "{caller}");
+        }
+    }
+}
+
+/// The pass contract trajectory-keeping relies on nowhere but documents:
+/// every `paper_pipeline()` pass returns `true` from `run` exactly when it
+/// changed the function structurally, over the scale-1 suite and 16 fuzz
+/// modules per profile, each function stepped through the whole pipeline.
+#[test]
+fn pass_changed_flags_match_structural_change() {
+    use llvm_md::opt::{paper_pipeline, Ctx};
+    use llvm_md::workload::{campaign_modules, fuzz_profiles, suite_batch, DEFAULT_CAMPAIGN_SEED};
+    let pm = paper_pipeline();
+    let mut modules = suite_batch(1);
+    for p in fuzz_profiles() {
+        modules.extend(campaign_modules(&p, DEFAULT_CAMPAIGN_SEED, 16));
+    }
+    let mut steps = 0;
+    for m in &modules {
+        let ctx = Ctx::of(m);
+        for f in &m.functions {
+            let mut cur = f.clone();
+            for k in 0..pm.len() {
+                let before = cur.clone();
+                let flag = pm.run_step_function(k, &mut cur, &ctx);
+                assert_eq!(
+                    flag,
+                    cur != before,
+                    "{}: pass `{}` on @{} returned {flag} but {} the function",
+                    m.name,
+                    pm.step_name(k),
+                    f.name,
+                    if cur != before { "changed" } else { "did not change" }
+                );
+                steps += 1;
+            }
+        }
+    }
+    assert!(steps > 5_000, "the scan covers the suite and the fuzz modules: {steps} steps");
+}
+
 /// Chain soundness: whenever the per-pass chain certifies a function
 /// (every step that changed it validated), the *endpoints* — the original
 /// and the fully-optimized function — never observably diverge under the
