@@ -284,7 +284,7 @@ EOF
   cargo run --release --offline -q --bin llvm-md -- serve --stdin \
     --store "$serve_dir/store" < "$serve_dir/requests.txt" > "$serve_dir/responses.txt"
   python3 - "$serve_dir/responses.txt" <<'EOF'
-import json, sys
+import json, re, sys
 raw = [l.rstrip("\n") for l in open(sys.argv[1]) if l.strip()]
 lines = [json.loads(l) for l in raw]
 ends = [l for l in lines if l["type"] == "batch-end"]
@@ -305,7 +305,62 @@ stats = [l for l in lines if l["type"] == "stats"]
 assert len(stats) == 1 and stats[0]["direct_replays"] == 1, \
     f"only the exact repeat may be answered without parsing: {stats}"
 assert any(l["type"] == "shutdown-ok" for l in lines), "shutdown must be acknowledged"
+# Store format v2: every verdict line opens with the fixed-width serving
+# stamp, `{"stamp":"<16 hex digits>",`.
+stamp = re.compile(r'\{"stamp":"[0-9a-f]{16}",')
+assert all(stamp.match(t) for t in verdicts), f"unstamped verdict line: {verdicts}"
 print(f"serve smoke OK: {n} functions, batches 2-3 {n} hits / 0 validations, 1 direct replay")
+EOF
+
+  echo "==> serve stamp smoke (a battery-1 verdict must not answer a battery-64 server)"
+  # f(x) = x == 7 ? 1 : 0 "optimized" to `ret 0`: a one-input triage
+  # battery misses the miscompile and a 64-input battery finds it. A
+  # `--triage --battery 1` server writes the store; a `--battery 64` server
+  # over the same store must re-validate (validations_run == 1) and answer
+  # real-miscompile, because the serving stamp covers the triage options.
+  cat > "$serve_dir/eq7.ll" <<'LL'
+define i64 @f(i64 %x) {
+entry:
+  %c = icmp eq i64 %x, 7
+  %r = select i1 %c, i64 1, i64 0
+  ret i64 %r
+}
+LL
+  cat > "$serve_dir/ret0.ll" <<'LL'
+define i64 @f(i64 %x) {
+entry:
+  ret i64 0
+}
+LL
+  python3 - "$serve_dir" <<'EOF'
+import json, sys, os
+d = sys.argv[1]
+body = json.dumps({"schema_version": 1, "type": "validate", "id": "eq7",
+                   "original": open(os.path.join(d, "eq7.ll")).read(),
+                   "optimized": open(os.path.join(d, "ret0.ll")).read()}, separators=(",", ":"))
+open(os.path.join(d, "eq7.txt"), "w").write(f"{len(body.encode())}\n{body}")
+EOF
+  for battery in 1 64; do
+    cargo run --release --offline -q --bin llvm-md -- serve --stdin --triage --battery "$battery" \
+      --store "$serve_dir/stamp-store" < "$serve_dir/eq7.txt" > "$serve_dir/battery-$battery.txt"
+  done
+  python3 - "$serve_dir" <<'EOF'
+import json, sys, os, re
+d = sys.argv[1]
+def batch(battery):
+    raw = [l.rstrip("\n") for l in open(os.path.join(d, f"battery-{battery}.txt")) if l.strip()]
+    lines = [json.loads(l) for l in raw]
+    verdicts = [t for t, l in zip(raw, lines) if l["type"] == "verdict"]
+    ends = [l for l in lines if l["type"] == "batch-end"]
+    assert len(verdicts) == 1 and len(ends) == 1, raw
+    assert re.match(r'\{"stamp":"[0-9a-f]{16}",', verdicts[0]), verdicts[0]
+    return json.loads(verdicts[0]), ends[0]
+v1, e1 = batch(1)
+v64, e64 = batch(64)
+assert v1["class"] == "suspected-incomplete" and e1["validations_run"] == 1, (v1["class"], e1)
+assert e64["validations_run"] == 1 and e64["store_hits"] == 0, f"battery 64 replayed: {e64}"
+assert v64["class"] == "real-miscompile", f"battery 64 must find the miscompile: {v64['class']}"
+print("serve stamp smoke OK: battery 1 suspected-incomplete, battery 64 re-validated as real-miscompile")
 EOF
 
   echo "==> benchmark known-answer smoke (every perfbench workload at seed 0 must report correct: true)"

@@ -7,10 +7,11 @@
 //! re-validating functions a pass never touched — wastes most of the chain's
 //! work. This module removes both costs:
 //!
-//! * [`fingerprint`] — an FNV-1a hash of the function's *canonical* printed
-//!   form ([`Function::canonicalized`]), so pure register renumbering and
-//!   block reordering never count as a change (the same invariance the
-//!   driver's `changed` predicate provides, collapsed into one `u64` that is
+//! * [`fingerprint`] — an FNV-1a hash over the structure of the function's
+//!   *canonical* form ([`Function::canonicalized`]), so pure register
+//!   renumbering and block reordering never count as a change (the same
+//!   invariance the driver's `changed` predicate provides, collapsed into
+//!   one `u64` that is
 //!   computed once per module version and compared across every adjacent
 //!   pair). Equal fingerprints let a chain step **skip the validation query
 //!   entirely** — the same determinism-pinning FNV idiom
@@ -31,7 +32,7 @@
 //!
 //! Fingerprints are 64-bit hashes, not proofs: two *different* functions
 //! colliding would skip a query that should have run. FNV-1a over the full
-//! canonical text makes that a ≈2⁻⁶⁴-per-pair event — the same residual risk
+//! canonical structure makes that a ≈2⁻⁶⁴-per-pair event — the same residual risk
 //! the pinned-corpus fingerprint already accepts — and the end-to-end
 //! cross-check (which validates M0 against Mn through the normal path)
 //! bounds the blast radius to a single chain step.
@@ -39,21 +40,17 @@
 use gated_ssa::{GateError, GatedFunction};
 use lir::func::Function;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 // The one FNV-1a implementation (shared with campaign seed derivation and
 // the `tests/determinism.rs` fingerprint idiom, so they can never diverge).
-// FNV-1a is byte-serial, so streaming the canonical rendering into the
-// hasher (`fmt::Write`) yields the exact value `fnv1a(text.as_bytes())`
-// would — fingerprints persisted by older binaries (verdict stores, chain
-// caches) stay valid — without materializing the printed function.
 use lir::intern::Fnv1a;
 
-/// The structural fingerprint of a function: FNV-1a over its canonicalized
-/// printed form. Two functions that differ only in register numbering,
-/// block order or block names fingerprint identically; any structural
-/// change (and the function *name*) changes the hash.
+/// The structural fingerprint of a function: FNV-1a over the structure of
+/// its canonical form. Two functions that differ only in register
+/// numbering, block order or block names fingerprint identically; any
+/// structural change (and the function *name*) changes the hash.
 pub fn fingerprint(f: &Function) -> u64 {
     fingerprint_canonical(&f.canonicalized())
 }
@@ -64,12 +61,20 @@ pub fn fingerprint(f: &Function) -> u64 {
 /// [`Validator::validate_cascade_cached`]) pay canonicalization once, not
 /// twice.
 ///
+/// The hash walks the function's fields ([`Function`]'s `Hash`, which
+/// covers everything its text shows) instead of formatting its text: two
+/// canonical functions get equal keys exactly when their prints are equal
+/// (`tests/properties.rs` checks this on the suite and the fuzz campaign),
+/// at about a third of the cost of hashing the print. The keys are
+/// persisted by the verdict store, so a change to this walk is a store
+/// format change. The walk is the standard library's derived `Hash`, whose
+/// byte stream the toolchain may change; a store written by another
+/// toolchain then only misses.
+///
 /// [`Validator::validate_cascade_cached`]: crate::Validator::validate_cascade_cached
 pub fn fingerprint_canonical(canonical: &Function) -> u64 {
-    use std::fmt::Write;
-    use std::hash::Hasher;
     let mut h = Fnv1a::new();
-    write!(h, "{canonical}").expect("hashing Display output cannot fail");
+    canonical.hash(&mut h);
     h.finish()
 }
 
@@ -293,21 +298,6 @@ mod tests {
 
     fn func(src: &str) -> Function {
         parse_module(src).expect("parse").functions.remove(0)
-    }
-
-    /// The streamed fingerprint (canonical rendering fed incrementally into
-    /// the FNV hasher) equals FNV-1a over the materialized string — the
-    /// compatibility that keeps persisted verdict-store keys and chain
-    /// caches valid across the streaming change.
-    #[test]
-    fn streamed_fingerprint_matches_string_hash() {
-        let f = func("define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 3\n  ret i64 %x\n}\n");
-        let canonical = f.canonicalized();
-        let text = format!("{canonical}");
-        assert_eq!(
-            fingerprint_canonical(&canonical),
-            llvm_md_workload::rng::fnv1a(text.as_bytes())
-        );
     }
 
     /// Renaming/renumbering never changes the fingerprint; structure does.

@@ -27,9 +27,10 @@ use lir::types::Ty;
 use lir::value::Constant;
 use std::collections::{HashMap, HashSet};
 
-/// Version of the rule catalogue and rewrite engines. Persisted verdicts are
-/// keyed on it (alongside the normalizer mode), so changing what a rule can
-/// prove invalidates stale cache lines instead of replaying them.
+/// Version of the rule catalogue and rewrite engines. It is part of every
+/// validator's wire encoding, which `llvm-md serve` hashes into the stamp of
+/// each persisted verdict, so changing what a rule can prove invalidates
+/// stale store lines instead of replaying them.
 pub const RULE_ENGINE_VERSION: u64 = 1;
 
 /// Which rule groups are enabled. Mirrors the paper's ablation axes.

@@ -44,11 +44,16 @@
 //!   as JSON numbers.
 
 use crate::cache::CacheStats;
-use crate::egraph::SaturationStats;
-use crate::rules::RewriteCounts;
-use crate::sat::{SatOutcome, SatStats, SolverStats};
-use crate::triage::{Triage, TriageClass, TriagedVerdict, VerdictClass, Witness};
-use crate::validate::{DivergentRoots, FailReason, Normalizer, ValidationStats, Verdict};
+use crate::cycles::MatchStrategy;
+use crate::egraph::{SaturationLimits, SaturationStats};
+use crate::rules::{RewriteCounts, RuleSet, RULE_ENGINE_VERSION};
+use crate::sat::{SatOptions, SatOutcome, SatStats, SolverStats};
+use crate::triage::{
+    Cascade, Triage, TriageClass, TriageOptions, TriagedVerdict, VerdictClass, Witness,
+};
+use crate::validate::{
+    DivergentRoots, FailReason, Limits, Normalizer, ValidationStats, Validator, Verdict,
+};
 use gated_ssa::GateError;
 use lir::interp::{Outcome, Trap};
 use std::fmt;
@@ -116,7 +121,7 @@ impl Json {
 
     /// Object field lookup that errors (naming the key) when absent.
     pub fn field(&self, key: &str) -> Result<&Json, WireError> {
-        self.get(key).ok_or_else(|| WireError::schema(format!("missing field `{key}`")))
+        self.get(key).ok_or_else(|| missing_field(key))
     }
 
     /// Optional field: `None` when the key is absent **or** bound to `null`.
@@ -145,9 +150,7 @@ impl Json {
 
     /// A required string field.
     pub fn str_field(&self, key: &str) -> Result<&str, WireError> {
-        self.field(key)?
-            .as_str()
-            .ok_or_else(|| WireError::schema(format!("field `{key}` is not a string")))
+        self.field(key)?.as_str().ok_or_else(|| not_a_string(key))
     }
 
     /// A required `u64` field, accepting both number and `"0x…"` / decimal
@@ -156,6 +159,14 @@ impl Json {
         parse_u64(self.field(key)?)
             .map_err(|e| WireError::schema(format!("field `{key}`: {}", e.msg)))
     }
+}
+
+fn missing_field(key: &str) -> WireError {
+    WireError::schema(format!("missing field `{key}`"))
+}
+
+fn not_a_string(key: &str) -> WireError {
+    WireError::schema(format!("field `{key}` is not a string"))
 }
 
 /// Escape `s` as a JSON string literal (with surrounding quotes) into any
@@ -277,12 +288,80 @@ const MAX_DEPTH: usize = 128;
 pub fn parse(input: &str) -> Result<Json, WireError> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(WireError::parse(p.pos, "trailing data after document"));
-    }
+    let v = p.value(0, true)?;
+    p.finish()?;
     Ok(v)
+}
+
+/// Validate one JSON document exactly as [`parse`] does — same grammar,
+/// depth cap, full-consumption rule and error text — without building it.
+/// A top-level object's fields come back as raw, still-escaped slices of
+/// `input`; any other document scans to a [`RawDoc`] with no fields.
+///
+/// This is what lets a reader key on a field's bytes without unescaping
+/// it, and decode only the fields it needs ([`RawDoc::str_field`],
+/// [`RawDoc::decode_except`]).
+pub fn scan(input: &str) -> Result<RawDoc<'_>, WireError> {
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    p.skip_ws();
+    let mut fields = Vec::new();
+    if p.peek() == Some(b'{') {
+        p.members(|p, key| {
+            let start = p.pos;
+            p.value(1, false)?;
+            fields.push((key, &input[start..p.pos]));
+            Ok(())
+        })?;
+    } else {
+        p.value(0, false)?;
+    }
+    p.finish()?;
+    Ok(RawDoc { fields })
+}
+
+/// A scanned document ([`scan`]): each top-level field's decoded key and
+/// raw value text, in document order.
+#[derive(Debug)]
+pub struct RawDoc<'a> {
+    fields: Vec<(String, &'a str)>,
+}
+
+impl<'a> RawDoc<'a> {
+    /// The raw JSON text of field `key` (its first occurrence, like
+    /// [`Json::get`]), still escaped: a string field keeps its quotes.
+    pub fn raw(&self, key: &str) -> Option<&'a str> {
+        self.fields.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+    }
+
+    /// Field `key`, decoded; errors like [`Json::field`] when absent.
+    fn field(&self, key: &str) -> Result<Json, WireError> {
+        self.raw(key).map(decode_scanned).ok_or_else(|| missing_field(key))
+    }
+
+    /// A required string field, decoded; errors like [`Json::str_field`].
+    pub fn str_field(&self, key: &str) -> Result<String, WireError> {
+        match self.field(key)? {
+            Json::Str(s) => Ok(s),
+            _ => Err(not_a_string(key)),
+        }
+    }
+
+    /// Every field except those named in `skip`, decoded into an object
+    /// (in document order).
+    pub fn decode_except(&self, skip: &[&str]) -> Json {
+        Json::Obj(
+            self.fields
+                .iter()
+                .filter(|(k, _)| !skip.contains(&k.as_str()))
+                .map(|(k, v)| (k.clone(), decode_scanned(v)))
+                .collect(),
+        )
+    }
+}
+
+/// Decode a value [`scan`] already validated.
+fn decode_scanned(raw: &str) -> Json {
+    parse(raw).expect("a scanned value is valid JSON")
 }
 
 struct Parser<'a> {
@@ -299,6 +378,15 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+    }
+
+    /// Trailing whitespace, then the end of the input.
+    fn finish(&mut self) -> Result<(), WireError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(WireError::parse(self.pos, "trailing data after document"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), WireError> {
@@ -319,7 +407,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, WireError> {
+    /// One value. With `build` false the value is only validated, and
+    /// [`Json::Null`] stands in for it.
+    fn value(&mut self, depth: usize, build: bool) -> Result<Json, WireError> {
         if depth > MAX_DEPTH {
             return Err(WireError::parse(self.pos, "nesting too deep"));
         }
@@ -327,9 +417,14 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
+            Some(b'"') if build => {
+                let mut s = String::new();
+                self.string(Some(&mut s))?;
+                Ok(Json::Str(s))
+            }
+            Some(b'"') => self.string(None).map(|()| Json::Null),
+            Some(b'[') => self.array(depth, build),
+            Some(b'{') => self.object(depth, build),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(WireError::parse(self.pos, format!("unexpected `{}`", c as char))),
             None => Err(WireError::parse(self.pos, "unexpected end of input")),
@@ -379,24 +474,24 @@ impl<'a> Parser<'a> {
             .map_err(|_| WireError::parse(start, format!("bad \\u escape `{text}`")))
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
+    /// A string literal, unescaped into `out` when one is given.
+    fn string(&mut self, mut out: Option<&mut String>) -> Result<(), WireError> {
         self.expect(b'"')?;
-        let mut out = String::new();
         loop {
-            // Copy the raw (already valid UTF-8) run up to the next quote
+            // Take the raw (already valid UTF-8) run up to the next quote
             // or backslash in one slice.
             let run_start = self.pos;
-            while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
-                self.pos += 1;
+            self.pos += special_offset(&self.bytes[self.pos..]);
+            if let Some(out) = out.as_deref_mut() {
+                out.push_str(
+                    std::str::from_utf8(&self.bytes[run_start..self.pos])
+                        .expect("input is a &str, runs stop on ASCII bytes"),
+                );
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[run_start..self.pos])
-                    .expect("input is a &str, runs stop on ASCII bytes"),
-            );
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -404,18 +499,18 @@ impl<'a> Parser<'a> {
                         .peek()
                         .ok_or_else(|| WireError::parse(self.pos, "truncated escape"))?;
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
                         b'u' => {
                             let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
+                            if (0xd800..0xdc00).contains(&hi) {
                                 // Surrogate pair: a second \uXXXX must follow.
                                 let at = self.pos;
                                 if self.peek() != Some(b'\\') {
@@ -439,8 +534,7 @@ impl<'a> Parser<'a> {
                                 char::from_u32(hi as u32).ok_or_else(|| {
                                     WireError::parse(self.pos, "lone surrogate escape")
                                 })?
-                            };
-                            out.push(c);
+                            }
                         }
                         other => {
                             return Err(WireError::parse(
@@ -448,6 +542,9 @@ impl<'a> Parser<'a> {
                                 format!("bad escape `\\{}`", other as char),
                             ))
                         }
+                    };
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
                     }
                 }
                 None => return Err(WireError::parse(self.pos, "unterminated string")),
@@ -456,7 +553,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, WireError> {
+    fn array(&mut self, depth: usize, build: bool) -> Result<Json, WireError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -466,7 +563,10 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let item = self.value(depth + 1, build)?;
+            if build {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -479,33 +579,72 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, WireError> {
-        self.expect(b'{')?;
+    fn object(&mut self, depth: usize, build: bool) -> Result<Json, WireError> {
         let mut pairs = Vec::new();
+        self.members(|p, key| {
+            let value = p.value(depth + 1, build)?;
+            if build {
+                pairs.push((key, value));
+            }
+            Ok(())
+        })?;
+        Ok(Json::Obj(pairs))
+    }
+
+    /// An object's members: `member` is called with each decoded key, with
+    /// the parser at the start of the key's value, and must consume it.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, String) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let mut key = String::new();
+            self.string(Some(&mut key))?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(());
                 }
                 _ => return Err(WireError::parse(self.pos, "expected `,` or `}`")),
             }
         }
     }
+}
+
+/// Offset of the first `"` or `\` in `bytes` (`bytes.len()` when there is
+/// none), eight bytes at a time: a string's raw runs are most of a frame.
+fn special_offset(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    // A byte of `w ^ splat(c)` is zero exactly where `w` holds `c`; the
+    // zero-byte test below flags the first such byte exactly (flags above
+    // a real zero byte may be spurious, but the lowest flag never is).
+    let zero_bytes = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
+    let mut chunks = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for chunk in &mut chunks {
+        let w = u64::from_le_bytes(chunk.try_into().expect("chunks of eight"));
+        let hits = zero_bytes(w ^ (ONES * b'"' as u64)) | zero_bytes(w ^ (ONES * b'\\' as u64));
+        if hits != 0 {
+            return offset + (hits.trailing_zeros() / 8) as usize;
+        }
+        offset += 8;
+    }
+    let tail = chunks.remainder();
+    offset + tail.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(tail.len())
 }
 
 // ---------------------------------------------------------------------------
@@ -553,6 +692,12 @@ impl ToWire for bool {
 /// Counters. Full-width words (seeds, witness arguments) are encoded with
 /// [`u64_hex`] instead, by an encoder override in their record's table.
 impl ToWire for u64 {
+    fn to_wire(&self) -> Json {
+        Json::num(*self as f64)
+    }
+}
+
+impl ToWire for u32 {
     fn to_wire(&self) -> Json {
         Json::num(*self as f64)
     }
@@ -770,6 +915,89 @@ wire_record! {
     }
 }
 
+// Validator settings: what `Validator::to_wire` is made of.
+wire_record! {
+    impl ToWire for RuleSet {
+        phi: "phi",
+        constfold: "constfold",
+        loadstore: "loadstore",
+        eta: "eta",
+        commuting: "commuting",
+        libc: "libc",
+        float: "float",
+    }
+    impl ToWire for SaturationLimits {
+        max_iterations: "max_iterations",
+        max_nodes: "max_nodes",
+        max_classes: "max_classes",
+    }
+    impl ToWire for TriageOptions {
+        seed: "seed" => hex_word,
+        battery: "battery",
+        shrink_budget: "shrink_budget",
+        fuel: "fuel",
+        max_depth: "max_depth",
+    }
+}
+
+/// A validator's verdict-relevant configuration: every setting that can
+/// change what it answers for a pair, plus [`RULE_ENGINE_VERSION`]. Two
+/// kinds of setting are left out. [`Validator::interning`] is one: both
+/// interners give identical verdicts. The wall-clock budgets
+/// [`Limits::max_time`] and [`SatOptions::max_time`] are the other: they
+/// bound how long a query may run, not what the rules can prove. `llvm-md
+/// serve` hashes this encoding into the stamp of every stored verdict.
+impl ToWire for Validator {
+    fn to_wire(&self) -> Json {
+        let Validator { rules, strategy, limits, interning: _, normalizer, saturation, cascade } =
+            self;
+        let Limits { max_rounds, max_nodes, max_time: _ } = limits;
+        Json::obj([
+            ("normalizer", normalizer.to_wire()),
+            ("rule_engine", RULE_ENGINE_VERSION.to_wire()),
+            ("rules", rules.to_wire()),
+            ("strategy", strategy.to_wire()),
+            (
+                "limits",
+                Json::obj([
+                    ("max_rounds", max_rounds.to_wire()),
+                    ("max_nodes", max_nodes.to_wire()),
+                ]),
+            ),
+            ("saturation", saturation.to_wire()),
+            ("cascade", cascade.to_wire()),
+        ])
+    }
+}
+
+/// The cascade variant with its options; tier 2's wall-clock budget is
+/// left out (see [`Validator`]'s encoding).
+impl ToWire for Cascade {
+    fn to_wire(&self) -> Json {
+        let sat = |o: &SatOptions| {
+            let SatOptions { unroll, max_expanded, max_conflicts, max_time: _ } = o;
+            Json::obj([
+                ("unroll", unroll.to_wire()),
+                ("max_expanded", max_expanded.to_wire()),
+                ("max_conflicts", max_conflicts.to_wire()),
+            ])
+        };
+        match self {
+            Cascade::Graph => Json::obj([("kind", Json::str("graph"))]),
+            Cascade::Triage(t) => {
+                Json::obj([("kind", Json::str("triage")), ("triage", t.to_wire())])
+            }
+            Cascade::Tiered(t, s) => {
+                Json::obj([("kind", Json::str("tiered")), ("triage", t.to_wire()), ("sat", sat(s))])
+            }
+        }
+    }
+}
+
+fn hex_word(word: &u64) -> Json {
+    u64_hex(*word)
+}
+
 /// Full-width words as `"0x…"` strings.
 fn hex_words(words: &[u64]) -> Json {
     Json::Arr(words.iter().map(|&w| u64_hex(w)).collect())
@@ -813,6 +1041,17 @@ impl ToWire for SatOutcome {
             }
             other => Json::obj([("kind", Json::str(other.as_str()))]),
         }
+    }
+}
+
+impl ToWire for MatchStrategy {
+    fn to_wire(&self) -> Json {
+        Json::str(match self {
+            MatchStrategy::Unification => "unification",
+            MatchStrategy::Partition => "partition",
+            MatchStrategy::Combined => "combined",
+            MatchStrategy::None => "none",
+        })
     }
 }
 
@@ -937,6 +1176,73 @@ mod tests {
         }
         let deep = format!("{}1{}", "[".repeat(200), "]".repeat(200));
         assert!(parse(&deep).is_err(), "over-deep nesting must be rejected");
+    }
+
+    /// `scan` is `parse` without building: the same verdict and error
+    /// (offset and text included) on every input, and on objects the same
+    /// fields, kept raw.
+    #[test]
+    fn scan_agrees_with_parse() {
+        let deep = format!("{{\"a\":{}1{}}}", "[".repeat(200), "]".repeat(200));
+        let inputs = [
+            "",
+            "{",
+            "[1,",
+            "\"abc",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "{\"a\" 1}",
+            "\"\\q\"",
+            "17",
+            "{not json at all}",
+            "{\"a\":1,}",
+            "{\"a\":\"\\ud800\"}",
+            "{\"a\":\"x\"} x",
+            "{\"a\":\"x\\n\\u0041\",\"b\":[1,{\"c\":null}],\"a\":2}",
+            " {\"k\\u0065y\" : true } ",
+            "[{\"a\":1}]",
+            &deep,
+        ];
+        for input in inputs {
+            match (scan(input), parse(input)) {
+                (Err(s), Err(p)) => assert_eq!(s, p, "`{input}`"),
+                (Ok(doc), Ok(Json::Obj(fields))) => {
+                    assert_eq!(doc.decode_except(&[]), Json::Obj(fields), "`{input}`")
+                }
+                (Ok(doc), Ok(_)) => assert_eq!(doc.decode_except(&[]), Json::obj::<&str>([])),
+                (s, p) => panic!("`{input}`: scan {s:?} but parse {p:?}"),
+            }
+        }
+        let doc = scan("{\"a\":\"x\\n\\u0041\",\"b\":[1, 2],\"a\":2,\"k\\u0065y\":3}").unwrap();
+        assert_eq!(doc.raw("a"), Some("\"x\\n\\u0041\""), "raw, first occurrence");
+        assert_eq!(doc.raw("b"), Some("[1, 2]"));
+        assert_eq!(doc.raw("key"), Some("3"), "keys are decoded");
+        assert_eq!(doc.str_field("a").unwrap(), "x\nA");
+        assert_eq!(
+            doc.str_field("b").unwrap_err(),
+            Json::obj([("b", Json::Null)]).str_field("b").unwrap_err()
+        );
+        assert_eq!(doc.field("c").unwrap_err(), Json::obj::<&str>([]).field("c").unwrap_err());
+        assert_eq!(doc.decode_except(&["a", "b"]), Json::obj([("key", Json::num(3.0))]));
+    }
+
+    #[test]
+    fn special_offset_finds_the_first_quote_or_backslash() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in 0..80 {
+            for _ in 0..40 {
+                let bytes: Vec<u8> = (0..len)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        [b'a', b'"', b'\\', 0x00, 0x01, 0x22 ^ 0x80, 0xff, b'#']
+                            [(state >> 61) as usize]
+                    })
+                    .collect();
+                let naive = bytes.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(len);
+                assert_eq!(special_offset(&bytes), naive, "{bytes:?}");
+            }
+        }
     }
 
     #[test]

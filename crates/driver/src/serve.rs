@@ -37,16 +37,21 @@
 //! stored bytes. Pairing alarms (missing/extra functions) have no
 //! fingerprint pair; their lines are rebuilt per batch, deterministically.
 //!
-//! Verdicts are only comparable across runs that used the same rewrite
-//! engine and the same cascade, so every line is stamped with the server's
-//! [`Normalizer`] mode, [`RULE_ENGINE_VERSION`] and whether tier 2 ran. A
-//! stored line whose stamp disagrees with the serving configuration is
-//! *not* replayed — the pair re-validates and the store entry is
-//! overwritten under the current stamp. The same holds for an alarm line
-//! whose triage does not match the server's cascade: a triaging server
-//! never replays an untriaged alarm, nor the reverse. Lines written before
-//! the stamp existed decode as `destructive` at engine version 1, so an
-//! unchanged destructive server keeps replaying its old store.
+//! A verdict is only worth replaying to a server that would have computed
+//! it, so every verdict line opens with the server's [`ServingStamp`], a
+//! fixed-width `{"stamp":"<16 hex digits>",` field hashing every
+//! verdict-relevant validator setting: the normalizer and
+//! [`RULE_ENGINE_VERSION`], the rule set, the cycle-matching strategy, the
+//! rewrite and saturation limits, and the cascade with its triage and
+//! tier-2 options. Left out are the interner, which never changes a
+//! verdict, and the two wall-clock budgets. The stamp is computed once, in
+//! [`Server::new`]. A stored line replays exactly when its first bytes
+//! equal the server's stamp; anything else — another configuration's line
+//! or a format-v1 line without a stamp — is a store miss, and the pair
+//! re-validates and overwrites the entry under the current stamp. Whether
+//! a line is `validated` is kept beside it in the store index, so a replay
+//! compares bytes and reads no JSON. The `normalizer` and `rule_engine`
+//! fields after the stamp are for human readers; replay never reads them.
 //!
 //! # Direct mode
 //!
@@ -56,46 +61,49 @@
 //! LRU-bounded **request manifest** ([`MANIFEST_CAPACITY`] entries), after
 //! ccache's direct mode:
 //!
-//! - **Key:** FNV-1a of the `original` text and FNV-1a of the `optimized`
-//!   text, exactly as the frame carries them. A one-byte change anywhere
-//!   (a comment, whitespace) is a different key.
+//! - **Key:** FNV-1a of the `original` field and FNV-1a of the `optimized`
+//!   field, over their raw, still-escaped JSON bytes as the frame carries
+//!   them ([`wire::scan`]). A one-byte change anywhere (a comment,
+//!   whitespace) is a different key, and so is the same text escaped
+//!   differently (`\u0041` for `A`): unescaping is deterministic, so such
+//!   a resend is only a miss, answered by the parse path.
 //! - **Value:** what the parse path derived from those texts: the input
 //!   module's name and, per record slot in order, either a name-paired
 //!   function's `(orig_fp, opt_fp)` store key or a pairing alarm's name,
 //!   fingerprints and reason.
 //!
-//! A manifest hit looks every store key up and checks each line with the
-//! same replay rule as the parse path, rebuilds the pairing-alarm lines,
-//! and streams `batch-begin`, the lines and `batch-end` without parsing
-//! anything. The answer is byte-identical to what the parse path writes
-//! for the same store state. If any slot's line is missing (evicted from
-//! the store) or not replayable (overwritten under another stamp), the
-//! whole batch falls back to the parse path, which re-validates what it
-//! must. The fallback looks up again the lines direct mode already
-//! fetched, so the store's hit and miss counters count those twice. A
-//! manifest is written only after its batch completed, so a request that
-//! answered an `error` line never has one.
+//! Every frame is scanned once, validating the whole document without
+//! building it; only the parse path, on a manifest miss, unescapes the two
+//! module texts. A manifest hit looks every store key up under the stamp,
+//! rebuilds the pairing-alarm lines, and streams `batch-begin`, the lines
+//! and `batch-end` without unescaping, parsing or hashing anything but the
+//! two raw fields. The answer is byte-identical to what the parse path
+//! writes for the same store state. If any slot's line is missing (evicted
+//! from the store) or under another stamp (overwritten by another
+//! configuration), the whole batch falls back to the parse path, which
+//! reuses the lookups direct mode already made, so the store counts each
+//! lookup once, and re-validates what it must. A manifest is written only
+//! after its batch completed, so a request that answered an `error` line
+//! never has one.
 //!
 //! The trust model is the store's: a manifest key, like a fingerprint, is
 //! a 64-bit FNV-1a hash, and two different texts with one hash would
-//! share an answer. The manifest carries no configuration stamp because
-//! parsing, fingerprinting and pairing depend on the text alone; every
-//! verdict it points at still passes the stamp check. The manifest is not
-//! persisted: after a restart, the first repeat of each request takes the
-//! parse path (answered from the store) and the next one is direct.
+//! share an answer. The manifest carries no stamp because parsing,
+//! fingerprinting and pairing depend on the text alone; every verdict it
+//! points at still passes the stamp check. The manifest is not persisted:
+//! after a restart, the first repeat of each request takes the parse path
+//! (answered from the store) and the next one is direct.
 
-use crate::store::{StoreStats, VerdictStore, SHARDS};
+use crate::store::{ServingStamp, StoreStats, VerdictStore, SHARDS};
 use crate::{pair_functions_by, PairJob, Pairing, ValidationEngine};
 use lir::func::Module;
 use lir::intern::fnv1a;
 use lir::parse::parse_module;
 use lir::verify::verify_function;
 use llvm_md_core::cache::{fingerprint, Lru};
-use llvm_md_core::triage::{Cascade, TriagedVerdict};
-use llvm_md_core::wire::{self, u64_hex, Json, ToWire};
-use llvm_md_core::{
-    FailReason, Normalizer, ValidationStats, Validator, Verdict, VerdictClass, RULE_ENGINE_VERSION,
-};
+use llvm_md_core::triage::TriagedVerdict;
+use llvm_md_core::wire::{self, u64_hex, Json, RawDoc, ToWire};
+use llvm_md_core::{FailReason, ValidationStats, Validator, Verdict, RULE_ENGINE_VERSION};
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -131,12 +139,18 @@ pub struct ServeCounters {
     pub direct_replays: u64,
 }
 
+/// The two `validate` fields holding module texts, which only the parse
+/// path decodes.
+const MODULE_FIELDS: [&str; 2] = ["original", "optimized"];
+
 /// The persistent validation service: engine + validator + verdict store
 /// behind the transport-independent request handler. Every pair the server
-/// validates runs the validator's [`Cascade`].
+/// validates runs the validator's [`Cascade`](llvm_md_core::Cascade).
 pub struct Server {
     engine: ValidationEngine,
     validator: Validator,
+    /// The validator's serving stamp, which opens every verdict line.
+    stamp: ServingStamp,
     store: VerdictStore,
     /// Direct mode's request manifest, keyed by the FNV-1a pair of the two
     /// module texts.
@@ -165,6 +179,10 @@ enum ManifestSlot {
     Alarm { name: String, orig_fp: Option<u64>, opt_fp: Option<u64>, reason: Option<FailReason> },
 }
 
+/// One store lookup under the serving stamp: the key, and the line with
+/// its `validated` flag when it hit.
+type Lookup = ((u64, u64), Option<(String, bool)>);
+
 /// One verdict line plus the classification bookkeeping `batch-end` needs.
 struct SlotOutcome {
     line: String,
@@ -179,6 +197,7 @@ impl Server {
         Server {
             engine,
             validator,
+            stamp: ServingStamp::of(&validator),
             store,
             manifests: Mutex::new(Lru::new(MANIFEST_CAPACITY)),
             batches: AtomicU64::new(0),
@@ -247,11 +266,15 @@ impl Server {
     }
 
     fn handle<W: Write>(&self, payload: &str, output: &mut W) -> io::Result<ServeStep> {
-        let doc = match wire::parse(payload).and_then(|doc| {
+        // One validating scan of the frame; every field but the two module
+        // texts is decoded.
+        let scanned = wire::scan(payload).and_then(|raw| {
+            let doc = raw.decode_except(&MODULE_FIELDS);
             wire::check_version(&doc)?;
-            Ok(doc)
-        }) {
-            Ok(doc) => doc,
+            Ok((raw, doc))
+        });
+        let (raw, doc) = match scanned {
+            Ok(scanned) => scanned,
             Err(e) => {
                 write_line(output, &error_line(None, &e.to_string()))?;
                 return Ok(ServeStep::Continue);
@@ -259,7 +282,7 @@ impl Server {
         };
         let id = doc.get("id").and_then(Json::as_str).unwrap_or("").to_owned();
         match wire::doc_type(&doc) {
-            Ok("validate") => self.handle_validate(&id, &doc, output)?,
+            Ok("validate") => self.handle_validate(&id, &raw, output)?,
             Ok("stats") => write_line(output, &self.stats_line(&id))?,
             Ok("flush") => {
                 let line = match self.store.compact() {
@@ -294,20 +317,23 @@ impl Server {
     /// repeat fingerprint pairs from the store, validate only the rest on
     /// the worker pool, and stream one verdict line per function in
     /// deterministic record order.
-    fn handle_validate<W: Write>(&self, id: &str, doc: &Json, output: &mut W) -> io::Result<()> {
-        let original = doc.str_field("original");
-        let optimized = doc.str_field("optimized");
-        let request = match (&original, &optimized) {
-            (Ok(o), Ok(p)) => Some((fnv1a(o.as_bytes()), fnv1a(p.as_bytes()))),
-            _ => None,
+    fn handle_validate<W: Write>(&self, id: &str, raw: &RawDoc, output: &mut W) -> io::Result<()> {
+        // The manifest key hashes the raw field bytes, when both are
+        // strings.
+        let text_hash =
+            |key| raw.raw(key).filter(|v| v.starts_with('"')).map(|v| fnv1a(v.as_bytes()));
+        let request = text_hash("original").zip(text_hash("optimized"));
+        let fetched = match request.map(|key| self.replay_manifest(key)) {
+            Some(Ok((module, outcomes))) => {
+                self.write_batch(output, id, &module, &outcomes, 0)?;
+                self.direct_replays.fetch_add(1, Ordering::Relaxed);
+                return Ok(());
+            }
+            Some(Err(fetched)) => fetched,
+            None => Vec::new(),
         };
-        if let Some((module, outcomes)) = request.and_then(|key| self.replay_manifest(key)) {
-            self.write_batch(output, id, &module, &outcomes, 0)?;
-            self.direct_replays.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        let parsed = parse_side("original", original)
-            .and_then(|input| Ok((input, parse_side("optimized", optimized)?)));
+        let parsed = parse_side("original", raw.str_field("original"))
+            .and_then(|input| Ok((input, parse_side("optimized", raw.str_field("optimized"))?)));
         let (input, output_mod) = match parsed {
             Ok(pair) => pair,
             Err(e) => return write_line(output, &error_line(Some(id), &e.to_string())),
@@ -345,22 +371,41 @@ impl Server {
         };
         // Store pass: answer repeat fingerprint pairs verbatim; identical
         // pairs get a deterministic skip verdict; the rest queue for the
-        // pool.
+        // pool. A lookup direct mode already made, in the same slot order,
+        // is reused rather than repeated.
+        let mut fetched = fetched.into_iter().peekable();
         let mut pending: Vec<&PairJob> = Vec::new();
         let mut slots: Vec<Option<SlotOutcome>> = Vec::with_capacity(records.len());
         for (slot, entry) in manifest.slots.iter().enumerate() {
-            let outcome = match (self.replay_slot(entry), entry) {
-                (Some(outcome), _) => Some(outcome),
-                (None, &ManifestSlot::Stored(key)) if key.0 == key.1 => {
-                    let tv = unqueried(true, None);
-                    let line =
-                        self.verdict_line(&records[slot].name, Some(key.0), Some(key.1), &tv);
-                    let _ = self.store.put(key, &line);
-                    Some(SlotOutcome { line, validated: true, from_store: false })
+            let outcome = match entry {
+                &ManifestSlot::Stored(key) => {
+                    let found = match fetched.next_if(|(k, _)| *k == key) {
+                        Some((_, found)) => found,
+                        None => self.store.lookup(key, &self.stamp),
+                    };
+                    match found {
+                        Some((line, validated)) => {
+                            Some(SlotOutcome { line, validated, from_store: true })
+                        }
+                        None if key.0 == key.1 => {
+                            let tv = unqueried(true, None);
+                            let line = self.verdict_line(
+                                &records[slot].name,
+                                Some(key.0),
+                                Some(key.1),
+                                &tv,
+                            );
+                            let _ = self.store.put_verdict(key, &line, true);
+                            Some(SlotOutcome { line, validated: true, from_store: false })
+                        }
+                        None => {
+                            pending.push(job_at[slot].expect("stored slots are jobs"));
+                            None
+                        }
+                    }
                 }
-                (None, _) => {
-                    pending.push(job_at[slot].expect("only stored slots miss"));
-                    None
+                ManifestSlot::Alarm { name, orig_fp, opt_fp, reason } => {
+                    Some(self.pairing_alarm(name, *orig_fp, *opt_fp, reason))
                 }
             };
             slots.push(outcome);
@@ -397,7 +442,7 @@ impl Server {
             let key = (fps_in[job.in_idx], fps_out[job.out_idx]);
             let validated = tv.verdict.validated;
             let line = self.verdict_line(&records[job.slot].name, Some(key.0), Some(key.1), &tv);
-            let _ = self.store.put(key, &line);
+            let _ = self.store.put_verdict(key, &line, validated);
             slots[job.slot] = Some(SlotOutcome { line, validated, from_store: false });
         }
         let outcomes: Vec<SlotOutcome> =
@@ -413,34 +458,55 @@ impl Server {
     }
 
     /// Direct mode: answer a request the manifest knows from the store
-    /// alone, as `(module name, slot outcomes)`. `None` — fall back to the
-    /// parse path — when the manifest has no entry or a stored slot misses.
-    fn replay_manifest(&self, request: (u64, u64)) -> Option<(String, Vec<SlotOutcome>)> {
+    /// alone, as `(module name, slot outcomes)`. `Err` — fall back to the
+    /// parse path — when the manifest has no entry or a stored slot
+    /// misses; it carries the lookups made so far, in slot order, up to
+    /// and including the miss.
+    fn replay_manifest(
+        &self,
+        request: (u64, u64),
+    ) -> Result<(String, Vec<SlotOutcome>), Vec<Lookup>> {
         let mut manifests = self.manifests.lock().expect("manifest poisoned");
-        let manifest = manifests.get(&request)?;
-        let outcomes: Option<Vec<SlotOutcome>> =
-            manifest.slots.iter().map(|slot| self.replay_slot(slot)).collect();
-        Some((manifest.module.clone(), outcomes?))
-    }
-
-    /// Answer one record slot without validating: a pairing alarm's line
-    /// is rebuilt; a paired function's line comes from the store when it
-    /// is replayable under the serving configuration, and is `None` (a
-    /// miss) otherwise.
-    fn replay_slot(&self, slot: &ManifestSlot) -> Option<SlotOutcome> {
-        match slot {
-            &ManifestSlot::Stored(key) => {
-                let line = self.store.get(key)?;
-                let validated =
-                    replayable(&line, self.validator.normalizer, &self.validator.cascade)?;
-                Some(SlotOutcome { line, validated, from_store: true })
-            }
-            ManifestSlot::Alarm { name, orig_fp, opt_fp, reason } => {
-                let tv = unqueried(false, reason.clone());
-                let line = self.verdict_line(name, *orig_fp, *opt_fp, &tv);
-                Some(SlotOutcome { line, validated: false, from_store: false })
+        let Some(manifest) = manifests.get(&request) else { return Err(Vec::new()) };
+        let mut lookups: Vec<Lookup> = Vec::new();
+        for slot in &manifest.slots {
+            if let &ManifestSlot::Stored(key) = slot {
+                let found = self.store.lookup(key, &self.stamp);
+                let missed = found.is_none();
+                lookups.push((key, found));
+                if missed {
+                    return Err(lookups);
+                }
             }
         }
+        let mut hits = lookups.into_iter().map(|(_, found)| found.expect("every lookup hit"));
+        let outcomes = manifest
+            .slots
+            .iter()
+            .map(|slot| match slot {
+                ManifestSlot::Stored(_) => {
+                    let (line, validated) = hits.next().expect("one lookup per stored slot");
+                    SlotOutcome { line, validated, from_store: true }
+                }
+                ManifestSlot::Alarm { name, orig_fp, opt_fp, reason } => {
+                    self.pairing_alarm(name, *orig_fp, *opt_fp, reason)
+                }
+            })
+            .collect();
+        Ok((manifest.module.clone(), outcomes))
+    }
+
+    /// A pairing alarm's line (a function only one side has), rebuilt per
+    /// batch.
+    fn pairing_alarm(
+        &self,
+        name: &str,
+        orig_fp: Option<u64>,
+        opt_fp: Option<u64>,
+        reason: &Option<FailReason>,
+    ) -> SlotOutcome {
+        let line = self.verdict_line(name, orig_fp, opt_fp, &unqueried(false, reason.clone()));
+        SlotOutcome { line, validated: false, from_store: false }
     }
 
     /// Stream one answered batch — `batch-begin`, the verdict lines in
@@ -491,15 +557,13 @@ impl Server {
         Ok(())
     }
 
-    /// One wire verdict line: (function name, fingerprint pair, triaged
-    /// verdict) plus the server's fixed engine configuration, and **no
-    /// request id**. The verdict's wall-clock fields (`duration_ns`, and
+    /// One wire verdict line: the serving stamp first, then (function
+    /// name, fingerprint pair, triaged verdict) with the normalizer and
+    /// rule-engine version for readers, and **no request id**. The
+    /// verdict's wall-clock fields (`duration_ns`, and
     /// `triage.sat.duration_ns` under tier 2) vary between computations;
     /// replays are byte-identical because the store keeps and returns the
-    /// line verbatim. The `normalizer`/`rule_engine`/`tier2` stamp
-    /// identifies the rewrite engine and cascade depth the verdict was
-    /// computed under, so a store shared across configurations never
-    /// replays a verdict from a different one.
+    /// line verbatim.
     fn verdict_line(
         &self,
         function: &str,
@@ -508,7 +572,7 @@ impl Server {
         tv: &TriagedVerdict,
     ) -> String {
         let fp = |f: Option<u64>| f.map(u64_hex).unwrap_or(Json::Null);
-        wire::envelope(
+        self.stamp.line(&wire::envelope(
             "verdict",
             [
                 ("function", Json::str(function)),
@@ -516,12 +580,10 @@ impl Server {
                 ("opt_fp", fp(opt_fp)),
                 ("normalizer", self.validator.normalizer.to_wire()),
                 ("rule_engine", Json::num(RULE_ENGINE_VERSION as f64)),
-                ("tier2", Json::Bool(self.validator.cascade.tier2())),
                 ("class", tv.class().to_wire()),
                 ("verdict", tv.to_wire()),
             ],
-        )
-        .to_string()
+        ))
     }
 
     fn stats_line(&self, id: &str) -> String {
@@ -620,8 +682,8 @@ fn error_line(id: Option<&str>, message: &str) -> String {
 }
 
 /// Parse the module text of one `validate` field.
-fn parse_side(key: &str, text: Result<&str, wire::WireError>) -> Result<Module, wire::WireError> {
-    parse_module(text?)
+fn parse_side(key: &str, text: Result<String, wire::WireError>) -> Result<Module, wire::WireError> {
+    parse_module(&text?)
         .map_err(|e| wire::WireError::schema(format!("field `{key}`: unparseable module: {e}")))
 }
 
@@ -630,42 +692,4 @@ fn parse_side(key: &str, text: Result<&str, wire::WireError>) -> Result<Module, 
 fn unqueried(validated: bool, reason: Option<FailReason>) -> TriagedVerdict {
     let stats = ValidationStats::default();
     TriagedVerdict { verdict: Verdict { validated, reason, stats }, triage: None }
-}
-
-/// Whether a stored verdict line may be replayed by a server running
-/// `normalizer` at [`RULE_ENGINE_VERSION`] under `cascade`: `Some(validated)`
-/// when it may (`validated` is whether its class says so), `None` when the
-/// pair must re-validate. A line without the engine stamp predates it and
-/// decodes as `destructive` at engine version 1; a line without the `tier2`
-/// stamp predates tier 2 and decodes as tier-1-only. An alarm line replays
-/// only when it carries a triage exactly when the cascade triages
-/// (validated lines never carry one, so they replay under any cascade).
-/// Mismatches and corrupt lines are store misses, never replayed — in
-/// particular, a tier-2 server re-validates every stored tier-1-only
-/// verdict so its alarms get the bit-precise query, and a triaging server
-/// re-validates every untriaged alarm so it gets a class and a witness.
-fn replayable(line: &str, normalizer: Normalizer, cascade: &Cascade) -> Option<bool> {
-    let doc = wire::parse(line).ok()?;
-    let line_norm = match doc.get("normalizer") {
-        None => Normalizer::Destructive,
-        Some(v) => Normalizer::parse(v.as_str()?)?,
-    };
-    let line_engine = match doc.get("rule_engine") {
-        None => 1,
-        Some(v) => wire::parse_u64(v).ok()?,
-    };
-    let line_tier2 = match doc.get("tier2") {
-        None => false,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return None,
-    };
-    let validated = doc.get("class").and_then(Json::as_str)
-        == Some(VerdictClass::Validated.to_string().as_str());
-    let triaged =
-        doc.get("verdict").and_then(|v| v.get("triage")).is_some_and(|t| !matches!(t, Json::Null));
-    let matches = line_norm == normalizer
-        && line_engine == RULE_ENGINE_VERSION
-        && line_tier2 == cascade.tier2()
-        && (validated || triaged == cascade.triages());
-    matches.then_some(validated)
 }

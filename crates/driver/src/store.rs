@@ -7,7 +7,7 @@
 //! The key is the pair of structural fingerprints
 //! (`llvm_md_core::cache::fingerprint`) of the original and optimized
 //! function; because fingerprints are computed over the canonicalized
-//! printed form, a pair that re-appears in any later compilation (same
+//! structure, a pair that re-appears in any later compilation (same
 //! source function, same optimizer output, modulo renaming) maps to the
 //! same key and replays its stored verdict **byte-identically** — the store
 //! keeps the encoded wire line verbatim, so a repeated batch through
@@ -20,6 +20,20 @@
 //! embeds its own key as `orig_fp`/`opt_fp`, plus `schema_version`). A
 //! shard is chosen by FNV-1a over the key bytes, so lines distribute evenly
 //! and a future distributed deployment can move whole shards between nodes.
+//!
+//! # Format v2: the serving stamp
+//!
+//! Every line opens with a fixed-width [`ServingStamp`] field,
+//! `{"stamp":"<16 hex digits>",`: FNV-1a over the wire encoding of the
+//! writer's verdict-relevant validator configuration. A lookup names the
+//! stamp it serves under ([`VerdictStore::lookup`]) and gets a line only
+//! when those leading bytes are equal, so a store shared by differently
+//! configured servers never answers one with another's verdict, and the
+//! check reads no JSON. Whether the line's class is `validated` is kept
+//! beside it in the index, set when it is put and when it is loaded.
+//! Lines without the stamp (format v1) are dropped at load, and a v1 line
+//! put in memory never matches a stamp: either way the pair re-validates
+//! and its entry is overwritten.
 //!
 //! Durability is append-only: every insert appends one line and flushes.
 //! Crash safety is by construction — a torn final line (no trailing
@@ -37,7 +51,8 @@
 //! is `O(cap)`, not `O(entries ever seen)`.
 
 use llvm_md_core::cache::Lru;
-use llvm_md_core::wire::{self, Json};
+use llvm_md_core::wire::{self, Json, ToWire};
+use llvm_md_core::{Validator, VerdictClass};
 use llvm_md_workload::rng::fnv1a;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -65,14 +80,73 @@ pub struct StoreStats {
     pub evictions: u64,
     /// Entries loaded from disk when the store was opened.
     pub loaded: usize,
-    /// Disk lines dropped at load (torn tail or schema skew) — nonzero
-    /// after an unclean shutdown, never an error.
+    /// Disk lines dropped at load (torn tail, schema skew or no serving
+    /// stamp) — nonzero after an unclean shutdown or a format upgrade,
+    /// never an error.
     pub dropped_lines: usize,
+}
+
+/// The serving stamp: FNV-1a over a validator's verdict-relevant
+/// configuration (its [`ToWire`] encoding, which leaves out the interner
+/// and the wall-clock budgets). Two servers share stored verdicts exactly
+/// when their stamps are equal.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ServingStamp {
+    /// `{"stamp":"<16 hex digits>",`.
+    prefix: String,
+}
+
+/// `{"stamp":"` — how every format-v2 line starts.
+const STAMP_OPEN: &str = "{\"stamp\":\"";
+
+/// Bytes of a line's stamp field, from the opening brace through the comma
+/// after the 16 hex digits.
+pub const STAMP_WIDTH: usize = STAMP_OPEN.len() + 16 + 2;
+
+impl ServingStamp {
+    /// The stamp of everything `validator` would answer.
+    pub fn of(validator: &Validator) -> ServingStamp {
+        let hash = fnv1a(validator.to_wire().to_string().as_bytes());
+        ServingStamp { prefix: format!("{STAMP_OPEN}{hash:016x}\",") }
+    }
+
+    /// The [`STAMP_WIDTH`] bytes every line under this stamp starts with.
+    pub fn prefix(&self) -> &str {
+        &self.prefix
+    }
+
+    /// Encode `doc`, a non-empty object, with this stamp as its first
+    /// field.
+    pub fn line(&self, doc: &Json) -> String {
+        let body = doc.to_string();
+        debug_assert!(body.starts_with('{') && body.len() > 2, "stamped lines are objects");
+        format!("{}{}", self.prefix, &body[1..])
+    }
+}
+
+/// Whether `line` opens with a well-formed stamp field (format v2).
+fn is_stamped(line: &str) -> bool {
+    line.get(..STAMP_WIDTH).is_some_and(|p| {
+        p.starts_with(STAMP_OPEN)
+            && p.ends_with("\",")
+            && p[STAMP_OPEN.len()..STAMP_WIDTH - 2].bytes().all(|b| b.is_ascii_hexdigit())
+    })
+}
+
+/// Whether a parsed verdict document's class is `validated`.
+fn is_validated(doc: &Json) -> bool {
+    doc.get("class").and_then(Json::as_str) == Some(VerdictClass::Validated.to_string().as_str())
+}
+
+/// One indexed line and whether its class is `validated`.
+struct Entry {
+    line: String,
+    validated: bool,
 }
 
 struct Inner {
     /// Encoded wire verdict lines, stored verbatim (no trailing newline).
-    lines: Lru<(u64, u64), String>,
+    lines: Lru<(u64, u64), Entry>,
     stats: StoreStats,
     /// Lazily opened append handles, one per shard (`None` for in-memory
     /// stores).
@@ -105,10 +179,10 @@ pub fn line_key(doc: &Json) -> Result<(u64, u64), wire::WireError> {
 
 impl VerdictStore {
     /// Open (creating if needed) the store at `dir` with the given entry
-    /// cap, loading every parseable line from the shard files. Torn or
-    /// stale lines are counted in [`StoreStats::dropped_lines`] and
-    /// skipped; a later line for a key seen earlier wins (append-only
-    /// update semantics).
+    /// cap, loading every parseable, stamped line from the shard files.
+    /// Torn, stale-schema and unstamped lines are counted in
+    /// [`StoreStats::dropped_lines`] and skipped; a later line for a key
+    /// seen earlier wins (append-only update semantics).
     pub fn open(dir: &Path, cap: usize) -> std::io::Result<VerdictStore> {
         std::fs::create_dir_all(dir)?;
         let mut inner = Inner::new(cap);
@@ -125,10 +199,12 @@ impl VerdictStore {
                 rest = &rest[nl + 1..];
                 match wire::parse(line).and_then(|doc| {
                     wire::check_version(&doc)?;
-                    line_key(&doc).map(|key| (key, doc))
+                    line_key(&doc).map(|key| (key, is_validated(&doc)))
                 }) {
-                    Ok((key, _)) => inner.lines.insert(key, line.to_owned()),
-                    Err(_) => inner.stats.dropped_lines += 1,
+                    Ok((key, validated)) if is_stamped(line) => {
+                        inner.lines.insert(key, Entry { line: line.to_owned(), validated })
+                    }
+                    _ => inner.stats.dropped_lines += 1,
                 }
             }
             // A final segment without a trailing newline is a torn append:
@@ -154,25 +230,49 @@ impl VerdictStore {
         self.dir.as_deref()
     }
 
-    /// Look up the stored verdict line for a fingerprint pair, bumping its
-    /// LRU stamp on a hit.
+    /// Look up the stored verdict line for a fingerprint pair, whatever
+    /// its stamp, bumping its LRU position on a hit.
     pub fn get(&self, key: (u64, u64)) -> Option<String> {
+        self.find(key, |_| true).map(|(line, _)| line)
+    }
+
+    /// Look up the line for a fingerprint pair written under `stamp`:
+    /// `(line, validated)` when the line's leading bytes equal the stamp's
+    /// prefix. A line under another stamp counts as a miss.
+    pub fn lookup(&self, key: (u64, u64), stamp: &ServingStamp) -> Option<(String, bool)> {
+        self.find(key, |line| line.starts_with(stamp.prefix()))
+    }
+
+    fn find(&self, key: (u64, u64), accept: impl Fn(&str) -> bool) -> Option<(String, bool)> {
         let mut inner = self.inner.lock().expect("verdict store poisoned");
-        let line = inner.lines.get(&key).cloned();
-        match line {
+        let found = inner
+            .lines
+            .get(&key)
+            .filter(|e| accept(&e.line))
+            .map(|e| (e.line.clone(), e.validated));
+        match found {
             Some(_) => inner.stats.hits += 1,
             None => inner.stats.misses += 1,
         }
-        line
+        found
     }
 
-    /// Insert (or overwrite) the verdict line for a key, appending it to
-    /// the key's shard file and flushing before returning — a crash right
-    /// after `put` loses nothing.
+    /// Insert (or overwrite) the verdict line for a key, reading whether
+    /// its class is `validated` from the line itself. See
+    /// [`VerdictStore::put_verdict`].
     pub fn put(&self, key: (u64, u64), line: &str) -> std::io::Result<()> {
+        let validated = wire::parse(line).is_ok_and(|doc| is_validated(&doc));
+        self.put_verdict(key, line, validated)
+    }
+
+    /// Insert (or overwrite) the verdict line for a key, whose class is
+    /// `validated` or not, appending it to the key's shard file and
+    /// flushing before returning — a crash right after the put loses
+    /// nothing.
+    pub fn put_verdict(&self, key: (u64, u64), line: &str, validated: bool) -> std::io::Result<()> {
         debug_assert!(!line.contains('\n'), "verdict lines are newline-framed");
         let mut inner = self.inner.lock().expect("verdict store poisoned");
-        inner.lines.insert(key, line.to_owned());
+        inner.lines.insert(key, Entry { line: line.to_owned(), validated });
         inner.stats.inserts += 1;
         inner.stats.evictions += inner.lines.evict_over_cap();
         inner.stats.entries = inner.lines.len();
@@ -200,9 +300,9 @@ impl VerdictStore {
         // Group live lines per shard, oldest first, so a recovery load
         // reconstructs the same LRU order.
         let mut per_shard: Vec<String> = vec![String::new(); SHARDS];
-        for (&key, line) in inner.lines.oldest_first() {
+        for (&key, entry) in inner.lines.oldest_first() {
             let buf = &mut per_shard[shard_of(key)];
-            buf.push_str(line);
+            buf.push_str(&entry.line);
             buf.push('\n');
         }
         for (shard, buf) in per_shard.into_iter().enumerate() {
@@ -249,17 +349,21 @@ impl Inner {
 mod tests {
     use super::*;
     use llvm_md_core::wire::u64_hex;
+    use llvm_md_core::MatchStrategy;
+
+    fn stamp() -> ServingStamp {
+        ServingStamp::of(&Validator::new())
+    }
 
     fn line(key: (u64, u64), payload: &str) -> String {
-        wire::envelope(
+        stamp().line(&wire::envelope(
             "verdict",
             [
                 ("orig_fp".to_owned(), u64_hex(key.0)),
                 ("opt_fp".to_owned(), u64_hex(key.1)),
                 ("payload".to_owned(), Json::str(payload)),
             ],
-        )
-        .to_string()
+        ))
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -374,6 +478,34 @@ mod tests {
         assert!(stats.entries <= 16, "cap must bound the index, entries={}", stats.entries);
         assert!(stats.evictions > 0);
         assert_eq!(stats.inserts, 100);
+    }
+
+    /// A format-v1 line (no stamp field) is dropped at load; in memory it
+    /// never matches a stamp. A stamped line answers only its own stamp.
+    #[test]
+    fn unstamped_lines_never_answer_a_lookup() {
+        let dir = tmpdir("v1");
+        let (old, new) = ((1, 1), (2, 2));
+        let v1 = |key: (u64, u64)| line(key, "v")[STAMP_WIDTH - 1..].replacen(',', "{", 1);
+        assert!(v1(old).starts_with("{\"schema_version\""), "{}", v1(old));
+        let other =
+            ServingStamp::of(&Validator { strategy: MatchStrategy::None, ..Validator::new() });
+        {
+            let store = VerdictStore::open(&dir, 64).expect("open");
+            store.put(old, &v1(old)).expect("put");
+            store.put(new, &line(new, "v")).expect("put");
+            assert!(store.lookup(old, &stamp()).is_none(), "a v1 line matches no stamp");
+            assert!(store.lookup(new, &other).is_none(), "another stamp's line is a miss");
+            assert_eq!(store.lookup(new, &stamp()), Some((line(new, "v"), false)));
+            assert_eq!(store.get(old), Some(v1(old)), "`get` ignores stamps");
+            let stats = store.stats();
+            assert_eq!((stats.hits, stats.misses), (2, 2));
+        }
+        let store = VerdictStore::open(&dir, 64).expect("reopen");
+        let stats = store.stats();
+        assert_eq!((stats.loaded, stats.dropped_lines), (1, 1), "the v1 line is dropped at load");
+        assert!(store.get(old).is_none());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

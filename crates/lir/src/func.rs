@@ -5,6 +5,7 @@ use crate::types::Ty;
 use crate::value::{Constant, Operand, Reg};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifier of a basic block within its function (index into
 /// [`Function::blocks`]).
@@ -73,7 +74,8 @@ impl Block {
     }
 }
 
-/// A function definition.
+/// A function definition. Its `Hash` covers what its text shows, and
+/// leaves out the register allocation counter.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Function {
     /// Symbol name (without the `@`).
@@ -86,6 +88,13 @@ pub struct Function {
     /// Basic blocks. `blocks[0]` is the entry block.
     pub blocks: Vec<Block>,
     next_reg: u32,
+}
+
+impl Hash for Function {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let Function { name, ret, params, blocks, next_reg: _ } = self;
+        (name, ret, params, blocks).hash(state);
+    }
 }
 
 impl Function {

@@ -777,6 +777,43 @@ fn pass_changed_flags_match_structural_change() {
     assert!(steps > 5_000, "the scan covers the suite and the fuzz modules: {steps} steps");
 }
 
+/// Store keys and chain-cache keys hash a canonical function's structure,
+/// not its text: over the scale-1 suite and 16 fuzz modules per profile,
+/// every function at every step of the paper pipeline, two canonical
+/// versions get equal fingerprints exactly when their prints are equal.
+#[test]
+fn fingerprints_are_equal_exactly_when_canonical_prints_are() {
+    use llvm_md::core::fingerprint_canonical;
+    use llvm_md::opt::{paper_pipeline, Ctx};
+    use llvm_md::workload::{campaign_modules, fuzz_profiles, suite_batch, DEFAULT_CAMPAIGN_SEED};
+    use std::collections::HashMap;
+    let pm = paper_pipeline();
+    let mut modules = suite_batch(1);
+    for p in fuzz_profiles() {
+        modules.extend(campaign_modules(&p, DEFAULT_CAMPAIGN_SEED, 16));
+    }
+    let mut by_fp: HashMap<u64, String> = HashMap::new();
+    let mut by_print: HashMap<String, u64> = HashMap::new();
+    for m in &modules {
+        let ctx = Ctx::of(m);
+        for f in &m.functions {
+            let mut cur = f.clone();
+            for k in 0..=pm.len() {
+                let canonical = cur.canonicalized();
+                let (fp, print) = (fingerprint_canonical(&canonical), canonical.to_string());
+                let seen = by_fp.entry(fp).or_insert_with(|| print.clone());
+                assert_eq!(*seen, print, "{}: two prints share fingerprint {fp:#x}", m.name);
+                let seen = by_print.entry(print).or_insert(fp);
+                assert_eq!(*seen, fp, "{}: one print got two fingerprints (@{})", m.name, f.name);
+                if k < pm.len() {
+                    pm.run_step_function(k, &mut cur, &ctx);
+                }
+            }
+        }
+    }
+    assert!(by_fp.len() > 1_000, "the scan covers many distinct versions: {}", by_fp.len());
+}
+
 /// Chain soundness: whenever the per-pass chain certifies a function
 /// (every step that changed it validated), the *endpoints* — the original
 /// and the fully-optimized function — never observably diverge under the

@@ -13,9 +13,10 @@
 
 use llvm_md::core::wire::{self, Json};
 use llvm_md::core::{
-    fingerprint, Cascade, Limits, Normalizer, TriageOptions, Validator, RULE_ENGINE_VERSION,
+    fingerprint, Cascade, Interning, Limits, MatchStrategy, Normalizer, RuleSet, SatOptions,
+    SaturationLimits, TriageOptions, Validator, RULE_ENGINE_VERSION,
 };
-use llvm_md::driver::store::line_key;
+use llvm_md::driver::store::{line_key, ServingStamp, STAMP_WIDTH};
 use llvm_md::driver::{ServeEnd, Server, ValidationEngine, VerdictStore};
 use llvm_md::lir::parse::parse_module;
 use llvm_md::opt::paper_pipeline;
@@ -200,102 +201,255 @@ fn store_replay_requires_a_matching_engine_stamp() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Lines written before the engine stamp existed decode as `destructive`
-/// at rule-engine version 1: a destructive server keeps replaying them
-/// byte-for-byte, a saturating server does not.
-#[test]
-fn untagged_legacy_lines_replay_only_under_the_destructive_engine() {
-    let dir = tmpdir("legacy");
-    let (original, optimized) = suite_pair(1);
-    let batch = validate_request("b", &original, &optimized);
-    let script = format!("{}{}", batch, control_request("shutdown", "x"));
-
-    // Produce stamped lines, then overwrite each store entry with the
-    // stamp fields stripped — the exact bytes a pre-stamp daemon wrote.
-    let legacy: Vec<String> = {
-        let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
-        let (_, lines) = run_script(&server, &script);
-        lines_of_type(&lines, "verdict")
-            .iter()
-            .map(|v| {
-                let Json::Obj(fields) = (*v).clone() else { panic!("verdict must be an object") };
-                let stripped = Json::Obj(
-                    fields
-                        .into_iter()
-                        .filter(|(k, _)| k != "normalizer" && k != "rule_engine")
-                        .collect(),
-                );
-                let key = line_key(&stripped).expect("verdicts carry a fingerprint pair");
-                let line = stripped.to_string();
-                server.store().put(key, &line).unwrap();
-                line
-            })
-            .collect()
-    };
-    assert!(!legacy.is_empty());
-
-    // A destructive server replays the legacy bytes verbatim.
-    let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
-    let (_, lines) = run_script(&server, &script);
-    let end = lines_of_type(&lines, "batch-end")[0];
-    assert_eq!(field_u64(end, "store_hits") as usize, legacy.len());
-    let replayed: Vec<String> =
-        lines_of_type(&lines, "verdict").iter().map(|v| v.to_string()).collect();
-    assert_eq!(replayed, legacy, "legacy lines must replay byte-identically");
-
-    // A saturating server treats every legacy line as a miss.
-    let sat = Validator { normalizer: Normalizer::Saturate, ..Validator::new() };
-    let server = Server::new(
-        ValidationEngine::with_workers(2),
-        sat,
-        VerdictStore::open(&dir, 1 << 16).unwrap(),
-    );
-    let (_, lines) = run_script(&server, &script);
-    assert_eq!(field_u64(lines_of_type(&lines, "batch-end")[0], "store_hits"), 0);
-    let _ = std::fs::remove_dir_all(&dir);
+/// A stored line with its stamp bytes changed: one hex digit of the stamp
+/// field is replaced, so the line is well-formed but under another stamp.
+fn restamped(line: &str) -> String {
+    let at = STAMP_WIDTH - 3;
+    let digit = if &line[at..at + 1] == "0" { "1" } else { "0" };
+    format!("{}{digit}{}", &line[..at], &line[at + 1..])
 }
 
-/// A stored line whose `rule_engine` stamp is not a whole number is
-/// malformed, not an older or newer engine: it is a store miss, never
-/// truncated to engine 1 and replayed.
-#[test]
-fn fractional_engine_stamps_are_store_misses() {
-    let dir = tmpdir("fractional-stamp");
-    let (original, optimized) = suite_pair(1);
-    let batch = validate_request("b", &original, &optimized);
-    let script = format!("{}{}", batch, control_request("shutdown", "x"));
-    for stamp in [1.5, 1.99] {
-        let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
-        let (_, lines) = run_script(&server, &script);
-        let verdicts = lines_of_type(&lines, "verdict");
-        assert!(!verdicts.is_empty());
-        for v in &verdicts {
-            let Json::Obj(fields) = (*v).clone() else { panic!("verdict must be an object") };
-            let restamped = Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| if k == "rule_engine" { (k, Json::num(stamp)) } else { (k, v) })
-                    .collect(),
-            );
-            let key = line_key(&restamped).expect("verdicts carry a fingerprint pair");
-            server.store().put(key, &restamped.to_string()).unwrap();
+/// The format-v1 bytes of a verdict line: no `stamp`, and the old stamp
+/// fields (`normalizer`, `rule_engine`, `tier2`) as a v1 server wrote them
+/// (`tagged`), left out (`untagged`), or with a malformed engine number
+/// (`fractional`).
+fn v1_line(verdict: &Json, variant: &str) -> String {
+    let Json::Obj(fields) = verdict.clone() else { panic!("verdict must be an object") };
+    let mut old = Vec::new();
+    for (k, v) in fields {
+        let engine = k == "rule_engine";
+        match (variant, k.as_str()) {
+            (_, "stamp") | ("untagged", "normalizer" | "rule_engine") => {}
+            ("fractional", "rule_engine") => old.push((k, Json::num(1.5))),
+            _ => old.push((k, v)),
         }
-
-        let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
-        let (_, lines) = run_script(&server, &script);
-        let end = lines_of_type(&lines, "batch-end")[0];
-        assert_eq!(field_u64(end, "store_hits"), 0, "rule_engine {stamp} must not replay");
-        assert_eq!(field_u64(end, "validations_run") as usize, verdicts.len());
+        if engine && variant != "untagged" {
+            old.push(("tier2".to_owned(), Json::Bool(false)));
+        }
     }
+    Json::Obj(old).to_string()
+}
+
+/// A format-v1 line — no `stamp` field; with the old `normalizer`,
+/// `rule_engine` and `tier2` fields, without them, or with a malformed
+/// engine number — is a store miss: the pair re-validates, the entry is
+/// overwritten under the v2 stamp, and that line then replays. In memory
+/// the v1 line never matches a stamp; on disk it is dropped when the store
+/// loads.
+#[test]
+fn v1_lines_are_store_misses_and_are_overwritten() {
+    let (original, optimized) = suite_pair(1);
+    let batch = validate_request("b", &original, &optimized);
+    let server = new_server(VerdictStore::in_memory(1 << 16));
+    let (_, lines) = run_script(&server, &batch);
+    let prefix = ServingStamp::of(&Validator::new()).prefix().to_owned();
+    let verdicts: Vec<Json> = lines_of_type(&lines, "verdict").into_iter().cloned().collect();
+    assert!(!verdicts.is_empty());
+    for tag in ["tagged", "untagged", "fractional"] {
+        let v1_lines: Vec<(_, String)> = verdicts
+            .iter()
+            .map(|v| (line_key(v).expect("verdicts carry a fingerprint pair"), v1_line(v, tag)))
+            .collect();
+        assert!(v1_lines
+            .iter()
+            .all(|(_, l)| l.starts_with(r#"{"schema_version":1,"type":"verdict""#)));
+
+        // In memory: the v1 lines replace the entries under a running
+        // server, whose repeat is a miss on every pair.
+        for (key, line) in &v1_lines {
+            server.store().put(*key, line).unwrap();
+        }
+        let (_, lines) = run_script(&server, &batch);
+        let end = lines_of_type(&lines, "batch-end")[0];
+        assert_eq!(field_u64(end, "store_hits"), 0, "{tag}: a v1 line must not replay");
+        assert_eq!(field_u64(end, "validations_run") as usize, verdicts.len(), "{tag}");
+        assert!(lines_of_type(&lines, "verdict")
+            .iter()
+            .all(|v| v.to_string().starts_with(&prefix)));
+        let (_, lines) = run_script(&server, &batch);
+        let end = lines_of_type(&lines, "batch-end")[0];
+        assert_eq!(field_u64(end, "store_hits") as usize, verdicts.len(), "{tag}: overwritten");
+
+        // On disk: a store holding only v1 lines loads none of them.
+        let dir = tmpdir(&format!("v1-{tag}"));
+        {
+            let store = VerdictStore::open(&dir, 1 << 16).unwrap();
+            for (key, line) in &v1_lines {
+                store.put(*key, line).unwrap();
+            }
+        }
+        let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
+        assert_eq!(server.store().stats().dropped_lines, v1_lines.len(), "{tag}");
+        let (_, lines) = run_script(&server, &batch);
+        let end = lines_of_type(&lines, "batch-end")[0];
+        assert_eq!(field_u64(end, "store_hits"), 0, "{tag}");
+        assert_eq!(field_u64(end, "validations_run") as usize, verdicts.len(), "{tag}");
+        let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
+        let (_, lines) = run_script(&server, &batch);
+        let end = lines_of_type(&lines, "batch-end")[0];
+        assert_eq!(field_u64(end, "store_hits") as usize, verdicts.len(), "{tag}: v2 on disk");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `f(x) = x == 7 ? 1 : 0` "optimized" to `ret 0`: a miscompile that a
+/// one-input triage battery misses and a 64-input battery catches.
+const EQ7: &str = "define i64 @f(i64 %x) {\nentry:\n  %c = icmp eq i64 %x, 7\n  \
+                   %r = select i1 %c, i64 1, i64 0\n  ret i64 %r\n}\n";
+const EQ7_BROKEN: &str = "define i64 @f(i64 %x) {\nentry:\n  ret i64 0\n}\n";
+
+fn battery(battery: usize) -> Validator {
+    let triage = TriageOptions { battery, ..TriageOptions::default() };
+    Validator { cascade: Cascade::Triage(triage), ..Validator::new() }
+}
+
+/// A store written by a `--triage --battery 1` server must not answer a
+/// `--battery 64` server, which re-validates and finds the miscompile.
+#[test]
+fn battery_64_server_does_not_replay_a_battery_1_verdict() {
+    let dir = tmpdir("battery");
+    let script = validate_request("b", EQ7, EQ7_BROKEN);
+    let serve = |validator: Validator| {
+        let server = Server::new(
+            ValidationEngine::with_workers(2),
+            validator,
+            VerdictStore::open(&dir, 1 << 16).unwrap(),
+        );
+        let (_, lines) = run_script(&server, &script);
+        let end = lines_of_type(&lines, "batch-end")[0].clone();
+        let class = lines_of_type(&lines, "verdict")[0].str_field("class").unwrap().to_owned();
+        (end, class)
+    };
+    let (end, class) = serve(battery(1));
+    assert_eq!(field_u64(&end, "validations_run"), 1);
+    assert_eq!(class, "suspected-incomplete", "one input misses x == 7");
+    let (end, class) = serve(battery(64));
+    assert_eq!(field_u64(&end, "store_hits"), 0, "{end}");
+    assert_eq!(field_u64(&end, "validations_run"), 1, "{end}");
+    assert_eq!(class, "real-miscompile");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An alarm line replays only under a cascade that triages exactly when
-/// the line's writer did: a triaging server over a store written by a
-/// plain server re-validates the untriaged alarm (and then answers the
-/// real-miscompile class with its witness) instead of replaying
-/// `suspected-incomplete`. Validated lines carry no triage and replay
-/// under either cascade.
+/// Serve a two-function pair (one validated, one alarm) under `first`,
+/// then under `second` over the same store: whether the second server
+/// replayed every stored line (`true`) or none of them (`false`).
+fn second_server_replays(tag: &str, first: Validator, second: Validator) -> bool {
+    let dir = tmpdir(&format!("stamp-{tag}"));
+    let double = "define i64 @double(i64 %x) {\nentry:\n  %r = add i64 %x, %x\n  ret i64 %r\n}\n";
+    let shl = "define i64 @double(i64 %x) {\nentry:\n  %r = shl i64 %x, 1\n  ret i64 %r\n}\n";
+    let script = validate_request("b", &format!("{double}{EQ7}"), &format!("{shl}{EQ7_BROKEN}"));
+    let serve = |validator: Validator| {
+        let server = Server::new(
+            ValidationEngine::with_workers(2),
+            validator,
+            VerdictStore::open(&dir, 1 << 16).unwrap(),
+        );
+        let (_, lines) = run_script(&server, &script);
+        lines_of_type(&lines, "batch-end")[0].clone()
+    };
+    assert_eq!(field_u64(&serve(first), "validations_run"), 2, "{tag}");
+    let end = serve(second);
+    let _ = std::fs::remove_dir_all(&dir);
+    match (field_u64(&end, "store_hits"), field_u64(&end, "validations_run")) {
+        (2, 0) => true,
+        (0, 2) => false,
+        _ => panic!("{tag}: a stamp either matches every line or none: {end}"),
+    }
+}
+
+#[test]
+fn changed_rule_set_is_a_store_miss() {
+    let changed = Validator { rules: RuleSet { libc: true, ..RuleSet::all() }, ..Validator::new() };
+    assert!(!second_server_replays("rules", Validator::new(), changed));
+}
+
+#[test]
+fn changed_match_strategy_is_a_store_miss() {
+    let changed = Validator { strategy: MatchStrategy::Partition, ..Validator::new() };
+    assert!(!second_server_replays("strategy", Validator::new(), changed));
+}
+
+#[test]
+fn changed_limits_are_a_store_miss() {
+    let limits = Limits { max_rounds: 47, ..Limits::default() };
+    let changed = Validator { limits, ..Validator::new() };
+    assert!(!second_server_replays("limits", Validator::new(), changed));
+}
+
+#[test]
+fn changed_saturation_limits_are_a_store_miss() {
+    let saturation = SaturationLimits { max_classes: 1_000, ..SaturationLimits::default() };
+    let changed = Validator { saturation, ..Validator::new() };
+    assert!(!second_server_replays("saturation", Validator::new(), changed));
+}
+
+#[test]
+fn changed_triage_options_are_a_store_miss() {
+    let base = battery(24);
+    for (field, triage) in [
+        ("seed", TriageOptions { seed: 1, ..TriageOptions::default() }),
+        ("shrink_budget", TriageOptions { shrink_budget: 7, ..TriageOptions::default() }),
+        ("fuel", TriageOptions { fuel: 99_999, ..TriageOptions::default() }),
+        ("max_depth", TriageOptions { max_depth: 31, ..TriageOptions::default() }),
+    ] {
+        let changed = Validator { cascade: Cascade::Triage(triage), ..Validator::new() };
+        assert!(!second_server_replays(field, base, changed), "{field}");
+    }
+}
+
+#[test]
+fn changed_sat_options_are_a_store_miss() {
+    let tiered = |sat| Validator {
+        cascade: Cascade::Tiered(TriageOptions::default(), sat),
+        ..Validator::new()
+    };
+    let changed = SatOptions { max_conflicts: 1_000, ..SatOptions::default() };
+    assert!(!second_server_replays("sat", tiered(SatOptions::default()), tiered(changed)));
+}
+
+#[test]
+fn changed_normalizer_is_a_store_miss() {
+    let changed = Validator { normalizer: Normalizer::SaturateFallback, ..Validator::new() };
+    assert!(!second_server_replays("normalizer", Validator::new(), changed));
+}
+
+#[test]
+fn changed_cascade_variant_is_a_store_miss() {
+    let tiered = Validator {
+        cascade: Cascade::Tiered(TriageOptions::default(), SatOptions::default()),
+        ..Validator::new()
+    };
+    assert!(!second_server_replays("graph-triage", Validator::new(), battery(24)));
+    assert!(!second_server_replays("triage-tiered", battery(24), tiered));
+}
+
+/// The interner and the two wall-clock budgets are outside the stamp: a
+/// server that changes only those replays the store.
+#[test]
+fn interning_and_wall_clock_budgets_still_replay() {
+    let tiered = Validator {
+        cascade: Cascade::Tiered(TriageOptions::default(), SatOptions::default()),
+        ..Validator::new()
+    };
+    let naive = Validator { interning: Interning::Naive, ..tiered };
+    let limits = Limits { max_time: std::time::Duration::from_secs(9), ..Limits::default() };
+    let sat = SatOptions { max_time: std::time::Duration::from_secs(9), ..SatOptions::default() };
+    let slow_tier1 = Validator { limits, ..tiered };
+    let slow_tier2 =
+        Validator { cascade: Cascade::Tiered(TriageOptions::default(), sat), ..tiered };
+    for (tag, changed) in
+        [("interning", naive), ("max_time", slow_tier1), ("sat-max_time", slow_tier2)]
+    {
+        assert!(second_server_replays(tag, tiered, changed), "{tag}");
+    }
+}
+
+/// A triaging server's stamp differs from a plain server's, so it never
+/// replays an untriaged alarm: over a store written by a plain server it
+/// re-validates the alarm (and then answers the real-miscompile class with
+/// its witness) instead of replaying `suspected-incomplete`, and the
+/// reverse holds too. The triaged line replays only while its stamp bytes
+/// are intact.
 #[test]
 fn triaging_server_never_replays_an_untriaged_alarm() {
     let dir = tmpdir("triage-stamp");
@@ -340,12 +494,24 @@ fn triaging_server_never_replays_an_untriaged_alarm() {
         .and_then(|t| t.opt_field("witness"));
     assert!(witness.is_some(), "a real miscompile carries a witness: {triaged}");
 
-    // The restamped line now replays for the triaging server, and a plain
-    // server over the triaged store re-validates it in turn.
+    let (plain_line, triaged_line) = (plain.to_string(), triaged.to_string());
+    assert_ne!(plain_line[..STAMP_WIDTH], triaged_line[..STAMP_WIDTH], "the stamps differ");
+
+    // The restamped line now replays for the triaging server...
     let (_, lines) = run_script(&triaging_server(), &script);
     let end = lines_of_type(&lines, "batch-end")[0];
     assert_eq!(field_u64(end, "validations_run"), 0);
-    assert_eq!(verdict_for(&lines, bug.function).to_string(), triaged.to_string());
+    assert_eq!(verdict_for(&lines, bug.function).to_string(), triaged_line);
+
+    // ...but not once its stamp bytes change.
+    let key = line_key(&triaged).expect("a transformed pair has a key");
+    triaging_server().store().put(key, &restamped(&triaged_line)).unwrap();
+    let (_, lines) = run_script(&triaging_server(), &script);
+    let end = lines_of_type(&lines, "batch-end")[0];
+    assert_eq!(field_u64(end, "validations_run"), 1, "a changed stamp re-validates");
+    assert_eq!(verdict_for(&lines, bug.function).str_field("class").unwrap(), "real-miscompile");
+
+    // A plain server over the triaged store re-validates in turn.
     let (_, lines) = run_script(&new_server(VerdictStore::open(&dir, 1 << 16).unwrap()), &script);
     let end = lines_of_type(&lines, "batch-end")[0];
     assert_eq!(field_u64(end, "validations_run"), 1);
@@ -669,9 +835,36 @@ fn direct_replay_matches_the_parse_path() {
     assert_eq!(reasons, ["missing-function", "missing-function", "extra-function"]);
 }
 
+/// The manifest keys on the raw, still-escaped field bytes: the same texts
+/// escaped differently (`\u0064` for `d`) miss it and take the parse
+/// path, which unescapes them to the same modules and answers the same
+/// lines from the store.
+#[test]
+fn differently_escaped_resend_is_a_manifest_miss() {
+    let (original, optimized) = alarm_pair();
+    let plain = validate_request("a", &original, &optimized);
+    let escaped = plain.replacen("define", "\\u0064efine", 1);
+    assert_ne!(escaped, plain);
+    let escaped = {
+        let body = escaped.split_once('\n').expect("framed").1;
+        format!("{}\n{body}", body.len())
+    };
+    let server = new_server(VerdictStore::in_memory(1 << 16));
+    let (_, raw) = run_raw(&server, &format!("{plain}{escaped}{plain}"));
+    let answers = batches(&raw);
+    assert_eq!(answers.len(), 3);
+    assert_eq!(server.counters().direct_replays, 1, "only the byte-identical resend is direct");
+    let end = wire::parse(&answers[1].2).unwrap();
+    assert_eq!(field_u64(&end, "validations_run"), 0, "the escaped resend hits the store");
+    assert_eq!(answers[1].0, answers[0].0, "same modules, same verdict lines");
+    assert_eq!(answers[2], answers[1], "direct mode answers as the parse path did");
+}
+
 /// A manifest whose store lines are gone (evicted from a one-entry store)
-/// or no longer replayable (restamped) falls back to the parse path: the
-/// repeat re-validates and answers the same classes, never an error.
+/// or no longer replayable (stamp bytes changed) falls back to the parse
+/// path: the repeat re-validates and answers the same classes, never an
+/// error. The fallback reuses the lookups direct mode made, so the store
+/// counts one lookup per paired function per batch.
 #[test]
 fn manifest_with_missing_or_stale_lines_falls_back() {
     let (original, optimized) = suite_pair(0);
@@ -695,19 +888,17 @@ fn manifest_with_missing_or_stale_lines_falls_back() {
         .find(|v| v.get("orig_fp") != v.get("opt_fp"))
         .expect("suite module 0 has a transformed function")
         .clone();
-    let Json::Obj(fields) = transformed else { panic!("verdict must be an object") };
-    let stale = Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| if k == "rule_engine" { (k, Json::num(1.5)) } else { (k, v) })
-            .collect(),
-    );
-    server.store().put(line_key(&stale).unwrap(), &stale.to_string()).unwrap();
+    let stale = restamped(&transformed.to_string());
+    server.store().put(line_key(&transformed).unwrap(), &stale).unwrap();
     let (_, third) = run_script(&server, &batch("b3"));
     let end = lines_of_type(&third, "batch-end")[0];
     assert_eq!(field_u64(end, "validations_run"), 1, "the stale line re-validates");
     assert_eq!(server.counters().direct_replays, 1, "a stale line is never replayed directly");
     assert_eq!(classes(&third), classes(&first));
+    let paired =
+        lines_of_type(&first, "verdict").iter().filter(|v| line_key(v).is_ok()).count() as u64;
+    let stats = server.store().stats();
+    assert_eq!(stats.hits + stats.misses, 3 * paired, "one lookup per paired function per batch");
 
     // A one-entry store keeps only the batch's last line: the repeat's
     // manifest points at evicted lines and must re-validate.
