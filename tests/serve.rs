@@ -209,35 +209,41 @@ fn restamped(line: &str) -> String {
     format!("{}{digit}{}", &line[..at], &line[at + 1..])
 }
 
+/// How a format-v1 verdict line carried the old stamp fields.
+#[derive(Clone, Copy, Debug)]
+enum V1Stamp {
+    /// `normalizer`, `rule_engine` and `tier2`, as a v1 server wrote them.
+    Tagged,
+    /// None of them: the bytes of a server older than the engine stamp.
+    Untagged,
+    /// A `rule_engine` that is not a whole number.
+    Engine(f64),
+}
+
 /// The format-v1 bytes of a verdict line: no `stamp`, and the old stamp
-/// fields (`normalizer`, `rule_engine`, `tier2`) as a v1 server wrote them
-/// (`tagged`), left out (`untagged`), or with a malformed engine number
-/// (`fractional`).
-fn v1_line(verdict: &Json, variant: &str) -> String {
+/// fields as `stamp` says.
+fn v1_line(verdict: &Json, stamp: V1Stamp) -> String {
     let Json::Obj(fields) = verdict.clone() else { panic!("verdict must be an object") };
     let mut old = Vec::new();
     for (k, v) in fields {
         let engine = k == "rule_engine";
-        match (variant, k.as_str()) {
-            (_, "stamp") | ("untagged", "normalizer" | "rule_engine") => {}
-            ("fractional", "rule_engine") => old.push((k, Json::num(1.5))),
+        match (stamp, k.as_str()) {
+            (_, "stamp") | (V1Stamp::Untagged, "normalizer" | "rule_engine") => {}
+            (V1Stamp::Engine(x), "rule_engine") => old.push((k, Json::num(x))),
             _ => old.push((k, v)),
         }
-        if engine && variant != "untagged" {
+        if engine && !matches!(stamp, V1Stamp::Untagged) {
             old.push(("tier2".to_owned(), Json::Bool(false)));
         }
     }
     Json::Obj(old).to_string()
 }
 
-/// A format-v1 line — no `stamp` field; with the old `normalizer`,
-/// `rule_engine` and `tier2` fields, without them, or with a malformed
-/// engine number — is a store miss: the pair re-validates, the entry is
-/// overwritten under the v2 stamp, and that line then replays. In memory
-/// the v1 line never matches a stamp; on disk it is dropped when the store
-/// loads.
-#[test]
-fn v1_lines_are_store_misses_and_are_overwritten() {
+/// The format-v2 rule for a v1 line: it is a store miss, the pair
+/// re-validates, the entry is overwritten under the v2 stamp, and that line
+/// then replays. In memory the v1 line never matches a stamp; on disk it is
+/// dropped when the store loads, whatever the reading server's engine.
+fn check_v1_lines_are_misses(stamp: V1Stamp) {
     let (original, optimized) = suite_pair(1);
     let batch = validate_request("b", &original, &optimized);
     let server = new_server(VerdictStore::in_memory(1 << 16));
@@ -245,50 +251,83 @@ fn v1_lines_are_store_misses_and_are_overwritten() {
     let prefix = ServingStamp::of(&Validator::new()).prefix().to_owned();
     let verdicts: Vec<Json> = lines_of_type(&lines, "verdict").into_iter().cloned().collect();
     assert!(!verdicts.is_empty());
-    for tag in ["tagged", "untagged", "fractional"] {
-        let v1_lines: Vec<(_, String)> = verdicts
-            .iter()
-            .map(|v| (line_key(v).expect("verdicts carry a fingerprint pair"), v1_line(v, tag)))
-            .collect();
-        assert!(v1_lines
-            .iter()
-            .all(|(_, l)| l.starts_with(r#"{"schema_version":1,"type":"verdict""#)));
+    let v1_lines: Vec<(_, String)> = verdicts
+        .iter()
+        .map(|v| (line_key(v).expect("verdicts carry a fingerprint pair"), v1_line(v, stamp)))
+        .collect();
+    assert!(v1_lines.iter().all(|(_, l)| l.starts_with(r#"{"schema_version":1,"type":"verdict""#)));
 
-        // In memory: the v1 lines replace the entries under a running
-        // server, whose repeat is a miss on every pair.
-        for (key, line) in &v1_lines {
-            server.store().put(*key, line).unwrap();
-        }
-        let (_, lines) = run_script(&server, &batch);
-        let end = lines_of_type(&lines, "batch-end")[0];
-        assert_eq!(field_u64(end, "store_hits"), 0, "{tag}: a v1 line must not replay");
-        assert_eq!(field_u64(end, "validations_run") as usize, verdicts.len(), "{tag}");
-        assert!(lines_of_type(&lines, "verdict")
-            .iter()
-            .all(|v| v.to_string().starts_with(&prefix)));
-        let (_, lines) = run_script(&server, &batch);
-        let end = lines_of_type(&lines, "batch-end")[0];
-        assert_eq!(field_u64(end, "store_hits") as usize, verdicts.len(), "{tag}: overwritten");
+    // In memory: the v1 lines replace the entries under a running server,
+    // whose repeat is a miss on every pair.
+    for (key, line) in &v1_lines {
+        server.store().put(*key, line).unwrap();
+    }
+    let (_, lines) = run_script(&server, &batch);
+    let end = lines_of_type(&lines, "batch-end")[0];
+    assert_eq!(field_u64(end, "store_hits"), 0, "{stamp:?}: a v1 line must not replay");
+    assert_eq!(field_u64(end, "validations_run") as usize, verdicts.len(), "{stamp:?}");
+    assert!(lines_of_type(&lines, "verdict").iter().all(|v| v.to_string().starts_with(&prefix)));
+    let (_, lines) = run_script(&server, &batch);
+    let end = lines_of_type(&lines, "batch-end")[0];
+    assert_eq!(field_u64(end, "store_hits") as usize, verdicts.len(), "{stamp:?}: overwritten");
 
-        // On disk: a store holding only v1 lines loads none of them.
-        let dir = tmpdir(&format!("v1-{tag}"));
-        {
-            let store = VerdictStore::open(&dir, 1 << 16).unwrap();
-            for (key, line) in &v1_lines {
-                store.put(*key, line).unwrap();
-            }
-        }
-        let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
-        assert_eq!(server.store().stats().dropped_lines, v1_lines.len(), "{tag}");
-        let (_, lines) = run_script(&server, &batch);
-        let end = lines_of_type(&lines, "batch-end")[0];
-        assert_eq!(field_u64(end, "store_hits"), 0, "{tag}");
-        assert_eq!(field_u64(end, "validations_run") as usize, verdicts.len(), "{tag}");
-        let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
-        let (_, lines) = run_script(&server, &batch);
-        let end = lines_of_type(&lines, "batch-end")[0];
-        assert_eq!(field_u64(end, "store_hits") as usize, verdicts.len(), "{tag}: v2 on disk");
+    // On disk: a store holding only v1 lines loads none of them, under the
+    // destructive engine or a saturating one.
+    let dir = tmpdir(&format!("v1-{stamp:?}"));
+    let write_v1 = || {
         let _ = std::fs::remove_dir_all(&dir);
+        let store = VerdictStore::open(&dir, 1 << 16).unwrap();
+        for (key, line) in &v1_lines {
+            store.put(*key, line).unwrap();
+        }
+    };
+    write_v1();
+    let sat = Validator { normalizer: Normalizer::Saturate, ..Validator::new() };
+    let server = Server::new(
+        ValidationEngine::with_workers(2),
+        sat,
+        VerdictStore::open(&dir, 1 << 16).unwrap(),
+    );
+    assert_eq!(server.store().stats().dropped_lines, v1_lines.len(), "{stamp:?}: saturate");
+    let (_, lines) = run_script(&server, &batch);
+    assert_eq!(field_u64(lines_of_type(&lines, "batch-end")[0], "store_hits"), 0, "{stamp:?}");
+
+    write_v1();
+    let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
+    assert_eq!(server.store().stats().dropped_lines, v1_lines.len(), "{stamp:?}");
+    let (_, lines) = run_script(&server, &batch);
+    let end = lines_of_type(&lines, "batch-end")[0];
+    assert_eq!(field_u64(end, "store_hits"), 0, "{stamp:?}");
+    assert_eq!(field_u64(end, "validations_run") as usize, verdicts.len(), "{stamp:?}");
+    let server = new_server(VerdictStore::open(&dir, 1 << 16).unwrap());
+    let (_, lines) = run_script(&server, &batch);
+    let end = lines_of_type(&lines, "batch-end")[0];
+    assert_eq!(field_u64(end, "store_hits") as usize, verdicts.len(), "{stamp:?}: v2 on disk");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A format-v1 line with the old `normalizer`, `rule_engine` and `tier2`
+/// fields is a store miss and is overwritten under the v2 stamp.
+#[test]
+fn v1_lines_are_store_misses_and_are_overwritten() {
+    check_v1_lines_are_misses(V1Stamp::Tagged);
+}
+
+/// Lines written before the engine stamp existed once decoded as
+/// `destructive` at rule-engine version 1. Under format v2 they carry no
+/// serving stamp, so they replay under no engine at all, the destructive
+/// one included: each is a miss and is overwritten.
+#[test]
+fn untagged_legacy_lines_replay_only_under_the_destructive_engine() {
+    check_v1_lines_are_misses(V1Stamp::Untagged);
+}
+
+/// A v1 line whose `rule_engine` is not a whole number is a store miss,
+/// never truncated to engine 1 and replayed.
+#[test]
+fn fractional_engine_stamps_are_store_misses() {
+    for engine in [1.5, 1.99] {
+        check_v1_lines_are_misses(V1Stamp::Engine(engine));
     }
 }
 
