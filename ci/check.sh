@@ -238,7 +238,9 @@ EOF
   # original text, so it misses the request manifest and takes the parse
   # path. Batches 2 and 3 must answer every function from the store
   # (validations_run == 0) with verdict lines byte-identical to batch 1's,
-  # and the `stats` reply must count exactly one direct replay.
+  # and the `stats` reply must count exactly one direct replay. A frame
+  # before batch 1 declares a `[1000000000000 x i64]` global: it must get
+  # an error line, not an 8 TB allocation, and batch 1 must follow normally.
   serve_dir="$(mktemp -d)"
   cat > "$serve_dir/orig.ll" <<'LL'
 ; module smoke
@@ -271,8 +273,10 @@ import json, sys, os
 d = sys.argv[1]
 orig = open(os.path.join(d, "orig.ll")).read()
 opt = open(os.path.join(d, "opt.ll")).read()
+hostile = "@g = global [1000000000000 x i64] [0]\n" + orig
 with open(os.path.join(d, "requests.txt"), "w") as f:
-    for rid, original in (("b1", orig), ("b2", orig), ("b3", orig + "; edited\n")):
+    for rid, original in (("hostile", hostile), ("b1", orig), ("b2", orig),
+                          ("b3", orig + "; edited\n")):
         body = json.dumps({"schema_version": 1, "type": "validate", "id": rid,
                            "original": original, "optimized": opt}, separators=(",", ":"))
         f.write(f"{len(body.encode())}\n{body}")
@@ -292,6 +296,10 @@ ends = [l for l in lines if l["type"] == "batch-end"]
 # and number formatting included), which dict equality would not check.
 verdicts = [t for t, l in zip(raw, lines) if l["type"] == "verdict"]
 assert len(ends) == 3, f"expected 3 batches: {ends}"
+errors = [i for i, l in enumerate(lines) if l["type"] == "error"]
+assert [lines[i].get("id") for i in errors] == ["hostile"], f"hostile global: {lines}"
+after = [l for l in lines[errors[0] + 1:] if l["type"] == "batch-end"]
+assert after and after[0]["id"] == "b1", f"the frame after the hostile one must be served: {lines}"
 n = ends[0]["functions"]
 assert n > 0 and ends[0]["store_hits"] == 0, ends[0]
 for b, end in enumerate(ends[1:], 2):
@@ -309,7 +317,8 @@ assert any(l["type"] == "shutdown-ok" for l in lines), "shutdown must be acknowl
 # stamp, `{"stamp":"<16 hex digits>",`.
 stamp = re.compile(r'\{"stamp":"[0-9a-f]{16}",')
 assert all(stamp.match(t) for t in verdicts), f"unstamped verdict line: {verdicts}"
-print(f"serve smoke OK: {n} functions, batches 2-3 {n} hits / 0 validations, 1 direct replay")
+print(f"serve smoke OK: {n} functions, batches 2-3 {n} hits / 0 validations, 1 direct replay, "
+      "hostile global answered with an error line")
 EOF
 
   echo "==> serve stamp smoke (a battery-1 verdict must not answer a battery-64 server)"

@@ -1,8 +1,9 @@
 //! Micro-benchmarks (`cargo bench -p llvm_md_bench`): the validator's
 //! moving parts at several function sizes — gating (monadic gated SSA
 //! construction), shared-graph import + hash-consing, one congruence
-//! rebuild over an original/optimized pair, and end-to-end validation of
-//! identity and of a pipeline-optimized function.
+//! rebuild over an original/optimized pair, end-to-end validation of
+//! identity and of a pipeline-optimized function, and the serve miss
+//! path's parsing and canonicalization.
 //!
 //! The paper's efficiency claim (§4.1) is that validation work is
 //! proportional to the number of transformations, not to program size:
@@ -92,6 +93,22 @@ fn main() {
         let fo = opt.functions.iter().find(|f| f.name == fi.name).expect("same function");
         let name = format!("validate_pipeline/{}", fi.inst_count());
         report.run(&name, &cfg, || validator.validate(fi, fo));
+    }
+
+    // A serve store miss parses both texts, then canonicalizes every
+    // function to fingerprint it.
+    for size in SIZES {
+        let m = sized_module(size);
+        let text = m.to_string();
+        let name = format!("parse_module/{}", pick(&m, size).inst_count());
+        report.run(&name, &cfg, || lir::parse::parse_module(&text).expect("parses"));
+    }
+
+    for size in SIZES {
+        let m = sized_module(size);
+        let f = pick(&m, size);
+        let name = format!("canonicalize/{}", f.inst_count());
+        report.run(&name, &cfg, || f.canonicalized());
     }
 
     let path = write_artifact("micro", &report.to_json()).expect("write BENCH_micro.json");

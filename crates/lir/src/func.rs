@@ -3,7 +3,6 @@
 use crate::inst::{Inst, Term};
 use crate::types::Ty;
 use crate::value::{Constant, Operand, Reg};
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -237,69 +236,86 @@ impl Function {
     /// pass actually transformed a function.
     pub fn canonicalized(&self) -> Function {
         let cfg = crate::cfg::Cfg::new(self);
-        // Block order: RPO; unreachable blocks are dropped.
-        let order: Vec<BlockId> = cfg.rpo.clone();
-        let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
+        // Block order: RPO; unreachable blocks are dropped. The old → new
+        // tables are dense, indexed by the old id.
+        let order = &cfg.rpo;
+        let mut block_map: Vec<Option<BlockId>> = vec![None; self.blocks.len()];
         for (new, &old) in order.iter().enumerate() {
-            block_map.insert(old, BlockId(new as u32));
+            block_map[old.index()] = Some(BlockId(new as u32));
         }
+        let new_block = |b: &BlockId| block_map.get(b.index()).copied().flatten();
         let mut out = Function::new(self.name.clone(), self.ret);
-        let mut reg_map: HashMap<Reg, Reg> = HashMap::new();
+        let mut reg_map: Vec<Option<Reg>> = vec![None; self.reg_bound()];
         for &(r, ty) in &self.params {
             let nr = out.add_param(ty);
-            reg_map.insert(r, nr);
+            bind_reg(&mut reg_map, r, nr);
         }
         // First pass: allocate result registers in program order.
-        for &bid in &order {
+        for &bid in order {
             let b = self.block(bid);
             for phi in &b.phis {
                 let nr = out.new_reg();
-                reg_map.insert(phi.dst, nr);
+                bind_reg(&mut reg_map, phi.dst, nr);
             }
             for inst in &b.insts {
                 if let Some(d) = inst.dst() {
                     let nr = out.new_reg();
-                    reg_map.insert(d, nr);
+                    bind_reg(&mut reg_map, d, nr);
                 }
             }
         }
+        let new_reg = |r: Reg| reg_map.get(r.index()).copied().flatten();
         let map_op = |op: &mut Operand| {
             if let Operand::Reg(r) = op {
                 // Uses of registers defined in unreachable code keep their
                 // number shifted into fresh space; such functions are not
                 // verifier-clean anyway.
-                if let Some(nr) = reg_map.get(r) {
-                    *op = Operand::Reg(*nr);
+                if let Some(nr) = new_reg(*r) {
+                    *op = Operand::Reg(nr);
                 }
             }
         };
         for (new_idx, &bid) in order.iter().enumerate() {
             let b = self.block(bid);
-            let nid = out.add_block(format!("b{new_idx}"));
-            let mut nb = b.clone();
+            let mut nb = Block {
+                name: format!("b{new_idx}"),
+                phis: b.phis.clone(),
+                insts: b.insts.clone(),
+                term: b.term.clone(),
+            };
             for phi in &mut nb.phis {
-                phi.dst = reg_map[&phi.dst];
+                phi.dst = new_reg(phi.dst).expect("φ results were numbered in the first pass");
                 // Drop incomings from unreachable predecessors.
-                phi.incomings.retain(|(p, _)| block_map.contains_key(p));
+                phi.incomings.retain(|(p, _)| new_block(p).is_some());
                 for (p, v) in &mut phi.incomings {
-                    *p = block_map[p];
+                    *p = new_block(p).expect("kept incomings come from reachable blocks");
                     map_op(v);
                 }
                 phi.incomings.sort_by_key(|(p, _)| *p);
             }
             for inst in &mut nb.insts {
                 if let Some(d) = inst.dst() {
-                    set_dst(inst, reg_map[&d]);
+                    set_dst(inst, new_reg(d).expect("results were numbered in the first pass"));
                 }
                 inst.map_operands(map_op);
             }
-            nb.term.map_successors(|s| *s = block_map[s]);
+            nb.term.map_successors(|s| {
+                *s = new_block(s).expect("a reachable block's successors are reachable");
+            });
             nb.term.map_operands(map_op);
-            nb.name = format!("b{new_idx}");
-            *out.block_mut(nid) = nb;
+            out.blocks.push(nb);
         }
         out
     }
+}
+
+/// Record `old → new` in a dense register table, growing it for a register
+/// at or past the function's [`Function::reg_bound`].
+fn bind_reg(map: &mut Vec<Option<Reg>>, old: Reg, new: Reg) {
+    if old.index() >= map.len() {
+        map.resize(old.index() + 1, None);
+    }
+    map[old.index()] = Some(new);
 }
 
 /// Overwrite the destination register of an instruction.

@@ -9,7 +9,9 @@
 //!   graphs (rule soundness);
 //! * the union-find's `replace` keeps the new structure canonical;
 //! * chain validation: certified chains have interpreter-indistinguishable
-//!   endpoints, and `ChainReport`s are worker-count deterministic.
+//!   endpoints, and `ChainReport`s are worker-count deterministic;
+//! * `lir::parse` agrees with the original parser on printed modules and
+//!   seeded edits of them, and the verdict store's keys are pinned.
 //!
 //! Driven by the in-repo [`harness`] (the workspace is zero-dependency, so
 //! no `proptest`): each property runs a fixed budget of seeded cases, and a
@@ -23,6 +25,11 @@ use llvm_md::core::{RuleSet, SharedGraph, Validator};
 use llvm_md::gated::{Node, NodeId};
 use llvm_md::workload::rng::SplitMix64;
 use llvm_md::workload::{generate, profiles};
+
+/// The original parser (a `char`-vector lexer with owned tokens), kept as
+/// the oracle for `lir::parse`.
+#[path = "reference/parse.rs"]
+mod reference_parse;
 
 /// Minimal seeded property harness: proptest's run-N-cases/report-the-seed
 /// core, without generation strategies (each property draws what it needs
@@ -812,6 +819,149 @@ fn fingerprints_are_equal_exactly_when_canonical_prints_are() {
         }
     }
     assert!(by_fp.len() > 1_000, "the scan covers many distinct versions: {}", by_fp.len());
+}
+
+/// The scale-1 suite and 96 fuzz modules per profile, each paired with its
+/// paper-pipeline output.
+fn suite_and_fuzz_pairs() -> Vec<(lir::func::Module, lir::func::Module)> {
+    use llvm_md::opt::paper_pipeline;
+    use llvm_md::workload::{campaign_modules, fuzz_profiles, suite_batch, DEFAULT_CAMPAIGN_SEED};
+    let mut modules = suite_batch(1);
+    for p in fuzz_profiles() {
+        modules.extend(campaign_modules(&p, DEFAULT_CAMPAIGN_SEED, 96));
+    }
+    let pm = paper_pipeline();
+    modules
+        .into_iter()
+        .map(|m| {
+            let mut out = m.clone();
+            pm.run_module(&mut out);
+            (m, out)
+        })
+        .collect()
+}
+
+/// Verdict stores persist [`fingerprint`](llvm_md::core::fingerprint)s as
+/// their keys, so a change to canonicalization or to the key walk silently
+/// turns every stored verdict into a miss. This pins an FNV-1a digest of
+/// the keys of 6,536 functions: a change that moves it is a store format
+/// change and must say so.
+#[test]
+fn store_keys_are_pinned() {
+    use llvm_md::core::fingerprint;
+    use llvm_md::lir::intern::Fnv1a;
+    use std::hash::Hasher;
+    let mut digest = Fnv1a::new();
+    let mut functions = 0;
+    for (original, optimized) in suite_and_fuzz_pairs() {
+        for f in original.functions.iter().chain(&optimized.functions) {
+            digest.write_u64(fingerprint(f));
+            functions += 1;
+        }
+    }
+    assert_eq!(functions, 6_536);
+    assert_eq!(format!("{:016x}", digest.finish()), "dfd2b1117d31cc58", "store keys moved");
+}
+
+/// Splice `insert` into `text` at byte `at`, after dropping `text[at..at +
+/// drop]`.
+fn splice(text: &str, at: usize, drop: usize, insert: &str) -> String {
+    let mut out = String::with_capacity(text.len() + insert.len());
+    out.push_str(&text[..at]);
+    out.push_str(insert);
+    out.push_str(&text[at + drop..]);
+    out
+}
+
+/// The nearest char boundary of `text` at or below `i`.
+fn floor_boundary(text: &str, mut i: usize) -> usize {
+    i = i.min(text.len());
+    while !text.is_char_boundary(i) {
+        i -= 1;
+    }
+    i
+}
+
+/// One seeded edit of `text`: an inserted snippet, a deleted span or a
+/// duplicated span.
+fn mutate(rng: &mut SplitMix64, text: &str) -> String {
+    // Non-ASCII letters, digits and whitespace; an integer past i128; bad
+    // float literals; empty symbols; unbalanced braces; stray punctuation.
+    const SNIPPETS: [&str; 24] = [
+        "\u{e9}",
+        "\u{a0}",
+        "\u{2028}",
+        "\u{3000}",
+        "\u{df}x",
+        "\u{663}",
+        "\u{2603}",
+        "999999999999999999999999999999999999999999",
+        "f0xZZ",
+        "1.2.3",
+        "% ",
+        "@ ",
+        "{",
+        "}",
+        "-",
+        ".",
+        ",",
+        "\n",
+        ";",
+        "_",
+        "x",
+        "0",
+        " %r0 ",
+        "\t",
+    ];
+    let at = floor_boundary(text, rng.gen_range(0..text.len() as u64 + 1) as usize);
+    let len = rng.gen_range(1u64..17) as usize;
+    let end = floor_boundary(text, at + len);
+    match rng.gen_range(0u64..3) {
+        0 => splice(text, at, 0, SNIPPETS[rng.gen_range(0..SNIPPETS.len() as u64) as usize]),
+        1 => splice(text, at, end - at, ""),
+        _ => splice(text, end, 0, &text[at..end]),
+    }
+}
+
+/// `Err` unless the reference parser and `lir::parse` agree on `text`: the
+/// same `Module`, or errors with the same line and message. Where the
+/// reference panics (it sized a global's words from the declared count),
+/// the new parser must return an error instead.
+fn parsers_agree(text: &str) -> Result<(), String> {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let reference = catch_unwind(AssertUnwindSafe(|| reference_parse::parse_module(text)));
+    let new = catch_unwind(AssertUnwindSafe(|| lir::parse::parse_module(text)))
+        .map_err(|_| format!("lir::parse panicked on:\n{text}"))?;
+    match (reference, new) {
+        (Ok(Ok(a)), Ok(b)) => ensure!(a == b, "modules differ on:\n{text}"),
+        (Ok(Err(a)), Err(b)) => {
+            ensure_eq!((a.line, a.msg), (b.line, b.msg), "errors differ on:\n{text}")
+        }
+        (Ok(a), b) => {
+            let [a, b] = [a.map_err(|e| (e.line, e.msg)), b.map_err(|e| (e.line, e.msg))]
+                .map(|r| r.map(|_| "a module"));
+            return Err(format!("reference {a:?}, lir::parse {b:?} on:\n{text}"));
+        }
+        (Err(_), b) => ensure!(b.is_err(), "the reference panicked, lir::parse accepted:\n{text}"),
+    }
+    Ok(())
+}
+
+/// The zero-copy lexer changes no parse result: every printed module of
+/// the suite and the fuzz profiles (original and optimized), and 8,000
+/// seeded single edits of them, parse to the same `Module` or fail with the
+/// same line and message as the reference parser.
+#[test]
+fn parser_matches_the_reference_parser() {
+    let texts: Vec<String> =
+        suite_and_fuzz_pairs().iter().flat_map(|(a, b)| [a.to_string(), b.to_string()]).collect();
+    for text in &texts {
+        assert_eq!(parsers_agree(text), Ok(()));
+    }
+    harness::check("parser_matches_the_reference_parser", 8_000, |rng| {
+        let text = &texts[rng.gen_range(0..texts.len() as u64) as usize];
+        parsers_agree(&mutate(rng, text))
+    });
 }
 
 /// Chain soundness: whenever the per-pass chain certifies a function

@@ -665,6 +665,32 @@ fn malformed_ssa_is_an_error_line_not_a_crash() {
     }
 }
 
+/// A global declaring a huge element count (or `-1`, which a cast turns
+/// into `usize::MAX`) must not size an allocation: each such frame gets an
+/// error line, and the server goes on to answer the next frame normally.
+#[test]
+fn hostile_global_sizes_are_error_lines_not_crashes() {
+    let body = "define i64 @f(i64 %x) {\nentry:\n  ret i64 %x\n}\n";
+    let server = new_server(VerdictStore::in_memory(1 << 16));
+    let mut script = String::new();
+    for size in ["1000000000000", "-1"] {
+        let hostile = format!("@g = global [{size} x i64] [0]\n{body}");
+        script += &validate_request(size, &hostile, body);
+    }
+    script += &validate_request("good", body, body);
+    script += &control_request("shutdown", "s");
+    let (end, lines) = run_script(&server, &script);
+    assert_eq!(end, ServeEnd::Shutdown, "the loop must survive hostile globals");
+    let errors: Vec<_> =
+        lines_of_type(&lines, "error").iter().map(|e| e.get("id").and_then(Json::as_str)).collect();
+    assert_eq!(errors, [Some("1000000000000"), Some("-1")], "{lines:?}");
+    let ends = lines_of_type(&lines, "batch-end");
+    assert_eq!(ends.len(), 1, "only the good frame gets a batch: {lines:?}");
+    assert_eq!(ends[0].get("id").and_then(Json::as_str), Some("good"));
+    assert_eq!(field_u64(ends[0], "functions"), 1);
+    assert_eq!(field_u64(ends[0], "validated"), 1);
+}
+
 /// A client stream of `left` ASCII digits and no newline, counting how
 /// many bytes the server pulled from it.
 struct DigitStream {
