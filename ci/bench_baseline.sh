@@ -3,7 +3,7 @@
 #
 #   BENCH_fig4.json     end-to-end pipeline: validated fraction + wall-clock
 #   BENCH_micro.json    micro-benchmarks: gating / import / rebuild / validate / parse /
-#                       canonicalize medians
+#                       canonicalize / optimize / prepare medians
 #   BENCH_scaling.json  parallel engine throughput at 1/2/4/N workers
 #   BENCH_triage.json   alarm-triage rates per rule-set ablation
 #   BENCH_chain.json    end-to-end vs per-pass chained validation + blame

@@ -2,8 +2,9 @@
 //! moving parts at several function sizes — gating (monadic gated SSA
 //! construction), shared-graph import + hash-consing, one congruence
 //! rebuild over an original/optimized pair, end-to-end validation of
-//! identity and of a pipeline-optimized function, and the serve miss
-//! path's parsing and canonicalization.
+//! identity and of a pipeline-optimized function, the serve miss path's
+//! parsing and canonicalization, the paper pipeline on one function, and
+//! gated-SSA CFG preparation.
 //!
 //! The paper's efficiency claim (§4.1) is that validation work is
 //! proportional to the number of transformations, not to program size:
@@ -109,6 +110,24 @@ fn main() {
         let f = pick(&m, size);
         let name = format!("canonicalize/{}", f.inst_count());
         report.run(&name, &cfg, || f.canonicalized());
+    }
+
+    // The optimizer's share of a suite pass: every paper-pipeline pass on
+    // one function (a fresh clone each time).
+    let pm = paper_pipeline();
+    for size in SIZES {
+        let m = sized_module(size);
+        let ctx = lir_opt::Ctx::of(&m);
+        let f = pick(&m, size);
+        let name = format!("optimize/{}", f.inst_count());
+        report.run(&name, &cfg, || pm.run_function(&mut f.clone(), &ctx));
+    }
+
+    for size in SIZES {
+        let m = sized_module(size);
+        let f = pick(&m, size);
+        let name = format!("prepare/{}", f.inst_count());
+        report.run(&name, &cfg, || gated_ssa::prepare(f).expect("reducible"));
     }
 
     let path = write_artifact("micro", &report.to_json()).expect("write BENCH_micro.json");

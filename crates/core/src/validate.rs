@@ -502,6 +502,25 @@ mod tests {
         assert!(v.stats.duration > Duration::ZERO, "root-arity failure must time itself");
     }
 
+    /// A library caller that skips `verify` gets a gating failure for
+    /// malformed SSA (a use before its definition), not a panic.
+    #[test]
+    fn malformed_ssa_is_a_gate_failure() {
+        let bad = func(
+            "define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %y, 1\n  %y = add i64 %a, 1\n  ret i64 %x\n}\n",
+        );
+        let good = func("define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 2\n  ret i64 %x\n}\n");
+        for (original, optimized) in [(&bad, &good), (&good, &bad), (&bad, &bad)] {
+            let v = Validator::new().validate(original, optimized);
+            assert!(!v.validated);
+            assert!(
+                matches!(v.reason, Some(FailReason::Gate(GateError::Malformed(_)))),
+                "{:?}",
+                v.reason
+            );
+        }
+    }
+
     /// Gating charges against the same budget as normalization: with an
     /// already-expired deadline the query must fail `Budget` without
     /// normalizing for another `max_time`.

@@ -143,7 +143,7 @@ pub fn build_prepared_with(
         Some(rb) => {
             let blk = &p.f.blocks[rb.index()];
             let ret = match &blk.term {
-                Term::Ret { val: Some(v), .. } => Some(b.use_val(*v, rb)),
+                Term::Ret { val: Some(v), .. } => Some(b.use_val(*v, rb)?),
                 _ => None,
             };
             let mem = b.mem_out[rb.index()]
@@ -218,35 +218,45 @@ impl<'a> Builder<'a> {
     }
 
     /// η-wrap `v` for each loop left when flowing from `from` to `to`.
-    fn eta_wrap(&mut self, mut v: NodeId, from: BlockId, to: BlockId) -> NodeId {
+    fn eta_wrap(&mut self, mut v: NodeId, from: BlockId, to: BlockId) -> Result<NodeId, GateError> {
         // Fast path: same loop (or both outside any loop) exits nothing.
         // This is the common case — every register operand comes through
         // here via `use_val`.
         if self.p.lf.loop_of(from) == self.p.lf.loop_of(to) {
-            return v;
+            return Ok(v);
         }
         for lid in self.exited_loops(from, to) {
             // Take the translation facts out of the slot for the duration
             // of the η construction instead of cloning the μ list.
-            let x = self.loop_xlat[lid.index()].take().expect("exited loop already translated");
+            let x = self.loop_xlat[lid.index()].take().ok_or_else(|| {
+                GateError::Malformed(format!(
+                    "value used after leaving untranslated loop {}",
+                    lid.0
+                ))
+            })?;
             let depth = self.p.lf.get(lid).depth;
             v = self.g.eta(depth, x.ca, v, &x.mus);
             self.loop_xlat[lid.index()] = Some(x);
         }
-        v
+        Ok(v)
     }
 
     /// The value of operand `op` as used at block `ctx`, η-wrapping values
     /// defined in loops that do not contain `ctx`.
-    fn use_val(&mut self, op: Operand, ctx: BlockId) -> NodeId {
+    ///
+    /// A register whose definition has not been translated yet (a use
+    /// before its def) is [`GateError::Malformed`].
+    fn use_val(&mut self, op: Operand, ctx: BlockId) -> Result<NodeId, GateError> {
         match op {
-            Operand::Const(c) => self.g.add(Node::Const(c)),
-            Operand::Global(gid) => self.g.add(Node::GlobalAddr(gid)),
+            Operand::Const(c) => Ok(self.g.add(Node::Const(c))),
+            Operand::Global(gid) => Ok(self.g.add(Node::GlobalAddr(gid))),
             Operand::Reg(r) => {
-                let v = self.reg_val[r.index()].expect("SSA: def translated before use");
+                let v = self.reg_val.get(r.index()).copied().flatten().ok_or_else(|| {
+                    GateError::Malformed(format!("{r} used before its definition"))
+                })?;
                 match self.def_block[r.index()] {
                     Some(d) => self.eta_wrap(v, d, ctx),
-                    None => v, // parameter: defined outside all loops
+                    None => Ok(v), // parameter: defined outside all loops
                 }
             }
         }
@@ -254,12 +264,12 @@ impl<'a> Builder<'a> {
 
     /// Successor edges of block `b` grouped per distinct target, with the
     /// branch condition of each group.
-    fn succ_groups(&mut self, b: BlockId) -> Vec<(BlockId, NodeId)> {
+    fn succ_groups(&mut self, b: BlockId) -> Result<Vec<(BlockId, NodeId)>, GateError> {
         // `self.p` is a shared reference with the builder's lifetime, so
         // reborrowing it detaches the terminator from `&mut self` and the
         // old per-block clone goes away.
         let p = self.p;
-        match &p.f.blocks[b.index()].term {
+        Ok(match &p.f.blocks[b.index()].term {
             Term::Ret { .. } | Term::Unreachable => vec![],
             Term::Br { target } => {
                 let t = self.g.true_();
@@ -270,13 +280,13 @@ impl<'a> Builder<'a> {
                     let tr = self.g.true_();
                     vec![(*t, tr)]
                 } else {
-                    let c = self.use_val(*cond, b);
+                    let c = self.use_val(*cond, b)?;
                     let nc = self.g.not(c);
                     vec![(*t, c), (*f, nc)]
                 }
             }
             Term::Switch { ty, val, default, cases } => {
-                let v = self.use_val(*val, b);
+                let v = self.use_val(*val, b)?;
                 let mut conds: HashMap<BlockId, NodeId> = HashMap::new();
                 let mut order: Vec<BlockId> = Vec::new();
                 let mut not_any = self.g.true_();
@@ -308,7 +318,7 @@ impl<'a> Builder<'a> {
                 }
                 order.into_iter().map(|t| (t, conds[&t])).collect()
             }
-        }
+        })
     }
 
     /// Process one level: the top level (`lvl == None`, `entry` = function
@@ -435,7 +445,7 @@ impl<'a> Builder<'a> {
                 let init_op = phi.incoming_from(preheader).ok_or_else(|| {
                     GateError::Malformed("header phi lacks preheader incoming".into())
                 })?;
-                let init = self.use_val(init_op, preheader);
+                let init = self.use_val(init_op, preheader)?;
                 let mu = self.g.new_mu(depth, init);
                 self.reg_val[phi.dst.index()] = Some(mu);
                 level_mus.push(mu);
@@ -488,7 +498,7 @@ impl<'a> Builder<'a> {
                                     continue; // unreachable predecessor
                                 };
                                 let cond = e.cond;
-                                let v = self.use_val(op, b);
+                                let v = self.use_val(op, b)?;
                                 branches.push((cond, v));
                             }
                             let v = self.g.phi(branches);
@@ -496,11 +506,11 @@ impl<'a> Builder<'a> {
                         }
                     }
                     // Straight-line instructions.
-                    let (mem_out, alloc_out) = self.translate_block_body(b, mem_in, alloc_in);
+                    let (mem_out, alloc_out) = self.translate_block_body(b, mem_in, alloc_in)?;
                     self.mem_out[b.index()] = Some(mem_out);
                     self.alloc_out[b.index()] = Some(alloc_out);
                     // Outgoing edges.
-                    for (target, econd) in self.succ_groups(b) {
+                    for (target, econd) in self.succ_groups(b)? {
                         if lvl.is_some() && target == entry {
                             latch_state = Some((mem_out, alloc_out, b));
                             continue;
@@ -527,7 +537,9 @@ impl<'a> Builder<'a> {
                         self.process_level(Some(child), child_header, e.mem, e.alloc)?;
                     let child_depth = lf.get(child).depth;
                     let (ca, mus) = {
-                        let x = self.loop_xlat[child.index()].as_ref().expect("child translated");
+                        let x = self.loop_xlat[child.index()].as_ref().ok_or_else(|| {
+                            GateError::Malformed("child loop left untranslated".into())
+                        })?;
                         (x.ca, x.mus.clone())
                     };
                     for ce in child_exits {
@@ -571,11 +583,13 @@ impl<'a> Builder<'a> {
             }
             let phis = &self.p.f.blocks[entry.index()].phis;
             for (mu, dst) in &header_mu_regs {
-                let phi = phis.iter().find(|p| p.dst == *dst).expect("phi for mu");
+                let phi = phis.iter().find(|p| p.dst == *dst).ok_or_else(|| {
+                    GateError::Malformed("loop header lost the phi of a mu".into())
+                })?;
                 let next_op = phi.incoming_from(latch).ok_or_else(|| {
                     GateError::Malformed("header phi lacks latch incoming".into())
                 })?;
-                let next = self.use_val(next_op, latch);
+                let next = self.use_val(next_op, latch)?;
                 self.g.patch_mu(*mu, next);
             }
             // The loop's within-iteration exit condition.
@@ -603,41 +617,41 @@ impl<'a> Builder<'a> {
         b: BlockId,
         mem_in: NodeId,
         alloc_in: NodeId,
-    ) -> (NodeId, NodeId) {
+    ) -> Result<(NodeId, NodeId), GateError> {
         let mut mem = mem_in;
         let mut alloc = alloc_in;
         for inst in &self.p.f.blocks[b.index()].insts {
             match inst {
                 Inst::Bin { dst, op, ty, a, b: rhs } => {
-                    let (x, y) = (self.use_val(*a, b), self.use_val(*rhs, b));
+                    let (x, y) = (self.use_val(*a, b)?, self.use_val(*rhs, b)?);
                     let n = self.g.add(Node::Bin(*op, *ty, x, y));
                     self.reg_val[dst.index()] = Some(n);
                 }
                 Inst::FBin { dst, op, a, b: rhs } => {
-                    let (x, y) = (self.use_val(*a, b), self.use_val(*rhs, b));
+                    let (x, y) = (self.use_val(*a, b)?, self.use_val(*rhs, b)?);
                     let n = self.g.add(Node::FBin(*op, x, y));
                     self.reg_val[dst.index()] = Some(n);
                 }
                 Inst::Icmp { dst, pred, ty, a, b: rhs } => {
-                    let (x, y) = (self.use_val(*a, b), self.use_val(*rhs, b));
+                    let (x, y) = (self.use_val(*a, b)?, self.use_val(*rhs, b)?);
                     let n = self.g.add(Node::Icmp(*pred, *ty, x, y));
                     self.reg_val[dst.index()] = Some(n);
                 }
                 Inst::Fcmp { dst, pred, a, b: rhs } => {
-                    let (x, y) = (self.use_val(*a, b), self.use_val(*rhs, b));
+                    let (x, y) = (self.use_val(*a, b)?, self.use_val(*rhs, b)?);
                     let n = self.g.add(Node::Fcmp(*pred, x, y));
                     self.reg_val[dst.index()] = Some(n);
                 }
                 Inst::Select { dst, c, t, f, .. } => {
-                    let cv = self.use_val(*c, b);
-                    let tv = self.use_val(*t, b);
-                    let fv = self.use_val(*f, b);
+                    let cv = self.use_val(*c, b)?;
+                    let tv = self.use_val(*t, b)?;
+                    let fv = self.use_val(*f, b)?;
                     let nc = self.g.not(cv);
                     let n = self.g.phi(vec![(cv, tv), (nc, fv)]);
                     self.reg_val[dst.index()] = Some(n);
                 }
                 Inst::Cast { dst, op, from, to, v } => {
-                    let x = self.use_val(*v, b);
+                    let x = self.use_val(*v, b)?;
                     let n = self.g.add(Node::Cast(*op, *from, *to, x));
                     self.reg_val[dst.index()] = Some(n);
                 }
@@ -647,24 +661,24 @@ impl<'a> Builder<'a> {
                     self.reg_val[dst.index()] = Some(n);
                 }
                 Inst::Load { dst, ty, ptr } => {
-                    let p = self.use_val(*ptr, b);
+                    let p = self.use_val(*ptr, b)?;
                     let n = self.g.add(Node::Load { ty: *ty, ptr: p, mem });
                     self.reg_val[dst.index()] = Some(n);
                 }
                 Inst::Store { ty, val, ptr } => {
-                    let v = self.use_val(*val, b);
-                    let p = self.use_val(*ptr, b);
+                    let v = self.use_val(*val, b)?;
+                    let p = self.use_val(*ptr, b)?;
                     mem = self.g.add(Node::Store { ty: *ty, val: v, ptr: p, mem });
                 }
                 Inst::Gep { dst, base, offset } => {
-                    let bb = self.use_val(*base, b);
-                    let off = self.use_val(*offset, b);
+                    let bb = self.use_val(*base, b)?;
+                    let off = self.use_val(*offset, b)?;
                     let n = self.g.add(Node::Gep(bb, off));
                     self.reg_val[dst.index()] = Some(n);
                 }
                 Inst::Call { dst, ret, callee, args } => {
                     let avs: Box<[NodeId]> =
-                        args.iter().map(|(_, a)| self.use_val(*a, b)).collect();
+                        args.iter().map(|(_, a)| self.use_val(*a, b)).collect::<Result<_, _>>()?;
                     let cid = self.g.callee(callee);
                     let effects = known::effects_of(callee);
                     let val = match effects {
@@ -687,7 +701,7 @@ impl<'a> Builder<'a> {
                 }
             }
         }
-        (mem, alloc)
+        Ok((mem, alloc))
     }
 }
 
@@ -699,6 +713,22 @@ mod tests {
     fn gate(src: &str) -> GatedFunction {
         let m = parse_module(src).expect("parse");
         build(&m.functions[0]).expect("gate")
+    }
+
+    /// A use before its definition (`%x` reads `%y` before `%y` exists)
+    /// is malformed SSA. The parser accepts it and only the verifier
+    /// rejects it, so the builder must answer an error, not panic.
+    #[test]
+    fn use_before_def_is_malformed_not_a_panic() {
+        let m = parse_module(
+            "define i64 @f(i64 %a) {\n\
+             entry:\n  %x = add i64 %y, 1\n  %y = add i64 %a, 1\n  ret i64 %x\n\
+             }\n",
+        )
+        .expect("parse");
+        assert!(lir::verify::verify_function(&m.functions[0]).is_err());
+        let err = build(&m.functions[0]).expect_err("use before def");
+        assert!(matches!(err, GateError::Malformed(_)), "{err:?}");
     }
 
     /// The μ and η node counts of `g`.

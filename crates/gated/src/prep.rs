@@ -11,12 +11,12 @@
 //! * a *reducible* CFG — irreducible functions are rejected, as in the
 //!   paper (§5.1).
 
-use lir::cfg::{remove_unreachable_blocks, Cfg};
+use lir::cfg::{drop_unreachable, Cfg};
 use lir::dom::DomTree;
 use lir::func::{Block, BlockId, Function, Phi};
 use lir::inst::Term;
-use lir::loops::LoopForest;
-use lir::transform::{dedicated_exits, loop_simplify};
+use lir::loops::{Analyses, LoopForest};
+use lir::transform::{dedicated_exits, loop_simplify, remove_unreachable_blocks};
 use lir::types::Ty;
 use lir::value::Operand;
 use std::fmt;
@@ -99,31 +99,28 @@ pub fn single_return(f: &mut Function) -> Option<BlockId> {
 
 /// Prepare `f` for gating.
 ///
+/// Dead blocks go first, on a bare CFG, then [`single_return`], which edits
+/// every function that returns but adds only a sink, so it cannot change
+/// reducibility. The CFG analyses are built once after that, and rebuilt
+/// only when a loop canonicalizer edits control flow.
+///
 /// # Errors
 ///
 /// [`GateError::Irreducible`] if the CFG is irreducible.
 pub fn prepare(orig: &Function) -> Result<Prepared, GateError> {
     let mut f = orig.clone();
-    remove_unreachable_blocks(&mut f);
-    // Reject irreducibility before the loop transforms (they bail out on it).
-    {
-        let cfg = Cfg::new(&f);
-        let dt = DomTree::new(&f, &cfg);
-        let lf = LoopForest::new(&f, &cfg, &dt);
-        if !lf.is_reducible() {
-            return Err(GateError::Irreducible);
-        }
-    }
-    single_return(&mut f);
-    loop_simplify(&mut f);
-    dedicated_exits(&mut f);
-    remove_unreachable_blocks(&mut f);
     let cfg = Cfg::new(&f);
-    let dt = DomTree::new(&f, &cfg);
-    let lf = LoopForest::new(&f, &cfg, &dt);
-    if !lf.is_reducible() {
+    drop_unreachable(&mut f, &cfg);
+    single_return(&mut f);
+    let mut an = Analyses::new(&f);
+    // Reject irreducibility before the loop transforms (they bail out on it).
+    if !an.lf.is_reducible() {
         return Err(GateError::Irreducible);
     }
+    loop_simplify(&mut f, &mut an);
+    dedicated_exits(&mut f, &mut an);
+    remove_unreachable_blocks(&mut f, &mut an);
+    let Analyses { cfg, dt, lf } = an;
     let ret_block = f
         .iter_blocks()
         .find(|(id, b)| matches!(b.term, Term::Ret { .. }) && cfg.is_reachable(*id))

@@ -4,7 +4,7 @@ use crate::func::{BlockId, Function};
 
 /// Successor/predecessor lists plus a reverse post-order of the reachable
 /// blocks.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cfg {
     /// Successors of each block (duplicates possible for multi-edges, e.g. a
     /// conditional branch with both targets equal).
@@ -75,11 +75,14 @@ impl Cfg {
     }
 }
 
-/// Delete blocks unreachable from entry, remapping ids. φ-nodes in surviving
-/// blocks drop incomings from deleted predecessors. Returns `true` if
-/// anything changed.
-pub fn remove_unreachable_blocks(f: &mut Function) -> bool {
-    let cfg = Cfg::new(f);
+/// Delete the blocks `cfg` finds unreachable from entry and renumber the
+/// rest in reverse post-order. φ-nodes in surviving blocks drop incomings
+/// from deleted predecessors. `cfg` must be the CFG of `f`. Returns `true`
+/// if it deleted anything, and `cfg` is stale then.
+///
+/// [`crate::transform::remove_unreachable_blocks`] is the same edit for a
+/// caller that keeps the loop analyses too.
+pub fn drop_unreachable(f: &mut Function, cfg: &Cfg) -> bool {
     if cfg.rpo.len() == f.blocks.len() {
         // Even if all blocks are reachable there is nothing to renumber.
         return false;
@@ -161,11 +164,11 @@ mod tests {
         f.block_mut(dead).term = Term::Br { target: BlockId(3) };
         let cfg = Cfg::new(&f);
         assert!(!cfg.is_reachable(dead));
-        assert!(remove_unreachable_blocks(&mut f));
+        assert!(drop_unreachable(&mut f, &cfg));
         assert_eq!(f.blocks.len(), 4);
         let cfg = Cfg::new(&f);
         assert_eq!(cfg.rpo.len(), 4);
-        assert!(!remove_unreachable_blocks(&mut f));
+        assert!(!drop_unreachable(&mut f, &cfg));
     }
 
     #[test]

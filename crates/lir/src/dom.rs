@@ -8,7 +8,7 @@ use crate::cfg::Cfg;
 use crate::func::{BlockId, Function};
 
 /// Dominator tree over the reachable blocks of a function.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DomTree {
     /// Immediate dominator of each block (`None` for the entry block and for
     /// unreachable blocks).

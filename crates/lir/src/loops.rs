@@ -2,6 +2,11 @@
 //!
 //! The gated-SSA frontend rejects irreducible control flow, exactly as the
 //! paper's prototype does (§5.1); [`LoopForest::is_reducible`] is that test.
+//!
+//! [`Analyses`] bundles a function's CFG, dominator tree and loop forest:
+//! all three depend only on the block list and the terminators, so the CFG
+//! canonicalizers in [`crate::transform`] and the loop passes thread one
+//! value through and rebuild it only after they edit control flow.
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
@@ -19,7 +24,7 @@ impl LoopId {
 }
 
 /// A natural loop.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Loop {
     /// The loop header (target of the back edges).
     pub header: BlockId,
@@ -36,7 +41,7 @@ pub struct Loop {
 }
 
 /// The loop nesting forest of a function.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoopForest {
     /// All loops, parents before children.
     pub loops: Vec<Loop>,
@@ -205,16 +210,43 @@ impl LoopForest {
     /// The unique predecessor of the loop header outside the loop, if the
     /// loop already has a dedicated preheader.
     pub fn preheader(&self, cfg: &Cfg, l: LoopId) -> Option<BlockId> {
-        let lp = self.get(l);
-        let outside: Vec<BlockId> = cfg.preds[lp.header.index()]
-            .iter()
-            .copied()
-            .filter(|p| !self.contains(l, *p))
-            .collect();
-        match outside.as_slice() {
-            [single] if cfg.succs[single.index()].len() == 1 => Some(*single),
+        let mut outside =
+            cfg.preds[self.get(l).header.index()].iter().filter(|p| !self.contains(l, **p));
+        match (outside.next(), outside.next()) {
+            (Some(&single), None) if cfg.succs[single.index()].len() == 1 => Some(single),
             _ => None,
         }
+    }
+}
+
+/// The CFG, dominator tree and loop forest of one function, built together.
+///
+/// A holder keeps it describing its function: after an edit to the block
+/// list or to a terminator it calls [`Analyses::new`] again. Edits to φs
+/// and instructions leave it valid.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Analyses {
+    /// Successor/predecessor lists and reverse post-order.
+    pub cfg: Cfg,
+    /// Dominator tree.
+    pub dt: DomTree,
+    /// Loop nesting forest.
+    pub lf: LoopForest,
+}
+
+impl Analyses {
+    /// Build all three analyses of `f`.
+    pub fn new(f: &Function) -> Analyses {
+        let cfg = Cfg::new(f);
+        let dt = DomTree::new(f, &cfg);
+        let lf = LoopForest::new(f, &cfg, &dt);
+        Analyses { cfg, dt, lf }
+    }
+
+    /// True when these are exactly the analyses of `f` (a fresh build
+    /// compares equal). For assertions: it costs a full rebuild.
+    pub fn describes(&self, f: &Function) -> bool {
+        *self == Analyses::new(f)
     }
 }
 
@@ -316,6 +348,20 @@ mod tests {
         let (cfg, dt) = build(&f);
         let lf = LoopForest::new(&f, &cfg, &dt);
         assert!(!lf.is_reducible());
+    }
+
+    #[test]
+    fn preheader_counts_parallel_edges() {
+        // Entry branches to the header on both arms: one outside block but
+        // two outside edges, so the loop has no dedicated preheader.
+        let mut f = simple_loop();
+        let c = f.params[0].0;
+        f.block_mut(BlockId(0)).term =
+            Term::CondBr { cond: Operand::Reg(c), t: BlockId(1), f: BlockId(1) };
+        let (cfg, dt) = build(&f);
+        let lf = LoopForest::new(&f, &cfg, &dt);
+        assert_eq!(lf.loops.len(), 1);
+        assert_eq!(lf.preheader(&cfg, LoopId(0)), None);
     }
 
     #[test]

@@ -5,19 +5,28 @@
 //!
 //! * [`split_critical_edges`] — no edge from a multi-successor block to a
 //!   multi-predecessor block;
+//! * [`remove_unreachable_blocks`] — no block unreachable from entry;
 //! * [`insert_preheaders`] — every loop header has exactly one incoming edge
 //!   from outside the loop, from a dedicated preheader block;
 //! * [`merge_latches`] — every loop has exactly one back edge;
-//! * [`loop_simplify`] — the two above, to fixpoint.
+//! * [`loop_simplify`] — the two above, to fixpoint;
+//! * [`dedicated_exits`] — every loop exit target is entered only from
+//!   inside the loop.
 //!
 //! All functions return `true` when they changed the function and keep the
 //! SSA verifier happy.
+//!
+//! The loop canonicalizers (all but [`split_critical_edges`] and
+//! [`merge_blocks`]) take the function's [`Analyses`] by `&mut`. The
+//! analyses must describe `f` on entry, and they describe `f` on return: a
+//! canonicalizer rebuilds them after each control-flow edit and not
+//! otherwise, so a chain of canonicalizers that edits nothing builds them
+//! once. Debug builds assert this on return.
 
-use crate::cfg::Cfg;
-use crate::dom::DomTree;
+use crate::cfg::{drop_unreachable, Cfg};
 use crate::func::{Block, BlockId, Function, Phi};
 use crate::inst::Term;
-use crate::loops::{LoopForest, LoopId};
+use crate::loops::{Analyses, LoopId};
 use crate::value::Operand;
 
 /// Split every critical edge (from a block with multiple successors to a
@@ -103,92 +112,91 @@ fn redirect_phi_edges(
     }
 }
 
+/// Delete blocks unreachable from entry, renumbering the rest in reverse
+/// post-order (see [`drop_unreachable`]). Returns `true` on change.
+pub fn remove_unreachable_blocks(f: &mut Function, an: &mut Analyses) -> bool {
+    let changed = drop_unreachable(f, &an.cfg);
+    if changed {
+        *an = Analyses::new(f);
+    }
+    debug_assert!(an.describes(f), "stale analyses after remove_unreachable_blocks");
+    changed
+}
+
+/// Route the edges from `preds` into `target` through a fresh block named
+/// `name` that branches to `target`, moving `target`'s φ incomings along.
+fn route_through(f: &mut Function, target: BlockId, mut preds: Vec<BlockId>, name: String) {
+    let mid = f.add_block(name);
+    f.block_mut(mid).term = Term::Br { target };
+    preds.sort();
+    preds.dedup();
+    for p in &preds {
+        f.block_mut(*p).term.map_successors(|s| {
+            if *s == target {
+                *s = mid;
+            }
+        });
+    }
+    redirect_phi_edges(f, target, &preds, mid);
+}
+
+/// One edit of a loop canonicalizer: route the edges from `.1` into `.0`
+/// through a fresh block named `.2`.
+type Reroute = (BlockId, Vec<BlockId>, String);
+
+/// Apply the edits `find` picks from the current analyses, one at a time
+/// and rebuilding `an` after each, until it picks none or the CFG is
+/// irreducible. `what` names the canonicalizer in the stale-analyses
+/// assertion.
+fn reroute_until_done(
+    f: &mut Function,
+    an: &mut Analyses,
+    what: &str,
+    find: impl Fn(&Analyses) -> Option<Reroute>,
+) -> bool {
+    let mut changed = false;
+    while an.lf.is_reducible() {
+        let Some((target, preds, name)) = find(an) else { break };
+        route_through(f, target, preds, name);
+        *an = Analyses::new(f);
+        changed = true;
+    }
+    debug_assert!(an.describes(f), "stale analyses after {what}");
+    changed
+}
+
 /// Insert a dedicated preheader for every loop whose header has more than one
 /// incoming edge from outside the loop, or whose unique outside predecessor
 /// has other successors.
-pub fn insert_preheaders(f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let lf = LoopForest::new(f, &cfg, &dt);
-        if !lf.is_reducible() {
-            return changed;
-        }
-        let mut work: Option<(LoopId, Vec<BlockId>)> = None;
-        for (li, l) in lf.loops.iter().enumerate() {
+pub fn insert_preheaders(f: &mut Function, an: &mut Analyses) -> bool {
+    reroute_until_done(f, an, "insert_preheaders", |Analyses { cfg, lf, .. }| {
+        lf.loops.iter().enumerate().find_map(|(li, l)| {
             let li = LoopId(li as u32);
-            if lf.preheader(&cfg, li).is_some() {
-                continue;
+            if lf.preheader(cfg, li).is_some() {
+                return None;
             }
             let outside: Vec<BlockId> = cfg.preds[l.header.index()]
                 .iter()
                 .copied()
                 .filter(|p| !lf.contains(li, *p))
                 .collect();
-            if !outside.is_empty() {
-                work = Some((li, outside));
-                break;
-            }
-        }
-        let Some((li, outside)) = work else { return changed };
-        let header = lf.get(li).header;
-        let ph = f.add_block(format!("preheader.{}", header.0));
-        f.block_mut(ph).term = Term::Br { target: header };
-        let mut distinct = outside.clone();
-        distinct.sort();
-        distinct.dedup();
-        for p in &distinct {
-            f.block_mut(*p).term.map_successors(|s| {
-                if *s == header {
-                    *s = ph;
-                }
-            });
-        }
-        redirect_phi_edges(f, header, &distinct, ph);
-        changed = true;
-    }
+            (!outside.is_empty()).then(|| (l.header, outside, format!("preheader.{}", l.header.0)))
+        })
+    })
 }
 
 /// Merge multiple back edges of a loop into a single latch block.
-pub fn merge_latches(f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let lf = LoopForest::new(f, &cfg, &dt);
-        if !lf.is_reducible() {
-            return changed;
-        }
-        let mut work: Option<(BlockId, Vec<BlockId>)> = None;
-        for l in &lf.loops {
-            if l.latches.len() > 1 {
-                work = Some((l.header, l.latches.clone()));
-                break;
-            }
-        }
-        let Some((header, latches)) = work else { return changed };
-        let latch = f.add_block(format!("latch.{}", header.0));
-        f.block_mut(latch).term = Term::Br { target: header };
-        let mut distinct = latches;
-        distinct.sort();
-        distinct.dedup();
-        for p in &distinct {
-            f.block_mut(*p).term.map_successors(|s| {
-                if *s == header {
-                    *s = latch;
-                }
-            });
-        }
-        redirect_phi_edges(f, header, &distinct, latch);
-        changed = true;
-    }
+pub fn merge_latches(f: &mut Function, an: &mut Analyses) -> bool {
+    reroute_until_done(f, an, "merge_latches", |an| {
+        let l = an.lf.loops.iter().find(|l| l.latches.len() > 1)?;
+        Some((l.header, l.latches.clone(), format!("latch.{}", l.header.0)))
+    })
 }
 
 /// LLVM-style loop simplification: preheaders + merged latches.
-pub fn loop_simplify(f: &mut Function) -> bool {
-    let a = insert_preheaders(f);
-    let b = merge_latches(f);
+pub fn loop_simplify(f: &mut Function, an: &mut Analyses) -> bool {
+    let a = insert_preheaders(f, an);
+    let b = merge_latches(f, an);
     a || b
 }
 
@@ -196,47 +204,22 @@ pub fn loop_simplify(f: &mut Function) -> bool {
 /// whose target has predecessors outside the loop is routed through a fresh
 /// block. After this, every exit target's predecessors are all inside the
 /// loop that exits into it.
-pub fn dedicated_exits(f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let lf = LoopForest::new(f, &cfg, &dt);
-        if !lf.is_reducible() {
-            return changed;
-        }
-        let mut work: Option<(LoopId, BlockId, Vec<BlockId>)> = None;
-        'outer: for (li, l) in lf.loops.iter().enumerate() {
+pub fn dedicated_exits(f: &mut Function, an: &mut Analyses) -> bool {
+    reroute_until_done(f, an, "dedicated_exits", |Analyses { cfg, lf, .. }| {
+        lf.loops.iter().enumerate().find_map(|(li, l)| {
             let li = LoopId(li as u32);
             let mut targets: Vec<BlockId> = l.exits.iter().map(|(_, t)| *t).collect();
             targets.sort();
             targets.dedup();
-            for t in targets {
+            targets.into_iter().find_map(|t| {
+                let preds = &cfg.preds[t.index()];
                 let ins: Vec<BlockId> =
-                    cfg.preds[t.index()].iter().copied().filter(|p| lf.contains(li, *p)).collect();
-                let has_outside = cfg.preds[t.index()].iter().any(|p| !lf.contains(li, *p));
-                if has_outside && !ins.is_empty() {
-                    work = Some((li, t, ins));
-                    break 'outer;
-                }
-            }
-        }
-        let Some((_li, target, inside_preds)) = work else { return changed };
-        let ex = f.add_block(format!("exit.{}", target.0));
-        f.block_mut(ex).term = Term::Br { target };
-        let mut distinct = inside_preds;
-        distinct.sort();
-        distinct.dedup();
-        for p in &distinct {
-            f.block_mut(*p).term.map_successors(|s| {
-                if *s == target {
-                    *s = ex;
-                }
-            });
-        }
-        redirect_phi_edges(f, target, &distinct, ex);
-        changed = true;
-    }
+                    preds.iter().copied().filter(|p| lf.contains(li, *p)).collect();
+                let has_outside = preds.iter().any(|p| !lf.contains(li, *p));
+                (has_outside && !ins.is_empty()).then(|| (t, ins, format!("exit.{}", t.0)))
+            })
+        })
+    })
 }
 
 /// Merge straight-line block pairs (a block with a single successor whose
@@ -284,7 +267,7 @@ pub fn merge_blocks(f: &mut Function) -> bool {
         f.block_mut(target).term = Term::Unreachable;
         f.block_mut(target).insts.clear();
         f.block_mut(target).phis.clear();
-        crate::cfg::remove_unreachable_blocks(f);
+        drop_unreachable(f, &Cfg::new(f));
         changed = true;
     }
 }
@@ -302,6 +285,23 @@ mod tests {
         tf(&mut f);
         verify_function(&f).unwrap_or_else(|e| panic!("{e}"));
         f
+    }
+
+    /// [`check`] for a loop canonicalizer: run it with fresh analyses,
+    /// require an edit, and require the analyses it returns to be those of
+    /// the edited function.
+    fn check_an(
+        src: &str,
+        tf: impl Fn(&mut Function, &mut Analyses) -> bool,
+    ) -> (Function, Analyses) {
+        let m = parse_module(src).unwrap();
+        let mut f = m.functions[0].clone();
+        verify_function(&f).unwrap();
+        let mut an = Analyses::new(&f);
+        assert!(tf(&mut f, &mut an), "the canonicalizer edits this function");
+        verify_function(&f).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(an, Analyses::new(&f), "stale analyses after an edit:\n{f}");
+        (f, an)
     }
 
     const MULTI_ENTRY_LOOP: &str = "\
@@ -322,10 +322,7 @@ e:
 
     #[test]
     fn preheader_inserted_for_multi_entry_loop() {
-        let f = check(MULTI_ENTRY_LOOP, insert_preheaders);
-        let cfg = Cfg::new(&f);
-        let dt = DomTree::new(&f, &cfg);
-        let lf = LoopForest::new(&f, &cfg, &dt);
+        let (f, Analyses { cfg, lf, .. }) = check_an(MULTI_ENTRY_LOOP, insert_preheaders);
         assert_eq!(lf.loops.len(), 1);
         assert!(lf.preheader(&cfg, LoopId(0)).is_some());
         // The header φ now has exactly two incomings: preheader + latch.
@@ -359,10 +356,7 @@ e:
 
     #[test]
     fn latches_merged() {
-        let f = check(TWO_LATCH_LOOP, merge_latches);
-        let cfg = Cfg::new(&f);
-        let dt = DomTree::new(&f, &cfg);
-        let lf = LoopForest::new(&f, &cfg, &dt);
+        let (f, Analyses { lf, .. }) = check_an(TWO_LATCH_LOOP, merge_latches);
         assert_eq!(lf.loops.len(), 1);
         assert_eq!(lf.loops[0].latches.len(), 1);
         let latch = lf.loops[0].latches[0];
@@ -409,19 +403,53 @@ merge:
   ret i64 %x
 }
 ";
-        let f = check(src, |f| {
-            insert_preheaders(f);
-            dedicated_exits(f)
+        let (_, Analyses { cfg, lf, .. }) = check_an(src, |f, an| {
+            insert_preheaders(f, an);
+            dedicated_exits(f, an)
         });
-        let cfg = Cfg::new(&f);
-        let dt = DomTree::new(&f, &cfg);
-        let lf = LoopForest::new(&f, &cfg, &dt);
         assert_eq!(lf.loops.len(), 1);
         for (_, t) in &lf.loops[0].exits {
             for p in &cfg.preds[t.index()] {
                 assert!(lf.contains(LoopId(0), *p), "exit target has non-loop predecessor");
             }
         }
+    }
+
+    #[test]
+    fn unreachable_blocks_removed() {
+        let src = "\
+define i64 @f(i64 %x) {
+entry:
+  br label %b
+dead:
+  br label %b
+b:
+  %y = phi i64 [ %x, %entry ], [ 0, %dead ]
+  ret i64 %y
+}
+";
+        let (f, an) = check_an(src, remove_unreachable_blocks);
+        assert_eq!(f.blocks.len(), 2);
+        assert_eq!(f.block(BlockId(1)).phis[0].incomings.len(), 1);
+        // Nothing left to remove: no edit, the same analyses.
+        let mut g = f.clone();
+        let mut same = an.clone();
+        assert!(!remove_unreachable_blocks(&mut g, &mut same));
+        assert_eq!((g, same), (f, an));
+    }
+
+    #[test]
+    fn canonicalizers_leave_simplified_loops_and_analyses_alone() {
+        let (f, an) = check_an(MULTI_ENTRY_LOOP, |f, an| {
+            let a = loop_simplify(f, an);
+            dedicated_exits(f, an) || a
+        });
+        let mut g = f.clone();
+        let mut same = an.clone();
+        assert!(!remove_unreachable_blocks(&mut g, &mut same));
+        assert!(!loop_simplify(&mut g, &mut same));
+        assert!(!dedicated_exits(&mut g, &mut same));
+        assert_eq!((g, same), (f, an));
     }
 
     #[test]
@@ -452,14 +480,15 @@ b:
                 .map(|n| run(&m, "f", &[1, n], &ExecConfig::default()).unwrap().ret)
                 .collect();
             for tf in [
-                insert_preheaders as fn(&mut Function) -> bool,
+                insert_preheaders as fn(&mut Function, &mut Analyses) -> bool,
                 merge_latches,
-                split_critical_edges,
+                |f, _| split_critical_edges(f),
                 dedicated_exits,
                 loop_simplify,
             ] {
                 let mut m2 = m.clone();
-                tf(&mut m2.functions[0]);
+                let mut an = Analyses::new(&m2.functions[0]);
+                tf(&mut m2.functions[0], &mut an);
                 verify_function(&m2.functions[0]).unwrap_or_else(|e| panic!("{e}"));
                 let after: Vec<_> = (0..8)
                     .map(|n| run(&m2, "f", &[1, n], &ExecConfig::default()).unwrap().ret)

@@ -109,8 +109,10 @@ struct MemFact {
 
 /// Run GVN. Returns `true` on change.
 pub fn run_gvn(f: &mut Function, _ctx: &Ctx<'_>) -> bool {
-    lir::cfg::remove_unreachable_blocks(f);
-    let cfg = Cfg::new(f);
+    let mut cfg = Cfg::new(f);
+    if lir::cfg::drop_unreachable(f, &cfg) {
+        cfg = Cfg::new(f);
+    }
     let dt = DomTree::new(f, &cfg);
     let aa = Aliasing::new(f);
 

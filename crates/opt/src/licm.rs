@@ -15,11 +15,9 @@
 
 use crate::alias::Aliasing;
 use crate::{Ctx, Pass};
-use lir::cfg::Cfg;
-use lir::dom::DomTree;
 use lir::func::{BlockId, Function};
 use lir::inst::Inst;
-use lir::loops::{LoopForest, LoopId};
+use lir::loops::{Analyses, LoopId};
 use lir::transform::loop_simplify;
 use lir::value::{Operand, Reg};
 use std::collections::HashSet;
@@ -39,27 +37,20 @@ impl Pass for Licm {
 }
 
 /// Run LICM on every loop, innermost first. Returns `true` on change.
+///
+/// Hoisting moves instructions only, so the CFG analyses built for
+/// [`loop_simplify`] stay valid across every hoist.
 pub fn run_licm(f: &mut Function) -> bool {
-    let mut changed = loop_simplify(f);
-    loop {
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let lf = LoopForest::new(f, &cfg, &dt);
-        if !lf.is_reducible() {
-            return changed;
+    let mut an = Analyses::new(f);
+    let mut changed = loop_simplify(f, &mut an);
+    if an.lf.is_reducible() {
+        // After a hoist, rescan from the innermost loop again.
+        while an.lf.innermost_first().into_iter().any(|lid| hoist_loop(f, &an, lid)) {
+            changed = true;
         }
-        let mut hoisted_any = false;
-        for lid in lf.innermost_first() {
-            if hoist_loop(f, &cfg, &dt, &lf, lid) {
-                hoisted_any = true;
-                break; // analyses are stale; recompute
-            }
-        }
-        if !hoisted_any {
-            return changed;
-        }
-        changed = true;
     }
+    debug_assert!(an.describes(f), "stale analyses after LICM");
+    changed
 }
 
 /// True when a `sz`-byte access at `ptr` provably cannot trap: the pointer
@@ -76,7 +67,8 @@ fn derefable(f: &Function, aa: &Aliasing, ptr: Operand, sz: u64) -> bool {
     }
 }
 
-fn hoist_loop(f: &mut Function, cfg: &Cfg, dt: &DomTree, lf: &LoopForest, lid: LoopId) -> bool {
+fn hoist_loop(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
+    let Analyses { cfg, dt, lf } = an;
     let Some(preheader) = lf.preheader(cfg, lid) else { return false };
     let l = lf.get(lid);
     let body: HashSet<BlockId> = l.body.iter().copied().collect();

@@ -9,11 +9,10 @@
 //! terminating executions (§2).
 
 use crate::{Ctx, Pass};
-use lir::cfg::{remove_unreachable_blocks, Cfg};
-use lir::dom::DomTree;
+use lir::cfg::{drop_unreachable, Cfg};
 use lir::func::{BlockId, Function};
 use lir::inst::{Inst, Term};
-use lir::loops::{LoopForest, LoopId};
+use lir::loops::{Analyses, LoopId};
 use lir::transform::loop_simplify;
 use lir::value::Reg;
 use std::collections::HashSet;
@@ -33,32 +32,26 @@ impl Pass for LoopDeletion {
 }
 
 /// Run loop deletion until no more loops can be removed.
+///
+/// The CFG analyses are rebuilt only after a deletion.
 pub fn run_loop_deletion(f: &mut Function) -> bool {
-    let mut changed = loop_simplify(f);
-    loop {
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let lf = LoopForest::new(f, &cfg, &dt);
-        if !lf.is_reducible() {
-            return changed;
-        }
-        let mut deleted = false;
-        for lid in lf.innermost_first() {
-            if try_delete(f, &cfg, &lf, lid) {
-                remove_unreachable_blocks(f);
-                deleted = true;
-                break;
-            }
-        }
-        if !deleted {
-            return changed;
-        }
+    let mut an = Analyses::new(f);
+    let mut changed = loop_simplify(f, &mut an);
+    while an.lf.is_reducible()
+        && an.lf.innermost_first().into_iter().any(|lid| try_delete(f, &an, lid))
+    {
+        // The deleted loop's blocks are unreachable now.
+        drop_unreachable(f, &Cfg::new(f));
+        an = Analyses::new(f);
         changed = true;
     }
+    debug_assert!(an.describes(f), "stale analyses after loop deletion");
+    changed
 }
 
-fn try_delete(f: &mut Function, cfg: &Cfg, lf: &LoopForest, lid: LoopId) -> bool {
-    let Some(preheader) = lf.preheader(cfg, lid) else { return false };
+fn try_delete(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
+    let lf = &an.lf;
+    let Some(preheader) = lf.preheader(&an.cfg, lid) else { return false };
     let l = lf.get(lid);
     // Single exit target.
     let mut targets: Vec<BlockId> = l.exits.iter().map(|(_, t)| *t).collect();
@@ -232,9 +225,7 @@ e:
         }
         let loops = {
             let f2 = &m2.functions[0];
-            let cfg = Cfg::new(f2);
-            let dt = DomTree::new(f2, &cfg);
-            LoopForest::new(f2, &cfg, &dt).loops.len()
+            Analyses::new(f2).lf.loops.len()
         };
         assert_eq!(loops, 1);
     }
@@ -288,9 +279,7 @@ e:
         let (m, m2) = ld(src);
         // Inner loop has no live-outs or effects: deleted. Outer stays.
         let f2 = &m2.functions[0];
-        let cfg = Cfg::new(f2);
-        let dt = DomTree::new(f2, &cfg);
-        let lf = LoopForest::new(f2, &cfg, &dt);
+        let lf = Analyses::new(f2).lf;
         assert_eq!(lf.loops.len(), 1, "{f2}");
         for n in [0u64, 2] {
             assert_eq!(
@@ -324,8 +313,6 @@ e:
         // (Simplified: the loop's x is unused at the exit so it can go.)
         let (_, m2) = ld(src);
         let f2 = &m2.functions[0];
-        let cfg = Cfg::new(f2);
-        let dt = DomTree::new(f2, &cfg);
-        assert_eq!(LoopForest::new(f2, &cfg, &dt).loops.len(), 0, "{f2}");
+        assert_eq!(Analyses::new(f2).lf.loops.len(), 0, "{f2}");
     }
 }

@@ -80,7 +80,7 @@ fn promotable_allocas(f: &Function) -> HashMap<Reg, Ty> {
 pub fn promote_allocas(f: &mut Function) -> bool {
     // The renaming walk only covers reachable blocks; drop the rest first so
     // no stale load survives in dead code.
-    lir::cfg::remove_unreachable_blocks(f);
+    lir::cfg::drop_unreachable(f, &Cfg::new(f));
     let promote = promotable_allocas(f);
     if promote.is_empty() {
         return false;

@@ -11,7 +11,7 @@
 
 use crate::util::sweep_trivially_dead;
 use crate::{Ctx, Pass};
-use lir::cfg::remove_unreachable_blocks;
+use lir::cfg::{drop_unreachable, Cfg};
 use lir::func::{BlockId, Function};
 use lir::inst::{self, Inst, Term};
 use lir::value::{Constant, Operand, Reg};
@@ -337,7 +337,7 @@ pub fn run_sccp(f: &mut Function) -> bool {
     }
     // Delete instructions that became dead and unreachable blocks.
     changed |= sweep_trivially_dead(f);
-    changed |= remove_unreachable_blocks(f);
+    changed |= drop_unreachable(f, &Cfg::new(f));
     changed
 }
 

@@ -5,7 +5,7 @@
 //! interleave `simplifycfg` with the scalar passes.
 
 use crate::{Ctx, Pass};
-use lir::cfg::remove_unreachable_blocks;
+use lir::cfg::{drop_unreachable, Cfg};
 use lir::func::{BlockId, Function};
 use lir::inst::Term;
 use lir::transform::merge_blocks;
@@ -97,7 +97,7 @@ pub fn run_simplifycfg(f: &mut Function) -> bool {
     loop {
         let mut round = false;
         round |= fold_constant_branches(f);
-        round |= remove_unreachable_blocks(f);
+        round |= drop_unreachable(f, &Cfg::new(f));
         round |= merge_blocks(f);
         // Single-incoming φs become copies.
         let mut singles: Vec<(lir::value::Reg, Operand)> = Vec::new();

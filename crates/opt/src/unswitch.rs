@@ -14,11 +14,10 @@
 //! through the loop structure.
 
 use crate::{Ctx, Pass};
-use lir::cfg::{remove_unreachable_blocks, Cfg};
-use lir::dom::DomTree;
+use lir::cfg::{drop_unreachable, Cfg};
 use lir::func::{BlockId, Function};
 use lir::inst::Term;
-use lir::loops::{LoopForest, LoopId};
+use lir::loops::{Analyses, LoopId};
 use lir::transform::{dedicated_exits, loop_simplify};
 use lir::value::{Operand, Reg};
 use std::collections::{HashMap, HashSet};
@@ -44,37 +43,32 @@ const SIZE_LIMIT: usize = 80;
 const MAX_UNSWITCHES: usize = 4;
 
 /// Run loop unswitching. Returns `true` on change.
+///
+/// The CFG analyses are rebuilt only after an unswitch.
 pub fn run_unswitch(f: &mut Function) -> bool {
-    let mut changed = false;
-    changed |= loop_simplify(f);
-    changed |= dedicated_exits(f);
+    let mut an = Analyses::new(f);
+    let mut changed = loop_simplify(f, &mut an);
+    changed |= dedicated_exits(f, &mut an);
     for _ in 0..MAX_UNSWITCHES {
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let lf = LoopForest::new(f, &cfg, &dt);
-        if !lf.is_reducible() {
-            return changed;
-        }
-        let mut done = false;
-        for lid in lf.innermost_first() {
-            if unswitch_one(f, &cfg, &lf, lid) {
-                remove_unreachable_blocks(f);
-                loop_simplify(f);
-                dedicated_exits(f);
-                changed = true;
-                done = true;
-                break;
-            }
-        }
-        if !done {
+        if !an.lf.is_reducible()
+            || !an.lf.innermost_first().into_iter().any(|lid| unswitch_one(f, &an, lid))
+        {
             break;
         }
+        // The folded branches may leave blocks unreachable.
+        drop_unreachable(f, &Cfg::new(f));
+        an = Analyses::new(f);
+        loop_simplify(f, &mut an);
+        dedicated_exits(f, &mut an);
+        changed = true;
     }
+    debug_assert!(an.describes(f), "stale analyses after loop unswitching");
     changed
 }
 
-fn unswitch_one(f: &mut Function, cfg: &Cfg, lf: &LoopForest, lid: LoopId) -> bool {
-    let Some(preheader) = lf.preheader(cfg, lid) else { return false };
+fn unswitch_one(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
+    let lf = &an.lf;
+    let Some(preheader) = lf.preheader(&an.cfg, lid) else { return false };
     let l = lf.get(lid);
     let body: HashSet<BlockId> = l.body.iter().copied().collect();
     let size: usize =
@@ -288,9 +282,7 @@ e:
         // The invariant branch no longer appears inside any loop: both loop
         // versions contain only the loop-exit conditional.
         let f2 = &m2.functions[0];
-        let cfg = Cfg::new(f2);
-        let dt = DomTree::new(f2, &cfg);
-        let lf = LoopForest::new(f2, &cfg, &dt);
+        let lf = Analyses::new(f2).lf;
         assert_eq!(lf.loops.len(), 2, "loop should be versioned: {f2}");
         for l in &lf.loops {
             for &b in &l.body {
@@ -344,9 +336,7 @@ e:
         // The branch on %isodd is loop-variant: at most loop-simplify
         // normalization may change the CFG, but no versioning happens.
         let f2 = &m2.functions[0];
-        let cfg = Cfg::new(f2);
-        let dt = DomTree::new(f2, &cfg);
-        let lf = LoopForest::new(f2, &cfg, &dt);
+        let lf = Analyses::new(f2).lf;
         assert_eq!(lf.loops.len(), 1);
     }
 
@@ -367,9 +357,7 @@ e:
         let mut m2 = m.clone();
         run_unswitch(&mut m2.functions[0]);
         let f2 = &m2.functions[0];
-        let cfg = Cfg::new(f2);
-        let dt = DomTree::new(f2, &cfg);
-        let lf = LoopForest::new(f2, &cfg, &dt);
+        let lf = Analyses::new(f2).lf;
         assert_eq!(lf.loops.len(), 1, "oversized loop must not be cloned");
     }
 

@@ -11,7 +11,9 @@
 //! * chain validation: certified chains have interpreter-indistinguishable
 //!   endpoints, and `ChainReport`s are worker-count deterministic;
 //! * `lir::parse` agrees with the original parser on printed modules and
-//!   seeded edits of them, and the verdict store's keys are pinned.
+//!   seeded edits of them, and the verdict store's keys are pinned;
+//! * the CFG canonicalizers and `gated::prepare` hand back CFG analyses
+//!   that describe the function they edited.
 //!
 //! Driven by the in-repo [`harness`] (the workspace is zero-dependency, so
 //! no `proptest`): each property runs a fixed budget of seeded cases, and a
@@ -782,6 +784,142 @@ fn pass_changed_flags_match_structural_change() {
         }
     }
     assert!(steps > 5_000, "the scan covers the suite and the fuzz modules: {steps} steps");
+}
+
+/// `f` out of loop-simplify form, with the same behaviour. Each loop's
+/// `br`-ending preheader `p` becomes `br i1 true, %header, %via`, and the
+/// never-taken `via` branches to the header too (two outside edges). When
+/// the loop's registers leave it only through exit φs, `via` also branches
+/// to the loop's first exit target, which is then entered from outside the
+/// loop. Each `br`-ending latch gets a second back edge the same way, and a
+/// dead block is appended.
+fn unsimplify(f: &lir::func::Function) -> lir::func::Function {
+    use lir::inst::Term;
+    use lir::loops::{Analyses, LoopId};
+    use lir::value::Operand;
+    let mut g = f.clone();
+    let Analyses { cfg, lf, .. } = Analyses::new(&g);
+    for (i, l) in lf.loops.iter().enumerate() {
+        let preheader = lf.preheader(&cfg, LoopId(i as u32));
+        for from in preheader.into_iter().chain(l.latches.iter().copied()) {
+            let header = l.header;
+            if g.block(from).term != (Term::Br { target: header }) {
+                continue;
+            }
+            let via = g.add_block(format!("via.{}", from.0));
+            let never = Operand::bool(true);
+            g.block_mut(from).term = Term::CondBr { cond: never, t: header, f: via };
+            for phi in &mut g.block_mut(header).phis {
+                if let Some(v) = phi.incoming_from(from) {
+                    phi.incomings.push((via, v));
+                }
+            }
+            let exit = l.exits.first().filter(|_| Some(from) == preheader && closed(&g, &l.body));
+            g.block_mut(via).term = match exit {
+                Some(&(_, t)) => {
+                    for phi in &mut g.block_mut(t).phis {
+                        phi.incomings.push((via, lir::func::undef(phi.ty)));
+                    }
+                    Term::CondBr { cond: never, t: header, f: t }
+                }
+                None => Term::Br { target: header },
+            };
+        }
+    }
+    g.add_block("dead");
+    g
+}
+
+/// True when the registers defined in `body` are used outside it only as
+/// φ incomings from inside it.
+fn closed(f: &lir::func::Function, body: &[lir::func::BlockId]) -> bool {
+    use lir::value::Operand;
+    let mut defined = std::collections::HashSet::new();
+    for &b in body {
+        let blk = f.block(b);
+        defined
+            .extend(blk.phis.iter().map(|p| p.dst).chain(blk.insts.iter().filter_map(|i| i.dst())));
+    }
+    let inside = |op: Operand| op.as_reg().is_some_and(|r| defined.contains(&r));
+    f.iter_blocks().filter(|(b, _)| !body.contains(b)).all(|(_, blk)| {
+        let mut ok = blk
+            .phis
+            .iter()
+            .all(|p| p.incomings.iter().all(|&(from, v)| body.contains(&from) || !inside(v)));
+        for inst in &blk.insts {
+            inst.visit_operands(|op| ok &= !inside(op));
+        }
+        blk.term.visit_operands(|op| ok &= !inside(op));
+        ok
+    })
+}
+
+/// The CFG canonicalizers rebuild their analyses only after a control-flow
+/// edit, so a missed rebuild leaves them describing an older function. Over
+/// the scale-1 suite and 16 fuzz modules per profile, at every step of the
+/// paper pipeline, each function version and its [`unsimplify`]d copy:
+/// `prepare`'s analyses equal a fresh build of its output, and so do the
+/// analyses each canonicalizer returns. Each pipeline step also runs on the
+/// unsimplified copy, so the loop passes' own canonicalization edits; debug
+/// builds assert inside every canonicalizer and loop pass that the analyses
+/// they return are fresh.
+#[test]
+fn cfg_analyses_describe_the_function_after_every_canonicalizer() {
+    use llvm_md::gated::prepare;
+    use llvm_md::lir::func::Function;
+    use llvm_md::lir::loops::Analyses;
+    use llvm_md::lir::transform::{
+        dedicated_exits, insert_preheaders, merge_latches, remove_unreachable_blocks,
+    };
+    use llvm_md::opt::{paper_pipeline, Ctx};
+    use llvm_md::workload::{campaign_modules, fuzz_profiles, suite_batch, DEFAULT_CAMPAIGN_SEED};
+    type Canonicalizer = fn(&mut Function, &mut Analyses) -> bool;
+    let canonicalizers: [(&str, Canonicalizer); 4] = [
+        ("remove_unreachable_blocks", remove_unreachable_blocks),
+        ("insert_preheaders", insert_preheaders),
+        ("merge_latches", merge_latches),
+        ("dedicated_exits", dedicated_exits),
+    ];
+    let pm = paper_pipeline();
+    let mut modules = suite_batch(1);
+    for p in fuzz_profiles() {
+        modules.extend(campaign_modules(&p, DEFAULT_CAMPAIGN_SEED, 16));
+    }
+    let (mut prepared, mut edits) = (0, [0usize; 4]);
+    for m in &modules {
+        let ctx = Ctx::of(m);
+        for f in &m.functions {
+            let mut cur = f.clone();
+            for k in 0..=pm.len() {
+                let unsimplified = unsimplify(&cur);
+                lir::verify::verify_function(&unsimplified)
+                    .unwrap_or_else(|e| panic!("{}: unsimplified @{}: {e}", m.name, f.name));
+                for version in [&cur, &unsimplified] {
+                    let at =
+                        |what: &str| format!("{}: @{} after {k} steps, {what}", m.name, f.name);
+                    if let Ok(p) = prepare(version) {
+                        let an = Analyses { cfg: p.cfg, dt: p.dt, lf: p.lf };
+                        assert!(an.describes(&p.f), "{}", at("prepare"));
+                        prepared += 1;
+                    }
+                    let mut g = version.clone();
+                    let mut an = Analyses::new(&g);
+                    for ((name, canonicalize), n) in canonicalizers.iter().zip(&mut edits) {
+                        *n += usize::from(canonicalize(&mut g, &mut an));
+                        assert!(an.describes(&g), "{}", at(name));
+                    }
+                }
+                if k < pm.len() {
+                    pm.run_step_function(k, &mut unsimplified.clone(), &ctx);
+                    pm.run_step_function(k, &mut cur, &ctx);
+                }
+            }
+        }
+    }
+    assert!(prepared > 10_000, "the scan prepares many function versions: {prepared}");
+    for ((name, _), n) in canonicalizers.iter().zip(edits) {
+        assert!(n > 1_000, "only {n} function versions exercised an edit by {name}");
+    }
 }
 
 /// Store keys and chain-cache keys hash a canonical function's structure,
