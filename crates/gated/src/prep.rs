@@ -109,8 +109,7 @@ pub fn single_return(f: &mut Function) -> Option<BlockId> {
 /// [`GateError::Irreducible`] if the CFG is irreducible.
 pub fn prepare(orig: &Function) -> Result<Prepared, GateError> {
     let mut f = orig.clone();
-    let cfg = Cfg::new(&f);
-    drop_unreachable(&mut f, &cfg);
+    drop_unreachable(&mut f);
     single_return(&mut f);
     let mut an = Analyses::new(&f);
     // Reject irreducibility before the loop transforms (they bail out on it).

@@ -1,6 +1,6 @@
 //! Control-flow graph: successor/predecessor lists and orderings.
 
-use crate::func::{BlockId, Function};
+use crate::func::{Block, BlockId, Function};
 
 /// Successor/predecessor lists plus a reverse post-order of the reachable
 /// blocks.
@@ -75,14 +75,31 @@ impl Cfg {
     }
 }
 
-/// Delete the blocks `cfg` finds unreachable from entry and renumber the
-/// rest in reverse post-order. φ-nodes in surviving blocks drop incomings
-/// from deleted predecessors. `cfg` must be the CFG of `f`. Returns `true`
-/// if it deleted anything, and `cfg` is stale then.
+/// Delete the blocks unreachable from entry and renumber the rest in
+/// reverse post-order. φ-nodes in surviving blocks drop incomings from
+/// deleted predecessors. Returns `true` if it deleted anything.
 ///
-/// [`crate::transform::remove_unreachable_blocks`] is the same edit for a
-/// caller that keeps the loop analyses too.
-pub fn drop_unreachable(f: &mut Function, cfg: &Cfg) -> bool {
+/// [`reachable_cfg`] is the same edit for a caller that needs the CFG of
+/// the result, and [`crate::transform::remove_unreachable_blocks`] for one
+/// that keeps the loop analyses too.
+pub fn drop_unreachable(f: &mut Function) -> bool {
+    renumber_reachable(f, &Cfg::new(f))
+}
+
+/// [`drop_unreachable`], returning the CFG of the result (built once, and
+/// once more only if blocks were deleted) and whether blocks were deleted.
+pub fn reachable_cfg(f: &mut Function) -> (Cfg, bool) {
+    let cfg = Cfg::new(f);
+    if renumber_reachable(f, &cfg) {
+        (Cfg::new(f), true)
+    } else {
+        (cfg, false)
+    }
+}
+
+/// [`drop_unreachable`] with `cfg`, the CFG of `f`, already at hand; `cfg`
+/// is stale when this returns `true`.
+pub(crate) fn renumber_reachable(f: &mut Function, cfg: &Cfg) -> bool {
     if cfg.rpo.len() == f.blocks.len() {
         // Even if all blocks are reachable there is nothing to renumber.
         return false;
@@ -91,17 +108,12 @@ pub fn drop_unreachable(f: &mut Function, cfg: &Cfg) -> bool {
     for (new, &old) in cfg.rpo.iter().enumerate() {
         remap[old.index()] = Some(BlockId(new as u32));
     }
-    let mut blocks = std::mem::take(&mut f.blocks);
-    let mut kept: Vec<(usize, crate::func::Block)> = Vec::with_capacity(cfg.rpo.len());
-    for (i, b) in blocks.drain(..).enumerate() {
-        if remap[i].is_some() {
-            kept.push((i, b));
-        }
-    }
-    kept.sort_by_key(|(i, _)| remap[*i].unwrap());
-    f.blocks = kept
-        .into_iter()
-        .map(|(_, mut b)| {
+    let mut old: Vec<Option<Block>> = std::mem::take(&mut f.blocks).into_iter().map(Some).collect();
+    f.blocks = cfg
+        .rpo
+        .iter()
+        .map(|id| {
+            let mut b = old[id.index()].take().expect("rpo lists each block once");
             for phi in &mut b.phis {
                 phi.incomings.retain(|(p, _)| remap[p.index()].is_some());
                 for (p, _) in &mut phi.incomings {
@@ -162,13 +174,13 @@ mod tests {
         let mut f = diamond();
         let dead = f.add_block("dead");
         f.block_mut(dead).term = Term::Br { target: BlockId(3) };
-        let cfg = Cfg::new(&f);
-        assert!(!cfg.is_reachable(dead));
-        assert!(drop_unreachable(&mut f, &cfg));
+        assert!(!Cfg::new(&f).is_reachable(dead));
+        assert!(drop_unreachable(&mut f));
         assert_eq!(f.blocks.len(), 4);
-        let cfg = Cfg::new(&f);
+        let (cfg, changed) = reachable_cfg(&mut f);
+        assert!(!changed);
+        assert_eq!(cfg, Cfg::new(&f));
         assert_eq!(cfg.rpo.len(), 4);
-        assert!(!drop_unreachable(&mut f, &cfg));
     }
 
     #[test]

@@ -499,6 +499,37 @@ impl Term {
         }
     }
 
+    /// The value a conditional branch or a switch branches on.
+    pub fn condition(&self) -> Option<Operand> {
+        match self {
+            Term::CondBr { cond, .. } | Term::Switch { val: cond, .. } => Some(*cond),
+            _ => None,
+        }
+    }
+
+    /// The successor taken when [`Term::condition`] is `c`, if `c` picks
+    /// one (`undef` picks none).
+    pub fn target_for(&self, c: Constant) -> Option<BlockId> {
+        match self {
+            Term::CondBr { t, .. } if c.is_true() => Some(*t),
+            Term::CondBr { f, .. } if c.is_false() => Some(*f),
+            Term::Switch { ty, default, cases, .. } => {
+                let bits = c.as_bits()?;
+                let case = cases.iter().find(|(k, _)| ty.wrap(*k as u64) == bits);
+                Some(case.map_or(*default, |(_, b)| *b))
+            }
+            _ => None,
+        }
+    }
+
+    /// The successor always taken because the condition is a constant.
+    pub fn constant_target(&self) -> Option<BlockId> {
+        match self.condition()? {
+            Operand::Const(c) => self.target_for(c),
+            _ => None,
+        }
+    }
+
     /// Mutate every successor block id in place.
     pub fn map_successors(&mut self, mut f: impl FnMut(&mut BlockId)) {
         match self {

@@ -237,7 +237,11 @@ pub struct Analyses {
 impl Analyses {
     /// Build all three analyses of `f`.
     pub fn new(f: &Function) -> Analyses {
-        let cfg = Cfg::new(f);
+        Analyses::with_cfg(f, Cfg::new(f))
+    }
+
+    /// Build the dominator tree and loop forest of `f` on `cfg`, its CFG.
+    pub(crate) fn with_cfg(f: &Function, cfg: Cfg) -> Analyses {
         let dt = DomTree::new(f, &cfg);
         let lf = LoopForest::new(f, &cfg, &dt);
         Analyses { cfg, dt, lf }

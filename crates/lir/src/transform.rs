@@ -1,10 +1,8 @@
-//! Semantics-preserving CFG normalizations shared by the optimizer and the
+//! Semantics-preserving CFG edits shared by the optimizer and the
 //! gated-SSA frontend.
 //!
 //! These mirror LLVM's `loop-simplify` and related utilities:
 //!
-//! * [`split_critical_edges`] — no edge from a multi-successor block to a
-//!   multi-predecessor block;
 //! * [`remove_unreachable_blocks`] — no block unreachable from entry;
 //! * [`insert_preheaders`] — every loop header has exactly one incoming edge
 //!   from outside the loop, from a dedicated preheader block;
@@ -13,61 +11,41 @@
 //! * [`dedicated_exits`] — every loop exit target is entered only from
 //!   inside the loop.
 //!
-//! All functions return `true` when they changed the function and keep the
-//! SSA verifier happy.
+//! and the edits several passes make:
 //!
-//! The loop canonicalizers (all but [`split_critical_edges`] and
-//! [`merge_blocks`]) take the function's [`Analyses`] by `&mut`. The
+//! * [`fold_branch`] — a conditional branch or switch becomes `br`;
+//! * [`merge_blocks`] — straight-line chains become one block;
+//! * [`prune_and_reanalyze`] — drop the blocks an edit left unreachable and
+//!   rebuild the loop analyses.
+//!
+//! All functions keep the SSA verifier happy, and those returning `bool`
+//! return `true` when they changed the function.
+//!
+//! The loop canonicalizers take the function's [`Analyses`] by `&mut`. The
 //! analyses must describe `f` on entry, and they describe `f` on return: a
 //! canonicalizer rebuilds them after each control-flow edit and not
 //! otherwise, so a chain of canonicalizers that edits nothing builds them
 //! once. Debug builds assert this on return.
 
-use crate::cfg::{drop_unreachable, Cfg};
-use crate::func::{Block, BlockId, Function, Phi};
+use crate::cfg::{drop_unreachable, reachable_cfg, renumber_reachable};
+use crate::func::{BlockId, Function, Phi};
 use crate::inst::Term;
 use crate::loops::{Analyses, LoopId};
 use crate::value::Operand;
 
-/// Split every critical edge (from a block with multiple successors to a
-/// block with multiple predecessors) by inserting an empty block.
-pub fn split_critical_edges(f: &mut Function) -> bool {
-    let cfg = Cfg::new(f);
-    let mut edits: Vec<(BlockId, BlockId)> = Vec::new(); // (from, to)
-    for (id, b) in f.iter_blocks() {
-        let succs = b.term.successors();
-        if succs.len() < 2 {
-            continue;
-        }
-        for s in succs {
-            if cfg.preds[s.index()].len() > 1 && !edits.contains(&(id, s)) {
-                edits.push((id, s));
-            }
+/// Rewrite `b`'s terminator to `br target`, where `target` is one of its
+/// successors: every other successor drops its φ incomings from `b`, and
+/// each φ of `target` keeps one.
+pub fn fold_branch(f: &mut Function, b: BlockId, target: BlockId) {
+    let old = std::mem::replace(&mut f.block_mut(b).term, Term::Br { target });
+    let succs = old.successors();
+    debug_assert!(succs.contains(&target), "{target} is not a successor of {b}");
+    for s in succs {
+        for phi in &mut f.block_mut(s).phis {
+            let mut keep = s == target;
+            phi.incomings.retain(|(p, _)| *p != b || std::mem::take(&mut keep));
         }
     }
-    if edits.is_empty() {
-        return false;
-    }
-    for (from, to) in edits {
-        let mid = f.add_block(format!("crit.{}.{}", from.0, to.0));
-        f.block_mut(mid).term = Term::Br { target: to };
-        // Retarget *all* (from -> to) edges through mid (multi-edges too).
-        let term = &mut f.block_mut(from).term;
-        term.map_successors(|s| {
-            if *s == to {
-                *s = mid;
-            }
-        });
-        // φs in `to`: incoming from `from` now comes from `mid`.
-        for phi in &mut f.block_mut(to).phis {
-            for (p, _) in &mut phi.incomings {
-                if *p == from {
-                    *p = mid;
-                }
-            }
-        }
-    }
-    true
 }
 
 /// One φ of the target block during edge redirection: its index, type, and
@@ -115,12 +93,20 @@ fn redirect_phi_edges(
 /// Delete blocks unreachable from entry, renumbering the rest in reverse
 /// post-order (see [`drop_unreachable`]). Returns `true` on change.
 pub fn remove_unreachable_blocks(f: &mut Function, an: &mut Analyses) -> bool {
-    let changed = drop_unreachable(f, &an.cfg);
+    let changed = renumber_reachable(f, &an.cfg);
     if changed {
         *an = Analyses::new(f);
     }
     debug_assert!(an.describes(f), "stale analyses after remove_unreachable_blocks");
     changed
+}
+
+/// After a control-flow edit of `f`, which leaves `an` stale: delete the
+/// blocks the edit left unreachable (see [`drop_unreachable`]) and rebuild
+/// `an` for the result.
+pub fn prune_and_reanalyze(f: &mut Function, an: &mut Analyses) {
+    let (cfg, _) = reachable_cfg(f);
+    *an = Analyses::with_cfg(f, cfg);
 }
 
 /// Route the edges from `preds` into `target` through a fresh block named
@@ -222,60 +208,57 @@ pub fn dedicated_exits(f: &mut Function, an: &mut Analyses) -> bool {
     })
 }
 
-/// Merge straight-line block pairs (a block with a single successor whose
-/// successor has a single predecessor), and thread trivial forwarding blocks.
-/// Returns `true` on change. This is the cleanup part of `simplifycfg`.
+/// Delete blocks unreachable from entry, then merge every straight-line
+/// chain (a block ending in `br %b`, where it is `b`'s only predecessor)
+/// into its first block. The merged blocks' φs, which have one incoming,
+/// become that value. Returns `true` on change. This is the cleanup part of
+/// `simplifycfg`.
 pub fn merge_blocks(f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let cfg = Cfg::new(f);
-        let mut candidate: Option<(BlockId, BlockId)> = None;
-        for (id, b) in f.iter_blocks() {
-            if !cfg.is_reachable(id) {
-                continue;
-            }
-            if let Term::Br { target } = b.term {
-                if target != id && cfg.preds[target.index()].len() == 1 && target != f.entry() {
-                    candidate = Some((id, target));
-                    break;
-                }
-            }
+    let (cfg, pruned) = reachable_cfg(f);
+    let entry = f.entry();
+    let next = |f: &Function, b: BlockId| match f.block(b).term {
+        Term::Br { target } if target != b && target != entry => {
+            (cfg.preds[target.index()].len() == 1).then_some(target)
         }
-        let Some((id, target)) = candidate else { return changed };
-        // Merge `target` into `id`. φs in target have a single predecessor:
-        // replace their uses everywhere *before* cloning the block, or the
-        // clone would re-install the stale operands.
-        let phis = f.block(target).phis.clone();
-        for phi in &phis {
-            let (_, v) = phi.incomings[0];
-            f.replace_all_uses(phi.dst, v);
-        }
-        let tgt_block: Block = f.block(target).clone();
-        let b = f.block_mut(id);
-        b.insts.extend(tgt_block.insts);
-        b.term = tgt_block.term.clone();
-        // φs in the successors of target must re-point to id.
-        for s in tgt_block.term.successors() {
-            for phi in &mut f.block_mut(s).phis {
-                for (p, _) in &mut phi.incomings {
-                    if *p == target {
-                        *p = id;
+        _ => None,
+    };
+    let mut merged = false;
+    // A chain's first block comes before the rest in reverse post-order, so
+    // every chain is merged from its first block.
+    for &b in &cfg.rpo {
+        while let Some(target) = next(f, b) {
+            for phi in std::mem::take(&mut f.block_mut(target).phis) {
+                f.replace_all_uses(phi.dst, phi.incomings[0].1);
+            }
+            let insts = std::mem::take(&mut f.block_mut(target).insts);
+            let term = std::mem::replace(&mut f.block_mut(target).term, Term::Unreachable);
+            for s in term.successors() {
+                for phi in &mut f.block_mut(s).phis {
+                    for (p, _) in &mut phi.incomings {
+                        if *p == target {
+                            *p = b;
+                        }
                     }
                 }
             }
+            let block = f.block_mut(b);
+            block.insts.extend(insts);
+            block.term = term;
+            merged = true;
         }
-        f.block_mut(target).term = Term::Unreachable;
-        f.block_mut(target).insts.clear();
-        f.block_mut(target).phis.clear();
-        drop_unreachable(f, &Cfg::new(f));
-        changed = true;
     }
+    // The merged blocks are unreachable now; renumber once.
+    if merged {
+        drop_unreachable(f);
+    }
+    pruned || merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse::parse_module;
+    use crate::types::Ty;
     use crate::verify::verify_function;
 
     fn check(src: &str, tf: impl Fn(&mut Function) -> bool) -> Function {
@@ -365,29 +348,6 @@ e:
     }
 
     #[test]
-    fn critical_edges_split() {
-        let src = "\
-define i64 @f(i1 %c) {
-entry:
-  br i1 %c, label %a, label %join
-a:
-  br label %join
-join:
-  %x = phi i64 [ 1, %entry ], [ 2, %a ]
-  ret i64 %x
-}
-";
-        // entry -> join is critical (entry has 2 succs, join has 2 preds).
-        let f = check(src, split_critical_edges);
-        let cfg = Cfg::new(&f);
-        // join's preds should now both be single-succ blocks.
-        let join = f.iter_blocks().find(|(_, b)| b.name == "join").unwrap().0;
-        for p in &cfg.preds[join.index()] {
-            assert_eq!(cfg.succs[p.index()].len(), 1, "pred {p} still critical");
-        }
-    }
-
-    #[test]
     fn dedicated_exits_created() {
         let src = "\
 define i64 @f(i1 %c, i64 %n) {
@@ -472,6 +432,57 @@ b:
     }
 
     #[test]
+    fn merge_blocks_replaces_single_incoming_phis() {
+        let src = "\
+define i64 @f(i1 %c) {
+entry:
+  br i1 %c, label %a, label %b
+a:
+  br label %j
+b:
+  br label %j
+j:
+  %p = phi i64 [ 1, %a ], [ 2, %b ]
+  br label %k
+k:
+  %q = phi i64 [ %p, %j ]
+  ret i64 %q
+}
+";
+        let f = check(src, merge_blocks);
+        assert_eq!(f.blocks.len(), 4, "{f}");
+        assert!(
+            matches!(f.blocks[3].term, Term::Ret { val: Some(Operand::Reg(r)), .. } if r == f.blocks[3].phis[0].dst)
+        );
+    }
+
+    #[test]
+    fn fold_branch_keeps_the_target_edge_only() {
+        let src = "\
+define i64 @f(i64 %v) {
+entry:
+  switch i64 %v, label %a [ 1, label %b 2, label %a ]
+a:
+  %x = phi i64 [ 1, %entry ], [ 2, %b ]
+  ret i64 %x
+b:
+  br label %a
+}
+";
+        let fold_to = |target| {
+            check(src, |f| {
+                fold_branch(f, BlockId(0), BlockId(target));
+                true
+            })
+        };
+        let to_a = fold_to(1);
+        assert_eq!(to_a.blocks[0].term, Term::Br { target: BlockId(1) });
+        assert_eq!(to_a.blocks[1].phis[0].incomings.len(), 2);
+        let to_b = fold_to(2);
+        assert_eq!(to_b.blocks[1].phis[0].incomings, vec![(BlockId(2), Operand::int(Ty::I64, 2))]);
+    }
+
+    #[test]
     fn transforms_preserve_interpretation() {
         use crate::interp::{run, ExecConfig};
         for src in [MULTI_ENTRY_LOOP, TWO_LATCH_LOOP] {
@@ -482,7 +493,6 @@ b:
             for tf in [
                 insert_preheaders as fn(&mut Function, &mut Analyses) -> bool,
                 merge_latches,
-                |f, _| split_critical_edges(f),
                 dedicated_exits,
                 loop_simplify,
             ] {

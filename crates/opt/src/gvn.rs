@@ -22,7 +22,7 @@
 use crate::alias::Aliasing;
 use crate::util::sweep_trivially_dead;
 use crate::{Ctx, Pass};
-use lir::cfg::Cfg;
+use lir::cfg::reachable_cfg;
 use lir::dom::DomTree;
 use lir::func::{BlockId, Function};
 use lir::inst::{BinOp, CastOp, FBinOp, FcmpPred, IcmpPred, Inst};
@@ -109,10 +109,7 @@ struct MemFact {
 
 /// Run GVN. Returns `true` on change.
 pub fn run_gvn(f: &mut Function, _ctx: &Ctx<'_>) -> bool {
-    let mut cfg = Cfg::new(f);
-    if lir::cfg::drop_unreachable(f, &cfg) {
-        cfg = Cfg::new(f);
-    }
+    let (cfg, pruned) = reachable_cfg(f);
     let dt = DomTree::new(f, &cfg);
     let aa = Aliasing::new(f);
 
@@ -276,7 +273,7 @@ pub fn run_gvn(f: &mut Function, _ctx: &Ctx<'_>) -> bool {
         }
         sweep_trivially_dead(f);
     }
-    changed
+    pruned || changed
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@
 //! | instcombine (paper §4, "optimization-specific rules") | [`instcombine`] |
 //!
 //! Passes are function-local ([`Pass`]) and are orchestrated by
-//! [`PassManager`]; [`paper_pipeline`] builds the exact pipeline of §5.1.
+//! [`PassManager`]; [`paper_pipeline`] builds the exact pipeline of §5.1
+//! from [`PAPER_PASSES`].
 //! The optimizer consults the same [known-function table](lir::known) LLVM
 //! uses libc knowledge for, which is what produces the paper's
 //! characteristic LICM false alarms when the validator's libc rules are off.
@@ -31,7 +32,6 @@ pub mod loopdel;
 pub mod mem2reg;
 pub mod sccp;
 pub mod simplifycfg;
-pub mod ssa_update;
 pub mod unswitch;
 pub mod util;
 
@@ -207,11 +207,14 @@ pub fn pass_by_name(name: &str) -> Option<Box<dyn Pass + Send + Sync>> {
     })
 }
 
-/// The paper's experimental pipeline (§5.1): ADCE, GVN, SCCP, LICM, loop
-/// deletion, loop unswitching, DSE.
+/// The paper's §5.1 pipeline order: ADCE, GVN, SCCP, LICM, loop deletion,
+/// loop unswitching, DSE.
+pub const PAPER_PASSES: [&str; 7] = ["adce", "gvn", "sccp", "licm", "ld", "lu", "dse"];
+
+/// The paper's experimental pipeline: the [`PAPER_PASSES`] in order.
 pub fn paper_pipeline() -> PassManager {
     let mut pm = PassManager::new();
-    for name in ["adce", "gvn", "sccp", "licm", "ld", "lu", "dse"] {
+    for name in PAPER_PASSES {
         pm.add(pass_by_name(name).expect("known pass"));
     }
     pm
@@ -239,6 +242,23 @@ mod tests {
         for &name in known_passes() {
             let p = pass_by_name(name).unwrap_or_else(|| panic!("`{name}` must resolve"));
             assert_eq!(p.name(), name, "registry name and pass name must agree");
+        }
+    }
+
+    /// Every pass's flag says whether it changed a function whose only
+    /// possible edit is deleting its two unreachable blocks.
+    #[test]
+    fn every_pass_reports_an_unreachable_block_sweep() {
+        let src = "define i64 @f(i64 %a) {\n\
+                   entry:\n  ret i64 %a\n\
+                   dead:\n  br label %dead2\n\
+                   dead2:\n  ret i64 0\n\
+                   }\n";
+        let before = lir::parse::parse_module(src).expect("parse").functions.remove(0);
+        for &name in known_passes() {
+            let mut after = before.clone();
+            let flag = pass_by_name(name).expect("known pass").run(&mut after, &Ctx::empty());
+            assert_eq!(flag, after != before, "`{name}` returned {flag}:\n{after}");
         }
     }
 

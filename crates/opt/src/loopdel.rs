@@ -9,11 +9,10 @@
 //! terminating executions (§2).
 
 use crate::{Ctx, Pass};
-use lir::cfg::{drop_unreachable, Cfg};
 use lir::func::{BlockId, Function};
 use lir::inst::{Inst, Term};
 use lir::loops::{Analyses, LoopId};
-use lir::transform::loop_simplify;
+use lir::transform::{loop_simplify, prune_and_reanalyze};
 use lir::value::Reg;
 use std::collections::HashSet;
 
@@ -41,8 +40,7 @@ pub fn run_loop_deletion(f: &mut Function) -> bool {
         && an.lf.innermost_first().into_iter().any(|lid| try_delete(f, &an, lid))
     {
         // The deleted loop's blocks are unreachable now.
-        drop_unreachable(f, &Cfg::new(f));
-        an = Analyses::new(f);
+        prune_and_reanalyze(f, &mut an);
         changed = true;
     }
     debug_assert!(an.describes(f), "stale analyses after loop deletion");

@@ -9,13 +9,13 @@
 
 use crate::alias::non_escaping_allocas;
 use crate::{Ctx, Pass};
-use lir::cfg::Cfg;
+use lir::cfg::reachable_cfg;
 use lir::dom::DomTree;
 use lir::func::{BlockId, Function, Phi};
 use lir::inst::Inst;
 use lir::types::Ty;
 use lir::value::{Constant, Operand, Reg};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The mem2reg pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -32,8 +32,9 @@ impl Pass for Mem2Reg {
 }
 
 /// Find promotable allocas: non-escaping, accessed only by whole-value
-/// loads/stores of a single type.
-fn promotable_allocas(f: &Function) -> HashMap<Reg, Ty> {
+/// loads/stores of a single type. They are listed in register order, the
+/// order φs are placed in.
+fn promotable_allocas(f: &Function) -> BTreeMap<Reg, Ty> {
     let candidates = non_escaping_allocas(f);
     let mut access_ty: HashMap<Reg, Option<Ty>> = HashMap::new();
     for (_, b) in f.iter_blocks() {
@@ -80,12 +81,11 @@ fn promotable_allocas(f: &Function) -> HashMap<Reg, Ty> {
 pub fn promote_allocas(f: &mut Function) -> bool {
     // The renaming walk only covers reachable blocks; drop the rest first so
     // no stale load survives in dead code.
-    lir::cfg::drop_unreachable(f, &Cfg::new(f));
+    let (cfg, pruned) = reachable_cfg(f);
     let promote = promotable_allocas(f);
     if promote.is_empty() {
-        return false;
+        return pruned;
     }
-    let cfg = Cfg::new(f);
     let dt = DomTree::new(f, &cfg);
     let df = dt.dominance_frontiers(&cfg);
 

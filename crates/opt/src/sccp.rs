@@ -11,9 +11,10 @@
 
 use crate::util::sweep_trivially_dead;
 use crate::{Ctx, Pass};
-use lir::cfg::{drop_unreachable, Cfg};
+use lir::cfg::drop_unreachable;
 use lir::func::{BlockId, Function};
-use lir::inst::{self, Inst, Term};
+use lir::inst::{self, Inst};
+use lir::transform::fold_branch;
 use lir::value::{Constant, Operand, Reg};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -154,39 +155,16 @@ impl<'f> Solver<'f> {
     }
 
     fn visit_term(&mut self, b: BlockId) {
-        match &self.f.block(b).term {
-            Term::Ret { .. } | Term::Unreachable => {}
-            Term::Br { target } => self.mark_edge(b, *target),
-            Term::CondBr { cond, t, f: fb } => match self.lat_of(*cond) {
-                Lat::Const(c) if c.is_true() => self.mark_edge(b, *t),
-                Lat::Const(_) => self.mark_edge(b, *fb),
-                Lat::Bot => {
-                    self.mark_edge(b, *t);
-                    self.mark_edge(b, *fb);
-                }
-                Lat::Top => {}
-            },
-            Term::Switch { ty, val, default, cases } => match self.lat_of(*val) {
-                Lat::Const(c) => {
-                    let mut target = *default;
-                    if let Some(bits) = c.as_bits() {
-                        for (k, blk) in cases {
-                            if ty.wrap(*k as u64) == bits {
-                                target = *blk;
-                                break;
-                            }
-                        }
-                    }
-                    self.mark_edge(b, target);
-                }
-                Lat::Bot => {
-                    let succs: Vec<BlockId> = self.f.block(b).term.successors();
-                    for s in succs {
-                        self.mark_edge(b, s);
-                    }
-                }
-                Lat::Top => {}
-            },
+        let term = &self.f.block(b).term;
+        let taken = match term.condition().map(|c| self.lat_of(c)) {
+            Some(Lat::Top) => return,
+            Some(Lat::Const(c)) => {
+                term.target_for(c).map_or_else(|| term.successors(), |t| vec![t])
+            }
+            _ => term.successors(),
+        };
+        for s in taken {
+            self.mark_edge(b, s);
         }
     }
 
@@ -285,65 +263,28 @@ pub fn run_sccp(f: &mut Function) -> bool {
             }
         }
     });
-    // Fold branches with constant conditions to unconditional branches and
-    // clean φs of abandoned edges.
-    let nblocks = f.blocks.len();
-    for bi in 0..nblocks {
-        let bid = BlockId(bi as u32);
-        if !exec_block.contains(&bid) {
+    // Fold branches on constants in executable blocks to unconditional
+    // branches.
+    for bi in 0..f.blocks.len() {
+        let b = BlockId(bi as u32);
+        if !exec_block.contains(&b) {
             continue;
         }
-        let new_term = match &f.blocks[bi].term {
-            Term::CondBr { cond: Operand::Const(c), t, f: fb } => {
-                let target = if c.is_true() { *t } else { *fb };
-                let abandoned = if c.is_true() { *fb } else { *t };
-                Some((target, vec![abandoned]))
-            }
-            Term::Switch { ty, val: Operand::Const(c), default, cases } => {
-                if let Some(bits) = c.as_bits() {
-                    let mut target = *default;
-                    for (k, blk) in cases {
-                        if ty.wrap(*k as u64) == bits {
-                            target = *blk;
-                            break;
-                        }
-                    }
-                    let mut abandoned: Vec<BlockId> = f.blocks[bi]
-                        .term
-                        .successors()
-                        .into_iter()
-                        .filter(|s| *s != target)
-                        .collect();
-                    abandoned.dedup();
-                    Some((target, abandoned))
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        };
-        if let Some((target, abandoned)) = new_term {
-            for a in abandoned {
-                if a == target {
-                    continue;
-                }
-                for phi in &mut f.blocks[a.index()].phis {
-                    phi.incomings.retain(|(p, _)| *p != bid);
-                }
-            }
-            f.blocks[bi].term = Term::Br { target };
+        if let Some(target) = f.block(b).term.constant_target() {
+            fold_branch(f, b, target);
             changed = true;
         }
     }
     // Delete instructions that became dead and unreachable blocks.
     changed |= sweep_trivially_dead(f);
-    changed |= drop_unreachable(f, &Cfg::new(f));
+    changed |= drop_unreachable(f);
     changed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lir::inst::Term;
     use lir::interp::{run, ExecConfig};
     use lir::parse::parse_module;
     use lir::verify::verify_function;

@@ -5,10 +5,9 @@
 //! interleave `simplifycfg` with the scalar passes.
 
 use crate::{Ctx, Pass};
-use lir::cfg::{drop_unreachable, Cfg};
 use lir::func::{BlockId, Function};
 use lir::inst::Term;
-use lir::transform::merge_blocks;
+use lir::transform::{fold_branch, merge_blocks};
 use lir::value::Operand;
 
 /// The simplifycfg pass.
@@ -30,61 +29,13 @@ impl Pass for SimplifyCfg {
 fn fold_constant_branches(f: &mut Function) -> bool {
     let mut changed = false;
     for bi in 0..f.blocks.len() {
-        let bid = BlockId(bi as u32);
-        let folded: Option<(BlockId, Vec<BlockId>)> = match &f.blocks[bi].term {
-            Term::CondBr { cond, t, f: fb } if t == fb => Some((*t, vec![])),
-            Term::CondBr { cond: Operand::Const(c), t, f: fb } => {
-                if c.is_true() {
-                    Some((*t, vec![*fb]))
-                } else if c.is_false() {
-                    Some((*fb, vec![*t]))
-                } else {
-                    None
-                }
-            }
-            Term::Switch { ty, val: Operand::Const(c), default, cases } => {
-                c.as_bits().map(|bits| {
-                    let mut target = *default;
-                    for (k, blk) in cases {
-                        if ty.wrap(*k as u64) == bits {
-                            target = *blk;
-                            break;
-                        }
-                    }
-                    let mut abandoned: Vec<BlockId> = std::iter::once(*default)
-                        .chain(cases.iter().map(|(_, b)| *b))
-                        .filter(|s| *s != target)
-                        .collect();
-                    abandoned.sort();
-                    abandoned.dedup();
-                    (target, abandoned)
-                })
-            }
-            _ => None,
+        let b = BlockId(bi as u32);
+        let target = match f.block(b).term {
+            Term::CondBr { t, f: fb, .. } if t == fb => Some(t),
+            ref term => term.constant_target(),
         };
-        if let Some((target, abandoned)) = folded {
-            // A conditional branch with both arms equal contributes two φ
-            // incomings; collapse to one.
-            if abandoned.is_empty() {
-                for phi in &mut f.blocks[target.index()].phis {
-                    let mut seen = false;
-                    phi.incomings.retain(|(p, _)| {
-                        if *p == bid {
-                            if seen {
-                                return false;
-                            }
-                            seen = true;
-                        }
-                        true
-                    });
-                }
-            }
-            for a in abandoned {
-                for phi in &mut f.blocks[a.index()].phis {
-                    phi.incomings.retain(|(p, _)| *p != bid);
-                }
-            }
-            f.blocks[bi].term = Term::Br { target };
+        if let Some(target) = target {
+            fold_branch(f, b, target);
             changed = true;
         }
     }
@@ -97,7 +48,6 @@ pub fn run_simplifycfg(f: &mut Function) -> bool {
     loop {
         let mut round = false;
         round |= fold_constant_branches(f);
-        round |= drop_unreachable(f, &Cfg::new(f));
         round |= merge_blocks(f);
         // Single-incoming φs become copies.
         let mut singles: Vec<(lir::value::Reg, Operand)> = Vec::new();

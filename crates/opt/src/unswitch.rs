@@ -4,9 +4,9 @@
 //! `for(..) { if (c) A else B }` with invariant `c` becomes
 //! `if (c) for(..) A else for(..) B`. The whole loop body is cloned; in the
 //! true version the branch folds to its then-successor, in the false
-//! version to its else-successor; the preheader dispatches on `c`. Values
-//! defined in the loop and used outside get φs merging the two versions
-//! (via [`crate::ssa_update`]).
+//! version to its else-successor; the preheader dispatches on `c`. A loop
+//! is versioned only when none of its registers is used outside it, so the
+//! two versions need no merge φs.
 //!
 //! The validator checks unswitching with its *commuting rules* (paper §5.3,
 //! rule set 6): φ/η/μ distribution plus μ-cycle matching make the two loop
@@ -14,13 +14,12 @@
 //! through the loop structure.
 
 use crate::{Ctx, Pass};
-use lir::cfg::{drop_unreachable, Cfg};
 use lir::func::{BlockId, Function};
 use lir::inst::Term;
 use lir::loops::{Analyses, LoopId};
-use lir::transform::{dedicated_exits, loop_simplify};
+use lir::transform::{dedicated_exits, fold_branch, loop_simplify, prune_and_reanalyze};
 use lir::value::{Operand, Reg};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// The loop-unswitching pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -56,8 +55,7 @@ pub fn run_unswitch(f: &mut Function) -> bool {
             break;
         }
         // The folded branches may leave blocks unreachable.
-        drop_unreachable(f, &Cfg::new(f));
-        an = Analyses::new(f);
+        prune_and_reanalyze(f, &mut an);
         loop_simplify(f, &mut an);
         dedicated_exits(f, &mut an);
         changed = true;
@@ -76,27 +74,19 @@ fn unswitch_one(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
     if size > SIZE_LIMIT {
         return false;
     }
-    // Registers defined inside the loop.
-    let mut defined_in: HashMap<Reg, lir::types::Ty> = HashMap::new();
-    let mut def_block: HashMap<Reg, BlockId> = HashMap::new();
+    // Registers defined inside the loop, in register order: the order their
+    // copies are numbered in.
+    let mut defined_in: BTreeSet<Reg> = BTreeSet::new();
     for &b in &l.body {
-        for phi in &f.block(b).phis {
-            defined_in.insert(phi.dst, phi.ty);
-            def_block.insert(phi.dst, b);
-        }
-        for inst in &f.block(b).insts {
-            if let Some(d) = inst.dst() {
-                defined_in.insert(d, inst.dst_ty());
-                def_block.insert(d, b);
-            }
-        }
+        defined_in.extend(f.block(b).phis.iter().map(|phi| phi.dst));
+        defined_in.extend(f.block(b).insts.iter().filter_map(|inst| inst.dst()));
     }
     // Find an invariant conditional branch fully inside the loop.
     let mut candidate: Option<(BlockId, Operand, BlockId, BlockId)> = None;
     for &b in &l.body {
         if let Term::CondBr { cond, t, f: fb } = &f.block(b).term {
             let invariant = match cond {
-                Operand::Reg(r) => !defined_in.contains_key(r),
+                Operand::Reg(r) => !defined_in.contains(r),
                 _ => false, // constants are handled by simplifycfg
             };
             if invariant && body.contains(t) && body.contains(fb) && t != fb {
@@ -120,7 +110,7 @@ fn unswitch_one(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
         let mut live_out = false;
         let mut check = |op: lir::value::Operand| {
             if let Operand::Reg(r) = op {
-                live_out |= defined_in.contains_key(&r);
+                live_out |= defined_in.contains(&r);
             }
         };
         for phi in &blk.phis {
@@ -144,7 +134,7 @@ fn unswitch_one(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
         block_map.insert(b, nb);
     }
     let mut reg_map: HashMap<Reg, Reg> = HashMap::new();
-    for &r in defined_in.keys() {
+    for &r in &defined_in {
         reg_map.insert(r, f.new_reg());
     }
     let map_op = |op: &mut Operand, reg_map: &HashMap<Reg, Reg>| {
@@ -185,8 +175,6 @@ fn unswitch_one(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
 
     // Exit blocks now also receive edges from the cloned exiting blocks:
     // extend their φs (and any φ outside the loop fed by a loop block).
-    let nblocks_before_clone = block_map.len();
-    let _ = nblocks_before_clone;
     let outside: Vec<BlockId> = f
         .iter_blocks()
         .map(|(id, _)| id)
@@ -209,28 +197,14 @@ fn unswitch_one(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
         f.block_mut(ob).phis = new_phis;
     }
 
-    // Fold the unswitched branch in both copies, dropping stale φ edges.
-    let fold = |f: &mut Function, blk: BlockId, keep: BlockId, drop: BlockId| {
-        f.block_mut(blk).term = Term::Br { target: keep };
-        if keep != drop {
-            for phi in &mut f.block_mut(drop).phis {
-                phi.incomings.retain(|(p, _)| *p != blk);
-            }
-        }
-    };
-    fold(f, branch_block, then_tgt, else_tgt);
-    let cb = block_map[&branch_block];
-    let (ct, ce) = (block_map[&then_tgt], block_map[&else_tgt]);
-    fold(f, cb, ce, ct);
+    // Fold the unswitched branch in both copies.
+    fold_branch(f, branch_block, then_tgt);
+    fold_branch(f, block_map[&branch_block], block_map[&else_tgt]);
 
     // Preheader dispatches on the invariant condition.
     let header = l.header;
     let clone_header = block_map[&header];
     f.block_mut(preheader).term = Term::CondBr { cond, t: header, f: clone_header };
-
-    // No SSA repair needed: the live-out guard above rejected any loop
-    // whose registers are referenced outside it.
-    let _ = def_block;
     true
 }
 
@@ -279,6 +253,9 @@ e:
         let mut m2 = m.clone();
         assert!(run_unswitch(&mut m2.functions[0]));
         verify_function(&m2.functions[0]).unwrap_or_else(|e| panic!("{e}\n{}", m2.functions[0]));
+        let mut again = m.functions[0].clone();
+        run_unswitch(&mut again);
+        assert_eq!(again, m2.functions[0], "unswitching is deterministic");
         // The invariant branch no longer appears inside any loop: both loop
         // versions contain only the loop-exit conditional.
         let f2 = &m2.functions[0];

@@ -20,6 +20,7 @@
 //! the fixed order never hits.
 
 use crate::rng::SplitMix64;
+pub use lir_opt::PAPER_PASSES;
 use lir_opt::{pass_by_name, PassManager};
 
 /// Table 1 facts for the real benchmark.
@@ -247,10 +248,6 @@ pub fn profile(name: &str) -> Option<Profile> {
     profiles().into_iter().find(|p| p.name.eq_ignore_ascii_case(name))
 }
 
-/// The paper's §5.1 pipeline order: ADCE, GVN, SCCP, LICM, loop deletion,
-/// loop unswitching, DSE (the passes `lir_opt::paper_pipeline` runs).
-pub const PAPER_PASSES: [&str; 7] = ["adce", "gvn", "sccp", "licm", "ld", "lu", "dse"];
-
 /// A named pass ordering: the unit the chain-validation harnesses sweep.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schedule {
@@ -357,9 +354,6 @@ mod tests {
             assert_eq!(pm.names(), s.passes, "schedule `{}` order must survive", s.name);
         }
         assert_eq!(paper_schedule().passes, PAPER_PASSES);
-        // PAPER_PASSES is a hand-written copy of lir_opt::paper_pipeline's
-        // order; this is the cross-crate sync guard — if the pipeline
-        // changes, this fails until the schedule follows.
         assert_eq!(
             paper_schedule().pass_manager().names(),
             lir_opt::paper_pipeline().names(),

@@ -13,7 +13,8 @@
 //! * `lir::parse` agrees with the original parser on printed modules and
 //!   seeded edits of them, and the verdict store's keys are pinned;
 //! * the CFG canonicalizers and `gated::prepare` hand back CFG analyses
-//!   that describe the function they edited.
+//!   that describe the function they edited;
+//! * the optimizer's printed output is pinned, pass by pass.
 //!
 //! Driven by the in-repo [`harness`] (the workspace is zero-dependency, so
 //! no `proptest`): each property runs a fixed budget of seeded cases, and a
@@ -959,17 +960,21 @@ fn fingerprints_are_equal_exactly_when_canonical_prints_are() {
     assert!(by_fp.len() > 1_000, "the scan covers many distinct versions: {}", by_fp.len());
 }
 
-/// The scale-1 suite and 96 fuzz modules per profile, each paired with its
-/// paper-pipeline output.
-fn suite_and_fuzz_pairs() -> Vec<(lir::func::Module, lir::func::Module)> {
-    use llvm_md::opt::paper_pipeline;
+/// The scale-1 suite and 96 fuzz modules per profile (588 modules).
+fn suite_and_fuzz_modules() -> Vec<lir::func::Module> {
     use llvm_md::workload::{campaign_modules, fuzz_profiles, suite_batch, DEFAULT_CAMPAIGN_SEED};
     let mut modules = suite_batch(1);
     for p in fuzz_profiles() {
         modules.extend(campaign_modules(&p, DEFAULT_CAMPAIGN_SEED, 96));
     }
-    let pm = paper_pipeline();
     modules
+}
+
+/// The modules of [`suite_and_fuzz_modules`], each paired with its
+/// paper-pipeline output.
+fn suite_and_fuzz_pairs() -> Vec<(lir::func::Module, lir::func::Module)> {
+    let pm = llvm_md::opt::paper_pipeline();
+    suite_and_fuzz_modules()
         .into_iter()
         .map(|m| {
             let mut out = m.clone();
@@ -977,6 +982,53 @@ fn suite_and_fuzz_pairs() -> Vec<(lir::func::Module, lir::func::Module)> {
             (m, out)
         })
         .collect()
+}
+
+/// The optimizer is the black box every verdict certifies, so its output
+/// must not move by accident. This pins an FNV-1a digest of the printed
+/// output of `paper_pipeline()` and of each known pass run alone over the
+/// 588 modules of [`suite_and_fuzz_modules`]; a change that moves one is an
+/// optimizer behaviour change and must say so.
+#[test]
+fn optimizer_output_is_pinned() {
+    use llvm_md::lir::intern::Fnv1a;
+    use llvm_md::opt::{known_passes, paper_pipeline, pass_by_name, PassManager};
+    use std::fmt::Write;
+    use std::hash::Hasher;
+    let modules = suite_and_fuzz_modules();
+    assert_eq!(modules.len(), 588);
+    let mut runs = vec![("paper", paper_pipeline())];
+    for &name in known_passes() {
+        let mut pm = PassManager::new();
+        pm.add(pass_by_name(name).expect("known pass"));
+        runs.push((name, pm));
+    }
+    let got: Vec<String> = runs
+        .iter()
+        .map(|(name, pm)| {
+            let mut digest = Fnv1a::new();
+            for m in &modules {
+                let mut out = m.clone();
+                pm.run_module(&mut out);
+                write!(digest, "{out}").expect("hashing cannot fail");
+            }
+            format!("{name} {:016x}", digest.finish())
+        })
+        .collect();
+    let pinned = [
+        "paper a011a865bedc6699",
+        "adce 95ae34142cf2d801",
+        "gvn c4cc70097e524c1b",
+        "sccp 5bc73209e29952c0",
+        "licm d59a8def2ae704a0",
+        "ld eb155417cfc903fb",
+        "lu 17e7da81a555e772",
+        "dse 93eddf20e7c5ba95",
+        "instcombine a93603f992408c93",
+        "mem2reg 0a2a2ffb852f9cb0",
+        "simplifycfg bcf9ace78069aab5",
+    ];
+    assert_eq!(got, pinned, "optimizer output moved");
 }
 
 /// Verdict stores persist [`fingerprint`](llvm_md::core::fingerprint)s as
