@@ -28,7 +28,10 @@ use llvm_md::driver::{
 use llvm_md::lir::func::Module;
 use llvm_md::lir::intern::Fnv1a;
 use llvm_md::opt::{paper_pipeline, pass_by_name, PassManager};
-use llvm_md::workload::{generate_suite, injected_corpus, BrokenPass};
+use llvm_md::workload::fuzz::campaign_modules;
+use llvm_md::workload::{
+    fuzz_profiles, generate_suite, injected_corpus, BrokenPass, DEFAULT_CAMPAIGN_SEED,
+};
 use std::fmt::Write;
 use std::hash::Hasher;
 use std::time::Duration;
@@ -499,6 +502,39 @@ fn normalizer_and_matcher_configurations_encode_to_pinned_bytes() {
     let got = h.finish();
     let pinned: u64 = 0x62a8_ed04_ac28_a93b;
     assert_eq!(got, pinned, "encoded configuration reports drifted (fingerprint {got:#018x})");
+}
+
+/// Fuzz-campaign modules under the saturate-fallback normalizer with every
+/// rule, pinned by one FNV-1a fingerprint over the encoded `Report`s with
+/// timing zeroed. The suite pin above seldom reaches saturation; these
+/// modules do, so the fingerprint covers each saturation run's
+/// `iterations`, `e_classes` and `e_nodes`.
+#[test]
+fn fuzz_saturation_reports_encode_to_pinned_bytes() {
+    const MODULES_PER_PROFILE: usize = 24;
+    let engine = ValidationEngine::with_workers(2);
+    let validator = Validator {
+        normalizer: Normalizer::SaturateFallback,
+        rules: RuleSet::full(),
+        ..Validator::new()
+    };
+    let pm = paper_pipeline();
+    let mut h = Fnv1a::new();
+    let mut saturated = 0;
+    for profile in fuzz_profiles() {
+        for module in campaign_modules(&profile, DEFAULT_CAMPAIGN_SEED, MODULES_PER_PROFILE) {
+            let mut output = module.clone();
+            pm.run_module(&mut output);
+            let mut report = engine.validate_modules(&module, &output, &validator);
+            zero_report_timing(&mut report);
+            saturated += report.records.iter().filter(|r| r.saturation.is_some()).count();
+            writeln!(h, "{}", report.to_wire()).unwrap();
+        }
+    }
+    assert!(saturated >= 20, "only {saturated} records reached saturation");
+    let got = h.finish();
+    let pinned: u64 = 0xe008_571c_e0af_7603;
+    assert_eq!(got, pinned, "encoded fuzz saturation reports drifted (fingerprint {got:#018x})");
 }
 
 /// Every injected bug spliced mid-pipeline (`adce` → the broken pass →
