@@ -3,8 +3,9 @@
 //! construction), shared-graph import + hash-consing, one congruence
 //! rebuild over an original/optimized pair, end-to-end validation of
 //! identity and of a pipeline-optimized function, the serve miss path's
-//! parsing and canonicalization, the paper pipeline on one function, and
-//! gated-SSA CFG preparation.
+//! parsing and canonicalization, the paper pipeline on one function,
+//! gated-SSA CFG preparation, and equality saturation on fuzz pairs that
+//! the destructive engine leaves unproved.
 //!
 //! The paper's efficiency claim (§4.1) is that validation work is
 //! proportional to the number of transformations, not to program size:
@@ -19,8 +20,9 @@ use lir::func::{Function, Module};
 use lir_opt::paper_pipeline;
 use llvm_md_bench::timing::{BenchReport, Config};
 use llvm_md_bench::write_artifact;
-use llvm_md_core::Validator;
-use llvm_md_workload::profiles;
+use llvm_md_core::{Normalizer, RuleSet, Validator};
+use llvm_md_workload::fuzz::campaign_module;
+use llvm_md_workload::{fuzz_profiles, profiles, DEFAULT_CAMPAIGN_SEED};
 
 /// A generated module whose functions average roughly `size` instructions.
 fn sized_module(size: usize) -> Module {
@@ -38,6 +40,13 @@ fn pick(m: &Module, size: usize) -> &Function {
 }
 
 const SIZES: [usize; 3] = [16, 64, 256];
+
+/// Fuzz pairs on which the destructive engine stops at `RootsDiffer` and
+/// saturation runs: `(profile index, campaign module index, function)` at
+/// the default campaign seed, each validated against its paper-pipeline
+/// output. They stop at 121, 455 and 689 live e-nodes, after 4, 2 and 17
+/// iterations.
+const SATURATING: [(usize, usize, &str); 3] = [(0, 1, "f3"), (1, 9, "f2"), (0, 9, "f2")];
 
 fn main() {
     let cfg = Config::default();
@@ -128,6 +137,21 @@ fn main() {
         let f = pick(&m, size);
         let name = format!("prepare/{}", f.inst_count());
         report.run(&name, &cfg, || gated_ssa::prepare(f).expect("reducible"));
+    }
+
+    // Equality saturation, after the destructive pass it falls back from.
+    // The axis is named by the live e-nodes when saturation stops.
+    let saturating =
+        Validator { rules: RuleSet::full(), normalizer: Normalizer::SaturateFallback, ..validator };
+    for (profile, index, name) in SATURATING {
+        let m = campaign_module(&fuzz_profiles()[profile], DEFAULT_CAMPAIGN_SEED, index);
+        let mut opt = m.clone();
+        paper_pipeline().run_module(&mut opt);
+        let fi = m.functions.iter().find(|f| f.name == name).expect("pinned function");
+        let fo = opt.functions.iter().find(|f| f.name == name).expect("same function");
+        let stats = saturating.validate(fi, fo).stats.saturation.expect("saturation runs");
+        let name = format!("saturate/{}", stats.e_nodes);
+        report.run(&name, &cfg, || saturating.validate(fi, fo));
     }
 
     let path = write_artifact("micro", &report.to_json()).expect("write BENCH_micro.json");

@@ -61,7 +61,12 @@ fn main() {
     print!("{:12}", "total");
     let totals = totals(&reports);
     for &(t, v) in &totals {
-        print!(" | {t:>6} {:>5.0}%", pct(v, t));
+        // A pass that transformed nothing has no rate to show.
+        if t == 0 {
+            print!(" | {t:>6} {:>6}", "n/a");
+        } else {
+            print!(" | {t:>6} {:>5.0}%", pct(v, t));
+        }
     }
     let gvn = totals[1].0;
     let most = totals.iter().map(|t| t.0).max().unwrap_or(0);

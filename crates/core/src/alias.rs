@@ -135,12 +135,12 @@ impl Escapes {
             if g.find(id) != id {
                 continue;
             }
-            match g.node(id).clone() {
+            match *g.node(id) {
                 Node::Load { ptr: _, mem: _, .. } => {} // address use: fine
                 Node::Store { val, ptr: _, mem: _, .. } => mark(g, &mut escaped, val),
-                Node::CallPure { args, .. }
-                | Node::CallVal { args, .. }
-                | Node::CallMem { args, .. } => {
+                Node::CallPure { ref args, .. }
+                | Node::CallVal { ref args, .. }
+                | Node::CallMem { ref args, .. } => {
                     for a in args.iter() {
                         mark(g, &mut escaped, *a);
                     }
@@ -149,7 +149,7 @@ impl Escapes {
                     mark(g, &mut escaped, a);
                     mark(g, &mut escaped, b);
                 }
-                Node::Phi { branches } => {
+                Node::Phi { ref branches } => {
                     for (_, v) in branches.iter() {
                         mark(g, &mut escaped, *v);
                     }

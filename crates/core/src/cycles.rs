@@ -19,7 +19,7 @@
 
 use crate::graph::SharedGraph;
 use gated_ssa::node::{Node, NodeId};
-use std::collections::{HashMap, HashSet};
+use lir::intern::{IdMap, IdSet};
 
 /// Which cycle-matching algorithm to use (§5.4 ablation).
 ///
@@ -266,7 +266,7 @@ pub fn partition_refine(g: &mut SharedGraph, roots: &[NodeId]) -> usize {
     if mus.len() < 2 {
         return 0;
     }
-    let index: HashMap<NodeId, usize> =
+    let index: IdMap<NodeId, usize> =
         nodes.iter().copied().enumerate().map(|(i, n)| (n, i)).collect();
     let pred_rank = |p: lir::inst::IcmpPred| -> u32 {
         lir::inst::IcmpPred::ALL.iter().position(|&q| q == p).expect("known pred") as u32
@@ -276,7 +276,7 @@ pub fn partition_refine(g: &mut SharedGraph, roots: &[NodeId]) -> usize {
     // enter with an orientation-free shape.
     let mut class: Vec<u32> = Vec::with_capacity(nodes.len());
     {
-        let mut shape_ids: HashMap<Node, u32> = HashMap::new();
+        let mut shape_ids: IdMap<Node, u32> = IdMap::default();
         for &n in &nodes {
             let mut shape = g.resolve(n);
             if let Node::Icmp(pred, _, _, _) = &mut shape {
@@ -291,11 +291,11 @@ pub fn partition_refine(g: &mut SharedGraph, roots: &[NodeId]) -> usize {
     // Refine until stable: key = (own class, orientation-canonical children
     // classes).
     loop {
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         if mus.iter().all(|&i| seen.insert(class[i])) {
             return 0;
         }
-        let mut keys: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
+        let mut keys: IdMap<(u32, Vec<u32>), u32> = IdMap::default();
         let mut next_class: Vec<u32> = Vec::with_capacity(nodes.len());
         for (i, &n) in nodes.iter().enumerate() {
             let mut child_classes = Vec::new();
@@ -328,7 +328,7 @@ pub fn partition_refine(g: &mut SharedGraph, roots: &[NodeId]) -> usize {
         }
     }
     // Merge μs per class (congruence closure then merges their bodies).
-    let mut by_class: HashMap<u32, Vec<NodeId>> = HashMap::new();
+    let mut by_class: IdMap<u32, Vec<NodeId>> = IdMap::default();
     for (i, &n) in nodes.iter().enumerate() {
         if g.node(n).is_mu() {
             by_class.entry(class[i]).or_default().push(n);

@@ -30,13 +30,25 @@
 //! merges) or a budget cap ([`SaturationLimits`], the validator's
 //! [`crate::validate::Limits`], and the shared [`Deadline`]) — saturation
 //! can be slow, never unbounded.
+//!
+//! Each iteration re-reads the whole arena several times, so the
+//! per-member work is kept free of allocation where that changes nothing:
+//!
+//! - the class → members view is one `MemberMap`, a single list of
+//!   every node grouped by class and refilled in place, not one `Vec` per
+//!   class per iteration;
+//! - η pull-up, which looks for an η in each child class of every pure
+//!   member, scans those classes with `ClassView::etas`, which resolves
+//!   only the η members, in the order `ClassView::variants` lists them;
+//! - the maps keyed by node ids hash with `lir::intern::WordHasher`
+//!   (`IdMap`, `IdSet`) instead of SipHash.
 
 use crate::cycles::match_cycles;
 use crate::graph::SharedGraph;
 use crate::rules::{self, ClassView, RuleCtx};
 use crate::validate::{Deadline, ValidationStats, Validator};
 use gated_ssa::node::{Node, NodeId};
-use std::collections::HashMap;
+use lir::intern::IdMap;
 
 /// Budgets for one saturation run, charged on top of the validator's
 /// [`crate::validate::Limits`] (whose node cap and deadline also apply).
@@ -98,6 +110,7 @@ pub(crate) fn saturate(
     // Unions performed by the last full matching pass — starts at
     // "unknown" so the first pass always runs.
     let mut unions = usize::MAX;
+    let mut members = MemberMap::default();
     loop {
         let mut merged = g.rebuild();
         while congruence_members(g) > 0 {
@@ -106,7 +119,7 @@ pub(crate) fn saturate(
         }
         promote_consts(g);
         g.reintern();
-        let members = member_map(g);
+        members.fill(g);
         if equal(g) {
             stats.saturation = Some(snapshot(g, roots, iterations, true));
             return Outcome::Proved;
@@ -129,7 +142,7 @@ pub(crate) fn saturate(
         if iterations >= v.saturation.max_iterations
             || g.len() >= v.limits.max_nodes
             || g.len() >= v.saturation.max_nodes
-            || members.len() >= v.saturation.max_classes
+            || members.classes() >= v.saturation.max_classes
             || deadline.expired()
         {
             stats.saturation = Some(snapshot(g, roots, iterations, false));
@@ -173,7 +186,7 @@ pub(crate) fn saturate(
 /// lets a freshly cloned μ collapse into the class that already holds its
 /// twin instead of re-appearing every iteration.
 fn congruence_members(g: &mut SharedGraph) -> usize {
-    let mut seen: HashMap<Node, NodeId> = HashMap::new();
+    let mut seen: IdMap<Node, NodeId> = IdMap::default();
     let mut merged = 0;
     for i in 0..g.len() {
         let id = NodeId(i as u32);
@@ -207,34 +220,82 @@ fn promote_consts(g: &mut SharedGraph) {
     }
 }
 
-/// Representative → ascending member ids, over the whole arena.
-fn member_map(g: &SharedGraph) -> HashMap<NodeId, Vec<NodeId>> {
-    let mut members: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for i in 0..g.len() {
-        let id = NodeId(i as u32);
-        members.entry(g.find(id)).or_default().push(id);
+/// Representative → ascending member ids, over the arena as it stood at
+/// the last [`MemberMap::fill`]: one dense list of every node grouped by
+/// class and sliced per representative, so a refill reuses three buffers
+/// instead of allocating one list per class.
+#[derive(Debug, Default)]
+pub(crate) struct MemberMap {
+    /// `ids[start[r]..start[r + 1]]` are the members of representative
+    /// `r`; the range is empty for a node that is not one.
+    start: Vec<u32>,
+    /// Every node id, grouped by representative and ascending per group.
+    ids: Vec<NodeId>,
+    /// Scratch: each node's representative.
+    reps: Vec<NodeId>,
+    /// Number of classes (representatives).
+    classes: usize,
+}
+
+impl MemberMap {
+    /// Re-group the whole arena of `g` by representative.
+    pub(crate) fn fill(&mut self, g: &SharedGraph) {
+        let n = g.len();
+        self.reps.clear();
+        self.reps.extend((0..n).map(|i| g.find(NodeId(i as u32))));
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for r in &self.reps {
+            self.start[r.index() + 1] += 1;
+        }
+        self.classes = 0;
+        for i in 0..n {
+            self.classes += usize::from(self.reps[i].index() == i);
+            self.start[i + 1] += self.start[i];
+        }
+        // Place the nodes in id order, using `start[r]` as class `r`'s
+        // cursor. Each cursor ends at the next class's start, so shifting
+        // `start` right by one restores it.
+        self.ids.clear();
+        self.ids.resize(n, NodeId(0));
+        for (i, r) in self.reps.iter().enumerate() {
+            let cursor = &mut self.start[r.index()];
+            self.ids[*cursor as usize] = NodeId(i as u32);
+            *cursor += 1;
+        }
+        self.start.rotate_right(1);
+        self.start[0] = 0;
     }
-    members
+
+    /// The members of the class whose representative was `rep`, ascending;
+    /// empty for a node that was no representative or did not exist yet.
+    pub(crate) fn of(&self, rep: NodeId) -> &[NodeId] {
+        match (self.start.get(rep.index()), self.start.get(rep.index() + 1)) {
+            (Some(&a), Some(&b)) => &self.ids[a as usize..b as usize],
+            _ => &[],
+        }
+    }
+
+    /// Number of classes.
+    pub(crate) fn classes(&self) -> usize {
+        self.classes
+    }
 }
 
 /// Class-closure liveness: a class is live when any member of a live class
 /// reaches it, and *all* members of a live class are live. A superset of
 /// [`SharedGraph::live_set`] (which follows representatives only), so the
 /// per-sweep analyses (escapes, dead allocas) stay conservative.
-fn live_members(
-    g: &SharedGraph,
-    members: &HashMap<NodeId, Vec<NodeId>>,
-    roots: &[NodeId],
-) -> Vec<bool> {
+fn live_members(g: &SharedGraph, members: &MemberMap, roots: &[NodeId]) -> Vec<bool> {
     let mut live = vec![false; g.len()];
     let mut stack: Vec<NodeId> = roots.iter().map(|&r| g.find(r)).collect();
     while let Some(class) = stack.pop() {
         if live[class.index()] {
             continue;
         }
-        for &m in &members[&class] {
+        for &m in members.of(class) {
             live[m.index()] = true;
-            g.node(m).clone().for_each_child(|c| {
+            g.node(m).for_each_child(|c| {
                 let c = g.find(c);
                 if !live[c.index()] {
                     stack.push(c);
@@ -252,7 +313,8 @@ fn snapshot(
     iterations: usize,
     saturated: bool,
 ) -> SaturationStats {
-    let members = member_map(g);
+    let mut members = MemberMap::default();
+    members.fill(g);
     let live = live_members(g, &members, roots);
     let e_nodes = live.iter().filter(|&&b| b).count();
     let e_classes = live
@@ -310,6 +372,66 @@ mod tests {
         assert!(g.same(a, or));
     }
 
+    /// `ClassView::etas` against `variants` filtered to η, in order: the
+    /// scan keeps congruent duplicates, `variants` lists each structure
+    /// once, and with those dropped the two sequences agree.
+    #[test]
+    fn eta_scan_matches_the_eta_variants_in_order() {
+        fn etas_of(variants: Vec<Node>) -> Vec<(u32, NodeId, NodeId)> {
+            let eta = |n| match n {
+                Node::Eta { depth, cond, val } => Some((depth, cond, val)),
+                _ => None,
+            };
+            variants.into_iter().filter_map(eta).collect()
+        }
+        fn first_occurrences(xs: Vec<(u32, NodeId, NodeId)>) -> Vec<(u32, NodeId, NodeId)> {
+            let mut out = Vec::new();
+            for x in xs {
+                if !out.contains(&x) {
+                    out.push(x);
+                }
+            }
+            out
+        }
+        let mut g = SharedGraph::new();
+        let p0 = g.add(Node::Param(0));
+        let p1 = g.add(Node::Param(1));
+        let c = g.add(Node::Param(2));
+        let p3 = g.add(Node::Param(3));
+        // A class whose representative (lowest id) is not an η, with three
+        // η members; `twin` resolves like `e1` once p3 joins p0.
+        let sum = g.add(Node::Bin(BinOp::Add, Ty::I64, p0, p1));
+        let e1 = g.add(Node::Eta { depth: 1, cond: c, val: p0 });
+        let twin = g.add(Node::Eta { depth: 1, cond: c, val: p3 });
+        let e2 = g.add(Node::Eta { depth: 1, cond: c, val: p1 });
+        // A class whose representative is an η.
+        let e3 = g.add(Node::Eta { depth: 2, cond: c, val: p1 });
+        let other = g.add(Node::Bin(BinOp::Mul, Ty::I64, p0, p1));
+        g.union(p0, p3);
+        for m in [e1, twin, e2] {
+            g.union(sum, m);
+        }
+        g.union(e3, other);
+        assert_eq!(g.resolve_at(twin), g.resolve_at(e1), "twin is congruent to e1");
+        let mut members = MemberMap::default();
+        members.fill(&g);
+        let view = ClassView::Members(&members);
+        for id in [sum, e1, e2, e3, other, p0] {
+            let scan: Vec<_> = view.etas(&g, id).collect();
+            assert_eq!(first_occurrences(scan.clone()), etas_of(view.variants(&g, id)), "{id:?}");
+            let rep_scan: Vec<_> = ClassView::Rep.etas(&g, id).collect();
+            assert_eq!(rep_scan, etas_of(ClassView::Rep.variants(&g, id)), "{id:?}");
+        }
+        let scan: Vec<_> = view.etas(&g, e2).collect();
+        assert_eq!(scan, [(1, c, p0), (1, c, p0), (1, c, p1)], "members in ascending id order");
+        assert_eq!(
+            view.etas(&g, other).next(),
+            Some((2, c, p1)),
+            "an η representative comes first"
+        );
+        assert_eq!(ClassView::Rep.etas(&g, sum).next(), None, "Rep sees the representative only");
+    }
+
     #[test]
     fn live_members_marks_whole_classes() {
         let mut g = SharedGraph::new();
@@ -319,7 +441,8 @@ mod tests {
         let c = g.add(Node::Param(2));
         let prod = g.add(Node::Bin(BinOp::Mul, Ty::I64, a, c));
         g.union(sum, prod); // class {sum, prod}; prod's child c only via member
-        let members = member_map(&g);
+        let mut members = MemberMap::default();
+        members.fill(&g);
         let live = live_members(&g, &members, &[sum]);
         assert!(live[sum.index()] && live[prod.index()]);
         assert!(live[c.index()], "member children are live");

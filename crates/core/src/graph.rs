@@ -25,7 +25,7 @@
 
 use gated_ssa::node::{node_hash, CalleeId, Interning, Node, NodeId, ValueGraph};
 use gated_ssa::GatedFunction;
-use lir::intern::{HashSlots, StrTab};
+use lir::intern::{HashSlots, IdMap, StrTab};
 use std::collections::HashMap;
 
 /// The structural intern table behind [`SharedGraph::add`] and
@@ -611,7 +611,7 @@ impl SharedGraph {
         let g: &ValueGraph = &gf.graph;
         self.reserve(g.len());
         let mut map: Vec<NodeId> = Vec::with_capacity(g.len());
-        let mut callee_map: HashMap<CalleeId, CalleeId> = HashMap::new();
+        let mut callee_map: IdMap<CalleeId, CalleeId> = IdMap::default();
         let mut mu_patches: Vec<(NodeId, NodeId)> = Vec::new(); // (our mu, their next)
         for (their_id, n) in g.iter() {
             let our = match n {

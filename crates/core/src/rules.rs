@@ -18,14 +18,15 @@
 //! repeats, mirroring "apply rules / maximize sharing" from §4.
 
 use crate::alias::{must_alias, no_alias, ptr_info, stack_rooted, Escapes, GBase};
+use crate::egraph::MemberMap;
 use crate::graph::SharedGraph;
 use gated_ssa::node::{Node, NodeId};
 use lir::inst::{
     eval_binop, eval_cast, eval_fbinop, eval_fcmp, eval_icmp, BinOp, CastOp, IcmpPred,
 };
+use lir::intern::{IdMap, IdSet};
 use lir::types::Ty;
 use lir::value::Constant;
-use std::collections::{HashMap, HashSet};
 
 /// Version of the rule catalogue and rewrite engines. It is part of every
 /// validator's wire encoding, which `llvm-md serve` hashes into the stamp of
@@ -273,7 +274,7 @@ pub(crate) enum ClassView<'a> {
     /// A child is its canonical representative only (destructive engine).
     Rep,
     /// A child is its whole e-class: representative → ascending member ids.
-    Members(&'a HashMap<NodeId, Vec<NodeId>>),
+    Members(&'a MemberMap),
 }
 
 impl ClassView<'_> {
@@ -283,20 +284,41 @@ impl ClassView<'_> {
     pub(crate) fn variants(&self, g: &SharedGraph, id: NodeId) -> Vec<Node> {
         let rep = g.find(id);
         let mut out = vec![g.resolve(rep)];
-        if let ClassView::Members(members) = self {
-            if let Some(ms) = members.get(&rep) {
-                for &m in ms {
-                    if m == rep {
-                        continue;
-                    }
-                    let n = g.resolve_at(m);
-                    if !out.contains(&n) {
-                        out.push(n);
-                    }
-                }
+        for m in self.others(rep) {
+            let n = g.resolve_at(m);
+            if !out.contains(&n) {
+                out.push(n);
             }
         }
         out
+    }
+
+    /// The `(depth, cond, val)` of every η among the members of child
+    /// `id`'s class, children canonical, in [`ClassView::variants`] order
+    /// (representative first, then ascending ids). Only η members are
+    /// resolved, and congruent duplicates are kept: a scan for the first
+    /// η that passes a test sees the same first hit as one over
+    /// `variants`, which lists each structure at its first occurrence.
+    pub(crate) fn etas<'g>(
+        &'g self,
+        g: &'g SharedGraph,
+        id: NodeId,
+    ) -> impl Iterator<Item = (u32, NodeId, NodeId)> + 'g {
+        let rep = g.find(id);
+        std::iter::once(rep).chain(self.others(rep)).filter_map(move |m| match *g.node(m) {
+            Node::Eta { depth, cond, val } => Some((depth, g.find(cond), g.find(val))),
+            _ => None,
+        })
+    }
+
+    /// The members of representative `rep`'s class other than `rep`,
+    /// ascending; none under [`ClassView::Rep`].
+    fn others(&self, rep: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let members = match self {
+            ClassView::Rep => &[][..],
+            ClassView::Members(members) => members.of(rep),
+        };
+        members.iter().copied().filter(move |&m| m != rep)
     }
 }
 
@@ -305,13 +327,13 @@ impl ClassView<'_> {
 pub(crate) struct RuleCtx<'a> {
     pub(crate) rules: &'a RuleSet,
     pub(crate) esc: &'a Escapes,
-    pub(crate) dead: &'a HashSet<NodeId>,
+    pub(crate) dead: &'a IdSet<NodeId>,
     pub(crate) view: ClassView<'a>,
 }
 
 /// Compute the per-sweep analyses the rules consult — escapes and dead
 /// allocas — from a liveness vector.
-pub(crate) fn sweep_analyses(g: &SharedGraph, live: &[bool]) -> (Escapes, HashSet<NodeId>) {
+pub(crate) fn sweep_analyses(g: &SharedGraph, live: &[bool]) -> (Escapes, IdSet<NodeId>) {
     let esc = Escapes::compute(g, live);
     let dead = dead_allocas(g, live, &esc);
     (esc, dead)
@@ -408,25 +430,18 @@ fn eta_pull(g: &mut SharedGraph, n: &Node, cx: &RuleCtx, out: &mut Vec<(NodeId, 
     // Anchor the shared loop exit (depth, cond) on the first η variant
     // found, then require every other η child to match it.
     let mut dc: Option<(u32, NodeId)> = None;
-    let mut vals: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut vals: IdMap<NodeId, NodeId> = IdMap::default();
     for &ch in &children {
         if vals.contains_key(&ch) {
             continue;
         }
-        for v in cx.view.variants(g, ch) {
-            if let Node::Eta { depth, cond, val } = v {
-                match dc {
-                    None => {
-                        dc = Some((depth, g.find(cond)));
-                        vals.insert(ch, g.find(val));
-                    }
-                    Some((d, c)) if depth == d && g.same(cond, c) => {
-                        vals.insert(ch, g.find(val));
-                    }
-                    Some(_) => continue,
-                }
-                break;
-            }
+        let hit = cx.view.etas(g, ch).find(|&(depth, cond, _)| match dc {
+            None => true,
+            Some((d, c)) => depth == d && cond == c,
+        });
+        if let Some((depth, cond, val)) = hit {
+            dc.get_or_insert((depth, cond));
+            vals.insert(ch, val);
         }
     }
     let Some((d, c)) = dc else { return };
@@ -878,11 +893,7 @@ fn try_loadstore(g: &mut SharedGraph, n: &Node, cx: &RuleCtx) -> Option<NodeId> 
 /// removing them from memory chains is the validator's mirror of DSE.
 /// Recomputed every sweep: once a load is rewritten away, the alloca it
 /// read may become dead on the next sweep.
-fn dead_allocas(
-    g: &SharedGraph,
-    live: &[bool],
-    esc: &Escapes,
-) -> std::collections::HashSet<NodeId> {
+fn dead_allocas(g: &SharedGraph, live: &[bool], esc: &Escapes) -> IdSet<NodeId> {
     let mut allocas = Vec::new();
     let mut reads: Vec<(NodeId, u64)> = Vec::new();
     for (i, &is_live) in live.iter().enumerate() {
@@ -926,7 +937,7 @@ struct LoopWriter {
 fn collect_loop_writers(g: &SharedGraph, mu: NodeId, next: NodeId) -> Option<Vec<LoopWriter>> {
     let mut out = Vec::new();
     let mut stack = vec![g.find(next)];
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = IdSet::default();
     let mut steps = 0;
     while let Some(m) = stack.pop() {
         let m = g.find(m);
@@ -979,7 +990,7 @@ fn collect_loop_writers(g: &SharedGraph, mu: NodeId, next: NodeId) -> Option<Vec
 /// their η, so any raw μ at depth `d` found this way belongs to the loop in
 /// question.
 pub fn varies_at_depth(g: &SharedGraph, v: NodeId, d: u32) -> bool {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = IdSet::default();
     let mut stack = vec![g.find(v)];
     while let Some(n) = stack.pop() {
         let n = g.find(n);
@@ -1000,19 +1011,25 @@ pub fn varies_at_depth(g: &SharedGraph, v: NodeId, d: u32) -> bool {
 /// the *first* iteration (μs of the loop become their initial values).
 /// Returns `None` when the projection would require cloning inner loops or
 /// exceeds the node budget.
+///
+/// `memo` holds every class this projection has visited, invariant ones
+/// (which project to themselves) included. That is exact because a
+/// projection only `add`s and never `union`s: no `find` changes during
+/// it, so neither does whether a class varies.
 fn project_first(
     g: &mut SharedGraph,
     n: NodeId,
     d: u32,
     budget: &mut u32,
-    memo: &mut HashMap<NodeId, Option<NodeId>>,
+    memo: &mut IdMap<NodeId, Option<NodeId>>,
 ) -> Option<NodeId> {
     let n = g.find(n);
-    if !varies_at_depth(g, n, d) {
-        return Some(n);
-    }
     if let Some(cached) = memo.get(&n) {
         return *cached;
+    }
+    if !varies_at_depth(g, n, d) {
+        memo.insert(n, Some(n));
+        return Some(n);
     }
     if *budget == 0 {
         return None;
@@ -1026,7 +1043,7 @@ fn project_first(
         Node::Mu { .. } | Node::Eta { .. } => None,
         mut other => {
             let mut ok = true;
-            let mut proj: HashMap<NodeId, NodeId> = HashMap::new();
+            let mut proj: IdMap<NodeId, NodeId> = IdMap::default();
             other.for_each_child(|c| {
                 if ok && !proj.contains_key(&c) {
                     match project_first(g, c, d, budget, memo) {
@@ -1064,11 +1081,11 @@ fn try_eta(g: &mut SharedGraph, n: &Node) -> Option<NodeId> {
     // Rule (7): the loop exits on its first iteration; the η selects the
     // first value of the stream.
     let mut budget = 96;
-    let mut memo = HashMap::new();
+    let mut memo = IdMap::default();
     let first_cond = project_first(g, cond, depth, &mut budget, &mut memo)?;
     if is_const_bool(g, first_cond, true) {
         let mut budget = 96;
-        let mut memo = HashMap::new();
+        let mut memo = IdMap::default();
         return project_first(g, val, depth, &mut budget, &mut memo);
     }
     None
@@ -1112,7 +1129,7 @@ fn try_commuting(g: &mut SharedGraph, n: &Node) -> Option<NodeId> {
             }
             let mut inner = inner;
             let (d, c) = (*depth, *cond);
-            let mut mapped: HashMap<NodeId, NodeId> = HashMap::new();
+            let mut mapped: IdMap<NodeId, NodeId> = IdMap::default();
             inner.for_each_child(|ch| {
                 mapped.entry(ch).or_insert_with(|| eta_or_self(g, d, c, ch));
             });

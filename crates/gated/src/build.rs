@@ -25,10 +25,10 @@ use crate::node::{Interning, Node, NodeId, ValueGraph};
 use crate::prep::{GateError, Prepared};
 use lir::func::{BlockId, Function};
 use lir::inst::{IcmpPred, Inst, Term};
+use lir::intern::IdMap;
 use lir::known::{self, MemEffects};
 use lir::loops::LoopId;
 use lir::value::{Constant, Operand, Reg};
-use std::collections::HashMap;
 
 /// The gated-SSA value graph of one function.
 #[derive(Debug)]
@@ -287,7 +287,7 @@ impl<'a> Builder<'a> {
             }
             Term::Switch { ty, val, default, cases } => {
                 let v = self.use_val(*val, b)?;
-                let mut conds: HashMap<BlockId, NodeId> = HashMap::new();
+                let mut conds: IdMap<BlockId, NodeId> = IdMap::default();
                 let mut order: Vec<BlockId> = Vec::new();
                 let mut not_any = self.g.true_();
                 for &(k, target) in cases {
@@ -345,7 +345,7 @@ impl<'a> Builder<'a> {
                 members.push(Member::Loop(LoopId(i as u32)));
             }
         }
-        let midx: HashMap<Member, usize> =
+        let midx: IdMap<Member, usize> =
             members.iter().copied().enumerate().map(|(i, m)| (m, i)).collect();
         let member_of_block = |b: BlockId| -> Option<Member> {
             match lf.loop_of(b) {

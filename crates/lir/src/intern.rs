@@ -1,6 +1,6 @@
 //! Hash-consing primitives: a stable FNV-1a hasher, a fast word-at-a-time
-//! hasher for in-memory tables, an open-addressing slot table, and a
-//! string interner.
+//! hasher for in-memory tables (and the std maps over it, [`IdMap`] and
+//! [`IdSet`]), an open-addressing slot table, and a string interner.
 //!
 //! The value-graph layers (`gated-ssa`, `llvm-md-core`) maintain maximal
 //! sharing by interning every node at creation; this module supplies the
@@ -11,12 +11,36 @@
 //!   derivation and fuzz addressing all use it, so values persisted by
 //!   older binaries — verdict stores, chain caches, committed
 //!   `BENCH_*.json` baselines — remain valid. Its output must never change.
-//! * [`WordHasher`] buckets the node interners. Their hashes are never
-//!   persisted and node ids do not depend on them (see [`HashSlots`]), so
-//!   it is free to trade stability for speed.
+//! * [`WordHasher`] buckets the node interners and the id-keyed std maps.
+//!   Their hashes are never persisted and node ids do not depend on them
+//!   (see [`HashSlots`]), so it is free to trade stability for speed.
 //!
 //! std's `DefaultHasher` is explicitly *not* stable across releases and
 //! must not leak into anything persisted.
+//!
+//! # Which hasher a map gets
+//!
+//! [`IdMap`] and [`IdSet`] are std's maps over [`WordHasher`]. They are
+//! for keys the program builds from ids it mints itself: node, block,
+//! register and callee ids, and the nodes and expressions over them, which
+//! the node interners already bucket with `WordHasher`. Such keys are a
+//! few small integers, which SipHash (std's default) hashes several times
+//! slower. Wherever a client chooses the keys outright — register and
+//! label names in `lir::parse`, the request
+//! fingerprints of `llvm_md_core::cache::Lru`, the addresses of
+//! `lir::interp`'s memory — the maps keep std's keyed `RandomState`,
+//! because `WordHasher` is unkeyed and crafted keys could make every
+//! lookup collide. The `Interning::Naive` reference interners of the two
+//! value-graph layers keep std maps as well: they exist to check the
+//! `WordHasher`-bucketed tables against an independent hash.
+//!
+//! Swapping a map's hasher changes its iteration order and nothing else,
+//! and no pinned output depends on that order. Under `RandomState` the
+//! order was already seeded afresh in every process, so an output that
+//! followed it could not have been pinned. The one loop that walks a map
+//! and mutates shared state, `partition_refine`'s loop over its
+//! `by_class` groups in `llvm_md_core::cycles`, unions disjoint groups of
+//! μs, and those unions commute.
 //!
 //! [`HashSlots`] is a bare-bones open-addressing table mapping a
 //! precomputed 64-bit hash to a `u32` payload (a node or string index).
@@ -26,8 +50,17 @@
 //! removed, which the shared value graph's incremental rebuild uses to
 //! re-file only the nodes whose key changed.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::Hasher;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A std map keyed by program-minted ids, hashed with [`WordHasher`] (see
+/// the module doc for when to use it). Build one with `IdMap::default()`.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// A std set of program-minted ids, hashed with [`WordHasher`] (see the
+/// module doc for when to use it). Build one with `IdSet::default()`.
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
 
 /// FNV-1a offset basis (the hash of the empty string).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -11,8 +11,8 @@
 use crate::{Ctx, Pass};
 use lir::func::Function;
 use lir::inst::Inst;
+use lir::intern::IdSet;
 use lir::value::{Operand, Reg};
-use std::collections::HashSet;
 
 /// The ADCE pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -48,9 +48,9 @@ pub fn run_adce(f: &mut Function) -> bool {
         }
     }
 
-    let mut live: HashSet<Reg> = HashSet::new();
+    let mut live: IdSet<Reg> = IdSet::default();
     let mut work: Vec<Reg> = Vec::new();
-    let mark = |op: Operand, live: &mut HashSet<Reg>, work: &mut Vec<Reg>| {
+    let mark = |op: Operand, live: &mut IdSet<Reg>, work: &mut Vec<Reg>| {
         if let Operand::Reg(r) = op {
             if live.insert(r) {
                 work.push(r);

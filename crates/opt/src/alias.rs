@@ -9,8 +9,8 @@
 use crate::util::{def_inst, def_locs, InstLoc};
 use lir::func::{Function, GlobalId};
 use lir::inst::Inst;
+use lir::intern::IdSet;
 use lir::value::{Operand, Reg};
-use std::collections::HashSet;
 
 /// The provenance of a pointer value.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,8 +49,8 @@ pub enum AliasResult {
 #[derive(Debug)]
 pub struct Aliasing {
     defs: Vec<Option<InstLoc>>,
-    params: HashSet<Reg>,
-    non_escaping: HashSet<Reg>,
+    params: IdSet<Reg>,
+    non_escaping: IdSet<Reg>,
 }
 
 impl Aliasing {
@@ -180,10 +180,10 @@ impl Aliasing {
 /// pointer (through `gep` chains) is only used as the address operand of
 /// loads and stores. Escaping uses: stored *as a value*, passed to calls,
 /// returned, compared, φ/select-merged.
-pub fn non_escaping_allocas(f: &Function) -> HashSet<Reg> {
+pub fn non_escaping_allocas(f: &Function) -> IdSet<Reg> {
     // Start with all allocas; erase those with a bad use. gep results
     // derived from an alloca are tracked transitively.
-    let mut allocas: HashSet<Reg> = HashSet::new();
+    let mut allocas: IdSet<Reg> = IdSet::default();
     for (_, b) in f.iter_blocks() {
         for inst in &b.insts {
             if let Inst::Alloca { dst, .. } = inst {
@@ -206,7 +206,7 @@ pub fn non_escaping_allocas(f: &Function) -> HashSet<Reg> {
         }
         None
     };
-    let mut escaped: HashSet<Reg> = HashSet::new();
+    let mut escaped: IdSet<Reg> = IdSet::default();
     for (_, b) in f.iter_blocks() {
         for phi in &b.phis {
             for &(_, v) in &phi.incomings {

@@ -16,7 +16,7 @@ use crate::alias::{non_escaping_allocas, Aliasing, PtrBase};
 use crate::{Ctx, Pass};
 use lir::func::Function;
 use lir::inst::Inst;
-use std::collections::HashSet;
+use lir::intern::IdSet;
 
 /// The DSE pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -86,7 +86,7 @@ fn remove_stores_to_dead_allocas(f: &mut Function) -> bool {
     let aa = Aliasing::new(f);
     let ne = non_escaping_allocas(f);
     // Allocas that are loaded from (through any pointer that may reach them).
-    let mut loaded: HashSet<lir::value::Reg> = HashSet::new();
+    let mut loaded: IdSet<lir::value::Reg> = IdSet::default();
     for (_, b) in f.iter_blocks() {
         for inst in &b.insts {
             let ptr = match inst {

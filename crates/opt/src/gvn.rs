@@ -26,9 +26,9 @@ use lir::cfg::reachable_cfg;
 use lir::dom::DomTree;
 use lir::func::{BlockId, Function};
 use lir::inst::{BinOp, CastOp, FBinOp, FcmpPred, IcmpPred, Inst};
+use lir::intern::IdMap;
 use lir::types::Ty;
 use lir::value::{Constant, Operand, Reg};
-use std::collections::HashMap;
 
 /// The GVN pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -114,11 +114,11 @@ pub fn run_gvn(f: &mut Function, _ctx: &Ctx<'_>) -> bool {
     let aa = Aliasing::new(f);
 
     // Leader table per block, inherited down the dominator tree.
-    let mut tables: HashMap<BlockId, HashMap<ExprKey, Operand>> = HashMap::new();
+    let mut tables: IdMap<BlockId, IdMap<ExprKey, Operand>> = IdMap::default();
     // Memory facts per block (available loads/stored values at block end).
-    let mut mem_facts: HashMap<BlockId, Vec<MemFact>> = HashMap::new();
+    let mut mem_facts: IdMap<BlockId, Vec<MemFact>> = IdMap::default();
     // Value replacement map.
-    let mut repl: HashMap<Reg, Operand> = HashMap::new();
+    let mut repl: IdMap<Reg, Operand> = IdMap::default();
     let mut changed = false;
 
     // Dominator-tree pre-order walk (iterative).
@@ -134,7 +134,7 @@ pub fn run_gvn(f: &mut Function, _ctx: &Ctx<'_>) -> bool {
     }
 
     for &bid in &order {
-        let mut table: HashMap<ExprKey, Operand> =
+        let mut table: IdMap<ExprKey, Operand> =
             dt.idom_of(bid).and_then(|d| tables.get(&d)).cloned().unwrap_or_default();
         // Memory facts: inherit from the immediate dominator only when every
         // path from it to us is free of clobbers — conservatively, when we
@@ -151,7 +151,7 @@ pub fn run_gvn(f: &mut Function, _ctx: &Ctx<'_>) -> bool {
             }
         };
 
-        let resolve = |op: Operand, repl: &HashMap<Reg, Operand>| -> Operand {
+        let resolve = |op: Operand, repl: &IdMap<Reg, Operand>| -> Operand {
             let mut cur = op;
             for _ in 0..repl.len() + 1 {
                 match cur {

@@ -19,9 +19,9 @@ use crate::util::sweep_trivially_dead;
 use crate::{Ctx, Pass};
 use lir::func::Function;
 use lir::inst::{self, BinOp, IcmpPred, Inst};
+use lir::intern::{IdMap, IdSet};
 use lir::types::Ty;
 use lir::value::{Constant, Operand, Reg};
-use std::collections::HashMap;
 
 /// The instcombine pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -276,13 +276,13 @@ pub fn run_instcombine(f: &mut Function, ctx: &Ctx<'_>) -> bool {
     let mut changed = false;
     // Instructions folded to values stay in place (dead) until the final
     // sweep; remember them so they don't re-fire `round` forever.
-    let mut folded: std::collections::HashSet<Reg> = std::collections::HashSet::new();
+    let mut folded: IdSet<Reg> = IdSet::default();
     loop {
         let mut round = false;
-        let mut replacements: HashMap<Reg, Operand> = HashMap::new();
+        let mut replacements: IdMap<Reg, Operand> = IdMap::default();
         // Resolve gep-of-global chains for constant-load folding.
-        let gep_info: HashMap<Reg, (u32, i64)> = {
-            let mut info = HashMap::new();
+        let gep_info: IdMap<Reg, (u32, i64)> = {
+            let mut info = IdMap::default();
             for (_, b) in f.iter_blocks() {
                 for inst in &b.insts {
                     if let Inst::Gep { dst, base, offset } = inst {

@@ -17,10 +17,10 @@ use crate::alias::Aliasing;
 use crate::{Ctx, Pass};
 use lir::func::{BlockId, Function};
 use lir::inst::Inst;
+use lir::intern::IdSet;
 use lir::loops::{Analyses, LoopId};
 use lir::transform::loop_simplify;
 use lir::value::{Operand, Reg};
-use std::collections::HashSet;
 
 /// The LICM pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -71,10 +71,10 @@ fn hoist_loop(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
     let Analyses { cfg, dt, lf } = an;
     let Some(preheader) = lf.preheader(cfg, lid) else { return false };
     let l = lf.get(lid);
-    let body: HashSet<BlockId> = l.body.iter().copied().collect();
+    let body: IdSet<BlockId> = l.body.iter().copied().collect();
 
     // Registers defined inside the loop.
-    let mut defined_in: HashSet<Reg> = HashSet::new();
+    let mut defined_in: IdSet<Reg> = IdSet::default();
     for &b in &l.body {
         for phi in &f.block(b).phis {
             defined_in.insert(phi.dst);
@@ -85,7 +85,7 @@ fn hoist_loop(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
             }
         }
     }
-    let invariant_op = |op: Operand, hoisted: &HashSet<Reg>, defined_in: &HashSet<Reg>| match op {
+    let invariant_op = |op: Operand, hoisted: &IdSet<Reg>, defined_in: &IdSet<Reg>| match op {
         Operand::Reg(r) => !defined_in.contains(&r) || hoisted.contains(&r),
         _ => true,
     };
@@ -115,7 +115,7 @@ fn hoist_loop(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
     };
     let dominates_exits = |b: BlockId| exiting.iter().all(|e| dt.dominates(b, *e));
 
-    let mut hoisted: HashSet<Reg> = HashSet::new();
+    let mut hoisted: IdSet<Reg> = IdSet::default();
     let mut moved: Vec<Inst> = Vec::new();
     loop {
         // Hoisting removed instructions; the alias context's definition map

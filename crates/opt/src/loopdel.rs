@@ -11,10 +11,10 @@
 use crate::{Ctx, Pass};
 use lir::func::{BlockId, Function};
 use lir::inst::{Inst, Term};
+use lir::intern::IdSet;
 use lir::loops::{Analyses, LoopId};
 use lir::transform::{loop_simplify, prune_and_reanalyze};
 use lir::value::Reg;
-use std::collections::HashSet;
 
 /// The loop-deletion pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -75,8 +75,8 @@ fn try_delete(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
     }
 
     // No inside-defined register used outside.
-    let body: HashSet<BlockId> = l.body.iter().copied().collect();
-    let mut defined_in: HashSet<Reg> = HashSet::new();
+    let body: IdSet<BlockId> = l.body.iter().copied().collect();
+    let mut defined_in: IdSet<Reg> = IdSet::default();
     for &b in &l.body {
         for phi in &f.block(b).phis {
             defined_in.insert(phi.dst);
@@ -122,7 +122,7 @@ fn try_delete(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
     let exiting_preds: Vec<BlockId> =
         l.exits.iter().filter(|(_, t)| *t == exit_target).map(|(s, _)| *s).collect();
     for phi in &f.block(exit_target).phis {
-        let vals: HashSet<_> = phi
+        let vals: IdSet<_> = phi
             .incomings
             .iter()
             .filter(|(p, _)| exiting_preds.contains(p))

@@ -13,9 +13,10 @@ use lir::cfg::reachable_cfg;
 use lir::dom::DomTree;
 use lir::func::{BlockId, Function, Phi};
 use lir::inst::Inst;
+use lir::intern::{IdMap, IdSet};
 use lir::types::Ty;
 use lir::value::{Constant, Operand, Reg};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// The mem2reg pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -36,7 +37,7 @@ impl Pass for Mem2Reg {
 /// order φs are placed in.
 fn promotable_allocas(f: &Function) -> BTreeMap<Reg, Ty> {
     let candidates = non_escaping_allocas(f);
-    let mut access_ty: HashMap<Reg, Option<Ty>> = HashMap::new();
+    let mut access_ty: IdMap<Reg, Option<Ty>> = IdMap::default();
     for (_, b) in f.iter_blocks() {
         for inst in &b.insts {
             let (ptr, ty) = match inst {
@@ -57,7 +58,7 @@ fn promotable_allocas(f: &Function) -> BTreeMap<Reg, Ty> {
     }
     // An alloca whose pointer reaches loads/stores through geps is excluded
     // by simply checking every use site again.
-    let mut gep_used: HashSet<Reg> = HashSet::new();
+    let mut gep_used: IdSet<Reg> = IdSet::default();
     for (_, b) in f.iter_blocks() {
         for inst in &b.insts {
             if let Inst::Gep { base: Operand::Reg(r), .. } = inst {
@@ -90,7 +91,7 @@ pub fn promote_allocas(f: &mut Function) -> bool {
     let df = dt.dominance_frontiers(&cfg);
 
     // Blocks containing stores, per alloca.
-    let mut def_blocks: HashMap<Reg, Vec<BlockId>> = HashMap::new();
+    let mut def_blocks: IdMap<Reg, Vec<BlockId>> = IdMap::default();
     for (id, b) in f.iter_blocks() {
         for inst in &b.insts {
             if let Inst::Store { ptr: Operand::Reg(r), .. } = inst {
@@ -103,10 +104,10 @@ pub fn promote_allocas(f: &mut Function) -> bool {
 
     // Iterated dominance frontier φ placement.
     // phi_for[(block, alloca)] = φ register.
-    let mut phi_for: HashMap<(BlockId, Reg), Reg> = HashMap::new();
+    let mut phi_for: IdMap<(BlockId, Reg), Reg> = IdMap::default();
     for (&a, ty) in &promote {
         let mut work: Vec<BlockId> = def_blocks.get(&a).cloned().unwrap_or_default();
-        let mut placed: HashSet<BlockId> = HashSet::new();
+        let mut placed: IdSet<BlockId> = IdSet::default();
         while let Some(b) = work.pop() {
             for &d in &df[b.index()] {
                 if placed.insert(d) {
@@ -120,7 +121,7 @@ pub fn promote_allocas(f: &mut Function) -> bool {
     }
 
     // Renaming walk over the dominator tree.
-    let mut stacks: HashMap<Reg, Vec<Operand>> =
+    let mut stacks: IdMap<Reg, Vec<Operand>> =
         promote.iter().map(|(&a, &ty)| (a, vec![Operand::Const(Constant::Undef(ty))])).collect();
     // Pre-order DFS with explicit undo.
     #[derive(Debug)]
@@ -130,7 +131,7 @@ pub fn promote_allocas(f: &mut Function) -> bool {
     }
     let mut stack = vec![Step::Visit(f.entry())];
     // Map from load dst -> replacement operand, applied afterwards.
-    let mut load_repl: HashMap<Reg, Operand> = HashMap::new();
+    let mut load_repl: IdMap<Reg, Operand> = IdMap::default();
     while let Some(step) = stack.pop() {
         match step {
             Step::Pop(a) => {
@@ -208,7 +209,7 @@ pub fn promote_allocas(f: &mut Function) -> bool {
 
     // Rewrite load uses; a replacement may itself be a replaced load (chains
     // within the same block), so resolve transitively.
-    let resolve = |mut op: Operand, load_repl: &HashMap<Reg, Operand>| {
+    let resolve = |mut op: Operand, load_repl: &IdMap<Reg, Operand>| {
         for _ in 0..load_repl.len() + 1 {
             match op {
                 Operand::Reg(r) if load_repl.contains_key(&r) => op = load_repl[&r],

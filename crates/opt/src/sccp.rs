@@ -14,9 +14,10 @@ use crate::{Ctx, Pass};
 use lir::cfg::drop_unreachable;
 use lir::func::{BlockId, Function};
 use lir::inst::{self, Inst};
+use lir::intern::{IdMap, IdSet};
 use lir::transform::fold_branch;
 use lir::value::{Constant, Operand, Reg};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// The SCCP pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -56,11 +57,11 @@ impl Lat {
 struct Solver<'f> {
     f: &'f Function,
     lat: Vec<Lat>,
-    exec_edge: HashSet<(BlockId, BlockId)>,
-    exec_block: HashSet<BlockId>,
+    exec_edge: IdSet<(BlockId, BlockId)>,
+    exec_block: IdSet<BlockId>,
     flow_work: VecDeque<(BlockId, BlockId)>,
     ssa_work: VecDeque<Reg>,
-    uses: HashMap<Reg, Vec<BlockId>>, // blocks containing uses of each reg
+    uses: IdMap<Reg, Vec<BlockId>>, // blocks containing uses of each reg
 }
 
 impl<'f> Solver<'f> {
@@ -212,7 +213,7 @@ pub fn run_sccp(f: &mut Function) -> bool {
     if f.blocks.is_empty() {
         return false;
     }
-    let mut uses: HashMap<Reg, Vec<BlockId>> = HashMap::new();
+    let mut uses: IdMap<Reg, Vec<BlockId>> = IdMap::default();
     for (id, b) in f.iter_blocks() {
         let mut record = |op: Operand| {
             if let Operand::Reg(r) = op {
@@ -236,8 +237,8 @@ pub fn run_sccp(f: &mut Function) -> bool {
     let mut solver = Solver {
         f,
         lat,
-        exec_edge: HashSet::new(),
-        exec_block: HashSet::new(),
+        exec_edge: IdSet::default(),
+        exec_block: IdSet::default(),
         flow_work: VecDeque::new(),
         ssa_work: VecDeque::new(),
         uses,

@@ -16,10 +16,11 @@
 use crate::{Ctx, Pass};
 use lir::func::{BlockId, Function};
 use lir::inst::Term;
+use lir::intern::{IdMap, IdSet};
 use lir::loops::{Analyses, LoopId};
 use lir::transform::{dedicated_exits, fold_branch, loop_simplify, prune_and_reanalyze};
 use lir::value::{Operand, Reg};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// The loop-unswitching pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -68,7 +69,7 @@ fn unswitch_one(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
     let lf = &an.lf;
     let Some(preheader) = lf.preheader(&an.cfg, lid) else { return false };
     let l = lf.get(lid);
-    let body: HashSet<BlockId> = l.body.iter().copied().collect();
+    let body: IdSet<BlockId> = l.body.iter().copied().collect();
     let size: usize =
         l.body.iter().map(|&b| f.block(b).phis.len() + f.block(b).insts.len() + 1).sum();
     if size > SIZE_LIMIT {
@@ -128,16 +129,16 @@ fn unswitch_one(f: &mut Function, an: &Analyses, lid: LoopId) -> bool {
     }
 
     // --- Clone the loop body. ---
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut block_map: IdMap<BlockId, BlockId> = IdMap::default();
     for &b in &l.body {
         let nb = f.add_block(format!("{}.us", f.block(b).name.clone()));
         block_map.insert(b, nb);
     }
-    let mut reg_map: HashMap<Reg, Reg> = HashMap::new();
+    let mut reg_map: IdMap<Reg, Reg> = IdMap::default();
     for &r in &defined_in {
         reg_map.insert(r, f.new_reg());
     }
-    let map_op = |op: &mut Operand, reg_map: &HashMap<Reg, Reg>| {
+    let map_op = |op: &mut Operand, reg_map: &IdMap<Reg, Reg>| {
         if let Operand::Reg(r) = op {
             if let Some(nr) = reg_map.get(r) {
                 *op = Operand::Reg(*nr);

@@ -6,7 +6,8 @@
 //! * **Pinned bytes**: every enum variant and a set of hand-built records
 //!   encode to literal expected strings, and the encoded scale-4 suite is
 //!   pinned by FNV-1a fingerprints under the full cascade and under the
-//!   tier-1 normalizer and cycle-matching configurations it leaves out.
+//!   tier-1 normalizer and cycle-matching configurations it leaves out,
+//!   and fuzz-campaign modules pin the saturation engine's statistics.
 //! * **Determinism contract**: report equality, generated from each
 //!   record's field table, ignores exactly the `timing` fields.
 //! * **Artifacts**: every committed `BENCH_*.json` baseline parses through
